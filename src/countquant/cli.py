@@ -69,6 +69,18 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
+def _read_input(loader, path: str, what: str):
+    """``loader(path)`` on an existing file; a malformed line exits without a traceback."""
+    try:
+        return loader(_require_file(path, what))
+    except ValueError as exc:  # loaders report the bad line as "file:line: ..."
+        raise click.ClickException(str(exc)) from exc
+
+
+def _read_conll(path: str, what: str) -> list[tuple[list[str], list[str]]]:
+    return _read_input(lambda p: list(dsgen.read_conll(p)), path, what)
+
+
 def _load_lexicon(lexicon_dir: Optional[str]):
     return load_lexicon(lexicon_dir) if lexicon_dir else load_default_lexicon()
 
@@ -86,14 +98,15 @@ def main(ctx: click.Context, config_path: Optional[str]) -> None:
 _STATE: dict = {}
 
 
-def _init_label_worker(lexicon_dir, upper_bound, policy):
+def _init_label_worker(lexicon_dir, upper_bound, policy, relation):
     _STATE["lexicon"] = _load_lexicon(lexicon_dir)
     _STATE["upper_bound"] = upper_bound
     _STATE["policy"] = policy
+    _STATE["relation"] = relation
 
 
 def _label_one(task):
-    subject, text, kb_count, relation = task
+    subject, text, kb_count = task
     return dsgen.label_subject_document(
         text,
         kb_count,
@@ -101,7 +114,7 @@ def _label_one(task):
         _STATE["lexicon"],
         _STATE["policy"],
         subject=subject,
-        relation=relation,
+        relation=_STATE["relation"],
     )
 
 
@@ -168,24 +181,17 @@ def cmd_build_training(ctx, kb_path, corpus_path, relation_spec, out_path,
         raise click.ClickException("--kb, --corpus and --relation are required")
 
     store = kbstore.load_triples(_require_file(kb_path, "KB"))
-    corpus = Corpus.load(_require_file(corpus_path, "corpus"))
+    corpus = _read_input(Corpus.load, corpus_path, "corpus")
     rel = parse_relation(relation_spec)
 
-    keep = kbstore.popularity_percentile_cutoff(store, rel, policy.popularity_top_fraction)
-    subjects = [
-        s for s in store.relation_subjects(rel) if s in keep and s in corpus
-    ]
-    if not subjects:
+    upper_bound, selection = dsgen.select_subjects(store, corpus, rel, policy)
+    if not selection:
         raise click.ClickException(
             f"no subjects of relation {rel.label} found in both KB and corpus"
         )
-    upper_bound = kbstore.count_percentile(store, rel, policy.upper_bound_q)
-
-    tasks = [
-        (s, corpus[s], store.triple_count(s, rel.property), rel) for s in subjects
-    ]
     results = _pool_map(
-        _label_one, tasks, workers, _init_label_worker, (lexicon_dir, upper_bound, policy)
+        _label_one, selection, workers, _init_label_worker,
+        (lexicon_dir, upper_bound, policy, rel),
     )
     labeled = [ls for sentences, _ in results for ls in sentences]
     stats = sum((s for _, s in results), GenerationStats())
@@ -213,7 +219,7 @@ def cmd_train(ctx, training_path, model_path, relation_spec, l2_sigma, max_iter,
     max_iter = resolve(max_iter, cfg, "max_iter", 300, int)
     feature_cutoff = resolve(feature_cutoff, cfg, "feature_cutoff", 2, int)
 
-    examples = list(dsgen.read_conll(_require_file(training_path, "training")))
+    examples = _read_conll(training_path, "training")
     if not examples:
         raise click.ClickException(f"no sentences in {training_path}")
     relation = parse_relation(relation_spec).__dict__ if relation_spec else None
@@ -260,7 +266,7 @@ def cmd_extract(ctx, model_path, corpus_path, relation_spec, out_path,
         raise click.ClickException("--corpus is required")
 
     _require_file(model_path, "model")
-    corpus = Corpus.load(_require_file(corpus_path, "corpus"))
+    corpus = _read_input(Corpus.load, corpus_path, "corpus")
     relation = parse_relation(relation_spec) if relation_spec else None
 
     tasks = [(s, corpus[s]) for s in corpus.subjects()]
@@ -282,16 +288,20 @@ def cmd_extract(ctx, model_path, corpus_path, relation_spec, out_path,
 
 def _load_predictions(path: Path) -> dict[str, CountingQuantifier]:
     predictions: dict[str, CountingQuantifier] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        record = json.loads(line)
-        predictions[str(record["subject"])] = CountingQuantifier(
-            subject=str(record["subject"]),
-            relation=None,
-            count=int(record["count"]),
-            confidence=float(record["confidence"]),
-        )
+        try:
+            record = json.loads(line)
+            subject = str(record["subject"])
+            predictions[subject] = CountingQuantifier(
+                subject=subject,
+                relation=None,
+                count=int(record["count"]),
+                confidence=float(record["confidence"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise click.ClickException(f"{path}:{lineno}: bad prediction record: {exc}") from exc
     return predictions
 
 
@@ -300,10 +310,11 @@ def _load_gold_counts(path: Path) -> dict[str, int]:
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise click.ClickException(f"{path}:{lineno}: expected subject<TAB>count")
-        gold[parts[0]] = int(parts[1])
+        try:
+            subject, count = line.split("\t")
+            gold[subject] = int(count)
+        except ValueError as exc:
+            raise click.ClickException(f"{path}:{lineno}: expected subject<TAB>count") from exc
     return gold
 
 
@@ -336,8 +347,8 @@ def cmd_evaluate(ctx, pred_path, gold_path, gold_conll, pred_conll, out_path, sh
                 [[f"{score.precision:.3f}", f"{score.coverage:.3f}", f"{score.mae:.3f}"]],
             ))
     if gold_conll and pred_conll:
-        gold_seqs = list(dsgen.read_conll(_require_file(gold_conll, "gold tags")))
-        pred_seqs = list(dsgen.read_conll(_require_file(pred_conll, "predicted tags")))
+        gold_seqs = _read_conll(gold_conll, "gold tags")
+        pred_seqs = _read_conll(pred_conll, "predicted tags")
         if len(gold_seqs) != len(pred_seqs):
             raise click.ClickException("gold and predicted tag files differ in sentence count")
         tp = n_pred = n_gold = 0
@@ -347,9 +358,7 @@ def cmd_evaluate(ctx, pred_path, gold_path, gold_conll, pred_conll, out_path, sh
             n_gold += sum(t == dsgen.COUNT for t in g_tags)
             n_pred += sum(t == dsgen.COUNT for t in p_tags)
             tp += sum(g == p == dsgen.COUNT for g, p in zip(g_tags, p_tags))
-        precision = tp / n_pred if n_pred else 0.0
-        recall = tp / n_gold if n_gold else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        precision, recall, f1 = ev.prf(tp, n_pred, n_gold)
         metrics["recognition"] = {
             "precision": round(precision, 4),
             "recall": round(recall, 4),

@@ -19,7 +19,6 @@ from .model import (
     marginals,
     path_score,
     save_model,
-    tag_marginal,
     viterbi,
 )
 from .train import DegenerateTrainingError, TrainingProblem, train
@@ -41,7 +40,6 @@ __all__ = [
     "marginals",
     "path_score",
     "save_model",
-    "tag_marginal",
     "viterbi",
     "DegenerateTrainingError",
     "TrainingProblem",

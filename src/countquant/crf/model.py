@@ -1,14 +1,16 @@
 """Linear-chain CRF over the COUNT/COMP/O tag scheme.
 
-All dynamic programs run in log-space with log-sum-exp. A trained model is
-immutable (weight arrays are write-protected) and safe to share across
-threads; decoding and marginal inference are reentrant.
+All dynamic programs run in log-space with log-sum-exp. :func:`log_forward`
+and :func:`log_backward` are the one forward-backward kernel: inference runs
+it on one sentence (n, k), :mod:`.train` on equal-length stacks (B, n, k).
+A trained model is immutable (weight arrays are write-protected) and safe to
+share across threads; decoding and marginal inference are reentrant.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -17,10 +19,9 @@ import numpy as np
 from .features import FeatureTemplate, extract_features
 
 
-def logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
+def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     m = a.max(axis=axis, keepdims=True)
-    out = m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis) if axis is not None else out.reshape(())
+    return np.squeeze(m, axis=axis) + np.log(np.exp(a - m).sum(axis=axis))
 
 TAGS = ("COUNT", "COMP", "O")
 
@@ -43,12 +44,10 @@ class CrfModel:
     relation: Optional[dict] = None
     final_objective: float = 0.0
     n_iterations: int = 0
-    _tag_ids: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.weights.flags.writeable = False
         self.transitions.flags.writeable = False
-        object.__setattr__(self, "_tag_ids", {t: i for i, t in enumerate(self.tags)})
 
     @property
     def n_tags(self) -> int:
@@ -80,20 +79,22 @@ class CrfModel:
 
 
 def log_forward(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
-    n, k = emissions.shape
-    alpha = np.empty((n, k))
-    alpha[0] = emissions[0]
-    for t in range(1, n):
-        alpha[t] = emissions[t] + logsumexp(alpha[t - 1][:, None] + transitions, axis=0)
-    return alpha
+    """Log forward scores of emissions (..., n >= 1, k); leading axes are sentences."""
+    em = emissions.swapaxes(0, -2)  # time axis first; a no-op for one sentence
+    alpha = np.empty(em.shape)
+    alpha[0] = em[0]
+    for t in range(1, len(em)):
+        alpha[t] = em[t] + logsumexp(alpha[t - 1][..., None] + transitions, axis=-2)
+    return alpha.swapaxes(0, -2)
 
 
 def log_backward(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
-    n, k = emissions.shape
-    beta = np.zeros((n, k))
-    for t in range(n - 2, -1, -1):
-        beta[t] = logsumexp(transitions + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
-    return beta
+    """Log backward scores of emissions (..., n >= 1, k); leading axes are sentences."""
+    em = emissions.swapaxes(0, -2)
+    beta = np.zeros(em.shape)
+    for t in range(len(em) - 2, -1, -1):
+        beta[t] = logsumexp(transitions + (em[t + 1] + beta[t + 1])[..., None, :])
+    return beta.swapaxes(0, -2)
 
 
 def log_partition(emissions: np.ndarray, transitions: np.ndarray) -> float:
@@ -150,10 +151,6 @@ def marginals(model: CrfModel, sequence: list[str]) -> np.ndarray:
     beta = log_backward(em, model.transitions)
     log_z = logsumexp(alpha[-1])
     return np.exp(alpha + beta - log_z)
-
-
-def tag_marginal(model: CrfModel, sequence: list[str], position: int, tag: str) -> float:
-    return float(marginals(model, sequence)[position, model._tag_ids[tag]])
 
 
 def _template_to_dict(tpl: FeatureTemplate) -> dict:

@@ -7,8 +7,9 @@ deterministic: weights start at zero and sentences are processed in input
 order.
 
 Sentences of equal length are batched into (batch, length, tags) tensors so
-the forward-backward recursions run once per length bucket rather than once
-per sentence.
+the forward-backward kernel of :mod:`.model` (``log_forward``,
+``log_backward``) runs once per length bucket rather than once per sentence;
+only the pairwise marginals and the gradient are computed here.
 """
 
 from __future__ import annotations
@@ -21,18 +22,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .features import FeatureTemplate, default_templates, extract_features
-from .model import TAGS
+from .model import TAGS, CrfModel, log_backward, log_forward, logsumexp
 
 logger = logging.getLogger(__name__)
 
 
 class DegenerateTrainingError(ValueError):
     """Training data contains no positive (COUNT) tag at all."""
-
-
-def _lse(a: np.ndarray, axis: int) -> np.ndarray:
-    m = a.max(axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(np.exp(a - m).sum(axis=axis))
 
 
 @dataclass
@@ -169,20 +165,9 @@ class TrainingProblem:
             em = np.zeros((batch, n, k))
             if bucket.flat_fids.size:
                 np.add.at(em, (bucket.flat_sent, bucket.flat_pos), w[bucket.flat_fids])
-
-            alpha = np.empty((batch, n, k))
-            alpha[:, 0] = em[:, 0]
-            for t in range(1, n):
-                alpha[:, t] = em[:, t] + _lse(
-                    alpha[:, t - 1][:, :, None] + trans[None, :, :], axis=1
-                )
-            beta = np.zeros((batch, n, k))
-            for t in range(n - 2, -1, -1):
-                beta[:, t] = _lse(
-                    trans[None, :, :] + (em[:, t + 1] + beta[:, t + 1])[:, None, :],
-                    axis=2,
-                )
-            log_z = _lse(alpha[:, n - 1], axis=1)
+            alpha = log_forward(em, trans)
+            beta = log_backward(em, trans)
+            log_z = logsumexp(alpha[:, n - 1])
 
             y = bucket.tag_ids
             rows = np.arange(batch)[:, None]
@@ -225,15 +210,13 @@ def train(
     feature_cutoff: int = 2,
     relation: Optional[dict] = None,
     history: Optional[list] = None,
-) -> "CrfModel":
+) -> CrfModel:
     """Fit a CRF on labeled sentences (or raw (sequence, tags) pairs).
 
     Stops when the gradient norm drops below *tol* or after *max_iter*
     quasi-Newton iterations. Pass a list as *history* to record the
     objective after every accepted step.
     """
-    from .model import CrfModel
-
     problem = TrainingProblem(
         data, templates=templates, l2_sigma=l2_sigma, feature_cutoff=feature_cutoff
     )

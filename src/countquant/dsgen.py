@@ -94,11 +94,6 @@ class SeedPolicy:
     entropy_threshold: float = 0.5        # bits
     entropy_positives_only: bool = False
     train_special_terms_as_seeds: bool = True
-    articles_as_seeds: bool = False       # fixed: articles are inference-only
-
-    def __post_init__(self) -> None:
-        if self.articles_as_seeds:
-            raise ValueError("articles never serve as training seeds")
 
 
 @dataclass
@@ -278,9 +273,12 @@ class Corpus:
                 continue
             try:
                 record = json.loads(line)
-                docs[str(record["subject"])] = str(record["text"])
-            except (json.JSONDecodeError, KeyError) as exc:
+                subject, text = str(record["subject"]), str(record["text"])
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
+            if subject in docs:
+                raise ValueError(f"{path}:{lineno}: duplicate subject {subject!r}")
+            docs[subject] = text
         return Corpus(documents=docs)
 
     def __contains__(self, subject: str) -> bool:
@@ -336,6 +334,25 @@ def label_subject_document(
     return labeled, stats
 
 
+def select_subjects(
+    store: KbStore, corpus: Corpus, rel: Relation, policy: SeedPolicy
+) -> tuple[int, list[tuple[str, str, int]]]:
+    """The relation's upper bound and its sorted ``(subject, text, kb_count)`` seeds.
+
+    A seed subject has an object, lies within the popularity cutoff and has a
+    document. The bound is 0 when no subject qualifies.
+    """
+    keep = popularity_percentile_cutoff(store, rel, policy.popularity_top_fraction)
+    selection = [
+        (subject, corpus[subject], store.triple_count(subject, rel.property))
+        for subject in store.relation_subjects(rel)
+        if subject in keep and subject in corpus
+    ]
+    if not selection:
+        return 0, []
+    return count_percentile(store, rel, policy.upper_bound_q), selection
+
+
 def generate_training_set(
     store: KbStore,
     corpus: Corpus,
@@ -351,18 +368,12 @@ def generate_training_set(
     from .numlex import load_default_lexicon
 
     lexicon = lexicon or load_default_lexicon()
-    upper_bound = count_percentile(store, rel, policy.upper_bound_q)
-    keep = popularity_percentile_cutoff(store, rel, policy.popularity_top_fraction)
-
+    upper_bound, selection = select_subjects(store, corpus, rel, policy)
     all_labeled: list[LabeledSentence] = []
     stats = GenerationStats()
-    for subject in store.relation_subjects(rel):
-        if subject not in keep or subject not in corpus:
-            continue
-        kb_count = store.triple_count(subject, rel.property)
+    for subject, text, kb_count in selection:
         labeled, doc_stats = label_subject_document(
-            corpus[subject], kb_count, upper_bound, lexicon, policy,
-            subject=subject, relation=rel,
+            text, kb_count, upper_bound, lexicon, policy, subject=subject, relation=rel,
         )
         all_labeled.extend(labeled)
         stats = stats + doc_stats

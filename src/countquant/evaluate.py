@@ -10,7 +10,8 @@ from .dsgen import COMP, COUNT, LabeledSentence
 from .kbstore import KbStore, Relation
 
 
-def _prf(tp: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
+def prf(tp: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 from true positives, predicted and gold counts."""
     precision = tp / n_pred if n_pred else 0.0
     recall = tp / n_gold if n_gold else 0.0
     f1 = (
@@ -49,17 +50,13 @@ class RecognitionScore:
 def score_recognition(
     gold: Sequence[LabeledSentence],
     predicted: Sequence[Sequence[str]],
-    granularity: str = "mention",
 ) -> RecognitionScore:
     """Exact-match P/R/F1 on COUNT mentions, with a per-kind breakdown.
 
-    Mentions occupy a single token after placeholder merging, so the
-    ``mention`` and ``token`` granularities coincide position-wise; the flag
-    is kept so callers can make the choice explicit. COMP tags are scored
-    separately and never mixed into mention scores.
+    Mentions occupy a single token after placeholder merging, so mention and
+    token matches coincide. COMP tags are scored separately and never mixed
+    into mention scores.
     """
-    if granularity not in ("mention", "token"):
-        raise ValueError(f"unknown granularity {granularity!r}")
     if len(gold) != len(predicted):
         raise ValueError(
             f"gold ({len(gold)}) and predicted ({len(predicted)}) sentence counts differ"
@@ -88,15 +85,15 @@ def score_recognition(
                 row[0] += 1 if (g == COUNT and p == COUNT) else 0
                 row[1] += 1 if p == COUNT else 0
                 row[2] += 1 if g == COUNT else 0
-    precision, recall, f1 = _prf(tp, n_pred, n_gold)
+    precision, recall, f1 = prf(tp, n_pred, n_gold)
     return RecognitionScore(
         precision=precision,
         recall=recall,
         f1=f1,
         supports_by_kind={
-            kind: _prf(*counts) for kind, counts in kind_counts.items()
+            kind: prf(*counts) for kind, counts in kind_counts.items()
         },
-        comp_score=_prf(comp_tp, comp_pred, comp_gold),
+        comp_score=prf(comp_tp, comp_pred, comp_gold),
     )
 
 

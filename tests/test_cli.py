@@ -7,6 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from countquant.cli import main, parse_relation
+from countquant.dsgen import Corpus, SeedPolicy, generate_training_set, write_conll
+from countquant.kbstore import Relation, load_triples
 
 WORDS = {1: "one", 2: "two", 3: "three", 4: "four", 5: "five", 6: "six"}
 
@@ -107,6 +109,13 @@ class TestBuildTraining:
         ])
         assert result.exit_code != 0
         assert "no subjects" in result.output
+        result = runner.invoke(main, [
+            "build-training", "--kb", str(fixture_dir / "kb.tsv"),
+            "--corpus", str(fixture_dir / "corpus.jsonl"),
+            "--relation", "human:spouse",
+        ])
+        assert result.exit_code == 1
+        assert "no subjects of relation human_spouse" in result.output
 
     def test_exclusion_stats_reported(self, runner, tmp_path):
         # one subject with KB count 3 but a "five" mention within the bound
@@ -218,6 +227,23 @@ class TestBundledMiniCorpus:
 
     MINI = Path(__file__).parent / "data" / "mini"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_build_training_equals_library_generation(self, runner, tmp_path, workers):
+        out = tmp_path / "cli.conll"
+        run_ok(runner, [
+            "build-training", "--kb", str(self.MINI / "kb.tsv"),
+            "--corpus", str(self.MINI / "corpus.jsonl"),
+            "--relation", "human:child", "--out", str(out), "--workers", str(workers),
+        ])
+        labeled, _ = generate_training_set(
+            load_triples(self.MINI / "kb.tsv"),
+            Corpus.load(self.MINI / "corpus.jsonl"),
+            Relation(subject_class="human", property="child"),
+            SeedPolicy(),
+        )
+        write_conll(labeled, tmp_path / "library.conll")
+        assert out.read_bytes() == (tmp_path / "library.conll").read_bytes()
+
     def test_reproduces_worked_example_count_six(self, runner, tmp_path):
         train = tmp_path / "train.conll"
         model = tmp_path / "model.json"
@@ -306,3 +332,55 @@ class TestConfigFile:
             "--relation", "human:child", "--out", str(out2),
         ])
         assert out2.read_text(encoding="utf-8").strip() == ""
+
+
+class TestMalformedInputs:
+    """A bad line in an input file exits with code 1 and its file:line, no traceback."""
+
+    PRED = json.dumps({"subject": "p00", "count": 1, "confidence": 0.9})
+
+    @staticmethod
+    def assert_reported(result, where):
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"Error: {where}: " in result.output
+
+    def test_bad_gold_count(self, runner, tmp_path):
+        (tmp_path / "pred.jsonl").write_text(self.PRED + "\n", encoding="utf-8")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("p00\t1\na\tx\n", encoding="utf-8")
+        result = runner.invoke(main, ["evaluate", "--pred", str(tmp_path / "pred.jsonl"),
+                                      "--gold", str(gold), "--out", str(tmp_path / "m.json")])
+        self.assert_reported(result, f"{gold}:2")
+
+    @pytest.mark.parametrize("bad", [
+        '{"subject": "a", "count": 1',
+        '{"subject": "a", "confidence": 0.5}',
+        '{"subject": "a", "count": "x", "confidence": 0.5}',
+        '["a", 1, 0.5]',
+    ], ids=["json", "missing-key", "bad-number", "not-an-object"])
+    def test_bad_prediction_line(self, runner, fixture_dir, bad):
+        pred = fixture_dir / "pred.jsonl"
+        pred.write_text(self.PRED + "\n" + bad + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["evaluate", "--pred", str(pred),
+                                      "--gold", str(fixture_dir / "gold.tsv"),
+                                      "--out", str(fixture_dir / "m.json")])
+        self.assert_reported(result, f"{pred}:2")
+
+    @pytest.mark.parametrize("bad", ['{"text": "Hi ."}', '{"subject": "p00", "text": "Hi ."}'],
+                             ids=["missing-key", "duplicate-subject"])
+    def test_bad_corpus_line(self, runner, fixture_dir, bad):
+        corpus = fixture_dir / "corpus.jsonl"
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        corpus.write_text("\n".join(lines + [bad]) + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["build-training", "--kb", str(fixture_dir / "kb.tsv"),
+                                      "--corpus", str(corpus), "--relation", "human:child",
+                                      "--out", str(fixture_dir / "t.conll")])
+        self.assert_reported(result, f"{corpus}:{len(lines) + 1}")
+
+    def test_bad_training_line(self, runner, tmp_path):
+        training = tmp_path / "train.conll"
+        training.write_text("three\tCARDINAL\tCOUNT\nonlyone\n", encoding="utf-8")
+        result = runner.invoke(main, ["train", "--training", str(training),
+                                      "--model", str(tmp_path / "m.json")])
+        self.assert_reported(result, f"{training}:2")

@@ -21,7 +21,7 @@ from countquant.crf import (
     train,
     viterbi,
 )
-from countquant.crf.model import path_score
+from countquant.crf.model import log_backward, log_forward, path_score
 
 from oracles import (
     assert_viterbi_optimal,
@@ -187,6 +187,28 @@ class TestMarginals:
                 expected = brute_force_marginals(em, model.transitions)
                 got = marginals(model, seq)
                 assert np.abs(got - expected).max() < 1e-8
+
+    @pytest.mark.parametrize("length", [1, 2, 4, 6])
+    def test_stacked_kernel_matches_brute_force_and_single_calls(self, length):
+        rng = np.random.default_rng(19 + length)
+        model = random_model(rng, VOCAB)
+        trans = model.transitions
+        stack = np.stack([
+            model.emissions(random_sequence(rng, VOCAB, length)) for _ in range(6)
+        ])
+        alpha, beta = log_forward(stack, trans), log_backward(stack, trans)
+        assert alpha.shape == beta.shape == stack.shape == (6, length, 3)
+        for em, a, b in zip(stack, alpha, beta):
+            assert np.array_equal(a, log_forward(em, trans))
+            assert np.array_equal(b, log_backward(em, trans))
+            log_z = brute_force_log_partition(em, trans)
+            assert abs(np.logaddexp.reduce(a[-1]) - log_z) < 1e-8
+            assert abs(np.logaddexp.reduce(a[0] + b[0]) - log_z) < 1e-8
+            assert np.abs(np.exp(a + b - log_z) - brute_force_marginals(em, trans)).max() < 1e-8
+        # any number of leading axes
+        grid = stack.reshape(2, 3, length, 3)
+        assert np.array_equal(log_forward(grid, trans), alpha.reshape(grid.shape))
+        assert np.array_equal(log_backward(grid, trans), beta.reshape(grid.shape))
 
     def test_uniform_model_gives_thirds(self):
         templates = (FeatureTemplate(kind=TOKEN_NGRAM, offsets=(0,)),)

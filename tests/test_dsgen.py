@@ -18,6 +18,7 @@ from countquant.dsgen import (
     label_sentence,
     number_entropy,
     read_conll,
+    select_subjects,
     write_conll,
 )
 from countquant.kbstore import Relation, load_triples
@@ -221,6 +222,16 @@ class TestGenerateTrainingSet:
         corpus = Corpus(documents={"nobody": "He has three children ."})
         labeled, stats = generate_training_set(store, corpus, REL)
         assert labeled == []
+        assert stats.warnings == ["relation human_child: empty training set"]
+
+    def test_relation_without_subjects_gives_empty_set(self, tmp_path):
+        store = _fixture_kb(tmp_path)
+        corpus = Corpus(documents={"trump": "Trump has five children ."})
+        spouse = Relation(subject_class="human", property="spouse")
+        assert select_subjects(store, corpus, spouse, SeedPolicy()) == (0, [])
+        labeled, stats = generate_training_set(store, corpus, spouse)
+        assert labeled == []
+        assert stats.warnings == ["relation human_spouse: empty training set"]
 
     def test_popularity_cutoff_drops_unpopular(self, tmp_path):
         store = _fixture_kb(tmp_path)
@@ -293,10 +304,6 @@ class TestStatsAndIo:
         c = GenerationStats(entropy_dropped=4)
         assert (a + b) + c == a + (b + c)
 
-    def test_articles_as_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            SeedPolicy(articles_as_seeds=True)
-
     def test_entropy_positives_only_flag(self, tmp_path, prep):
         # value 9 repeats in one context but never equals the KB count,
         # so the positives-only mode keeps those sentences
@@ -349,6 +356,17 @@ class TestStatsAndIo:
         path.write_text('{"nope": 1}\n', encoding="utf-8")
         with pytest.raises(ValueError):
             Corpus.load(path)
+
+    def test_duplicate_corpus_subject_rejected(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            json.dumps({"subject": "a", "text": "Hi ."}) + "\n\n"
+            + json.dumps({"subject": "a", "text": "Yo ."}) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as err:
+            Corpus.load(path)
+        assert str(err.value) == f"{path}:3: duplicate subject 'a'"
 
     def test_labeled_sentence_validation(self, prep):
         s = prep("He has three children .")

@@ -79,15 +79,6 @@ class TestScoreRecognition:
         with pytest.raises(ValueError):
             score_recognition(gold[:1], [["O", "O"]])
 
-    def test_granularity_flag(self, prep):
-        gold = _gold_sentences(prep)
-        predicted = [list(ls.tags) for ls in gold]
-        # single-token mentions make the two granularities coincide
-        assert score_recognition(gold, predicted, granularity="token") == \
-            score_recognition(gold, predicted, granularity="mention")
-        with pytest.raises(ValueError):
-            score_recognition(gold, predicted, granularity="chunk")
-
     def test_per_kind_breakdown(self, prep):
         gold = [label_sentence(prep("She gave birth to twins ."), 2, 9)]
         predicted = [list(gold[0].tags)]
