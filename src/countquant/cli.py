@@ -3,7 +3,10 @@
 Every command is a batch step reading and writing plain files, rerunnable
 and deterministic given identical inputs (worker count only affects wall
 time, never output). Options can come from a ``key = value`` config file
-via ``--config``; explicit flags win over config values.
+via ``--config``, which becomes every command's Click ``default_map``: a
+key is an option's parameter name, explicit flags win, and config values
+pass the same type and range checks as flags. A key that no command
+defines is rejected with its ``file:line``.
 """
 
 from __future__ import annotations
@@ -35,9 +38,8 @@ def parse_relation(spec: str) -> Relation:
     )
 
 
-def load_config(path: Optional[str]) -> dict[str, str]:
-    if not path:
-        return {}
+def load_config(path: str, known: set[str]) -> dict[str, str]:
+    """``key = value`` lines; a key is the parameter name of some command's option."""
     config: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -46,20 +48,11 @@ def load_config(path: Optional[str]) -> dict[str, str]:
         if "=" not in line:
             raise click.ClickException(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        config[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            raise click.ClickException(f"{path}:{lineno}: unknown key '{key}'")
+        config[key] = value.strip()
     return config
-
-
-def resolve(cli_value, config: dict, key: str, default, cast):
-    """Flag > config file > default."""
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        raw = config[key]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    return default
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -70,10 +63,10 @@ def _require_file(path: str, what: str) -> Path:
 
 
 def _read_input(loader, path: str, what: str):
-    """``loader(path)`` on an existing file; a malformed line exits without a traceback."""
+    """``loader(path)`` on an existing file; a malformed input exits without a traceback."""
     try:
         return loader(_require_file(path, what))
-    except ValueError as exc:  # loaders report the bad line as "file:line: ..."
+    except (ValueError, kbstore.TripleLoadError) as exc:  # reported as "file[:line]: ..."
         raise click.ClickException(str(exc)) from exc
 
 
@@ -86,11 +79,15 @@ def _load_lexicon(lexicon_dir: Optional[str]):
 
 
 @click.group()
-@click.option("--config", "config_path", type=str, default=None, help="key = value config file")
+@click.option("--config", type=click.Path(exists=True, dir_okay=False),
+              help="key = value config file")
 @click.pass_context
-def main(ctx: click.Context, config_path: Optional[str]) -> None:
+def main(ctx: click.Context, config: Optional[str]) -> None:
     """Counting-quantifier extraction pipeline."""
-    ctx.obj = load_config(config_path)
+    if config:
+        known = {param.name for cmd in main.commands.values() for param in cmd.params}
+        values = load_config(config, known)
+        ctx.default_map = {name: values for name in main.commands}
 
 
 # Per-process state for worker pools; initialized once per worker so large
@@ -152,39 +149,28 @@ def _pool_map(fn, tasks, workers, initializer, initargs):
 
 
 @main.command("build-training")
-@click.option("--kb", "kb_path", type=str, default=None)
-@click.option("--corpus", "corpus_path", type=str, default=None)
-@click.option("--relation", "relation_spec", type=str, default=None)
-@click.option("--out", "out_path", type=str, default=None)
-@click.option("--lexicon-dir", type=str, default=None)
-@click.option("--popularity-top", type=float, default=None)
-@click.option("--upper-bound-q", type=float, default=None)
-@click.option("--entropy-min", type=float, default=None)
-@click.option("--workers", type=int, default=None)
-@click.pass_context
-def cmd_build_training(ctx, kb_path, corpus_path, relation_spec, out_path,
-                       lexicon_dir, popularity_top, upper_bound_q, entropy_min, workers):
+@click.option("--kb", required=True)
+@click.option("--corpus", required=True)
+@click.option("--relation", required=True)
+@click.option("--out", "training", default="training.conll")
+@click.option("--lexicon-dir")
+@click.option("--popularity-top", type=click.FloatRange(0, 1, min_open=True), default=1.0)
+@click.option("--upper-bound-q", type=click.FloatRange(0, 1), default=0.99)
+@click.option("--entropy-min", default=0.5)
+@click.option("--workers", default=1)
+def cmd_build_training(kb, corpus, relation, training, lexicon_dir,
+                       popularity_top, upper_bound_q, entropy_min, workers):
     """Generate a CoNLL-style training file from KB counts and a corpus."""
-    cfg = ctx.obj or {}
-    kb_path = resolve(kb_path, cfg, "kb", None, str)
-    corpus_path = resolve(corpus_path, cfg, "corpus", None, str)
-    relation_spec = resolve(relation_spec, cfg, "relation", None, str)
-    out_path = resolve(out_path, cfg, "training", "training.conll", str)
-    lexicon_dir = resolve(lexicon_dir, cfg, "lexicon_dir", None, str)
     policy = SeedPolicy(
-        popularity_top_fraction=resolve(popularity_top, cfg, "popularity_top", 1.0, float),
-        upper_bound_q=resolve(upper_bound_q, cfg, "upper_bound_q", 0.99, float),
-        entropy_threshold=resolve(entropy_min, cfg, "entropy_min", 0.5, float),
+        popularity_top_fraction=popularity_top,
+        upper_bound_q=upper_bound_q,
+        entropy_threshold=entropy_min,
     )
-    workers = resolve(workers, cfg, "workers", 1, int)
-    if not kb_path or not corpus_path or not relation_spec:
-        raise click.ClickException("--kb, --corpus and --relation are required")
+    store = _read_input(kbstore.load_triples, kb, "KB")
+    documents = _read_input(Corpus.load, corpus, "corpus")
+    rel = parse_relation(relation)
 
-    store = kbstore.load_triples(_require_file(kb_path, "KB"))
-    corpus = _read_input(Corpus.load, corpus_path, "corpus")
-    rel = parse_relation(relation_spec)
-
-    upper_bound, selection = dsgen.select_subjects(store, corpus, rel, policy)
+    upper_bound, selection = dsgen.select_subjects(store, documents, rel, policy)
     if not selection:
         raise click.ClickException(
             f"no subjects of relation {rel.label} found in both KB and corpus"
@@ -195,95 +181,71 @@ def cmd_build_training(ctx, kb_path, corpus_path, relation_spec, out_path,
     )
     labeled = [ls for sentences, _ in results for ls in sentences]
     stats = sum((s for _, s in results), GenerationStats())
-    dsgen.write_conll(labeled, out_path)
-    click.echo(f"wrote {out_path}: {len(labeled)} sentences ({stats.summary()})")
+    dsgen.write_conll(labeled, training)
+    click.echo(f"wrote {training}: {len(labeled)} sentences ({stats.summary()})")
     for warning in stats.warnings:
         click.echo(f"warning: {warning}", err=True)
 
 
 @main.command("train")
-@click.option("--training", "training_path", type=str, default=None)
-@click.option("--model", "model_path", type=str, default=None)
-@click.option("--relation", "relation_spec", type=str, default=None)
-@click.option("--l2-sigma", type=float, default=None)
-@click.option("--max-iter", type=int, default=None)
-@click.option("--feature-cutoff", type=int, default=None)
-@click.pass_context
-def cmd_train(ctx, training_path, model_path, relation_spec, l2_sigma, max_iter, feature_cutoff):
+@click.option("--training", default="training.conll")
+@click.option("--model", default="model.json")
+@click.option("--relation")
+@click.option("--l2-sigma", type=click.FloatRange(0, min_open=True), default=1.0)
+@click.option("--max-iter", default=300)
+@click.option("--feature-cutoff", default=2)
+def cmd_train(training, model, relation, l2_sigma, max_iter, feature_cutoff):
     """Train a CRF on a CoNLL training file."""
-    cfg = ctx.obj or {}
-    training_path = resolve(training_path, cfg, "training", "training.conll", str)
-    model_path = resolve(model_path, cfg, "model", "model.json", str)
-    relation_spec = resolve(relation_spec, cfg, "relation", None, str)
-    l2_sigma = resolve(l2_sigma, cfg, "l2_sigma", 1.0, float)
-    max_iter = resolve(max_iter, cfg, "max_iter", 300, int)
-    feature_cutoff = resolve(feature_cutoff, cfg, "feature_cutoff", 2, int)
-
-    examples = _read_conll(training_path, "training")
+    examples = _read_conll(training, "training")
     if not examples:
-        raise click.ClickException(f"no sentences in {training_path}")
-    relation = parse_relation(relation_spec).__dict__ if relation_spec else None
+        raise click.ClickException(f"no sentences in {training}")
     try:
-        model = crf.train(
+        fitted = crf.train(
             examples,
             l2_sigma=l2_sigma,
             max_iter=max_iter,
             feature_cutoff=feature_cutoff,
-            relation=relation,
+            relation=parse_relation(relation).__dict__ if relation else None,
         )
     except crf.DegenerateTrainingError as exc:
         raise click.ClickException(str(exc)) from exc
-    crf.save_model(model, model_path)
+    crf.save_model(fitted, model)
     click.echo(
-        f"wrote {model_path}: {len(model.feature_index)} features, "
-        f"objective {model.final_objective:.4f} after {model.n_iterations} iterations"
+        f"wrote {model}: {len(fitted.feature_index)} features, "
+        f"objective {fitted.final_objective:.4f} after {fitted.n_iterations} iterations"
     )
 
 
 @main.command("extract")
-@click.option("--model", "model_path", type=str, default=None)
-@click.option("--corpus", "corpus_path", type=str, default=None)
-@click.option("--relation", "relation_spec", type=str, default=None)
-@click.option("--out", "out_path", type=str, default=None)
-@click.option("--lexicon-dir", type=str, default=None)
-@click.option("--threshold", type=float, default=None)
-@click.option("--zero-mode", is_flag=True, default=None)
-@click.option("--workers", type=int, default=None)
-@click.pass_context
-def cmd_extract(ctx, model_path, corpus_path, relation_spec, out_path,
-                lexicon_dir, threshold, zero_mode, workers):
+@click.option("--model", default="model.json")
+@click.option("--corpus", required=True)
+@click.option("--relation")
+@click.option("--out", "predictions", default="predictions.jsonl")
+@click.option("--lexicon-dir")
+@click.option("--threshold", type=click.FloatRange(0, 1), default=0.1)
+@click.option("--zero-mode", is_flag=True)
+@click.option("--workers", default=1)
+def cmd_extract(model, corpus, relation, predictions, lexicon_dir, threshold, zero_mode, workers):
     """Extract counting quantifiers from documents; JSON-lines output."""
-    cfg = ctx.obj or {}
-    model_path = resolve(model_path, cfg, "model", "model.json", str)
-    corpus_path = resolve(corpus_path, cfg, "corpus", None, str)
-    relation_spec = resolve(relation_spec, cfg, "relation", None, str)
-    out_path = resolve(out_path, cfg, "predictions", "predictions.jsonl", str)
-    lexicon_dir = resolve(lexicon_dir, cfg, "lexicon_dir", None, str)
-    threshold = resolve(threshold, cfg, "threshold", 0.1, float)
-    zero_mode = resolve(zero_mode, cfg, "zero_mode", False, bool)
-    workers = resolve(workers, cfg, "workers", 1, int)
-    if not corpus_path:
-        raise click.ClickException("--corpus is required")
+    _require_file(model, "model")
+    documents = _read_input(Corpus.load, corpus, "corpus")
+    rel = parse_relation(relation) if relation else None
 
-    _require_file(model_path, "model")
-    corpus = _read_input(Corpus.load, corpus_path, "corpus")
-    relation = parse_relation(relation_spec) if relation_spec else None
-
-    tasks = [(s, corpus[s]) for s in corpus.subjects()]
+    tasks = [(s, documents[s]) for s in documents.subjects()]
     results = _pool_map(
         _extract_one,
         tasks,
         workers,
         _init_extract_worker,
-        (model_path, lexicon_dir, threshold, zero_mode, relation),
+        (model, lexicon_dir, threshold, zero_mode, rel),
     )
     lines = [
         json.dumps(cq_dict, sort_keys=True, ensure_ascii=False)
         for _, cq_dict in results
         if cq_dict is not None
     ]
-    Path(out_path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    click.echo(f"wrote {out_path}: {len(lines)} predictions for {len(tasks)} subjects")
+    Path(predictions).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    click.echo(f"wrote {predictions}: {len(lines)} predictions for {len(tasks)} subjects")
 
 
 def _load_predictions(path: Path) -> dict[str, CountingQuantifier]:
@@ -319,29 +281,23 @@ def _load_gold_counts(path: Path) -> dict[str, int]:
 
 
 @main.command("evaluate")
-@click.option("--pred", "pred_path", type=str, default=None, help="predictions JSON-lines")
-@click.option("--gold", "gold_path", type=str, default=None, help="gold counts TSV")
-@click.option("--gold-conll", type=str, default=None, help="gold tags (recognition)")
-@click.option("--pred-conll", type=str, default=None, help="predicted tags (recognition)")
-@click.option("--out", "out_path", type=str, default=None)
-@click.option("--table", "show_table", is_flag=True, default=False)
-@click.pass_context
-def cmd_evaluate(ctx, pred_path, gold_path, gold_conll, pred_conll, out_path, show_table):
+@click.option("--pred", "predictions", help="predictions JSON-lines")
+@click.option("--gold", help="gold counts TSV")
+@click.option("--gold-conll", help="gold tags (recognition)")
+@click.option("--pred-conll", help="predicted tags (recognition)")
+@click.option("--out", "metrics", default="metrics.json")
+@click.option("--table", is_flag=True)
+def cmd_evaluate(predictions, gold, gold_conll, pred_conll, metrics, table):
     """Score predictions: end-to-end against gold counts, or tag-level."""
-    cfg = ctx.obj or {}
-    pred_path = resolve(pred_path, cfg, "predictions", None, str)
-    gold_path = resolve(gold_path, cfg, "gold", None, str)
-    out_path = resolve(out_path, cfg, "metrics", "metrics.json", str)
-
-    metrics: dict = {}
-    if pred_path and gold_path:
-        predictions = _load_predictions(_require_file(pred_path, "predictions"))
-        gold = _load_gold_counts(_require_file(gold_path, "gold counts"))
-        if not gold:
-            raise click.ClickException(f"no gold counts in {gold_path}")
-        score = ev.score_end_to_end(gold, predictions)
-        metrics["end_to_end"] = score.to_json_dict()
-        if show_table:
+    scores: dict = {}
+    if predictions and gold:
+        predicted = _load_predictions(_require_file(predictions, "predictions"))
+        gold_counts = _load_gold_counts(_require_file(gold, "gold counts"))
+        if not gold_counts:
+            raise click.ClickException(f"no gold counts in {gold}")
+        score = ev.score_end_to_end(gold_counts, predicted)
+        scores["end_to_end"] = score.to_json_dict()
+        if table:
             click.echo(ev.render_table(
                 ["precision", "coverage", "mae"],
                 [[f"{score.precision:.3f}", f"{score.coverage:.3f}", f"{score.mae:.3f}"]],
@@ -359,92 +315,81 @@ def cmd_evaluate(ctx, pred_path, gold_path, gold_conll, pred_conll, out_path, sh
             n_pred += sum(t == dsgen.COUNT for t in p_tags)
             tp += sum(g == p == dsgen.COUNT for g, p in zip(g_tags, p_tags))
         precision, recall, f1 = ev.prf(tp, n_pred, n_gold)
-        metrics["recognition"] = {
+        scores["recognition"] = {
             "precision": round(precision, 4),
             "recall": round(recall, 4),
             "f1": round(f1, 4),
         }
-    if not metrics:
+    if not scores:
         raise click.ClickException(
             "nothing to evaluate: pass --pred/--gold and/or --gold-conll/--pred-conll"
         )
-    Path(out_path).write_text(
-        json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    Path(metrics).write_text(
+        json.dumps(scores, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    click.echo(f"wrote {out_path}")
+    click.echo(f"wrote {metrics}")
 
 
 @main.command("analyze-popularity")
-@click.option("--kb", "kb_path", type=str, default=None)
-@click.option("--relation", "relation_spec", type=str, default=None)
-@click.option("--gold", "gold_path", type=str, default=None, help="manual gold counts TSV")
-@click.option("--out", "out_path", type=str, default=None)
-@click.pass_context
-def cmd_analyze_popularity(ctx, kb_path, relation_spec, gold_path, out_path):
+@click.option("--kb", required=True)
+@click.option("--relation", required=True)
+@click.option("--gold", required=True, help="manual gold counts TSV")
+@click.option("--out", "popularity_report", default="popularity.json")
+def cmd_analyze_popularity(kb, relation, gold, popularity_report):
     """Report the KB-vs-truth count gap per popularity band.
 
     Shows how much the stored counts undershoot a manual ground truth for
     the most popular 1%/10%/20% of subjects, which is the evidence for (or
     against) restricting training to popular subjects.
     """
-    cfg = ctx.obj or {}
-    kb_path = resolve(kb_path, cfg, "kb", None, str)
-    relation_spec = resolve(relation_spec, cfg, "relation", None, str)
-    gold_path = resolve(gold_path, cfg, "gold", None, str)
-    out_path = resolve(out_path, cfg, "popularity_report", "popularity.json", str)
-    if not kb_path or not relation_spec or not gold_path:
-        raise click.ClickException("--kb, --relation and --gold are required")
-    store = kbstore.load_triples(_require_file(kb_path, "KB"))
-    rel = parse_relation(relation_spec)
-    gold = _load_gold_counts(_require_file(gold_path, "gold counts"))
-    rows = kbstore.popularity_completeness_report(store, rel, gold)
+    store = _read_input(kbstore.load_triples, kb, "KB")
+    rel = parse_relation(relation)
+    gold_counts = _load_gold_counts(_require_file(gold, "gold counts"))
+    rows = kbstore.popularity_completeness_report(store, rel, gold_counts)
     click.echo(ev.render_table(
         ["top fraction", "subjects", "mean gap (truth - KB)"],
         [[f"{r['top_fraction']:.2f}", r["subjects"], f"{r['mean_gap']:.2f}"] for r in rows],
     ))
-    Path(out_path).write_text(
+    Path(popularity_report).write_text(
         json.dumps({"relation": rel.label, "bands": rows}, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
 
 
-@main.command("enrich")
-@click.option("--kb", "kb_path", type=str, default=None)
-@click.option("--relation", "relation_spec", type=str, default=None)
-@click.option("--pred", "pred_path", type=str, default=None)
-@click.option("--metrics", "metrics_path", type=str, default=None)
-@click.option("--out", "out_path", type=str, default=None)
-@click.option("--min-precision", type=float, default=None)
-@click.option("--min-coverage", type=float, default=None)
-@click.pass_context
-def cmd_enrich(ctx, kb_path, relation_spec, pred_path, metrics_path, out_path,
-               min_precision, min_coverage):
-    """KB-enrichment accounting, gated on held-out evaluation quality."""
-    cfg = ctx.obj or {}
-    kb_path = resolve(kb_path, cfg, "kb", None, str)
-    relation_spec = resolve(relation_spec, cfg, "relation", None, str)
-    pred_path = resolve(pred_path, cfg, "predictions", None, str)
-    metrics_path = resolve(metrics_path, cfg, "metrics", "metrics.json", str)
-    out_path = resolve(out_path, cfg, "enrichment", "enrichment.json", str)
-    min_precision = resolve(min_precision, cfg, "min_precision", 0.5, float)
-    min_coverage = resolve(min_coverage, cfg, "min_coverage", 0.05, float)
-    if not kb_path or not relation_spec or not pred_path:
-        raise click.ClickException("--kb, --relation and --pred are required")
+def _load_end_to_end_score(path: Path) -> ev.EndToEndScore:
+    """The ``end_to_end`` scores of a metrics file written by ``evaluate``."""
+    try:
+        metrics = json.loads(path.read_text(encoding="utf-8"))
+        e2e = metrics.get("end_to_end") if isinstance(metrics, dict) else None
+        if not isinstance(e2e, dict):
+            raise ValueError("no end_to_end object")
+        return ev.EndToEndScore(
+            precision=float(e2e["precision"]),
+            coverage=float(e2e["coverage"]),
+            mae=float(e2e["mae"]),
+        )
+    except KeyError as exc:
+        raise click.ClickException(f"{path}: bad metrics file: end_to_end lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise click.ClickException(f"{path}: bad metrics file: {exc}") from exc
 
-    store = kbstore.load_triples(_require_file(kb_path, "KB"))
-    rel = parse_relation(relation_spec)
-    predictions = _load_predictions(_require_file(pred_path, "predictions"))
-    metrics = json.loads(_require_file(metrics_path, "metrics").read_text(encoding="utf-8"))
-    e2e = metrics.get("end_to_end")
-    if not e2e:
-        raise click.ClickException(f"{metrics_path} lacks an end_to_end section")
-    score = ev.EndToEndScore(
-        precision=float(e2e["precision"]),
-        coverage=float(e2e["coverage"]),
-        mae=float(e2e["mae"]),
-    )
+
+@main.command("enrich")
+@click.option("--kb", required=True)
+@click.option("--relation", required=True)
+@click.option("--pred", "predictions", required=True)
+@click.option("--metrics", default="metrics.json")
+@click.option("--out", "enrichment", default="enrichment.json")
+@click.option("--min-precision", default=0.5)
+@click.option("--min-coverage", default=0.05)
+def cmd_enrich(kb, relation, predictions, metrics, enrichment, min_precision, min_coverage):
+    """KB-enrichment accounting, gated on held-out evaluation quality."""
+    store = _read_input(kbstore.load_triples, kb, "KB")
+    rel = parse_relation(relation)
+    predicted = _load_predictions(_require_file(predictions, "predictions"))
+    score = _load_end_to_end_score(_require_file(metrics, "metrics"))
     report = ev.enrichment_report(
-        store, rel, predictions, score,
+        store, rel, predicted, score,
         min_precision=min_precision, min_coverage=min_coverage,
     )
     if report is None:
@@ -464,7 +409,7 @@ def cmd_enrich(ctx, kb_path, relation_spec, pred_path, metrics_path, out_path,
             f"{report.existing_facts} existing facts "
             f"({100 * report.kb_increase:.1f}% increase)"
         )
-    Path(out_path).write_text(
+    Path(enrichment).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 

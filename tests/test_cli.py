@@ -52,6 +52,28 @@ def run_ok(runner, args):
     return result
 
 
+def write_config(root: Path, *lines: str) -> Path:
+    """A config naming the fixture files and every command's output under ``root``.
+
+    Later ``lines`` override earlier keys.
+    """
+    config = root / "run.conf"
+    config.write_text("\n".join([
+        f"kb = {root / 'kb.tsv'}",
+        f"corpus = {root / 'corpus.jsonl'}",
+        "relation = human:child",
+        f"gold = {root / 'gold.tsv'}",
+        f"training = {root / 'train.conll'}",
+        f"model = {root / 'model.json'}",
+        f"predictions = {root / 'pred.jsonl'}",
+        f"metrics = {root / 'metrics.json'}",
+        f"enrichment = {root / 'enrichment.json'}",
+        f"popularity_report = {root / 'popularity.json'}",
+        *lines,
+    ]) + "\n", encoding="utf-8")
+    return config
+
+
 class TestParseRelation:
     def test_two_parts(self):
         rel = parse_relation("human:child")
@@ -334,6 +356,73 @@ class TestConfigFile:
         assert out2.read_text(encoding="utf-8").strip() == ""
 
 
+    def test_bundled_config_equals_flags(self, runner, tmp_path):
+        mini = TestBundledMiniCorpus.MINI
+        run_ok(runner, ["--config", str(mini / "run.conf"), "build-training",
+                        "--out", str(tmp_path / "config.conll")])
+        run_ok(runner, ["build-training", "--kb", str(mini / "kb.tsv"),
+                        "--corpus", str(mini / "corpus.jsonl"), "--relation", "human:child",
+                        "--out", str(tmp_path / "flags.conll")])
+        assert (tmp_path / "config.conll").read_bytes() == (tmp_path / "flags.conll").read_bytes()
+
+    def test_missing_config_file(self, runner, tmp_path):
+        result = runner.invoke(main, ["--config", str(tmp_path / "missing.conf"), "train"])
+        assert result.exit_code == 2
+        assert "Invalid value for '--config'" in result.output
+
+    def test_unknown_key_reported_with_line(self, runner, fixture_dir):
+        config = fixture_dir / "run.conf"
+        config.write_text("relation = human:child\ntreshold = 0.9\n", encoding="utf-8")
+        result = runner.invoke(main, ["--config", str(config), "extract",
+                                      "--corpus", str(fixture_dir / "corpus.jsonl")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"Error: {config}:2: unknown key 'treshold'" in result.output
+
+
+class TestOptionValues:
+    """Flag and config values pass the same type and range checks."""
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command,key,value", [
+        ("build-training", "upper_bound_q", "1.5"),
+        ("build-training", "popularity_top", "0"),
+        ("extract", "threshold", "1.5"),
+        ("train", "l2_sigma", "0"),
+    ])
+    def test_out_of_range_value_exits_2(self, runner, fixture_dir, command, key, value, via):
+        flag = "--" + key.replace("_", "-")
+        if via == "flag":
+            args = ["--config", str(write_config(fixture_dir)), command, flag, value]
+        else:
+            args = ["--config", str(write_config(fixture_dir, f"{key} = {value}")), command]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{flag}'" in result.output
+
+    @pytest.mark.parametrize("line,flag", [
+        ("threshold = abc", "--threshold"),
+        ("zero_mode = maybe", "--zero-mode"),
+    ])
+    def test_bad_config_value_exits_2(self, runner, fixture_dir, line, flag):
+        result = runner.invoke(main, ["--config", str(write_config(fixture_dir, line)), "extract"])
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{flag}'" in result.output
+
+    def test_zero_mode_from_config_equals_flag(self, runner, fixture_dir):
+        config = write_config(fixture_dir)
+        run_ok(runner, ["--config", str(config), "build-training"])
+        run_ok(runner, ["--config", str(config), "train"])
+        with (fixture_dir / "corpus.jsonl").open("a", encoding="utf-8") as f:
+            f.write(json.dumps({"subject": "z", "text": "Z has no children ."}) + "\n")
+        flag_out = fixture_dir / "flag.jsonl"
+        run_ok(runner, ["--config", str(config), "extract", "--zero-mode", "--out", str(flag_out)])
+        run_ok(runner, ["--config", str(write_config(fixture_dir, "zero_mode = true")), "extract"])
+        config_out = (fixture_dir / "pred.jsonl").read_text(encoding="utf-8")
+        assert '"subject": "z"' in config_out
+        assert config_out == flag_out.read_text(encoding="utf-8")
+
+
 class TestMalformedInputs:
     """A bad line in an input file exits with code 1 and its file:line, no traceback."""
 
@@ -384,3 +473,28 @@ class TestMalformedInputs:
         result = runner.invoke(main, ["train", "--training", str(training),
                                       "--model", str(tmp_path / "m.json")])
         self.assert_reported(result, f"{training}:2")
+
+    @pytest.mark.parametrize("command", ["build-training", "enrich", "analyze-popularity"])
+    def test_malformed_kb(self, runner, fixture_dir, command):
+        kb = fixture_dir / "bad_kb.tsv"
+        kb.write_text("a\tchild\nb\tchild\n", encoding="utf-8")
+        (fixture_dir / "pred.jsonl").write_text(self.PRED + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["--config", str(write_config(fixture_dir, f"kb = {kb}")),
+                                      command])
+        self.assert_reported(result, kb)
+        assert "2 of 2 lines malformed" in result.output
+
+    @pytest.mark.parametrize("content", [
+        '{"end_to_end": {"precision": 0.9',
+        '[0.9, 0.5, 0.1]',
+        '{"recognition": {"f1": 1.0}}',
+        '{"end_to_end": {"precision": 0.9}}',
+        '{"end_to_end": {"precision": "high", "coverage": 0.5, "mae": 0.1}}',
+    ], ids=["json", "not-an-object", "no-end-to-end", "missing-key", "not-a-number"])
+    def test_bad_metrics_file(self, runner, fixture_dir, content):
+        metrics = fixture_dir / "metrics.json"
+        metrics.write_text(content, encoding="utf-8")
+        (fixture_dir / "pred.jsonl").write_text(self.PRED + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["--config", str(write_config(fixture_dir)), "enrich"])
+        self.assert_reported(result, metrics)
+        assert "bad metrics file" in result.output
