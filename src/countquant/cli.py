@@ -22,7 +22,7 @@ from . import crf, dsgen, evaluate as ev, kbstore
 from .consolidate import CountingQuantifier
 from .dsgen import Corpus, GenerationStats, SeedPolicy
 from .kbstore import Relation
-from .numlex import load_default_lexicon, load_lexicon
+from .numlex import LexiconFormatError, load_default_lexicon, load_lexicon
 from .pipeline import extract_document
 
 
@@ -74,8 +74,18 @@ def _read_conll(path: str, what: str) -> list[tuple[list[str], list[str]]]:
     return _read_input(lambda p: list(dsgen.read_conll(p)), path, what)
 
 
+def _load_checked(loader, path, what: str):
+    """``loader(path)``; an unreadable or malformed lexicon or model exits naming *path*."""
+    try:
+        return loader(path)
+    except (OSError, LexiconFormatError, crf.ModelFormatError) as exc:
+        raise click.ClickException(f"{path}: cannot load {what}: {exc}") from exc
+
+
 def _load_lexicon(lexicon_dir: Optional[str]):
-    return load_lexicon(lexicon_dir) if lexicon_dir else load_default_lexicon()
+    if not lexicon_dir:
+        return load_default_lexicon()
+    return _load_checked(load_lexicon, lexicon_dir, "lexicon")
 
 
 @click.group()
@@ -91,12 +101,13 @@ def main(ctx: click.Context, config: Optional[str]) -> None:
 
 
 # Per-process state for worker pools; initialized once per worker so large
-# objects are not re-pickled for every task.
+# objects are not re-pickled for every task. The command loads the lexicon
+# and model once and hands the loaded objects to every worker.
 _STATE: dict = {}
 
 
-def _init_label_worker(lexicon_dir, upper_bound, policy, relation):
-    _STATE["lexicon"] = _load_lexicon(lexicon_dir)
+def _init_label_worker(lexicon, upper_bound, policy, relation):
+    _STATE["lexicon"] = lexicon
     _STATE["upper_bound"] = upper_bound
     _STATE["policy"] = policy
     _STATE["relation"] = relation
@@ -115,9 +126,9 @@ def _label_one(task):
     )
 
 
-def _init_extract_worker(model_path, lexicon_dir, threshold, zero_mode, relation):
-    _STATE["model"] = crf.load_model(model_path)
-    _STATE["lexicon"] = _load_lexicon(lexicon_dir)
+def _init_extract_worker(model, lexicon, threshold, zero_mode, relation):
+    _STATE["model"] = model
+    _STATE["lexicon"] = lexicon
     _STATE["threshold"] = threshold
     _STATE["zero_mode"] = zero_mode
     _STATE["relation"] = relation
@@ -161,6 +172,7 @@ def _pool_map(fn, tasks, workers, initializer, initargs):
 def cmd_build_training(kb, corpus, relation, training, lexicon_dir,
                        popularity_top, upper_bound_q, entropy_min, workers):
     """Generate a CoNLL-style training file from KB counts and a corpus."""
+    lexicon = _load_lexicon(lexicon_dir)
     policy = SeedPolicy(
         popularity_top_fraction=popularity_top,
         upper_bound_q=upper_bound_q,
@@ -177,7 +189,7 @@ def cmd_build_training(kb, corpus, relation, training, lexicon_dir,
         )
     results = _pool_map(
         _label_one, selection, workers, _init_label_worker,
-        (lexicon_dir, upper_bound, policy, rel),
+        (lexicon, upper_bound, policy, rel),
     )
     labeled = [ls for sentences, _ in results for ls in sentences]
     stats = sum((s for _, s in results), GenerationStats())
@@ -227,7 +239,8 @@ def cmd_train(training, model, relation, l2_sigma, max_iter, feature_cutoff):
 @click.option("--workers", default=1)
 def cmd_extract(model, corpus, relation, predictions, lexicon_dir, threshold, zero_mode, workers):
     """Extract counting quantifiers from documents; JSON-lines output."""
-    _require_file(model, "model")
+    lexicon = _load_lexicon(lexicon_dir)
+    fitted = _load_checked(crf.load_model, _require_file(model, "model"), "model")
     documents = _read_input(Corpus.load, corpus, "corpus")
     rel = parse_relation(relation) if relation else None
 
@@ -237,7 +250,7 @@ def cmd_extract(model, corpus, relation, predictions, lexicon_dir, threshold, ze
         tasks,
         workers,
         _init_extract_worker,
-        (model, lexicon_dir, threshold, zero_mode, rel),
+        (fitted, lexicon, threshold, zero_mode, rel),
     )
     lines = [
         json.dumps(cq_dict, sort_keys=True, ensure_ascii=False)

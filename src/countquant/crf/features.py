@@ -3,11 +3,16 @@
 Observation features are n-grams (length 1..5) of the symbols in a window
 around the current position; ``BOS``/``EOS`` stand in for positions outside
 the sequence. One tag-bigram template adds the 3x3 transition parameters.
+
+:func:`sentence_features` builds the features of a whole sequence at once:
+it pads the sequence with ``BOS``/``EOS`` a single time and joins each
+template's slice under the template's name, computed once per template.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 BOS = "BOS"
 EOS = "EOS"
@@ -54,23 +59,33 @@ def default_templates(max_len: int = 5, window: int = 4) -> list[FeatureTemplate
     return templates
 
 
+def sentence_features(
+    sequence: list[str], templates: Sequence[FeatureTemplate]
+) -> list[list[str]]:
+    """Observation feature strings of every position, in template order.
+
+    Tag-bigram templates emit none.
+    """
+    ngrams = [tpl for tpl in templates if tpl.kind == TOKEN_NGRAM]
+    n = len(sequence)
+    if not ngrams:
+        return [[] for _ in range(n)]
+    left = max(0, -min(tpl.offsets[0] for tpl in ngrams))
+    right = max(0, max(tpl.offsets[-1] for tpl in ngrams))
+    padded = [BOS] * left + list(sequence) + [EOS] * right
+    columns = []
+    for tpl in ngrams:
+        prefix = f"{tpl.name}:"
+        start = left + tpl.offsets[0]
+        width = len(tpl.offsets)
+        columns.append(
+            [prefix + "|".join(padded[j : j + width]) for j in range(start, start + n)]
+        )
+    return [list(row) for row in zip(*columns)]
+
+
 def extract_features(
-    sequence: list[str], position: int, templates: list[FeatureTemplate]
+    sequence: list[str], position: int, templates: Sequence[FeatureTemplate]
 ) -> list[str]:
     """Observation feature strings for one position (tag-bigram templates emit none)."""
-    n = len(sequence)
-    feats = []
-    for tpl in templates:
-        if tpl.kind != TOKEN_NGRAM:
-            continue
-        parts = []
-        for off in tpl.offsets:
-            j = position + off
-            if j < 0:
-                parts.append(BOS)
-            elif j >= n:
-                parts.append(EOS)
-            else:
-                parts.append(sequence[j])
-        feats.append(f"{tpl.name}:{'|'.join(parts)}")
-    return feats
+    return sentence_features(sequence, templates)[position]

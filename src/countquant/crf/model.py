@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .features import FeatureTemplate, extract_features
+from .features import FeatureTemplate, sentence_features
 
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -49,6 +49,11 @@ class CrfModel:
         self.weights.flags.writeable = False
         self.transitions.flags.writeable = False
 
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writeable; protect them again.
+        self.__dict__.update(state)
+        self.__post_init__()
+
     @property
     def n_tags(self) -> int:
         return len(self.tags)
@@ -59,15 +64,11 @@ class CrfModel:
 
     def feature_ids(self, sequence: list[str]) -> list[np.ndarray]:
         """Known-feature ids per position (unseen features are ignored)."""
-        ids = []
-        for pos in range(len(sequence)):
-            row = [
-                self.feature_index[f]
-                for f in extract_features(sequence, pos, list(self.templates))
-                if f in self.feature_index
-            ]
-            ids.append(np.asarray(row, dtype=np.intp))
-        return ids
+        index = self.feature_index
+        return [
+            np.asarray([index[f] for f in row if f in index], dtype=np.intp)
+            for row in sentence_features(sequence, self.templates)
+        ]
 
     def emissions(self, sequence: list[str]) -> np.ndarray:
         """Per-position observation scores, shape (len(sequence), n_tags)."""

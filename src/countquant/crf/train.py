@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .features import FeatureTemplate, default_templates, extract_features
+from .features import FeatureTemplate, default_templates, sentence_features
 from .model import TAGS, CrfModel, log_backward, log_forward, logsumexp
 
 logger = logging.getLogger(__name__)
@@ -82,7 +82,7 @@ class TrainingProblem:
         counts: dict[str, int] = {}
         per_sentence: list[list[list[str]]] = []
         for seq, _ in examples:
-            rows = [extract_features(seq, pos, self.templates) for pos in range(len(seq))]
+            rows = sentence_features(seq, self.templates)
             per_sentence.append(rows)
             for row in rows:
                 for f in row:

@@ -4,6 +4,12 @@ All tables live in editable TSV files (one entry per line, tab-separated,
 ``#`` comments). The files shipped under ``numlex/data/`` are the source of
 truth for which terms are recognized; ``load_default_lexicon`` reads them,
 ``load_lexicon`` reads the same file set from any directory.
+
+A :class:`NumLexicon` compiles its lookup tables once, when it is built:
+``specials_by_first`` maps a special term's first token to the terms that
+start with it, longest first, and ``affixed_words`` maps every
+prefix + suffix word to its decoded number term. Mention detection then
+costs one dict lookup per token.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ class SpecialTerm:
 
 @dataclass(frozen=True)
 class NumLexicon:
+    """The word tables, plus two lookup tables compiled from them at construction."""
+
     cardinal_words: dict[str, int]
     ordinal_words: dict[str, int]
     latin_greek_prefixes: dict[str, int]
@@ -42,6 +50,13 @@ class NumLexicon:
     affix_exceptions: frozenset[str] = frozenset()
     zero_cues: frozenset[str] = ZERO_CUES
     articles: frozenset[str] = field(default=frozenset({"a", "an"}))
+    # first token -> special terms starting with it, longest first (stable in table order)
+    specials_by_first: dict[str, tuple[SpecialTerm, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    # prefix + suffix word -> (value, "-suffix") from its longest decoding suffix;
+    # the affix exceptions are left out
+    affixed_words: dict[str, tuple[int, str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for table in (self.cardinal_words, self.ordinal_words, self.latin_greek_prefixes):
@@ -50,10 +65,18 @@ class NumLexicon:
                     raise ValueError(f"negative value for {key!r}")
                 if key != key.lower():
                     raise ValueError(f"lexicon keys must be lowercase: {key!r}")
-
-    def special_terms_by_length(self) -> list[SpecialTerm]:
-        """Special terms ordered longest-first for greedy span matching."""
-        return sorted(self.special_terms, key=lambda t: -len(t.term))
+        by_first: dict[str, list[SpecialTerm]] = {}
+        for term in sorted(self.special_terms, key=lambda t: -len(t.term)):
+            by_first.setdefault(term.term[0], []).append(term)
+        affixed: dict[str, tuple[int, str]] = {}
+        for suffix in sorted(self.num_term_suffixes, key=len, reverse=True):
+            for stem, value in self.latin_greek_prefixes.items():
+                if stem and stem + suffix not in self.affix_exceptions:
+                    affixed.setdefault(stem + suffix, (value, f"-{suffix}"))
+        object.__setattr__(
+            self, "specials_by_first", {w: tuple(ts) for w, ts in by_first.items()}
+        )
+        object.__setattr__(self, "affixed_words", affixed)
 
 
 class LexiconFormatError(ValueError):
@@ -81,7 +104,15 @@ def _read_value_table(path: Path) -> dict[str, int]:
         key = term.lower()
         if key in table:
             raise LexiconFormatError(f"{path.name}: duplicate key {key!r}")
-        table[key] = int(value)
+        try:
+            number = int(value)
+        except ValueError:
+            number = -1
+        if number < 0:
+            raise LexiconFormatError(
+                f"{path.name}: value of {key!r} must be a non-negative integer, got {value!r}"
+            )
+        table[key] = number
     return table
 
 

@@ -17,7 +17,6 @@ as training cues and are only annotated when applying a trained model
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from typing import Optional
 
 from .lexicon import NumLexicon, SpecialTerm
@@ -49,8 +48,9 @@ def _parse_cardinal_words(words: list[str], table: dict[str, int]) -> Optional[t
 
     Returns (value, words consumed) or None. Supports unit/tens/scale
     composition up to 999,999; "and" is absorbed only straight after a
-    scale word ("one hundred and five"), never between two plain numbers,
-    so compositional phrases like "three and three" stay separate mentions.
+    scale word ("one hundred and five", "ten thousand and five"), never
+    between two plain numbers, so compositional phrases like "three and
+    three" stay separate mentions.
     """
     total = 0
     group = 0
@@ -62,9 +62,10 @@ def _parse_cardinal_words(words: list[str], table: dict[str, int]) -> Optional[t
         w = words[i]
         if w == "and":
             nxt = table.get(words[i + 1]) if i + 1 < len(words) else None
-            if state == "hundred" and nxt is not None and 1 <= nxt <= 99:
+            if state in ("hundred", "thousand") and nxt is not None and 1 <= nxt <= 99:
                 i += 1
-                state = "post_and"
+                if state == "hundred":
+                    state = "post_and"
                 continue
             break
         v = table.get(w)
@@ -149,15 +150,7 @@ def _parse_ordinal(surface: str, lexicon: NumLexicon) -> Optional[int]:
 
 def _decode_affix(word: str, lexicon: NumLexicon) -> Optional[tuple[int, str]]:
     """Split *word* into numeric prefix + known suffix, e.g. pentalogy -> (5, "-logy")."""
-    if word in lexicon.affix_exceptions:
-        return None
-    for suffix in sorted(lexicon.num_term_suffixes, key=len, reverse=True):
-        if word.endswith(suffix) and len(word) > len(suffix):
-            stem = word[: -len(suffix)]
-            value = lexicon.latin_greek_prefixes.get(stem)
-            if value is not None:
-                return value, f"-{suffix}"
-    return None
+    return lexicon.affixed_words.get(word)
 
 
 def _special_value(term: SpecialTerm, lexicon: NumLexicon) -> int:
@@ -174,7 +167,8 @@ def _special_value(term: SpecialTerm, lexicon: NumLexicon) -> int:
 def _match_special(
     tokens: tuple[Token, ...], i: int, lexicon: NumLexicon
 ) -> Optional[SpecialTerm]:
-    for term in lexicon.special_terms_by_length():
+    """Longest special term starting at ``tokens[i]``, or None."""
+    for term in lexicon.specials_by_first.get(tokens[i].surface.lower(), ()):
         span = tokens[i : i + len(term.term)]
         if len(span) == len(term.term) and all(
             t.surface.lower() == w for t, w in zip(span, term.term)
@@ -340,8 +334,8 @@ def rewrite_zero_cues(sentence: Sentence) -> Sentence:
     """Rewrite non-existence phrasings into countable zero mentions.
 
     Three schemas: "did n't ... any" drops the auxiliary and negation and
-    turns "any" into "no"; "never" is removed and "0 times" appended;
-    "without" becomes "with no". All remaining "no"/"0" tokens are then
+    turns "any" into "no"; every "never" is removed and "0 times" appended
+    once; "without" becomes "with no". All remaining "no"/"0" tokens are then
     annotated as zero-count cardinal mentions.
     """
     tokens = list(sentence.tokens)
@@ -365,13 +359,9 @@ def rewrite_zero_cues(sentence: Sentence) -> Sentence:
             changed = True
             break
 
-    while True:
-        j = next(
-            (m for m in range(len(tokens)) if tokens[m].surface.lower() == "never"), None
-        )
-        if j is None:
-            break
-        del tokens[j]
+    kept = [tok for tok in tokens if tok.surface.lower() != "never"]
+    if len(kept) < len(tokens):
+        tokens = kept
         tail = len(tokens)
         if tail and tokens[-1].surface in (".", "!", "?"):
             tail -= 1

@@ -120,8 +120,8 @@ class Sentence:
 
 
 def make_sentence(tokens: Iterable[Token]) -> Sentence:
-    """Build a sentence, re-assigning indices to 0..n-1."""
+    """Build a sentence, re-assigning indices to 0..n-1 (tokens already in place are kept)."""
     fixed = tuple(
-        replace(tok, index=i) for i, tok in enumerate(tokens)
+        tok if tok.index == i else replace(tok, index=i) for i, tok in enumerate(tokens)
     )
     return Sentence(tokens=fixed)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from countquant import numlex
 from countquant.cli import main, parse_relation
 from countquant.dsgen import Corpus, SeedPolicy, generate_training_set, write_conll
 from countquant.kbstore import Relation, load_triples
@@ -483,6 +485,34 @@ class TestMalformedInputs:
                                       command])
         self.assert_reported(result, kb)
         assert "2 of 2 lines malformed" in result.output
+
+    @pytest.mark.parametrize("command", ["build-training", "extract"])
+    def test_missing_lexicon_dir(self, runner, fixture_dir, command):
+        lexicon_dir = fixture_dir / "no_such_lexicon"
+        config = write_config(fixture_dir, f"lexicon_dir = {lexicon_dir}")
+        result = runner.invoke(main, ["--config", str(config), command])
+        self.assert_reported(result, lexicon_dir)
+        assert "cannot load lexicon" in result.output
+
+    @pytest.mark.parametrize("line,message", [
+        ("three 3", "cardinals.tsv:3: expected 2 tab-separated fields"),
+        ("three\tdrei", "value of 'three' must be a non-negative integer"),
+    ], ids=["no-tab", "bad-value"])
+    def test_malformed_lexicon_file(self, runner, fixture_dir, line, message):
+        lexicon_dir = fixture_dir / "lexicon"
+        shutil.copytree(Path(numlex.__file__).parent / "data", lexicon_dir)
+        (lexicon_dir / "cardinals.tsv").write_text(f"one\t1\ntwo\t2\n{line}\n", encoding="utf-8")
+        config = write_config(fixture_dir, f"lexicon_dir = {lexicon_dir}")
+        result = runner.invoke(main, ["--config", str(config), "build-training"])
+        self.assert_reported(result, lexicon_dir)
+        assert message in result.output
+
+    def test_file_that_is_not_a_model(self, runner, fixture_dir):
+        kb = fixture_dir / "kb.tsv"
+        config = write_config(fixture_dir, f"model = {kb}")
+        result = runner.invoke(main, ["--config", str(config), "extract"])
+        self.assert_reported(result, kb)
+        assert "cannot load model" in result.output
 
     @pytest.mark.parametrize("content", [
         '{"end_to_end": {"precision": 0.9',

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import pickle
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from countquant.crf import (
+    BOS,
+    EOS,
     CrfModel,
     DegenerateTrainingError,
     FeatureTemplate,
@@ -18,6 +25,7 @@ from countquant.crf import (
     log_partition,
     marginals,
     save_model,
+    sentence_features,
     train,
     viterbi,
 )
@@ -71,6 +79,73 @@ class TestExtractFeatures:
     def test_invalid_length_rejected(self):
         with pytest.raises(ValueError):
             FeatureTemplate(kind=TOKEN_NGRAM, offsets=(0, 1, 2, 3, 4, 5))
+
+    def test_default_template_names(self):
+        names = [t.name for t in default_templates() if t.kind == TOKEN_NGRAM]
+        assert names == [
+            "U1", "U2[-1]", "U2[0]", "U3[-2]", "U3", "U3[0]", "U4[-3]", "U4[-2]",
+            "U4[-1]", "U4[0]", "U5[-4]", "U5[-3]", "U5", "U5[-1]", "U5[0]",
+        ]
+
+
+def _reference_features(sequence, position, templates):
+    """Per-position feature strings, padding each offset on its own."""
+    feats = []
+    for tpl in templates:
+        if tpl.kind != TOKEN_NGRAM:
+            continue
+        parts = []
+        for off in tpl.offsets:
+            j = position + off
+            parts.append(BOS if j < 0 else EOS if j >= len(sequence) else sequence[j])
+        feats.append(f"{tpl.name}:{'|'.join(parts)}")
+    return feats
+
+
+_template_pool = default_templates() + [
+    FeatureTemplate(kind=TOKEN_NGRAM, offsets=tuple(range(start, start + n)))
+    for n in (1, 2, 3, 5)
+    for start in (-7, -5, 1, 3, 6)
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(VOCAB + ["BOS", "a|b", "é"]), max_size=12),
+    st.lists(st.sampled_from(_template_pool), max_size=8),
+)
+def test_sentence_features_equal_per_position_reference_property(sequence, templates):
+    rows = sentence_features(sequence, templates)
+    assert rows == [_reference_features(sequence, pos, templates) for pos in range(len(sequence))]
+    for pos in range(len(sequence)):
+        assert extract_features(sequence, pos, templates) == rows[pos]
+
+
+def test_feature_index_order_on_mini_fixture():
+    """TrainingProblem numbers features in first-seen order among those above the cutoff."""
+    from countquant.dsgen import Corpus, SeedPolicy, generate_training_set
+    from countquant.kbstore import Relation, load_triples
+
+    mini = Path(__file__).parent / "data" / "mini"
+    labeled, _ = generate_training_set(
+        load_triples(mini / "kb.tsv"),
+        Corpus.load(mini / "corpus.jsonl"),
+        Relation(subject_class="human", property="child"),
+        SeedPolicy(),
+    )
+    examples = [(list(ls.placeholder_sequence()), list(ls.tags)) for ls in labeled]
+    templates = default_templates()
+    seen = [
+        f
+        for seq, _ in examples
+        for pos in range(len(seq))
+        for f in _reference_features(seq, pos, templates)
+    ]
+    counts = Counter(seen)
+    expected = list(dict.fromkeys(f for f in seen if counts[f] >= 2))
+    problem = TrainingProblem(examples, templates=templates, feature_cutoff=2)
+    assert list(problem.feature_index) == expected
+    assert problem.feature_index == {f: i for i, f in enumerate(expected)}
 
 
 class TestGradient:
@@ -276,3 +351,9 @@ class TestModelFile:
         model = train(TOY_DATA, feature_cutoff=1, max_iter=20)
         with pytest.raises(ValueError):
             model.weights[0, 0] = 1.0
+
+    def test_weights_immutable_after_pickle_roundtrip(self):
+        model = pickle.loads(pickle.dumps(train(TOY_DATA, feature_cutoff=1, max_iter=20)))
+        for array in (model.weights, model.transitions):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import string
 
 import pytest
@@ -8,16 +9,19 @@ from hypothesis import given, settings, strategies as st
 from countquant.numlex import (
     INFERENCE_MODE,
     MentionKind,
+    Token,
     annotate_mentions,
     detokenize,
     lemmatize,
     load_default_lexicon,
+    load_lexicon,
     normalize_special_terms,
     preprocess_sentence,
     rewrite_zero_cues,
     to_placeholder_sequence,
     tokenize,
 )
+from countquant.numlex.mentions import _decode_affix, _match_special
 
 LEXICON = load_default_lexicon()
 
@@ -98,6 +102,17 @@ class TestAnnotateMentions:
     def test_and_does_not_glue_plain_numbers(self, prep):
         s = prep("three biological and three adopted")
         assert [t.mention.value for t in s.mentions] == [3, 3]
+
+    @pytest.mark.parametrize("text,value", [
+        ("ten thousand and five fans", 10_005),
+        ("two thousand and twenty five fans", 2025),
+        ("one thousand and one nights", 1001),
+        ("five thousand and three hundred fans", 5300),
+    ])
+    def test_and_absorbed_after_thousand(self, prep, text, value):
+        (tok,) = prep(text).mentions
+        assert tok.mention.value == value
+        assert tok.surface == " ".join(text.split()[:-1])
 
     def test_word_grammar_reaches_cap(self, prep):
         s = prep("nine hundred ninety nine thousand nine hundred ninety nine fans")
@@ -185,6 +200,12 @@ class TestRewriteZeroCues:
         (s,) = tokenize("He has never been married.")
         out = rewrite_zero_cues(s)
         assert out.surfaces()[-3:] == ["0", "times", "."]
+
+    def test_repeated_never_counts_zero_once(self):
+        (s,) = tokenize("She never sang and never acted.")
+        out = rewrite_zero_cues(s)
+        assert detokenize(out) == "She sang and acted 0 times."
+        assert [t.surface for t in out.mentions] == ["0"]
 
     def test_handled_patterns_removed(self):
         texts = [
@@ -281,3 +302,99 @@ def test_zero_rewrite_removes_cues_property(text):
         surfaces = [t.lower() for t in [tok.surface for tok in out]]
         assert "never" not in surfaces
         assert "without" not in surfaces
+
+
+# -- the compiled lexicon tables against naive scans --------------------------
+
+
+def _naive_match_special(tokens, i, lexicon):
+    """Longest-first scan over every special term."""
+    for term in sorted(lexicon.special_terms, key=lambda t: -len(t.term)):
+        span = tokens[i : i + len(term.term)]
+        if len(span) == len(term.term) and all(
+            t.surface.lower() == w for t, w in zip(span, term.term)
+        ):
+            return term
+    return None
+
+
+def _naive_decode_affix(word, lexicon):
+    """Longest-suffix-first scan over every suffix."""
+    if word in lexicon.affix_exceptions:
+        return None
+    for suffix in sorted(lexicon.num_term_suffixes, key=len, reverse=True):
+        if word.endswith(suffix) and len(word) > len(suffix):
+            value = lexicon.latin_greek_prefixes.get(word[: -len(suffix)])
+            if value is not None:
+                return value, f"-{suffix}"
+    return None
+
+
+def _as_tokens(words):
+    return tuple(Token(surface=w, lemma=w.lower(), index=j) for j, w in enumerate(words))
+
+
+_special_words = sorted({w for t in LEXICON.special_terms for w in t.term})
+_prefixes = sorted(LEXICON.latin_greek_prefixes)
+_suffixes = sorted(LEXICON.num_term_suffixes)
+_random_word = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
+_affix_word = st.one_of(
+    st.builds(str.__add__, st.sampled_from(_prefixes), st.sampled_from(_suffixes)),
+    st.builds(str.__add__, _random_word, st.sampled_from(_suffixes)),
+    st.sampled_from(sorted(LEXICON.affix_exceptions) + _prefixes + _suffixes),
+    _random_word,
+)
+_special_token = st.one_of(
+    st.sampled_from(_special_words),
+    st.sampled_from(_special_words).map(str.title),
+    _random_word,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_special_token, min_size=1, max_size=8))
+def test_match_special_equals_naive_scan_property(words):
+    tokens = _as_tokens(words)
+    for i in range(len(tokens)):
+        assert _match_special(tokens, i, LEXICON) == _naive_match_special(tokens, i, LEXICON)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_affix_word)
+def test_decode_affix_equals_naive_scan_property(word):
+    assert _decode_affix(word, LEXICON) == _naive_decode_affix(word, LEXICON)
+
+
+def test_compiled_tables_on_overlapping_lexicon(tmp_path):
+    """Special terms sharing a first token, and nested suffixes, match the naive scans."""
+    for name, content in {
+        "cardinals": "one\t1\ntwo\t2\nsix\t6\ntwelve\t12\nthirteen\t13\n",
+        "ordinals": "first\t1\n",
+        "prefixes": "tri\t3\nquint\t5\nquintu\t50\nse\t7\n",
+        "special_terms": (
+            "a\tNUMTERM-o:1\na dozen\ttwelve\na pair of\ttwo\nhalf a dozen\tsix\n"
+            "a dozen\tthirteen\ntwins\tNUMTERM-plets:2\n"
+        ),
+    }.items():
+        (tmp_path / f"{name}.tsv").write_text(content, encoding="utf-8")
+    (tmp_path / "suffixes.tsv").write_text("plets\nuplets\nts\n", encoding="utf-8")
+    (tmp_path / "affix_exceptions.tsv").write_text("septs\n", encoding="utf-8")
+    lexicon = load_lexicon(tmp_path)
+
+    assert _decode_affix("quintuplets", lexicon) == (5, "-uplets")
+    assert _decode_affix("triplets", lexicon) == (3, "-plets")
+    assert _decode_affix("septs", lexicon) is None
+    words = ["quintuplets", "quintuplet", "triplets", "triuplets", "uplets", "plets",
+             "septs", "sets", "quintus", "quintuts"]
+    for word in words:
+        assert _decode_affix(word, lexicon) == _naive_decode_affix(word, lexicon), word
+
+    # equal lengths keep table order: the first "a dozen" row wins
+    assert _match_special(_as_tokens(["A", "dozen"]), 0, lexicon).replacement_text == "twelve"
+    vocab = ["a", "A", "dozen", "pair", "of", "half", "twins", "x"]
+    for words in itertools.product(vocab, repeat=3):
+        tokens = _as_tokens(words)
+        for i in range(3):
+            assert _match_special(tokens, i, lexicon) == _naive_match_special(
+                tokens, i, lexicon
+            ), (words, i)
