@@ -7,7 +7,6 @@ from .features import (
     TOKEN_NGRAM,
     FeatureTemplate,
     default_templates,
-    extract_features,
     sentence_features,
 )
 from .model import (
@@ -31,7 +30,6 @@ __all__ = [
     "TOKEN_NGRAM",
     "FeatureTemplate",
     "default_templates",
-    "extract_features",
     "sentence_features",
     "TAGS",
     "CrfModel",

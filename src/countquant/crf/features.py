@@ -82,10 +82,3 @@ def sentence_features(
             [prefix + "|".join(padded[j : j + width]) for j in range(start, start + n)]
         )
     return [list(row) for row in zip(*columns)]
-
-
-def extract_features(
-    sequence: list[str], position: int, templates: Sequence[FeatureTemplate]
-) -> list[str]:
-    """Observation feature strings for one position (tag-bigram templates emit none)."""
-    return sentence_features(sequence, templates)[position]

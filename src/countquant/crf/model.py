@@ -193,9 +193,11 @@ def load_model(path: Path | str) -> CrfModel:
         )
     try:
         features = payload["features"]
-        weights = np.asarray(payload["weights"], dtype=float)
-        transitions = np.asarray(payload["transitions"], dtype=float)
         tags = tuple(payload["tags"])
+        weights = np.asarray(payload["weights"], dtype=float)
+        if weights.size == 0:  # a model without features stores [], read as shape (0,)
+            weights = weights.reshape(0, len(tags))
+        transitions = np.asarray(payload["transitions"], dtype=float)
         templates = tuple(_template_from_dict(d) for d in payload["templates"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: corrupt model payload: {exc}") from exc

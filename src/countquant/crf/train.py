@@ -6,10 +6,13 @@ the quasi-Newton step itself is delegated to scipy's L-BFGS-B. Training is
 deterministic: weights start at zero and sentences are processed in input
 order.
 
-Sentences of equal length are batched into (batch, length, tags) tensors so
+The training data are compiled once into a sparse 0/1 matrix ``X``, one row
+per token position and one column per feature, so emissions are ``X @ W``
+and expected feature counts ``Xᵀ @ μ``. Rows run length bucket by length
+bucket, so each bucket's rows reshape to a (batch, length, tags) tensor and
 the forward-backward kernel of :mod:`.model` (``log_forward``,
-``log_backward``) runs once per length bucket rather than once per sentence;
-only the pairwise marginals and the gradient are computed here.
+``log_backward``) runs once per sentence length; only the pairwise marginals
+and the gradient are computed here.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.sparse import csr_matrix
 
 from .features import FeatureTemplate, default_templates, sentence_features
 from .model import TAGS, CrfModel, log_backward, log_forward, logsumexp
@@ -36,10 +40,8 @@ class _Bucket:
     """All training sentences of one length, stacked."""
 
     length: int
-    tag_ids: np.ndarray     # (B, n)
-    flat_fids: np.ndarray   # feature id of every (sentence, position, feature) entry
-    flat_sent: np.ndarray   # sentence-in-bucket index per entry
-    flat_pos: np.ndarray    # position per entry
+    tag_ids: np.ndarray  # (B, n)
+    rows: slice          # the bucket's B * n rows of the feature matrix
 
 
 def _as_example(item) -> tuple[list[str], list[str]]:
@@ -101,46 +103,37 @@ class TrainingProblem:
         for i, (seq, _) in enumerate(examples):
             by_length.setdefault(len(seq), []).append(i)
 
+        # Built from (data, indices, indptr) with each row's feature ids in
+        # template order: COO input would sort the columns, and that changes
+        # the floating-point summation order of the emissions.
         self.buckets: list[_Bucket] = []
+        indices: list[int] = []
+        indptr = [0]
         for length in sorted(by_length):
             members = by_length[length]
+            first_row = len(indptr) - 1
+            for i in members:
+                for row in per_sentence[i]:
+                    indices.extend(
+                        self.feature_index[f] for f in row if f in self.feature_index
+                    )
+                    indptr.append(len(indices))
             tag_mat = np.array(
                 [[self.tag_ids[t] for t in examples[i][1]] for i in members],
                 dtype=np.intp,
             )
-            fids, sent_idx, pos_idx = [], [], []
-            for b, i in enumerate(members):
-                for pos, row in enumerate(per_sentence[i]):
-                    for f in row:
-                        fid = self.feature_index.get(f)
-                        if fid is not None:
-                            fids.append(fid)
-                            sent_idx.append(b)
-                            pos_idx.append(pos)
-            self.buckets.append(
-                _Bucket(
-                    length=length,
-                    tag_ids=tag_mat,
-                    flat_fids=np.asarray(fids, dtype=np.intp),
-                    flat_sent=np.asarray(sent_idx, dtype=np.intp),
-                    flat_pos=np.asarray(pos_idx, dtype=np.intp),
-                )
-            )
+            self.buckets.append(_Bucket(length, tag_mat, slice(first_row, len(indptr) - 1)))
+        self.X = csr_matrix(
+            (np.ones(len(indices)), np.asarray(indices, dtype=np.intp), np.asarray(indptr)),
+            shape=(len(indptr) - 1, self.n_features),
+        )
 
-        emp_w = np.zeros((self.n_features, self.n_tags))
-        emp_t = np.zeros((self.n_tags, self.n_tags))
+        all_tags = np.concatenate([bucket.tag_ids.ravel() for bucket in self.buckets])
+        self._emp_w = self.X.T @ np.eye(self.n_tags)[all_tags]
+        self._emp_t = np.zeros((self.n_tags, self.n_tags))
         for bucket in self.buckets:
-            if bucket.flat_fids.size:
-                entry_tags = bucket.tag_ids[bucket.flat_sent, bucket.flat_pos]
-                np.add.at(emp_w, (bucket.flat_fids, entry_tags), 1.0)
-            if bucket.length > 1:
-                np.add.at(
-                    emp_t,
-                    (bucket.tag_ids[:, :-1].ravel(), bucket.tag_ids[:, 1:].ravel()),
-                    1.0,
-                )
-        self._emp_w = emp_w
-        self._emp_t = emp_t
+            y = bucket.tag_ids
+            np.add.at(self._emp_t, (y[:, :-1].ravel(), y[:, 1:].ravel()), 1.0)
 
     @property
     def n_params(self) -> int:
@@ -156,49 +149,39 @@ class TrainingProblem:
         """Negative penalized log-likelihood and its gradient."""
         w, trans = self.split(theta)
         k = self.n_tags
-        exp_w = np.zeros_like(w)
+        em_all = self.X @ w
+        mu_all = np.empty_like(em_all)
         exp_t = np.zeros_like(trans)
         ll = 0.0
         for bucket in self.buckets:
             n = bucket.length
-            batch = bucket.tag_ids.shape[0]
-            em = np.zeros((batch, n, k))
-            if bucket.flat_fids.size:
-                np.add.at(em, (bucket.flat_sent, bucket.flat_pos), w[bucket.flat_fids])
+            y = bucket.tag_ids
+            batch = y.shape[0]
+            em = em_all[bucket.rows].reshape(batch, n, k)
             alpha = log_forward(em, trans)
             beta = log_backward(em, trans)
             log_z = logsumexp(alpha[:, n - 1])
 
-            y = bucket.tag_ids
-            rows = np.arange(batch)[:, None]
-            score = em[rows, np.arange(n)[None, :], y].sum(axis=1)
-            if n > 1:
-                score = score + trans[y[:, :-1], y[:, 1:]].sum(axis=1)
+            score = em[np.arange(batch)[:, None], np.arange(n)[None, :], y].sum(axis=1)
+            score = score + trans[y[:, :-1], y[:, 1:]].sum(axis=1)
             ll += float((score - log_z).sum())
 
             mu = np.exp(alpha + beta - log_z[:, None, None])
-            if bucket.flat_fids.size:
-                np.add.at(
-                    exp_w, bucket.flat_fids, mu[bucket.flat_sent, bucket.flat_pos]
-                )
-            if n > 1:
-                xi = np.exp(
-                    alpha[:, :-1, :, None]
-                    + trans[None, None, :, :]
-                    + (em[:, 1:] + beta[:, 1:])[:, :, None, :]
-                    - log_z[:, None, None, None]
-                )
-                exp_t += xi.sum(axis=(0, 1))
+            mu_all[bucket.rows] = mu.reshape(batch * n, k)
+            xi = np.exp(
+                alpha[:, :-1, :, None]
+                + trans[None, None, :, :]
+                + (em[:, 1:] + beta[:, 1:])[:, :, None, :]
+                - log_z[:, None, None, None]
+            )
+            exp_t += xi.sum(axis=(0, 1))
+        exp_w = self.X.T @ mu_all
         penalty = 0.5 * self.l2_sigma * float(theta @ theta)
         value = -(ll - penalty)
         grad_w = -(self._emp_w - exp_w)
         grad_t = -(self._emp_t - exp_t)
         grad = np.concatenate([grad_w.ravel(), grad_t.ravel()]) + self.l2_sigma * theta
         return value, grad
-
-    def objective(self, theta: np.ndarray) -> float:
-        """Penalized log-likelihood (the quantity being maximized)."""
-        return -self.value_and_grad(theta)[0]
 
 
 def train(
@@ -224,7 +207,10 @@ def train(
 
     callback = None
     if history is not None:
-        callback = lambda xk: history.append(problem.objective(xk))  # noqa: E731
+        # L-BFGS-B passes the accepted step with its value, so recording the
+        # history costs no extra evaluation.
+        def callback(intermediate_result):
+            history.append(-float(intermediate_result.fun))
 
     result = minimize(
         problem.value_and_grad,

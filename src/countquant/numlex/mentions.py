@@ -32,7 +32,7 @@ from .types import (
 TRAIN_MODE = "train"
 INFERENCE_MODE = "inference"
 
-_DIGIT_CARDINAL_RE = re.compile(r"^\d[\d,]*$")
+_DIGIT_CARDINAL_RE = re.compile(r"^\d+(?:,\d{3})*$")
 _DIGIT_ORDINAL_RE = re.compile(r"^(\d+)(st|nd|rd|th)$")
 
 _COMP_CUE_SURFACES = {",", "and"}

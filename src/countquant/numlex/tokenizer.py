@@ -16,12 +16,14 @@ from .types import Sentence, Token, make_sentence
 
 # Ordered alternatives: digit ordinals, decimal numbers, comma-grouped
 # integers, words (internal apostrophes/hyphens/digits stay inside the
-# token), anything else as a single punctuation character.
+# token), anything else as a single punctuation character. A comma joins
+# digits only before a group of exactly three ("1,200"); otherwise it is
+# punctuation ("1999,2001" and "1,2" are two numbers).
 _TOKEN_RE = re.compile(
     r"""
     \d+(?:st|nd|rd|th)\b     # digit ordinal, "23rd"
-  | \d[\d,]*\.\d+            # decimal number, keeps "3.5" in one token
-  | \d[\d,]*                 # integer, possibly comma-grouped ("1,200")
+  | \d+(?:,\d{3})*\.\d+      # decimal number, keeps "3.5" in one token
+  | \d+(?:,\d{3}(?!\d))*     # integer, possibly comma-grouped ("1,200")
   | [A-Za-z][A-Za-z0-9]*(?:['’-][A-Za-z0-9]+)*
   | \S                       # any other visible character
     """,

@@ -16,11 +16,11 @@ from countquant.crf import (
     FeatureTemplate,
     ModelFormatError,
     TAG_BIGRAM,
+    TAGS,
     TOKEN_NGRAM,
     TrainingProblem,
     decode,
     default_templates,
-    extract_features,
     load_model,
     log_partition,
     marginals,
@@ -29,7 +29,7 @@ from countquant.crf import (
     train,
     viterbi,
 )
-from countquant.crf.model import log_backward, log_forward, path_score
+from countquant.crf.model import log_backward, log_forward, logsumexp, path_score
 
 from oracles import (
     assert_viterbi_optimal,
@@ -52,21 +52,21 @@ class TestExtractFeatures:
     def test_centered_pentagram(self):
         seq = ["trump", "have", "CARDINAL", "child", "from"]
         tpl = FeatureTemplate(kind=TOKEN_NGRAM, offsets=(-2, -1, 0, 1, 2))
-        assert extract_features(seq, 2, [tpl]) == ["U5:trump|have|CARDINAL|child|from"]
+        assert sentence_features(seq, [tpl])[2] == ["U5:trump|have|CARDINAL|child|from"]
 
     def test_boundary_symbols(self):
         tpl = FeatureTemplate(kind=TOKEN_NGRAM, offsets=(-1,))
-        assert extract_features(["a", "b"], 0, [tpl]) == ["U1[-1]:BOS"]
-        assert extract_features(["a", "b"], 1, [FeatureTemplate(kind=TOKEN_NGRAM, offsets=(1,))]) == ["U1[1]:EOS"]
+        assert sentence_features(["a", "b"], [tpl])[0] == ["U1[-1]:BOS"]
+        assert sentence_features(["a", "b"], [FeatureTemplate(kind=TOKEN_NGRAM, offsets=(1,))])[1] == ["U1[1]:EOS"]
 
     def test_deterministic(self):
         seq = ["a", "b", "c"]
         templates = default_templates()
-        assert extract_features(seq, 1, templates) == extract_features(seq, 1, templates)
+        assert sentence_features(seq, templates)[1] == sentence_features(seq, templates)[1]
 
     def test_tag_bigram_emits_nothing(self):
         tpl = FeatureTemplate(kind=TAG_BIGRAM)
-        assert extract_features(["a"], 0, [tpl]) == []
+        assert sentence_features(["a"], [tpl])[0] == []
 
     def test_default_template_set(self):
         templates = default_templates()
@@ -117,8 +117,6 @@ _template_pool = default_templates() + [
 def test_sentence_features_equal_per_position_reference_property(sequence, templates):
     rows = sentence_features(sequence, templates)
     assert rows == [_reference_features(sequence, pos, templates) for pos in range(len(sequence))]
-    for pos in range(len(sequence)):
-        assert extract_features(sequence, pos, templates) == rows[pos]
 
 
 def test_feature_index_order_on_mini_fixture():
@@ -176,7 +174,131 @@ class TestGradient:
         assert np.abs(grad).max() < 1e-3
 
 
+def _scatter_value_and_grad(problem, examples, theta):
+    """The objective and gradient summed by np.add.at scatters over feature ids.
+
+    Length buckets in increasing order, sentences in input order, features in
+    template order: the summation order every evaluation must reproduce bit
+    for bit.
+    """
+    w, trans = problem.split(theta)
+    k = problem.n_tags
+    emp_w, exp_w = np.zeros_like(w), np.zeros_like(w)
+    emp_t, exp_t = np.zeros_like(trans), np.zeros_like(trans)
+    ll = 0.0
+    for n in sorted({len(seq) for seq, _ in examples}):
+        members = [(seq, tags) for seq, tags in examples if len(seq) == n]
+        y = np.array([[problem.tag_ids[t] for t in tags] for _, tags in members])
+        fids, sent, pos = [], [], []
+        for b, (seq, _) in enumerate(members):
+            for p, row in enumerate(sentence_features(seq, problem.templates)):
+                for f in row:
+                    if f in problem.feature_index:
+                        fids.append(problem.feature_index[f])
+                        sent.append(b)
+                        pos.append(p)
+        fids, sent, pos = (np.asarray(a, dtype=np.intp) for a in (fids, sent, pos))
+        np.add.at(emp_w, (fids, y[sent, pos]), 1.0)
+        np.add.at(emp_t, (y[:, :-1].ravel(), y[:, 1:].ravel()), 1.0)
+        em = np.zeros((len(members), n, k))
+        np.add.at(em, (sent, pos), w[fids])
+        alpha, beta = log_forward(em, trans), log_backward(em, trans)
+        log_z = logsumexp(alpha[:, n - 1])
+        score = em[np.arange(len(members))[:, None], np.arange(n)[None, :], y].sum(axis=1)
+        if n > 1:
+            score = score + trans[y[:, :-1], y[:, 1:]].sum(axis=1)
+        ll += float((score - log_z).sum())
+        mu = np.exp(alpha + beta - log_z[:, None, None])
+        np.add.at(exp_w, fids, mu[sent, pos])
+        if n > 1:
+            xi = np.exp(
+                alpha[:, :-1, :, None]
+                + trans[None, None, :, :]
+                + (em[:, 1:] + beta[:, 1:])[:, :, None, :]
+                - log_z[:, None, None, None]
+            )
+            exp_t += xi.sum(axis=(0, 1))
+    value = -(ll - 0.5 * problem.l2_sigma * float(theta @ theta))
+    grad = np.concatenate([-(emp_w - exp_w).ravel(), -(emp_t - exp_t).ravel()])
+    return value, grad + problem.l2_sigma * theta
+
+
+def _varied_lengths_data(seed=5, n_sentences=40):
+    """Random tagged sentences of lengths 1 to 9; about half hold a COUNT tag."""
+    rng = np.random.default_rng(seed)
+    words = VOCAB + ["trump", "she", "he", "wrote", "book", "from"]
+    data = []
+    for _ in range(n_sentences):
+        n = int(rng.integers(1, 10))
+        seq = [words[j] for j in rng.integers(0, len(words), size=n)]
+        tags = [TAGS[j] for j in rng.integers(1, 3, size=n)]
+        if rng.random() < 0.5:
+            tags[int(rng.integers(0, n))] = "COUNT"
+        data.append((seq, tags))
+    return data
+
+
+class TestSummationOrder:
+    """The compiled training problem sums exactly as the scatter reference."""
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3])
+    def test_bitwise_equal_to_scatter_reference(self, cutoff):
+        data = _varied_lengths_data()
+        assert {1, 2, 3, 4} <= {len(seq) for seq, _ in data}
+        problem = TrainingProblem(data, l2_sigma=0.5, feature_cutoff=cutoff)
+        assert len(problem.buckets) >= 4 and problem.n_features > 0
+        rng = np.random.default_rng(cutoff)
+        for _ in range(3):
+            theta = rng.normal(scale=0.5, size=problem.n_params)
+            value, grad = problem.value_and_grad(theta)
+            ref_value, ref_grad = _scatter_value_and_grad(problem, data, theta)
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)
+
+    def test_cutoff_above_every_count_leaves_transitions_only(self, tmp_path):
+        data = _varied_lengths_data()
+        problem = TrainingProblem(data, feature_cutoff=10**6)
+        assert problem.n_features == 0
+        assert problem.n_params == len(TAGS) ** 2
+        rng = np.random.default_rng(0)
+        for theta in (np.zeros(problem.n_params), rng.normal(size=problem.n_params)):
+            value, grad = problem.value_and_grad(theta)
+            ref_value, ref_grad = _scatter_value_and_grad(problem, data, theta)
+            assert value == ref_value and np.array_equal(grad, ref_grad)
+            grad_w, grad_t = problem.split(grad)
+            assert grad_w.shape == (0, len(TAGS))
+            assert np.any(grad_t != 0)
+        model = train(data, feature_cutoff=10**6, max_iter=50)
+        assert model.weights.shape == (0, len(TAGS))
+        assert np.any(model.transitions != 0)
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        assert loaded.weights.shape == (0, len(TAGS))
+        assert np.array_equal(loaded.transitions, model.transitions)
+        seq = ["she", "have", "CARDINAL", "child"]
+        assert decode(loaded, seq) == decode(model, seq)
+
+
 class TestTrain:
+    def test_history_costs_no_extra_evaluation(self, monkeypatch):
+        calls = []
+        original = TrainingProblem.value_and_grad
+
+        def counting(self, theta):
+            calls.append(1)
+            return original(self, theta)
+
+        monkeypatch.setattr(TrainingProblem, "value_and_grad", counting)
+        plain = train(TOY_DATA, feature_cutoff=1, max_iter=50)
+        plain_calls = len(calls)
+        calls.clear()
+        history: list[float] = []
+        traced = train(TOY_DATA, feature_cutoff=1, max_iter=50, history=history)
+        assert len(calls) == plain_calls
+        assert len(history) == traced.n_iterations
+        assert history[-1] == traced.final_objective
+        assert np.array_equal(plain.weights, traced.weights)
+
     def test_objective_ascends(self):
         history: list[float] = []
         train(TOY_DATA[:2], feature_cutoff=1, max_iter=50, history=history)

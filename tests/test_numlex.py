@@ -15,6 +15,7 @@ from countquant.numlex import (
     lemmatize,
     load_default_lexicon,
     load_lexicon,
+    make_sentence,
     normalize_special_terms,
     preprocess_sentence,
     rewrite_zero_cues,
@@ -43,6 +44,16 @@ class TestTokenize:
     def test_decimal_stays_one_token(self):
         (s,) = tokenize("It weighs 3.5 tons")
         assert "3.5" in s.surfaces()
+
+    def test_comma_groups_only_before_three_digits(self):
+        (s,) = tokenize("children in 1999,2001,2004")
+        assert s.surfaces() == ["children", "in", "1999", ",", "2001", ",", "2004"]
+        (s,) = tokenize("He has 1,2 sons")
+        assert s.surfaces() == ["He", "has", "1", ",", "2", "sons"]
+        (s,) = tokenize("It sold 1,200 or 1,234.5 or 12,3456 units")
+        assert s.surfaces() == [
+            "It", "sold", "1,200", "or", "1,234.5", "or", "12", ",", "3456", "units",
+        ]
 
     def test_contraction_split(self):
         (s,) = tokenize("They didn't stay")
@@ -88,6 +99,20 @@ class TestAnnotateMentions:
     def test_digit_and_comma_cardinals(self, prep):
         s = prep("He won 1,200 games in 58 counties")
         assert [t.mention.value for t in s.mentions] == [1200, 58]
+
+    def test_comma_separated_years_are_separate_cardinals(self, prep):
+        s = prep("children in 1999,2001,2004", mode=INFERENCE_MODE)
+        assert [t.mention.value for t in s.mentions] == [1999, 2001, 2004]
+        assert [t.mention.kind for t in s.mentions] == [MentionKind.CARDINAL] * 3
+
+    def test_comma_before_short_group_is_not_a_separator(self, prep):
+        s = prep("He has 1,2 sons", mode=INFERENCE_MODE)
+        assert [t.mention.value for t in s.mentions] == [1, 2]
+
+    @pytest.mark.parametrize("surface", ["1,2", "1999,2001", "1,2345", "1,"])
+    def test_digit_cardinal_needs_three_digit_groups(self, surface):
+        s = make_sentence([Token(surface=surface, lemma=surface, index=0)])
+        assert annotate_mentions(s, LEXICON).mentions == ()
 
     def test_decimals_are_not_mentions(self, prep):
         assert prep("He ran 3.5 miles").mentions == ()
