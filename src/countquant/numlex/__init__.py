@@ -4,7 +4,6 @@ from .lexicon import (
     NumLexicon,
     SpecialTerm,
     LexiconFormatError,
-    ZERO_CUES,
     load_default_lexicon,
     load_lexicon,
 )
@@ -13,7 +12,6 @@ from .mentions import (
     TRAIN_MODE,
     annotate_mentions,
     is_comp_cue,
-    normalize_special_terms,
     preprocess_sentence,
     rewrite_zero_cues,
     to_placeholder_sequence,
@@ -34,14 +32,12 @@ __all__ = [
     "NumLexicon",
     "SpecialTerm",
     "LexiconFormatError",
-    "ZERO_CUES",
     "load_default_lexicon",
     "load_lexicon",
     "INFERENCE_MODE",
     "TRAIN_MODE",
     "annotate_mentions",
     "is_comp_cue",
-    "normalize_special_terms",
     "preprocess_sentence",
     "rewrite_zero_cues",
     "to_placeholder_sequence",

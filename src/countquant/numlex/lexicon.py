@@ -24,9 +24,6 @@ _DATA_DIR = Path(__file__).parent / "data"
 # number-term placeholder, e.g. "NUMTERM-plets:2".
 _PLACEHOLDER_REPLACEMENT_RE = re.compile(r"^NUMTERM(-[a-z]+):(\d+)$")
 
-# Trigger words of the zero-count rewrite schemas (see mentions.rewrite_zero_cues).
-ZERO_CUES = frozenset({"no", "any", "never", "without"})
-
 
 @dataclass(frozen=True)
 class SpecialTerm:
@@ -48,7 +45,6 @@ class NumLexicon:
     num_term_suffixes: frozenset[str]
     special_terms: tuple[SpecialTerm, ...]
     affix_exceptions: frozenset[str] = frozenset()
-    zero_cues: frozenset[str] = ZERO_CUES
     articles: frozenset[str] = field(default=frozenset({"a", "an"}))
     # first token -> special terms starting with it, longest first (stable in table order)
     specials_by_first: dict[str, tuple[SpecialTerm, ...]] = field(

@@ -2,12 +2,15 @@
 
 The preprocessing chain for a sentence is::
 
-    tokenize -> [rewrite_zero_cues] -> normalize_special_terms -> annotate_mentions
+    tokenize -> [rewrite_zero_cues] -> annotate_mentions
 
 after which :func:`to_placeholder_sequence` produces the lemma/placeholder
-symbols consumed by the sequence labeler. Every function returns a new
-sentence; all are idempotent, so running a step twice (or annotating before
-normalizing) converges to the same result.
+symbols consumed by the sequence labeler. ``annotate_mentions`` is one
+left-to-right scan: special terms are matched first and rewritten where they
+stand, so a word-cardinal run never crosses the start of one. Every function
+returns a new sentence. Annotated tokens are never touched again, so
+annotating twice gives the same sentence as long as no word of a special
+term's replacement text starts a special term itself.
 
 ``mode="train"`` skips indefinite articles: they are far too frequent to act
 as training cues and are only annotated when applying a trained model
@@ -32,7 +35,7 @@ from .types import (
 TRAIN_MODE = "train"
 INFERENCE_MODE = "inference"
 
-_DIGIT_CARDINAL_RE = re.compile(r"^\d+(?:,\d{3})*$")
+_DIGIT_CARDINAL_RE = re.compile(r"^(?:\d{1,3}(?:,\d{3})+|\d+)$")
 _DIGIT_ORDINAL_RE = re.compile(r"^(\d+)(st|nd|rd|th)$")
 
 _COMP_CUE_SURFACES = {",", "and"}
@@ -47,7 +50,8 @@ def _parse_cardinal_words(words: list[str], table: dict[str, int]) -> Optional[t
     """Longest cardinal number starting at ``words[0]``.
 
     Returns (value, words consumed) or None. Supports unit/tens/scale
-    composition up to 999,999; "and" is absorbed only straight after a
+    composition up to 999,999, including "hundred" after a tens group
+    ("twenty one hundred" is 2100); "and" is absorbed only straight after a
     scale word ("one hundred and five", "ten thousand and five"), never
     between two plain numbers, so compositional phrases like "three and
     three" stay separate mentions.
@@ -76,14 +80,19 @@ def _parse_cardinal_words(words: list[str], table: dict[str, int]) -> Optional[t
                 best = (0, 1)
             break
         if v == 100:
-            if state in ("unit", "teen") and not hundred_used:
+            # a tens group takes "hundred" only before any scale word:
+            # "twenty one hundred" is 2100
+            if not hundred_used and (
+                state in ("unit", "teen") or (state in ("tens", "tens_unit") and total == 0)
+            ):
                 group *= 100
                 hundred_used = True
                 state = "hundred"
             else:
                 break
         elif v == 1000:
-            if total == 0 and group >= 1 and state != "start":
+            # group <= 999 keeps "nineteen hundred thousand" under the cap
+            if total == 0 and 1 <= group <= 999 and state != "start":
                 total = group * 1000
                 group = 0
                 hundred_used = False
@@ -153,17 +162,6 @@ def _decode_affix(word: str, lexicon: NumLexicon) -> Optional[tuple[int, str]]:
     return lexicon.affixed_words.get(word)
 
 
-def _special_value(term: SpecialTerm, lexicon: NumLexicon) -> int:
-    """Count expressed by a special term (stored, or decoded from its rewrite text)."""
-    if term.value is not None:
-        return term.value
-    words = term.replacement_text.lower().split()
-    parsed = _parse_cardinal_words(words, lexicon.cardinal_words)
-    if parsed is None:
-        raise ValueError(f"special term {' '.join(term.term)!r}: replacement carries no number")
-    return parsed[0]
-
-
 def _match_special(
     tokens: tuple[Token, ...], i: int, lexicon: NumLexicon
 ) -> Optional[SpecialTerm]:
@@ -186,147 +184,107 @@ def _merge_tokens(span: tuple[Token, ...], mention: MentionAnnotation) -> Token:
     )
 
 
+def _recognise(
+    tokens: tuple[Token, ...],
+    i: int,
+    specials: dict[int, SpecialTerm],
+    lexicon: NumLexicon,
+    mode: str,
+) -> tuple[Optional[MentionAnnotation], int]:
+    """Mention starting at the unannotated ``tokens[i]``, and how many tokens it spans.
+
+    Tries, in order: digit cardinal, hyphenated cardinal, word-cardinal run,
+    ordinal, affixed number term, article (inference mode only). A run ends
+    at an annotated token or where a special term starts (a key of
+    *specials*). Returns ``(None, 1)`` when the token is no mention.
+    """
+    surface = tokens[i].surface.lower()
+    if _DIGIT_CARDINAL_RE.match(surface):
+        return MentionAnnotation(MentionKind.CARDINAL, int(surface.replace(",", ""))), 1
+    value = _parse_hyphenated_cardinal(surface, lexicon.cardinal_words)
+    if value is not None:
+        return MentionAnnotation(MentionKind.CARDINAL, value), 1
+    if surface in lexicon.cardinal_words or surface == "and":
+        words = [surface]
+        for j in range(i + 1, len(tokens)):
+            word = tokens[j].surface.lower()
+            if j in specials or tokens[j].mention is not None or not (
+                word in lexicon.cardinal_words or word == "and"
+            ):
+                break
+            words.append(word)
+        parsed = _parse_cardinal_words(words, lexicon.cardinal_words)
+        if parsed is not None:
+            return MentionAnnotation(MentionKind.CARDINAL, parsed[0]), parsed[1]
+    value = _parse_ordinal(surface, lexicon)
+    if value is not None:
+        return MentionAnnotation(MentionKind.ORDINAL, value), 1
+    affix = _decode_affix(surface, lexicon) or _decode_affix(tokens[i].lemma, lexicon)
+    if affix is not None:
+        return MentionAnnotation(MentionKind.NUMTERM, affix[0], suffix_class=affix[1]), 1
+    if mode == INFERENCE_MODE and surface in lexicon.articles:
+        return MentionAnnotation(MentionKind.ARTICLE, 1), 1
+    return None, 1
+
+
+def _rewrite(text: str, lexicon: NumLexicon, mode: str) -> list[Token]:
+    """Tokens of a special term's replacement text, each annotated on its own.
+
+    A cardinal word gets its value; any other word gets the single-token
+    checks of :func:`_recognise`.
+    """
+    out = []
+    for word in text.split():
+        tok = Token(surface=word, lemma=lemmatize(word), index=0)
+        value = lexicon.cardinal_words.get(word.lower())
+        if value is not None:
+            mention = MentionAnnotation(MentionKind.CARDINAL, value)
+        else:
+            mention = _recognise((tok,), 0, {}, lexicon, mode)[0]
+        out.append(tok if mention is None else tok.with_mention(mention))
+    return out
+
+
 def annotate_mentions(
     sentence: Sentence, lexicon: NumLexicon, mode: str = TRAIN_MODE
 ) -> Sentence:
-    """Attach a :class:`MentionAnnotation` to every numeric mention.
+    """Attach a :class:`MentionAnnotation` to every numeric mention, in one scan.
 
-    Detects digit and word cardinals (multi-word spans merge into one
-    token), ordinals, Latin/Greek-affixed number terms, special terms, and
-    (in inference mode) the indefinite articles. Already-annotated tokens
-    are left untouched, which makes the operation idempotent.
+    At each unannotated token the longest special term is tried first. A
+    term with a placeholder replacement ("twins") becomes one NUMTERM token;
+    a term with a replacement text ("thrice" -> "three times", "a dozen" ->
+    "twelve") is rewritten in place and its words annotated. Otherwise the
+    token is read as a digit or word cardinal (a multi-word run merges into
+    one token), ordinal, Latin/Greek-affixed number term or, in inference
+    mode, an indefinite article. Already-annotated tokens are left untouched.
     """
     tokens = sentence.tokens
+    specials = {
+        i: term
+        for i, tok in enumerate(tokens)
+        if tok.mention is None and (term := _match_special(tokens, i, lexicon))
+    }
     out: list[Token] = []
     i = 0
     while i < len(tokens):
         tok = tokens[i]
+        special = specials.get(i)
         if tok.mention is not None:
             out.append(tok)
             i += 1
-            continue
-
-        special = _match_special(tokens, i, lexicon)
-        if special is not None and all(
-            t.mention is None for t in tokens[i : i + len(special.term)]
-        ):
-            value = _special_value(special, lexicon)
-            mention = MentionAnnotation(
-                kind=MentionKind.NUMTERM, value=value, suffix_class=special.suffix_class
-            )
-            out.append(_merge_tokens(tokens[i : i + len(special.term)], mention))
-            i += len(special.term)
-            continue
-
-        surface = tok.surface.lower()
-
-        if _DIGIT_CARDINAL_RE.match(surface):
-            value = int(surface.replace(",", ""))
-            kind = MentionKind.CARDINAL
-            out.append(tok.with_mention(MentionAnnotation(kind=kind, value=value)))
-            i += 1
-            continue
-
-        hyphen_value = _parse_hyphenated_cardinal(surface, lexicon.cardinal_words)
-        if hyphen_value is not None:
-            out.append(
-                tok.with_mention(
-                    MentionAnnotation(kind=MentionKind.CARDINAL, value=hyphen_value)
-                )
-            )
-            i += 1
-            continue
-
-        if surface in lexicon.cardinal_words or surface == "and":
-            run_words = []
-            j = i
-            while j < len(tokens) and tokens[j].mention is None and (
-                tokens[j].surface.lower() in lexicon.cardinal_words
-                or tokens[j].surface.lower() == "and"
-            ):
-                run_words.append(tokens[j].surface.lower())
-                j += 1
-            parsed = _parse_cardinal_words(run_words, lexicon.cardinal_words)
-            if parsed is not None:
-                value, length = parsed
-                mention = MentionAnnotation(kind=MentionKind.CARDINAL, value=value)
-                out.append(_merge_tokens(tokens[i : i + length], mention))
-                i += length
-                continue
-
-        ordinal_value = _parse_ordinal(tok.surface, lexicon)
-        if ordinal_value is not None:
-            out.append(
-                tok.with_mention(
-                    MentionAnnotation(kind=MentionKind.ORDINAL, value=ordinal_value)
-                )
-            )
-            i += 1
-            continue
-
-        affix = _decode_affix(surface, lexicon) or _decode_affix(tok.lemma, lexicon)
-        if affix is not None:
-            value, suffix = affix
-            out.append(
-                tok.with_mention(
-                    MentionAnnotation(
-                        kind=MentionKind.NUMTERM, value=value, suffix_class=suffix
-                    )
-                )
-            )
-            i += 1
-            continue
-
-        if mode == INFERENCE_MODE and surface in lexicon.articles:
-            out.append(
-                tok.with_mention(MentionAnnotation(kind=MentionKind.ARTICLE, value=1))
-            )
-            i += 1
-            continue
-
-        out.append(tok)
-        i += 1
-    return make_sentence(out)
-
-
-def normalize_special_terms(sentence: Sentence, lexicon: NumLexicon) -> Sentence:
-    """Rewrite special terms before labeling.
-
-    Terms with a textual replacement ("thrice" -> "three times", "a dozen"
-    -> "twelve") are substituted and their cardinal words annotated; terms
-    with a placeholder replacement ("twins") stay in place and receive their
-    suffixed number-term annotation. Token indices are re-assigned.
-    """
-    tokens = sentence.tokens
-    out: list[Token] = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        special = _match_special(tokens, i, lexicon)
-        if special is None or (tok.mention is not None and special.replacement_text is None):
-            out.append(tok)
-            i += 1
-            continue
-        span = tokens[i : i + len(special.term)]
-        if special.replacement_text is None:
-            mention = MentionAnnotation(
-                kind=MentionKind.NUMTERM,
-                value=_special_value(special, lexicon),
-                suffix_class=special.suffix_class,
-            )
-            out.append(_merge_tokens(span, mention))
+        elif special is None:
+            mention, length = _recognise(tokens, i, specials, lexicon, mode)
+            out.append(tok if mention is None else _merge_tokens(tokens[i : i + length], mention))
+            i += length
         else:
-            for word in special.replacement_text.split():
-                mention = None
-                if word.lower() in lexicon.cardinal_words:
-                    mention = MentionAnnotation(
-                        kind=MentionKind.CARDINAL,
-                        value=lexicon.cardinal_words[word.lower()],
-                    )
-                out.append(
-                    Token(surface=word, lemma=lemmatize(word), index=0, mention=mention)
+            if special.replacement_text is None:
+                mention = MentionAnnotation(
+                    MentionKind.NUMTERM, special.value, suffix_class=special.suffix_class
                 )
-        i += len(special.term)
+                out.append(_merge_tokens(tokens[i : i + len(special.term)], mention))
+            else:
+                out.extend(_rewrite(special.replacement_text, lexicon, mode))
+            i += len(special.term)
     return make_sentence(out)
 
 
@@ -412,7 +370,6 @@ def preprocess_sentence(
     zero_mode: bool = False,
 ) -> Sentence:
     """Run the full per-sentence preprocessing chain."""
-    if zero_mode:
-        sentence = rewrite_zero_cues(sentence)
-    sentence = normalize_special_terms(sentence, lexicon)
-    return annotate_mentions(sentence, lexicon, mode=mode)
+    return annotate_mentions(
+        rewrite_zero_cues(sentence) if zero_mode else sentence, lexicon, mode=mode
+    )

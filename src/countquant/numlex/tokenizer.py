@@ -2,30 +2,28 @@
 
 No external NLP dependency: sentences split on terminal punctuation, tokens
 on whitespace/punctuation boundaries, and lemmas come from plural-stripping
-rules plus an exceptions table for irregular forms. Swap in a different
-lemmatizer by passing ``lemma_fn`` to :func:`tokenize` if higher fidelity is
-needed; downstream code only relies on the ``Token.lemma`` field.
+rules plus an exceptions table for irregular forms.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable
 
 from .types import Sentence, Token, make_sentence
 
 # Ordered alternatives: digit ordinals, decimal numbers, comma-grouped
 # integers, words (internal apostrophes/hyphens/digits stay inside the
 # token), anything else as a single punctuation character. A comma joins
-# digits only before a group of exactly three ("1,200"); otherwise it is
-# punctuation ("1999,2001" and "1,2" are two numbers).
+# digits only after a leading group of one to three digits and before a
+# group of exactly three ("1,200"); otherwise it is punctuation ("1999,2001",
+# "1999,200" and "1,2" are two numbers).
 _TOKEN_RE = re.compile(
     r"""
-    \d+(?:st|nd|rd|th)\b     # digit ordinal, "23rd"
-  | \d+(?:,\d{3})*\.\d+      # decimal number, keeps "3.5" in one token
-  | \d+(?:,\d{3}(?!\d))*     # integer, possibly comma-grouped ("1,200")
+    \d+(?:st|nd|rd|th)\b                 # digit ordinal, "23rd"
+  | (?:\d{1,3}(?:,\d{3})+|\d+)\.\d+      # decimal number, keeps "3.5" in one token
+  | \d{1,3}(?:,\d{3}(?!\d))+ | \d+      # integer, possibly comma-grouped ("1,200")
   | [A-Za-z][A-Za-z0-9]*(?:['’-][A-Za-z0-9]+)*
-  | \S                       # any other visible character
+  | \S                                   # any other visible character
     """,
     re.VERBOSE,
 )
@@ -93,7 +91,7 @@ def _split_contractions(raw: list[str]) -> list[str]:
     return out
 
 
-def tokenize(text: str, lemma_fn: Callable[[str], str] = lemmatize) -> list[Sentence]:
+def tokenize(text: str) -> list[Sentence]:
     """Split *text* into sentences of tokens.
 
     Sentences end at ``.``, ``!`` or ``?`` tokens; decimal points inside
@@ -103,7 +101,7 @@ def tokenize(text: str, lemma_fn: Callable[[str], str] = lemmatize) -> list[Sent
     sentences: list[Sentence] = []
     current: list[Token] = []
     for surface in raw:
-        current.append(Token(surface=surface, lemma=lemma_fn(surface), index=len(current)))
+        current.append(Token(surface=surface, lemma=lemmatize(surface), index=len(current)))
         if surface in _TERMINALS:
             sentences.append(make_sentence(current))
             current = []

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import shutil
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from countquant.numlex import (
     INFERENCE_MODE,
+    TRAIN_MODE,
+    MentionAnnotation,
     MentionKind,
     Token,
     annotate_mentions,
@@ -16,13 +20,21 @@ from countquant.numlex import (
     load_default_lexicon,
     load_lexicon,
     make_sentence,
-    normalize_special_terms,
     preprocess_sentence,
     rewrite_zero_cues,
     to_placeholder_sequence,
     tokenize,
 )
-from countquant.numlex.mentions import _decode_affix, _match_special
+from countquant.numlex import mentions
+from countquant.numlex.mentions import (
+    _DIGIT_CARDINAL_RE,
+    _decode_affix,
+    _match_special,
+    _merge_tokens,
+    _parse_cardinal_words,
+    _parse_hyphenated_cardinal,
+    _parse_ordinal,
+)
 
 LEXICON = load_default_lexicon()
 
@@ -53,6 +65,13 @@ class TestTokenize:
         (s,) = tokenize("It sold 1,200 or 1,234.5 or 12,3456 units")
         assert s.surfaces() == [
             "It", "sold", "1,200", "or", "1,234.5", "or", "12", ",", "3456", "units",
+        ]
+
+    def test_comma_groups_only_after_one_to_three_digits(self):
+        (s,) = tokenize("children in 1999,200 people or 1999,200.5 or 12,345,678 or 12345")
+        assert s.surfaces() == [
+            "children", "in", "1999", ",", "200", "people", "or", "1999", ",", "200.5",
+            "or", "12,345,678", "or", "12345",
         ]
 
     def test_contraction_split(self):
@@ -105,11 +124,15 @@ class TestAnnotateMentions:
         assert [t.mention.value for t in s.mentions] == [1999, 2001, 2004]
         assert [t.mention.kind for t in s.mentions] == [MentionKind.CARDINAL] * 3
 
+    def test_comma_after_long_group_is_not_a_separator(self, prep):
+        s = prep("children in 1999,200 people", mode=INFERENCE_MODE)
+        assert [t.mention.value for t in s.mentions] == [1999, 200]
+
     def test_comma_before_short_group_is_not_a_separator(self, prep):
         s = prep("He has 1,2 sons", mode=INFERENCE_MODE)
         assert [t.mention.value for t in s.mentions] == [1, 2]
 
-    @pytest.mark.parametrize("surface", ["1,2", "1999,2001", "1,2345", "1,"])
+    @pytest.mark.parametrize("surface", ["1,2", "1999,2001", "1,2345", "1,", "1999,200"])
     def test_digit_cardinal_needs_three_digit_groups(self, surface):
         s = make_sentence([Token(surface=surface, lemma=surface, index=0)])
         assert annotate_mentions(s, LEXICON).mentions == ()
@@ -138,6 +161,26 @@ class TestAnnotateMentions:
         (tok,) = prep(text).mentions
         assert tok.mention.value == value
         assert tok.surface == " ".join(text.split()[:-1])
+
+    @pytest.mark.parametrize("text,value", [
+        ("twenty one hundred children", 2100),
+        ("ninety nine hundred and ninety nine children", 9999),
+        ("twenty hundred children", 2000),
+    ])
+    def test_hundred_after_tens(self, prep, text, value):
+        (tok,) = prep(text).mentions
+        assert tok.mention.value == value
+        assert tok.surface == " ".join(text.split()[:-1])
+
+    @pytest.mark.parametrize("text,value", [
+        ("twenty one hundred thousand fans", 2100),
+        ("nineteen hundred thousand fans", 1900),
+    ])
+    def test_hundred_thousand_stays_under_cap(self, prep, text, value):
+        s = prep(text)
+        assert [(t.surface, t.mention.value) for t in s.mentions] == [
+            (" ".join(text.split()[:-2]), value)
+        ]
 
     def test_word_grammar_reaches_cap(self, prep):
         s = prep("nine hundred ninety nine thousand nine hundred ninety nine fans")
@@ -172,25 +215,25 @@ class TestAnnotateMentions:
 class TestNormalizeSpecialTerms:
     def test_thrice_becomes_three_times(self, lexicon):
         (s,) = tokenize("thrice")
-        out = normalize_special_terms(s, lexicon)
+        out = annotate_mentions(s, lexicon)
         assert out.surfaces() == ["three", "times"]
         assert out[0].mention.value == 3
 
     def test_a_dozen_becomes_twelve(self, lexicon):
         (s,) = tokenize("She bought a dozen eggs")
-        out = normalize_special_terms(s, lexicon)
+        out = annotate_mentions(s, lexicon)
         assert out.surfaces() == ["She", "bought", "twelve", "eggs"]
         assert out[2].mention.value == 12
 
     def test_twins_kept_as_placeholder_token(self, lexicon):
         (s,) = tokenize("her twins arrived")
-        out = normalize_special_terms(s, lexicon)
+        out = annotate_mentions(s, lexicon)
         assert out.surfaces() == ["her", "twins", "arrived"]
         assert out[1].mention.placeholder == "NUMTERM-plets"
 
     def test_reindexes(self, lexicon):
         (s,) = tokenize("thrice happy")
-        out = normalize_special_terms(s, lexicon)
+        out = annotate_mentions(s, lexicon)
         assert [t.index for t in out] == [0, 1, 2]
 
 
@@ -329,6 +372,16 @@ def test_zero_rewrite_removes_cues_property(text):
         assert "without" not in surfaces
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.sampled_from(["one", "nine", "nineteen", "twenty", "ninety", "hundred", "thousand", "and"]),
+    min_size=1, max_size=10,
+))
+def test_word_grammar_never_exceeds_cap_property(words):
+    parsed = _parse_cardinal_words(words, LEXICON.cardinal_words)
+    assert parsed is None or parsed[0] <= 999_999
+
+
 # -- the compiled lexicon tables against naive scans --------------------------
 
 
@@ -423,3 +476,209 @@ def test_compiled_tables_on_overlapping_lexicon(tmp_path):
             assert _match_special(tokens, i, lexicon) == _naive_match_special(
                 tokens, i, lexicon
             ), (words, i)
+
+
+# -- the one-scan annotation against the two-pass reference -------------------
+#
+# The reference is the earlier chain: a pass that rewrites special terms,
+# then an annotation pass that matches special terms again. It shares the
+# module's parsers, so both sides read numbers the same way.
+
+
+def _reference_special_value(term, lexicon):
+    if term.value is not None:
+        return term.value
+    words = term.replacement_text.lower().split()
+    parsed = _parse_cardinal_words(words, lexicon.cardinal_words)
+    if parsed is None:
+        raise ValueError(f"special term {' '.join(term.term)!r}: replacement carries no number")
+    return parsed[0]
+
+
+def _reference_normalize_special_terms(sentence, lexicon):
+    tokens = sentence.tokens
+    out = []
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        special = _match_special(tokens, i, lexicon)
+        if special is None or (tok.mention is not None and special.replacement_text is None):
+            out.append(tok)
+            i += 1
+            continue
+        span = tokens[i : i + len(special.term)]
+        if special.replacement_text is None:
+            mention = MentionAnnotation(
+                kind=MentionKind.NUMTERM,
+                value=_reference_special_value(special, lexicon),
+                suffix_class=special.suffix_class,
+            )
+            out.append(_merge_tokens(span, mention))
+        else:
+            for word in special.replacement_text.split():
+                mention = None
+                if word.lower() in lexicon.cardinal_words:
+                    mention = MentionAnnotation(
+                        kind=MentionKind.CARDINAL, value=lexicon.cardinal_words[word.lower()]
+                    )
+                out.append(Token(surface=word, lemma=lemmatize(word), index=0, mention=mention))
+        i += len(special.term)
+    return make_sentence(out)
+
+
+def _reference_annotate_mentions(sentence, lexicon, mode):
+    tokens = sentence.tokens
+    out = []
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        if tok.mention is not None:
+            out.append(tok)
+            i += 1
+            continue
+
+        special = _match_special(tokens, i, lexicon)
+        if special is not None and all(
+            t.mention is None for t in tokens[i : i + len(special.term)]
+        ):
+            value = _reference_special_value(special, lexicon)
+            mention = MentionAnnotation(
+                kind=MentionKind.NUMTERM, value=value, suffix_class=special.suffix_class
+            )
+            out.append(_merge_tokens(tokens[i : i + len(special.term)], mention))
+            i += len(special.term)
+            continue
+
+        surface = tok.surface.lower()
+
+        if _DIGIT_CARDINAL_RE.match(surface):
+            value = int(surface.replace(",", ""))
+            kind = MentionKind.CARDINAL
+            out.append(tok.with_mention(MentionAnnotation(kind=kind, value=value)))
+            i += 1
+            continue
+
+        hyphen_value = _parse_hyphenated_cardinal(surface, lexicon.cardinal_words)
+        if hyphen_value is not None:
+            out.append(
+                tok.with_mention(
+                    MentionAnnotation(kind=MentionKind.CARDINAL, value=hyphen_value)
+                )
+            )
+            i += 1
+            continue
+
+        if surface in lexicon.cardinal_words or surface == "and":
+            run_words = []
+            j = i
+            while j < len(tokens) and tokens[j].mention is None and (
+                tokens[j].surface.lower() in lexicon.cardinal_words
+                or tokens[j].surface.lower() == "and"
+            ):
+                run_words.append(tokens[j].surface.lower())
+                j += 1
+            parsed = _parse_cardinal_words(run_words, lexicon.cardinal_words)
+            if parsed is not None:
+                value, length = parsed
+                mention = MentionAnnotation(kind=MentionKind.CARDINAL, value=value)
+                out.append(_merge_tokens(tokens[i : i + length], mention))
+                i += length
+                continue
+
+        ordinal_value = _parse_ordinal(tok.surface, lexicon)
+        if ordinal_value is not None:
+            out.append(
+                tok.with_mention(
+                    MentionAnnotation(kind=MentionKind.ORDINAL, value=ordinal_value)
+                )
+            )
+            i += 1
+            continue
+
+        affix = _decode_affix(surface, lexicon) or _decode_affix(tok.lemma, lexicon)
+        if affix is not None:
+            value, suffix = affix
+            out.append(
+                tok.with_mention(
+                    MentionAnnotation(
+                        kind=MentionKind.NUMTERM, value=value, suffix_class=suffix
+                    )
+                )
+            )
+            i += 1
+            continue
+
+        if mode == INFERENCE_MODE and surface in lexicon.articles:
+            out.append(
+                tok.with_mention(MentionAnnotation(kind=MentionKind.ARTICLE, value=1))
+            )
+            i += 1
+            continue
+
+        out.append(tok)
+        i += 1
+    return make_sentence(out)
+
+
+def _reference_preprocess(sentence, lexicon, mode, zero_mode):
+    if zero_mode:
+        sentence = rewrite_zero_cues(sentence)
+    sentence = _reference_normalize_special_terms(sentence, lexicon)
+    return _reference_annotate_mentions(sentence, lexicon, mode)
+
+
+# Special terms that start with a cardinal word ("two score", "hundred
+# weight"), so a word-cardinal run meets them, and replacement texts whose
+# words are no cardinal words: an article, digits, a hyphenated cardinal, an
+# ordinal and an affixed number term.
+_REFERENCE_SPECIALS = (
+    "two score\ta 40\n"
+    "score\tNUMTERM-o:20\n"
+    "hundred weight\tNUMTERM-o:100\n"
+    "gross\ttwenty-one and 3rd trilogy\n"
+)
+
+
+@pytest.fixture(scope="module")
+def reference_lexicons(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("lexicon")
+    for table in (Path(mentions.__file__).parent / "data").glob("*.tsv"):
+        shutil.copy(table, directory / table.name)
+    (directory / "special_terms.tsv").write_text(_REFERENCE_SPECIALS, encoding="utf-8")
+    return {"shipped": LEXICON, "custom": load_lexicon(directory)}
+
+
+# Chunks of one or more words, drawn by kind so that cardinal runs meet
+# special terms often.
+_reference_chunk = st.one_of(
+    st.sampled_from(sorted(LEXICON.cardinal_words) + ["and"]),
+    st.sampled_from(
+        sorted({" ".join(t.term) for t in LEXICON.special_terms}
+               | {line.split("\t")[0] for line in _REFERENCE_SPECIALS.splitlines()})
+    ),
+    st.sampled_from(
+        _special_words
+        + ["score", "weight", "a", "an", "first", "third", "twenty-first", "twenty-one",
+           "3rd", "7", "1,200", "1999,200", "12,345,678", "3.5", "pentalogy", "trilogy",
+           "triplets", "no", "0", "never", "without", "any", "didn't", "times", "children",
+           ",", "."]
+    ),
+    st.text(alphabet=string.ascii_letters, min_size=1, max_size=6),
+)
+
+
+@pytest.mark.parametrize("lexicon_name", ["shipped", "custom"])
+@settings(max_examples=400, deadline=None)
+@given(
+    chunks=st.lists(_reference_chunk, min_size=1, max_size=10),
+    mode=st.sampled_from([TRAIN_MODE, INFERENCE_MODE]),
+    zero_mode=st.booleans(),
+)
+def test_preprocess_equals_two_pass_reference_property(
+    reference_lexicons, lexicon_name, chunks, mode, zero_mode
+):
+    lexicon = reference_lexicons[lexicon_name]
+    for sentence in tokenize(" ".join(chunks)):
+        assert preprocess_sentence(
+            sentence, lexicon, mode=mode, zero_mode=zero_mode
+        ) == _reference_preprocess(sentence, lexicon, mode, zero_mode)
