@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -20,7 +21,7 @@ import click
 
 from . import crf, dsgen, evaluate as ev, kbstore
 from .consolidate import CountingQuantifier
-from .dsgen import Corpus, GenerationStats, SeedPolicy
+from .dsgen import Corpus, SeedPolicy
 from .kbstore import Relation
 from .numlex import LexiconFormatError, load_default_lexicon, load_lexicon
 from .pipeline import extract_document
@@ -100,63 +101,46 @@ def main(ctx: click.Context, config: Optional[str]) -> None:
         ctx.default_map = {name: values for name in main.commands}
 
 
-# Per-process state for worker pools; initialized once per worker so large
-# objects are not re-pickled for every task. The command loads the lexicon
-# and model once and hands the loaded objects to every worker.
-_STATE: dict = {}
+# A pool worker receives the task function once, through its initializer,
+# so the lexicon and model bound into it are not pickled again per task.
+# Only worker processes set it.
+_worker_fn = None
 
 
-def _init_label_worker(lexicon, upper_bound, policy, relation):
-    _STATE["lexicon"] = lexicon
-    _STATE["upper_bound"] = upper_bound
-    _STATE["policy"] = policy
-    _STATE["relation"] = relation
+def _set_worker_fn(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
 
 
-def _label_one(task):
-    subject, text, kb_count = task
-    return dsgen.label_subject_document(
-        text,
-        kb_count,
-        _STATE["upper_bound"],
-        _STATE["lexicon"],
-        _STATE["policy"],
-        subject=subject,
-        relation=_STATE["relation"],
-    )
+def _run_worker_fn(task):
+    return _worker_fn(task)
 
 
-def _init_extract_worker(model, lexicon, threshold, zero_mode, relation):
-    _STATE["model"] = model
-    _STATE["lexicon"] = lexicon
-    _STATE["threshold"] = threshold
-    _STATE["zero_mode"] = zero_mode
-    _STATE["relation"] = relation
-
-
-def _extract_one(task):
-    subject, text = task
-    cq = extract_document(
-        _STATE["model"],
-        _STATE["lexicon"],
-        subject,
-        text,
-        relation=_STATE["relation"],
-        threshold=_STATE["threshold"],
-        zero_mode=_STATE["zero_mode"],
-    )
-    return subject, (cq.to_json_dict() if cq else None)
-
-
-def _pool_map(fn, tasks, workers, initializer, initargs):
-    """Map preserving task order; inline when workers == 1."""
+def _pool_map(fn, tasks, workers):
+    """``[fn(t) for t in tasks]`` in task order, over *workers* processes when more than one."""
     if workers <= 1:
-        initializer(*initargs)
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=initializer, initargs=initargs
+        max_workers=workers, initializer=_set_worker_fn, initargs=(fn,)
     ) as pool:
-        return list(pool.map(fn, tasks, chunksize=8))
+        return list(pool.map(_run_worker_fn, tasks, chunksize=8))
+
+
+def _label_task(upper_bound, lexicon, policy, relation, task):
+    subject, text, kb_count = task
+    return dsgen.label_subject_document(
+        text, kb_count, upper_bound, lexicon, policy, subject=subject, relation=relation
+    )
+
+
+def _extract_task(model, lexicon, threshold, zero_mode, relation, task):
+    """The subject's prediction as one JSON line, or None."""
+    subject, text = task
+    cq = extract_document(
+        model, lexicon, subject, text,
+        relation=relation, threshold=threshold, zero_mode=zero_mode,
+    )
+    return json.dumps(cq.to_json_dict(), sort_keys=True, ensure_ascii=False) if cq else None
 
 
 @main.command("build-training")
@@ -187,12 +171,10 @@ def cmd_build_training(kb, corpus, relation, training, lexicon_dir,
         raise click.ClickException(
             f"no subjects of relation {rel.label} found in both KB and corpus"
         )
-    results = _pool_map(
-        _label_one, selection, workers, _init_label_worker,
-        (lexicon, upper_bound, policy, rel),
+    labeled, stats = dsgen.join_documents(
+        _pool_map(partial(_label_task, upper_bound, lexicon, policy, rel), selection, workers),
+        rel,
     )
-    labeled = [ls for sentences, _ in results for ls in sentences]
-    stats = sum((s for _, s in results), GenerationStats())
     dsgen.write_conll(labeled, training)
     click.echo(f"wrote {training}: {len(labeled)} sentences ({stats.summary()})")
     for warning in stats.warnings:
@@ -245,18 +227,8 @@ def cmd_extract(model, corpus, relation, predictions, lexicon_dir, threshold, ze
     rel = parse_relation(relation) if relation else None
 
     tasks = [(s, documents[s]) for s in documents.subjects()]
-    results = _pool_map(
-        _extract_one,
-        tasks,
-        workers,
-        _init_extract_worker,
-        (fitted, lexicon, threshold, zero_mode, rel),
-    )
-    lines = [
-        json.dumps(cq_dict, sort_keys=True, ensure_ascii=False)
-        for _, cq_dict in results
-        if cq_dict is not None
-    ]
+    extract = partial(_extract_task, fitted, lexicon, threshold, zero_mode, rel)
+    lines = [line for line in _pool_map(extract, tasks, workers) if line is not None]
     Path(predictions).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     click.echo(f"wrote {predictions}: {len(lines)} predictions for {len(tasks)} subjects")
 
@@ -269,7 +241,7 @@ def _load_predictions(path: Path) -> dict[str, CountingQuantifier]:
         try:
             record = json.loads(line)
             subject = str(record["subject"])
-            predictions[subject] = CountingQuantifier(
+            prediction = CountingQuantifier(
                 subject=subject,
                 relation=None,
                 count=int(record["count"]),
@@ -277,6 +249,9 @@ def _load_predictions(path: Path) -> dict[str, CountingQuantifier]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise click.ClickException(f"{path}:{lineno}: bad prediction record: {exc}") from exc
+        if subject in predictions:
+            raise click.ClickException(f"{path}:{lineno}: duplicate subject {subject!r}")
+        predictions[subject] = prediction
     return predictions
 
 
@@ -287,9 +262,12 @@ def _load_gold_counts(path: Path) -> dict[str, int]:
             continue
         try:
             subject, count = line.split("\t")
-            gold[subject] = int(count)
+            count = int(count)
         except ValueError as exc:
             raise click.ClickException(f"{path}:{lineno}: expected subject<TAB>count") from exc
+        if subject in gold:
+            raise click.ClickException(f"{path}:{lineno}: duplicate subject {subject!r}")
+        gold[subject] = count
     return gold
 
 

@@ -12,10 +12,11 @@ so labeling is deliberately asymmetric:
 * value > relation bound               -> O (implausibly high for the
   relation, safe negative)
 
-Runs of mentions joined by commas/"and" whose values sum to the KB count
-become COUNT seeds with the cues tagged COMP. Sentences whose mention value
-repeats across the document in near-identical contexts (low signature
-entropy) are dropped as uninformative.
+Articles and zero cues never become COUNT seeds. Runs of mentions joined by
+commas/"and" whose values sum to the KB count become COUNT seeds with the
+cues tagged COMP. Sentences whose mention value repeats across the document
+in near-identical contexts (low context entropy) are dropped as
+uninformative.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .kbstore import KbStore, Relation, count_percentile, popularity_percentile_cutoff
 from .numlex import (
@@ -33,6 +34,7 @@ from .numlex import (
     Sentence,
     TRAIN_MODE,
     is_comp_cue,
+    load_default_lexicon,
     preprocess_sentence,
     to_placeholder_sequence,
     tokenize,
@@ -92,8 +94,6 @@ class SeedPolicy:
     popularity_top_fraction: float = 1.0
     upper_bound_q: float = 0.99
     entropy_threshold: float = 0.5        # bits
-    entropy_positives_only: bool = False
-    train_special_terms_as_seeds: bool = True
 
 
 @dataclass
@@ -107,12 +107,7 @@ class GenerationStats:
 
     def __add__(self, other: "GenerationStats") -> "GenerationStats":
         return GenerationStats(
-            subjects=self.subjects + other.subjects,
-            positives=self.positives + other.positives,
-            negatives=self.negatives + other.negatives,
-            excluded=self.excluded + other.excluded,
-            entropy_dropped=self.entropy_dropped + other.entropy_dropped,
-            warnings=self.warnings + other.warnings,
+            *(getattr(self, f.name) + getattr(other, f.name) for f in fields(self))
         )
 
     def summary(self) -> str:
@@ -123,14 +118,7 @@ class GenerationStats:
         )
 
 
-def _seed_eligible(token, policy: SeedPolicy) -> bool:
-    """Can this mention be labeled COUNT during training?"""
-    kind = token.mention.kind
-    if kind in (MentionKind.ARTICLE, MentionKind.ZERO):
-        return False
-    if kind is MentionKind.NUMTERM and not policy.train_special_terms_as_seeds:
-        return False
-    return True
+_NEVER_SEEDS = (MentionKind.ARTICLE, MentionKind.ZERO)
 
 
 def _find_composition_run(
@@ -145,27 +133,21 @@ def _find_composition_run(
     for a in range(len(candidates)):
         for b in range(a + 1, min(a + MAX_RUN_MENTIONS, len(candidates))):
             run = candidates[a : b + 1]
-            gaps_ok = True
             cue_positions: list[int] = []
             for left, right in zip(run, run[1:]):
-                gap = list(range(left + 1, right))
+                gap = range(left + 1, right)
                 cues = [g for g in gap if is_comp_cue(tokens[g])]
                 if not cues or len(gap) > MAX_RUN_GAP:
-                    gaps_ok = False
                     break
                 cue_positions.extend(cues)
-            if not gaps_ok:
-                continue
-            if sum(tokens[i].mention.value for i in run) == kb_count:
-                return run, cue_positions
+            else:
+                if sum(tokens[i].mention.value for i in run) == kb_count:
+                    return run, cue_positions
     return [], []
 
 
 def label_sentence(
-    sentence: Sentence,
-    kb_count: int,
-    upper_bound: int,
-    policy: SeedPolicy = SeedPolicy(),
+    sentence: Sentence, kb_count: int, upper_bound: int
 ) -> LabeledSentence | Excluded:
     """Label one mention-annotated sentence against the KB count.
 
@@ -176,44 +158,45 @@ def label_sentence(
     if kb_count < 1:
         raise ValueError("training subjects must have at least one object")
 
-    mention_positions = [t.index for t in sentence.mentions]
-    for i in mention_positions:
-        value = sentence[i].mention.value
-        if kb_count < value <= upper_bound:
-            return Excluded(sentence=sentence)
+    mentions = sentence.mentions
+    if any(kb_count < t.mention.value <= upper_bound for t in mentions):
+        return Excluded(sentence=sentence)
 
+    eligible = [t.index for t in mentions if t.mention.kind not in _NEVER_SEEDS]
+    exact = [i for i in eligible if sentence[i].mention.value == kb_count]
+    run, cues = _find_composition_run(
+        sentence, [i for i in eligible if i not in exact], kb_count
+    )
     tags = [OTHER] * len(sentence)
-    exact = [
-        i
-        for i in mention_positions
-        if sentence[i].mention.value == kb_count and _seed_eligible(sentence[i], policy)
-    ]
-    for i in exact:
-        tags[i] = COUNT
-
-    run_pool = [
-        i
-        for i in mention_positions
-        if i not in exact and _seed_eligible(sentence[i], policy)
-    ]
-    run, cues = _find_composition_run(sentence, run_pool, kb_count)
-    for i in run:
+    for i in exact + run:
         tags[i] = COUNT
     for i in cues:
         tags[i] = COMP
-
     return LabeledSentence(sentence=sentence, tags=tuple(tags))
 
 
-def _context_signature(sentence: Sentence, position: int) -> tuple[str, ...]:
-    lemmas = sentence.lemmas()
-    def at(j: int) -> str:
-        if j < 0:
-            return "<BOS>"
-        if j >= len(lemmas):
-            return "<EOS>"
-        return lemmas[j]
-    return (at(position - 2), at(position - 1), at(position + 1), at(position + 2))
+def _contexts_by_value(document: list[Sentence]) -> dict[int, Counter]:
+    """How often each mentioned value occurs in each context, in one pass.
+
+    A context is the two lemmas on each side of a mention, padded with
+    ``<BOS>``/``<EOS>``. Values and contexts are counted in document order.
+    """
+    contexts: dict[int, Counter] = {}
+    for sent in document:
+        mentions = sent.mentions
+        if not mentions:
+            continue
+        lemmas = ["<BOS>", "<BOS>", *sent.lemmas(), "<EOS>", "<EOS>"]
+        for tok in mentions:
+            i = tok.index + 2
+            context = (lemmas[i - 2], lemmas[i - 1], lemmas[i + 1], lemmas[i + 2])
+            contexts.setdefault(tok.mention.value, Counter())[context] += 1
+    return contexts
+
+
+def _entropy_bits(contexts: Counter) -> float:
+    total = sum(contexts.values())
+    return -sum((c / total) * math.log2(c / total) for c in contexts.values()) or 0.0
 
 
 def number_entropy(document: list[Sentence], value: int) -> float:
@@ -225,35 +208,16 @@ def number_entropy(document: list[Sentence], value: int) -> float:
     """
     if not document:
         raise ValueError("document must be non-empty")
-    signatures = Counter(
-        _context_signature(sent, tok.index)
-        for sent in document
-        for tok in sent.mentions
-        if tok.mention.value == value
-    )
-    total = sum(signatures.values())
-    if total == 0:
-        return 0.0
-    return -sum(
-        (c / total) * math.log2(c / total) for c in signatures.values()
-    ) or 0.0
+    contexts = _contexts_by_value(document).get(value)
+    return _entropy_bits(contexts) if contexts else 0.0
 
 
-def _value_occurrences(document: list[Sentence]) -> Counter:
-    return Counter(
-        tok.mention.value for sent in document for tok in sent.mentions
-    )
-
-
-def _low_entropy_values(
-    document: list[Sentence], threshold: float
-) -> set[int]:
+def _uninformative_values(document: list[Sentence], threshold: float) -> set[int]:
     """Values mentioned more than once whose context entropy is below threshold."""
-    occurrences = _value_occurrences(document)
     return {
         value
-        for value, n in occurrences.items()
-        if n > 1 and number_entropy(document, value) < threshold
+        for value, contexts in _contexts_by_value(document).items()
+        if sum(contexts.values()) > 1 and _entropy_bits(contexts) < threshold
     }
 
 
@@ -305,9 +269,7 @@ def label_subject_document(
     document = [
         preprocess_sentence(s, lexicon, mode=TRAIN_MODE) for s in tokenize(text)
     ]
-    low_entropy = _low_entropy_values(document, policy.entropy_threshold)
-    if policy.entropy_positives_only:
-        low_entropy &= {kb_count}
+    low_entropy = _uninformative_values(document, policy.entropy_threshold)
 
     labeled: list[LabeledSentence] = []
     for sent in document:
@@ -316,16 +278,11 @@ def label_subject_document(
         if any(t.mention.value in low_entropy for t in sent.mentions):
             stats.entropy_dropped += 1
             continue
-        outcome = label_sentence(sent, kb_count, upper_bound, policy)
+        outcome = label_sentence(sent, kb_count, upper_bound)
         if isinstance(outcome, Excluded):
             stats.excluded += 1
             continue
-        outcome = LabeledSentence(
-            sentence=outcome.sentence,
-            tags=outcome.tags,
-            subject=subject,
-            relation=relation,
-        )
+        outcome = replace(outcome, subject=subject, relation=relation)
         if COUNT in outcome.tags:
             stats.positives += 1
         else:
@@ -365,21 +322,34 @@ def generate_training_set(
     Deterministic: subjects are processed in sorted order and each document
     independently, so results do not depend on worker scheduling.
     """
-    from .numlex import load_default_lexicon
-
     lexicon = lexicon or load_default_lexicon()
     upper_bound, selection = select_subjects(store, corpus, rel, policy)
-    all_labeled: list[LabeledSentence] = []
+    return join_documents(
+        (
+            label_subject_document(
+                text, kb_count, upper_bound, lexicon, policy, subject=subject, relation=rel,
+            )
+            for subject, text, kb_count in selection
+        ),
+        rel,
+    )
+
+
+def join_documents(
+    results: Iterable[tuple[list[LabeledSentence], GenerationStats]], rel: Relation
+) -> tuple[list[LabeledSentence], GenerationStats]:
+    """The labeled sentences of per-document results, in order, and their summed stats.
+
+    An empty result warns that the relation has no training set.
+    """
+    labeled: list[LabeledSentence] = []
     stats = GenerationStats()
-    for subject, text, kb_count in selection:
-        labeled, doc_stats = label_subject_document(
-            text, kb_count, upper_bound, lexicon, policy, subject=subject, relation=rel,
-        )
-        all_labeled.extend(labeled)
+    for sentences, doc_stats in results:
+        labeled.extend(sentences)
         stats = stats + doc_stats
-    if not all_labeled:
+    if not labeled:
         stats.warnings.append(f"relation {rel.label}: empty training set")
-    return all_labeled, stats
+    return labeled, stats
 
 
 def write_conll(labeled: list[LabeledSentence], path: Path | str) -> None:

@@ -14,7 +14,8 @@ term's replacement text starts a special term itself.
 
 ``mode="train"`` skips indefinite articles: they are far too frequent to act
 as training cues and are only annotated when applying a trained model
-(``mode="inference"``).
+(``mode="inference"``). An article before a scale word is a number word in
+both modes: "a hundred" is the cardinal 100.
 """
 
 from __future__ import annotations
@@ -125,16 +126,6 @@ def _parse_cardinal_words(words: list[str], table: dict[str, int]) -> Optional[t
     return best
 
 
-def _parse_hyphenated_cardinal(surface: str, table: dict[str, int]) -> Optional[int]:
-    parts = surface.lower().split("-")
-    if len(parts) < 2 or any(p not in table for p in parts):
-        return None
-    parsed = _parse_cardinal_words(parts, table)
-    if parsed and parsed[1] == len(parts):
-        return parsed[0]
-    return None
-
-
 def _parse_ordinal(surface: str, lexicon: NumLexicon) -> Optional[int]:
     w = surface.lower()
     if w in lexicon.ordinal_words:
@@ -184,6 +175,34 @@ def _merge_tokens(span: tuple[Token, ...], mention: MentionAnnotation) -> Token:
     )
 
 
+def _cardinal_run(
+    tokens: tuple[Token, ...],
+    i: int,
+    head: list[str],
+    specials: dict[int, SpecialTerm],
+    lexicon: NumLexicon,
+) -> Optional[tuple[int, int]]:
+    """Longest cardinal that reads ``tokens[i]`` as the words *head*, then goes on.
+
+    The run continues through the unannotated number words and "and" after
+    ``tokens[i]``; it ends at an annotated token or where a special term
+    starts (a key of *specials*). Returns (value, tokens spanned), or None
+    unless every word of *head* is read.
+    """
+    words = list(head)
+    for j in range(i + 1, len(tokens)):
+        word = tokens[j].surface.lower()
+        if j in specials or tokens[j].mention is not None or not (
+            word in lexicon.cardinal_words or word == "and"
+        ):
+            break
+        words.append(word)
+    parsed = _parse_cardinal_words(words, lexicon.cardinal_words)
+    if parsed is None or parsed[1] < len(head):
+        return None
+    return parsed[0], 1 + parsed[1] - len(head)
+
+
 def _recognise(
     tokens: tuple[Token, ...],
     i: int,
@@ -193,37 +212,35 @@ def _recognise(
 ) -> tuple[Optional[MentionAnnotation], int]:
     """Mention starting at the unannotated ``tokens[i]``, and how many tokens it spans.
 
-    Tries, in order: digit cardinal, hyphenated cardinal, word-cardinal run,
-    ordinal, affixed number term, article (inference mode only). A run ends
-    at an annotated token or where a special term starts (a key of
-    *specials*). Returns ``(None, 1)`` when the token is no mention.
+    Tries, in order: digit cardinal, word-cardinal run, ordinal, affixed
+    number term, article. A run starts at a cardinal word, "and" or a
+    hyphenated cardinal, which reads as its parts ("twenty-one hundred" is
+    2100), and an article before a scale word starts one as "one" ("a
+    hundred" is 100, in both modes). Any other article is a mention in
+    inference mode only. Returns ``(None, 1)`` when the token is no mention.
     """
     surface = tokens[i].surface.lower()
     if _DIGIT_CARDINAL_RE.match(surface):
         return MentionAnnotation(MentionKind.CARDINAL, int(surface.replace(",", ""))), 1
-    value = _parse_hyphenated_cardinal(surface, lexicon.cardinal_words)
-    if value is not None:
-        return MentionAnnotation(MentionKind.CARDINAL, value), 1
-    if surface in lexicon.cardinal_words or surface == "and":
-        words = [surface]
-        for j in range(i + 1, len(tokens)):
-            word = tokens[j].surface.lower()
-            if j in specials or tokens[j].mention is not None or not (
-                word in lexicon.cardinal_words or word == "and"
-            ):
-                break
-            words.append(word)
-        parsed = _parse_cardinal_words(words, lexicon.cardinal_words)
-        if parsed is not None:
-            return MentionAnnotation(MentionKind.CARDINAL, parsed[0]), parsed[1]
+    table = lexicon.cardinal_words
+    if surface in table or surface == "and" or (
+        "-" in surface and all(word in table for word in surface.split("-"))
+    ):
+        run = _cardinal_run(tokens, i, surface.split("-"), specials, lexicon)
+        if run is not None:
+            return MentionAnnotation(MentionKind.CARDINAL, run[0]), run[1]
     value = _parse_ordinal(surface, lexicon)
     if value is not None:
         return MentionAnnotation(MentionKind.ORDINAL, value), 1
     affix = _decode_affix(surface, lexicon) or _decode_affix(tokens[i].lemma, lexicon)
     if affix is not None:
         return MentionAnnotation(MentionKind.NUMTERM, affix[0], suffix_class=affix[1]), 1
-    if mode == INFERENCE_MODE and surface in lexicon.articles:
-        return MentionAnnotation(MentionKind.ARTICLE, 1), 1
+    if surface in lexicon.articles:
+        run = _cardinal_run(tokens, i, ["one"], specials, lexicon)
+        if run is not None and run[1] > 1:
+            return MentionAnnotation(MentionKind.CARDINAL, run[0]), run[1]
+        if mode == INFERENCE_MODE:
+            return MentionAnnotation(MentionKind.ARTICLE, 1), 1
     return None, 1
 
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -157,6 +160,22 @@ class TestBuildTraining:
         ])
         assert "excluded=1" in result.output
 
+    def test_empty_training_set_warns(self, runner, tmp_path):
+        # the one seed subject's document has no candidate mention
+        kb = ["a\t__instance_of__\thuman", "a\tchild\tc0"]
+        (tmp_path / "kb.tsv").write_text("\n".join(kb) + "\n", encoding="utf-8")
+        (tmp_path / "corpus.jsonl").write_text(
+            json.dumps({"subject": "a", "text": "A wrote books ."}) + "\n", encoding="utf-8"
+        )
+        out = tmp_path / "t.conll"
+        result = run_ok(runner, [
+            "build-training", "--kb", str(tmp_path / "kb.tsv"),
+            "--corpus", str(tmp_path / "corpus.jsonl"),
+            "--relation", "human:child", "--out", str(out),
+        ])
+        assert out.read_text(encoding="utf-8") == ""
+        assert "warning: relation human_child: empty training set" in result.output
+
 
 class TestFullPipeline:
     def _pipeline(self, runner, root, workers: int = 1, suffix: str = ""):
@@ -267,6 +286,25 @@ class TestBundledMiniCorpus:
         )
         write_conll(labeled, tmp_path / "library.conll")
         assert out.read_bytes() == (tmp_path / "library.conll").read_bytes()
+
+    def test_module_entry_point_equals_cli_runner(self, runner, tmp_path, monkeypatch):
+        # the offline form of the README walkthrough: no installed script needed
+        repo = self.MINI.parents[2]
+        monkeypatch.chdir(repo)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(repo / "src"), env.get("PYTHONPATH")])
+        )
+        subprocess.run(
+            [sys.executable, "-m", "countquant.cli", "--config", "tests/data/mini/run.conf",
+             "build-training", "--out", str(tmp_path / "module.conll")],
+            env=env, check=True, capture_output=True,
+        )
+        run_ok(runner, ["--config", "tests/data/mini/run.conf", "build-training",
+                        "--out", str(tmp_path / "runner.conll")])
+        assert (tmp_path / "module.conll").read_bytes() == (
+            tmp_path / "runner.conll"
+        ).read_bytes()
 
     def test_reproduces_worked_example_count_six(self, runner, tmp_path):
         train = tmp_path / "train.conll"
@@ -443,6 +481,24 @@ class TestMalformedInputs:
         result = runner.invoke(main, ["evaluate", "--pred", str(tmp_path / "pred.jsonl"),
                                       "--gold", str(gold), "--out", str(tmp_path / "m.json")])
         self.assert_reported(result, f"{gold}:2")
+
+    def test_duplicate_gold_subject(self, runner, tmp_path):
+        (tmp_path / "pred.jsonl").write_text(self.PRED + "\n", encoding="utf-8")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("p00\t1\n# again\np00\t2\n", encoding="utf-8")
+        result = runner.invoke(main, ["evaluate", "--pred", str(tmp_path / "pred.jsonl"),
+                                      "--gold", str(gold), "--out", str(tmp_path / "m.json")])
+        self.assert_reported(result, f"{gold}:3")
+        assert f"Error: {gold}:3: duplicate subject 'p00'" in result.output
+
+    def test_duplicate_prediction_subject(self, runner, fixture_dir):
+        pred = fixture_dir / "pred.jsonl"
+        pred.write_text(self.PRED + "\n\n" + self.PRED + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["evaluate", "--pred", str(pred),
+                                      "--gold", str(fixture_dir / "gold.tsv"),
+                                      "--out", str(fixture_dir / "m.json")])
+        self.assert_reported(result, f"{pred}:3")
+        assert f"Error: {pred}:3: duplicate subject 'p00'" in result.output
 
     @pytest.mark.parametrize("bad", [
         '{"subject": "a", "count": 1',

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from countquant.dsgen import (
     LabeledSentence,
     OTHER,
     SeedPolicy,
+    _uninformative_values,
     generate_training_set,
     label_sentence,
     number_entropy,
@@ -22,7 +25,15 @@ from countquant.dsgen import (
     write_conll,
 )
 from countquant.kbstore import Relation, load_triples
-from countquant.numlex import load_default_lexicon, preprocess_sentence, tokenize
+from countquant.numlex import (
+    MentionAnnotation,
+    MentionKind,
+    Token,
+    load_default_lexicon,
+    make_sentence,
+    preprocess_sentence,
+    tokenize,
+)
 
 LEXICON = load_default_lexicon()
 REL = Relation(subject_class="human", property="child")
@@ -72,12 +83,6 @@ class TestLabelSentence:
         out = label_sentence(s, 2, 7)
         twins = next(t for t in out.sentence if t.surface == "twins")
         assert out.tags[twins.index] == COUNT
-
-    def test_numterm_not_seed_when_disabled(self, prep):
-        s = prep("She gave birth to twins .")
-        policy = SeedPolicy(train_special_terms_as_seeds=False)
-        out = label_sentence(s, 2, 7, policy)
-        assert set(out.tags) == {OTHER}
 
     def test_ordinal_equal_is_seed_lower_is_negative(self, prep):
         s = prep("her third husband")
@@ -183,6 +188,78 @@ class TestNumberEntropy:
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):
             number_entropy([], 4)
+
+
+# -- the one-pass entropy filter against the per-value rescans it replaced -----
+#
+# The reference rescans the document once per value and rebuilds a
+# sentence's lemmas once per mention.
+
+
+def _reference_context_signature(sentence, position):
+    lemmas = sentence.lemmas()
+    def at(j):
+        if j < 0:
+            return "<BOS>"
+        if j >= len(lemmas):
+            return "<EOS>"
+        return lemmas[j]
+    return (at(position - 2), at(position - 1), at(position + 1), at(position + 2))
+
+
+def _reference_number_entropy(document, value):
+    signatures = Counter(
+        _reference_context_signature(sent, tok.index)
+        for sent in document
+        for tok in sent.mentions
+        if tok.mention.value == value
+    )
+    total = sum(signatures.values())
+    if total == 0:
+        return 0.0
+    return -sum(
+        (c / total) * math.log2(c / total) for c in signatures.values()
+    ) or 0.0
+
+
+def _reference_low_entropy_values(document, threshold):
+    occurrences = Counter(tok.mention.value for sent in document for tok in sent.mentions)
+    return {
+        value
+        for value, n in occurrences.items()
+        if n > 1 and _reference_number_entropy(document, value) < threshold
+    }
+
+
+# A token is (lemma, mention value or None); two lemmas make contexts repeat.
+_entropy_sentence = st.lists(
+    st.tuples(st.sampled_from(["has", "son"]), st.none() | st.integers(0, 3)),
+    min_size=1, max_size=3,
+)
+
+
+def _entropy_document(drawn):
+    return [
+        make_sentence(
+            Token(surface=lemma, lemma=lemma, index=i,
+                  mention=None if value is None
+                  else MentionAnnotation(MentionKind.CARDINAL, value))
+            for i, (lemma, value) in enumerate(sentence)
+        )
+        for sentence in drawn
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=st.lists(_entropy_sentence, min_size=1, max_size=8))
+def test_one_pass_entropy_equals_per_value_rescans(drawn):
+    document = _entropy_document(drawn)
+    for value in range(5):
+        assert number_entropy(document, value) == _reference_number_entropy(document, value)
+    for threshold in (0.0, 0.5, 1.0):
+        assert _uninformative_values(document, threshold) == _reference_low_entropy_values(
+            document, threshold
+        )
 
 
 def _fixture_kb(tmp_path, *extra):
@@ -304,9 +381,9 @@ class TestStatsAndIo:
         c = GenerationStats(entropy_dropped=4)
         assert (a + b) + c == a + (b + c)
 
-    def test_entropy_positives_only_flag(self, tmp_path, prep):
-        # value 9 repeats in one context but never equals the KB count,
-        # so the positives-only mode keeps those sentences
+    def test_entropy_filter_drops_repeated_non_count_value(self, tmp_path):
+        # value 9 repeats in one context and never equals the KB count: the
+        # filter drops both of its sentences all the same
         text = (
             "Trump set a record of nine wins that year . Again a record of nine wins that year . "
             "Trump has five children ."
@@ -318,12 +395,8 @@ class TestStatsAndIo:
         (tmp_path / "kb.tsv").write_text("\n".join(lines), encoding="utf-8")
         store = load_triples(tmp_path / "kb.tsv")
         corpus = Corpus(documents={"trump": text})
-        _, default_stats = generate_training_set(store, corpus, REL)
-        assert default_stats.entropy_dropped == 2
-        _, lenient_stats = generate_training_set(
-            store, corpus, REL, SeedPolicy(entropy_positives_only=True)
-        )
-        assert lenient_stats.entropy_dropped == 0
+        _, stats = generate_training_set(store, corpus, REL)
+        assert stats.entropy_dropped == 2
 
     def test_read_conll_bad_columns(self, tmp_path):
         path = tmp_path / "bad.conll"

@@ -32,7 +32,6 @@ from countquant.numlex.mentions import (
     _match_special,
     _merge_tokens,
     _parse_cardinal_words,
-    _parse_hyphenated_cardinal,
     _parse_ordinal,
 )
 
@@ -196,6 +195,41 @@ class TestAnnotateMentions:
         s = prep("twenty-one books on his twenty-first birthday")
         values = [(t.mention.kind, t.mention.value) for t in s.mentions]
         assert values == [(MentionKind.CARDINAL, 21), (MentionKind.ORDINAL, 21)]
+
+    @pytest.mark.parametrize("mode", [TRAIN_MODE, INFERENCE_MODE])
+    @pytest.mark.parametrize("text,surface,value", [
+        ("He has a hundred descendants", "a hundred", 100),
+        ("a thousand fans", "a thousand", 1000),
+        ("a hundred and five fans", "a hundred and five", 105),
+        ("an hundred thousand fans", "an hundred thousand", 100_000),
+    ])
+    def test_article_before_scale_word_reads_one(self, prep, mode, text, surface, value):
+        s = prep(text, mode=mode)
+        assert [(t.surface, t.mention.kind, t.mention.value) for t in s.mentions] == [
+            (surface, MentionKind.CARDINAL, value)
+        ]
+
+    def test_article_before_other_word_is_unchanged(self, prep):
+        s = prep("a twenty dollar bill and a son", mode=INFERENCE_MODE)
+        assert [(t.surface, t.mention.kind, t.mention.value) for t in s.mentions] == [
+            ("a", MentionKind.ARTICLE, 1),
+            ("twenty", MentionKind.CARDINAL, 20),
+            ("a", MentionKind.ARTICLE, 1),
+        ]
+
+    @pytest.mark.parametrize("mode", [TRAIN_MODE, INFERENCE_MODE])
+    @pytest.mark.parametrize("text,value", [
+        ("twenty-one hundred fans", 2100),
+        ("twenty-one thousand fans", 21_000),
+        ("one-hundred and five fans", 105),
+    ])
+    def test_hyphenated_cardinal_takes_scale_word(self, prep, mode, text, value):
+        hyphenated = prep(text, mode=mode).mentions
+        spaced = prep(text.replace("-", " "), mode=mode).mentions
+        assert [(t.surface, t.mention.value) for t in hyphenated] == [
+            (" ".join(text.split()[:-1]), value)
+        ]
+        assert [t.mention.value for t in spaced] == [value]
 
     def test_digit_ordinal(self, prep):
         s = prep("the 23rd season")
@@ -526,6 +560,22 @@ def _reference_normalize_special_terms(sentence, lexicon):
     return make_sentence(out)
 
 
+def _reference_cardinal_run(tokens, i, head, lexicon):
+    """(value, tokens spanned) of a run reading ``tokens[i]`` as *head*, if it reads all of it."""
+    run_words = list(head)
+    j = i + 1
+    while j < len(tokens) and tokens[j].mention is None and (
+        tokens[j].surface.lower() in lexicon.cardinal_words
+        or tokens[j].surface.lower() == "and"
+    ):
+        run_words.append(tokens[j].surface.lower())
+        j += 1
+    parsed = _parse_cardinal_words(run_words, lexicon.cardinal_words)
+    if parsed is None or parsed[1] < len(head):
+        return None
+    return parsed[0], 1 + parsed[1] - len(head)
+
+
 def _reference_annotate_mentions(sentence, lexicon, mode):
     tokens = sentence.tokens
     out = []
@@ -558,28 +608,11 @@ def _reference_annotate_mentions(sentence, lexicon, mode):
             i += 1
             continue
 
-        hyphen_value = _parse_hyphenated_cardinal(surface, lexicon.cardinal_words)
-        if hyphen_value is not None:
-            out.append(
-                tok.with_mention(
-                    MentionAnnotation(kind=MentionKind.CARDINAL, value=hyphen_value)
-                )
-            )
-            i += 1
-            continue
-
-        if surface in lexicon.cardinal_words or surface == "and":
-            run_words = []
-            j = i
-            while j < len(tokens) and tokens[j].mention is None and (
-                tokens[j].surface.lower() in lexicon.cardinal_words
-                or tokens[j].surface.lower() == "and"
-            ):
-                run_words.append(tokens[j].surface.lower())
-                j += 1
-            parsed = _parse_cardinal_words(run_words, lexicon.cardinal_words)
-            if parsed is not None:
-                value, length = parsed
+        head = surface.split("-")
+        if surface == "and" or all(word in lexicon.cardinal_words for word in head):
+            run = _reference_cardinal_run(tokens, i, head, lexicon)
+            if run is not None:
+                value, length = run
                 mention = MentionAnnotation(kind=MentionKind.CARDINAL, value=value)
                 out.append(_merge_tokens(tokens[i : i + length], mention))
                 i += length
@@ -607,6 +640,14 @@ def _reference_annotate_mentions(sentence, lexicon, mode):
             )
             i += 1
             continue
+
+        if surface in lexicon.articles:
+            run = _reference_cardinal_run(tokens, i, ["one"], lexicon)
+            if run is not None and run[1] > 1:
+                mention = MentionAnnotation(kind=MentionKind.CARDINAL, value=run[0])
+                out.append(_merge_tokens(tokens[i : i + run[1]], mention))
+                i += run[1]
+                continue
 
         if mode == INFERENCE_MODE and surface in lexicon.articles:
             out.append(
