@@ -8,6 +8,7 @@ from .features import (
     FeatureTemplate,
     default_templates,
     sentence_features,
+    template_columns,
 )
 from .model import (
     TAGS,
@@ -31,6 +32,7 @@ __all__ = [
     "FeatureTemplate",
     "default_templates",
     "sentence_features",
+    "template_columns",
     "TAGS",
     "CrfModel",
     "ModelFormatError",

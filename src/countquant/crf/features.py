@@ -4,9 +4,11 @@ Observation features are n-grams (length 1..5) of the symbols in a window
 around the current position; ``BOS``/``EOS`` stand in for positions outside
 the sequence. One tag-bigram template adds the 3x3 transition parameters.
 
-:func:`sentence_features` builds the features of a whole sequence at once:
-it pads the sequence with ``BOS``/``EOS`` a single time and joins each
-template's slice under the template's name, computed once per template.
+:func:`template_columns` builds the n-grams of a whole sequence at once: it
+pads the sequence with ``BOS``/``EOS`` a single time and builds each width's
+n-grams once, by extending the next narrower ones. :func:`sentence_features`
+prefixes them with the template's name, which is how training names a
+feature; a trained model looks the bare n-grams up per template.
 """
 
 from __future__ import annotations
@@ -59,26 +61,42 @@ def default_templates(max_len: int = 5, window: int = 4) -> list[FeatureTemplate
     return templates
 
 
-def sentence_features(
-    sequence: list[str], templates: Sequence[FeatureTemplate]
+def template_columns(
+    sequence: Sequence[str], templates: Sequence[FeatureTemplate]
 ) -> list[list[str]]:
-    """Observation feature strings of every position, in template order.
+    """The ``"|"``-joined n-gram of every position, one column per n-gram template.
 
-    Tag-bigram templates emit none.
+    Columns follow the n-gram templates in order; tag-bigram templates get
+    none. The sequence is padded with ``BOS``/``EOS`` once, and each width's
+    n-grams are built once, by extending those one symbol narrower.
     """
     ngrams = [tpl for tpl in templates if tpl.kind == TOKEN_NGRAM]
-    n = len(sequence)
     if not ngrams:
-        return [[] for _ in range(n)]
+        return []
+    n = len(sequence)
     left = max(0, -min(tpl.offsets[0] for tpl in ngrams))
     right = max(0, max(tpl.offsets[-1] for tpl in ngrams))
     padded = [BOS] * left + list(sequence) + [EOS] * right
-    columns = []
-    for tpl in ngrams:
-        prefix = f"{tpl.name}:"
-        start = left + tpl.offsets[0]
-        width = len(tpl.offsets)
-        columns.append(
-            [prefix + "|".join(padded[j : j + width]) for j in range(start, start + n)]
-        )
-    return [list(row) for row in zip(*columns)]
+    by_width = [padded]  # by_width[w - 1][j] joins padded[j : j + w]
+    for w in range(2, max(len(tpl.offsets) for tpl in ngrams) + 1):
+        by_width.append(list(map("|".join, zip(by_width[-1], padded[w - 1 :]))))
+    return [
+        by_width[len(tpl.offsets) - 1][left + tpl.offsets[0] : left + tpl.offsets[0] + n]
+        for tpl in ngrams
+    ]
+
+
+def sentence_features(
+    sequence: Sequence[str], templates: Sequence[FeatureTemplate]
+) -> list[list[str]]:
+    """Observation feature strings of every position, in template order.
+
+    A feature is its template's name, ``":"`` and the n-gram. Tag-bigram
+    templates emit none.
+    """
+    columns = template_columns(sequence, templates)
+    if not columns:
+        return [[] for _ in sequence]
+    prefixes = [f"{tpl.name}:" for tpl in templates if tpl.kind == TOKEN_NGRAM]
+    prefixed = [[prefix + gram for gram in col] for prefix, col in zip(prefixes, columns)]
+    return [list(row) for row in zip(*prefixed)]

@@ -4,19 +4,23 @@ All dynamic programs run in log-space with log-sum-exp. :func:`log_forward`
 and :func:`log_backward` are the one forward-backward kernel: inference runs
 it on one sentence (n, k), :mod:`.train` on equal-length stacks (B, n, k).
 A trained model is immutable (weight arrays are write-protected) and safe to
-share across threads; decoding and marginal inference are reentrant.
+share across threads; decoding and marginal inference are reentrant. It
+compiles its feature lookup once, as one n-gram -> feature id table per
+n-gram template, so a sentence's emissions are one gather-sum over its
+(tokens, templates) id array.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .features import FeatureTemplate, sentence_features
+from .features import TOKEN_NGRAM, FeatureTemplate, template_columns
 
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -44,13 +48,31 @@ class CrfModel:
     relation: Optional[dict] = None
     final_objective: float = 0.0
     n_iterations: int = 0
+    # Compiled from the fields above, never pickled: one n-gram -> feature id
+    # table per n-gram template, and the weights plus one zero row that the
+    # id of an unseen feature (n_features) selects.
+    gram_ids: tuple[dict[str, int], ...] = field(init=False, repr=False, compare=False)
+    padded_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.weights.flags.writeable = False
         self.transitions.flags.writeable = False
+        names = [tpl.name for tpl in self.templates if tpl.kind == TOKEN_NGRAM]
+        tables: dict[str, dict[str, int]] = {name: {} for name in names}
+        for feature, fid in self.feature_index.items():
+            name, _, gram = feature.partition(":")  # no template name holds a ":"
+            if name in tables:
+                tables[name][gram] = fid
+        padded = np.concatenate([self.weights, np.zeros((1, self.weights.shape[1]))])
+        padded.flags.writeable = False
+        object.__setattr__(self, "gram_ids", tuple(tables[name] for name in names))
+        object.__setattr__(self, "padded_weights", padded)
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     def __setstate__(self, state: dict) -> None:
-        # Unpickled arrays come back writeable; protect them again.
+        # Unpickled arrays come back writeable; protect them again and recompile.
         self.__dict__.update(state)
         self.__post_init__()
 
@@ -62,21 +84,21 @@ class CrfModel:
     def n_parameters(self) -> int:
         return self.weights.size + self.transitions.size
 
-    def feature_ids(self, sequence: list[str]) -> list[np.ndarray]:
-        """Known-feature ids per position (unseen features are ignored)."""
-        index = self.feature_index
-        return [
-            np.asarray([index[f] for f in row if f in index], dtype=np.intp)
-            for row in sentence_features(sequence, self.templates)
-        ]
+    def feature_ids(self, sequence: list[str]) -> np.ndarray:
+        """Feature ids, shape (len(sequence), n-gram templates), in template order.
+
+        An unseen feature gets the id n_features, the zero row of
+        ``padded_weights``.
+        """
+        unseen = len(self.weights)
+        ids: list[int] = []
+        for table, column in zip(self.gram_ids, template_columns(sequence, self.templates)):
+            ids += map(table.get, column, repeat(unseen))
+        return np.array(ids, dtype=np.intp).reshape(len(self.gram_ids), len(sequence)).T
 
     def emissions(self, sequence: list[str]) -> np.ndarray:
         """Per-position observation scores, shape (len(sequence), n_tags)."""
-        em = np.zeros((len(sequence), self.n_tags))
-        for pos, row in enumerate(self.feature_ids(sequence)):
-            if row.size:
-                em[pos] = self.weights[row].sum(axis=0)
-        return em
+        return self.padded_weights.take(self.feature_ids(sequence), axis=0).sum(axis=1)
 
 
 def log_forward(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:

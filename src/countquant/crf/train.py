@@ -197,7 +197,8 @@ def train(
     """Fit a CRF on labeled sentences (or raw (sequence, tags) pairs).
 
     Stops when the gradient norm drops below *tol* or after *max_iter*
-    quasi-Newton iterations. Pass a list as *history* to record the
+    quasi-Newton iterations; a fit that stops without converging logs a
+    warning with scipy's reason. Pass a list as *history* to record the
     objective after every accepted step.
     """
     problem = TrainingProblem(
@@ -220,6 +221,12 @@ def train(
         callback=callback,
         options={"maxiter": max_iter, "gtol": tol, "ftol": 1e-12, "maxfun": 10 * max_iter},
     )
+    if not result.success:
+        logger.warning(
+            "L-BFGS stopped without converging after %d iterations: %s",
+            result.nit,
+            result.message,
+        )
     w, trans = problem.split(result.x)
     final_objective = -float(result.fun)
     logger.info(

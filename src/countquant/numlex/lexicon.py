@@ -7,9 +7,10 @@ truth for which terms are recognized; ``load_default_lexicon`` reads them,
 
 A :class:`NumLexicon` compiles its lookup tables once, when it is built:
 ``specials_by_first`` maps a special term's first token to the terms that
-start with it, longest first, and ``affixed_words`` maps every
-prefix + suffix word to its decoded number term. Mention detection then
-costs one dict lookup per token.
+start with it, longest first, ``affixed_words`` maps every prefix + suffix
+word to its decoded number term, and ``readable_words`` holds every word a
+single-token check can read. Mention detection then costs one set or dict
+lookup per token.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ class NumLexicon:
     # prefix + suffix word -> (value, "-suffix") from its longest decoding suffix;
     # the affix exceptions are left out
     affixed_words: dict[str, tuple[int, str]] = field(init=False, repr=False, compare=False)
+    # every word a single-token check can read: "and", the cardinal, ordinal and
+    # affixed words and the articles (digits and hyphenated words aside)
+    readable_words: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for table in (self.cardinal_words, self.ordinal_words, self.latin_greek_prefixes):
@@ -73,6 +77,13 @@ class NumLexicon:
             self, "specials_by_first", {w: tuple(ts) for w, ts in by_first.items()}
         )
         object.__setattr__(self, "affixed_words", affixed)
+        object.__setattr__(
+            self,
+            "readable_words",
+            frozenset({"and"}).union(
+                self.cardinal_words, self.ordinal_words, affixed, self.articles
+            ),
+        )
 
 
 class LexiconFormatError(ValueError):

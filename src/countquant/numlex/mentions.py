@@ -21,6 +21,7 @@ both modes: "a hundred" is the cardinal 100.
 from __future__ import annotations
 
 import re
+from operator import is_
 from typing import Optional
 
 from .lexicon import NumLexicon, SpecialTerm
@@ -217,9 +218,19 @@ def _recognise(
     hyphenated cardinal, which reads as its parts ("twenty-one hundred" is
     2100), and an article before a scale word starts one as "one" ("a
     hundred" is 100, in both modes). Any other article is a mention in
-    inference mode only. Returns ``(None, 1)`` when the token is no mention.
+    inference mode only. "one" straight after "no" is a pronoun ("no one
+    knows"), never a cardinal. Returns ``(None, 1)`` when the token is no
+    mention.
     """
     surface = tokens[i].surface.lower()
+    if surface not in lexicon.readable_words and not (
+        "-" in surface
+        or surface[:1].isdigit()
+        or tokens[i].lemma in lexicon.affixed_words
+    ):
+        return None, 1
+    if surface == "one" and i and tokens[i - 1].surface.lower() == "no":
+        return None, 1
     if _DIGIT_CARDINAL_RE.match(surface):
         return MentionAnnotation(MentionKind.CARDINAL, int(surface.replace(",", ""))), 1
     table = lexicon.cardinal_words
@@ -302,6 +313,8 @@ def annotate_mentions(
             else:
                 out.extend(_rewrite(special.replacement_text, lexicon, mode))
             i += len(special.term)
+    if len(out) == len(tokens) and all(map(is_, out, tokens)):
+        return sentence  # nothing annotated
     return make_sentence(out)
 
 

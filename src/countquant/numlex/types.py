@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Optional
 
 
@@ -107,10 +108,14 @@ class Sentence:
     def __getitem__(self, i: int) -> Token:
         return self.tokens[i]
 
-    @property
+    @cached_property
     def mentions(self) -> tuple[Token, ...]:
-        """Tokens carrying a mention annotation, in sentence order."""
+        """Tokens carrying a mention annotation, in sentence order (computed once)."""
         return tuple(t for t in self.tokens if t.mention is not None)
+
+    def __getstate__(self) -> dict:
+        # The cached mentions are derived, so a sentence pickles as its tokens.
+        return {"tokens": self.tokens}
 
     def surfaces(self) -> list[str]:
         return [t.surface for t in self.tokens]

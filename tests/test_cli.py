@@ -214,6 +214,15 @@ class TestFullPipeline:
         assert scores["precision"] == 1.0
         assert scores["mae"] == 0.0
 
+    def test_extract_is_byte_identical_across_workers(self, runner, fixture_dir):
+        _, model, pred1, _ = self._pipeline(runner, fixture_dir, 1, "w")
+        pred2 = fixture_dir / "pred_w2.jsonl"
+        run_ok(runner, [
+            "extract", "--model", str(model), "--corpus", str(fixture_dir / "corpus.jsonl"),
+            "--relation", "human:child", "--out", str(pred2), "--workers", "2",
+        ])
+        assert pred1.read_bytes() and pred1.read_bytes() == pred2.read_bytes()
+
     def test_evaluate_gold_equals_pred(self, runner, fixture_dir, tmp_path):
         _, _, pred, _ = self._pipeline(runner, fixture_dir)
         records = [

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import pickle
 from collections import Counter
 from pathlib import Path
@@ -26,6 +27,7 @@ from countquant.crf import (
     marginals,
     save_model,
     sentence_features,
+    template_columns,
     train,
     viterbi,
 )
@@ -117,6 +119,72 @@ _template_pool = default_templates() + [
 def test_sentence_features_equal_per_position_reference_property(sequence, templates):
     rows = sentence_features(sequence, templates)
     assert rows == [_reference_features(sequence, pos, templates) for pos in range(len(sequence))]
+
+
+def test_template_columns_are_the_unprefixed_features():
+    templates = default_templates()
+    seq = ["trump", "have", "CARDINAL", "child"]
+    columns = template_columns(seq, templates)
+    names = [t.name for t in templates if t.kind == TOKEN_NGRAM]
+    assert len(columns) == len(names) and all(len(col) == len(seq) for col in columns)
+    assert sentence_features(seq, templates) == [
+        [f"{name}:{col[pos]}" for name, col in zip(names, columns)] for pos in range(len(seq))
+    ]
+    assert template_columns(seq, [FeatureTemplate(kind=TAG_BIGRAM)]) == []
+    assert template_columns([], templates) == [[] for _ in names]
+
+
+def _reference_emissions(model, sequence):
+    """Emissions summed position by position over the known feature strings."""
+    index = model.feature_index
+    em = np.zeros((len(sequence), model.n_tags))
+    for pos in range(len(sequence)):
+        row = _reference_features(sequence, pos, model.templates)
+        ids = np.asarray([index[f] for f in row if f in index], dtype=np.intp)
+        if ids.size:
+            em[pos] = model.weights[ids].sum(axis=0)
+    return em
+
+
+_symbols = st.sampled_from(VOCAB + ["a|b", "x:y", ":", "|", "BOS", "EOS", "é"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    templates=st.lists(st.sampled_from(_template_pool), max_size=8),
+    training=st.lists(st.lists(_symbols, min_size=1, max_size=8), max_size=5),
+    sequences=st.lists(
+        st.lists(st.one_of(_symbols, st.sampled_from(["unseen", "y:z|w"])), max_size=12),
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_emissions_equal_per_position_reference_property(templates, training, sequences, seed):
+    rng = np.random.default_rng(seed)
+    seen = dict.fromkeys(
+        f
+        for seq in training
+        for pos in range(len(seq))
+        for f in _reference_features(seq, pos, templates)
+    )
+    # a random subset of the seen features, plus some no template produces
+    kept = [f for f in seen if rng.random() < 0.7] + ["U9:x", "nocolon", "U1"]
+    feature_index = {f: i for i, f in enumerate(rng.permutation(kept).tolist())}
+    # mixed magnitudes make the sums sensitive to their order
+    weights = rng.normal(size=(len(kept), 3)) * 10.0 ** rng.integers(-6, 7, size=(len(kept), 1))
+    model = CrfModel(
+        feature_index=feature_index,
+        weights=weights,
+        transitions=rng.normal(size=(3, 3)),
+        templates=tuple(templates),
+    )
+    for seq in sequences + [[]]:
+        ids = model.feature_ids(seq)
+        n_ngrams = sum(t.kind == TOKEN_NGRAM for t in templates)
+        assert ids.shape == (len(seq), n_ngrams) and ids.dtype == np.intp
+        em = model.emissions(seq)
+        assert em.shape == (len(seq), 3) and em.dtype == np.float64
+        assert np.array_equal(em, _reference_emissions(model, seq))
 
 
 def test_feature_index_order_on_mini_fixture():
@@ -330,6 +398,19 @@ class TestTrain:
             )))
         assert norms[0] >= norms[1] >= norms[2]
 
+    def test_warns_when_lbfgs_does_not_converge(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="countquant.crf.train"):
+            train(TOY_DATA, feature_cutoff=1, max_iter=1)
+        (record,) = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert "without converging after 1 iterations" in record.getMessage()
+        assert "ITERATIONS REACHED LIMIT" in record.getMessage()
+
+    def test_converged_fit_does_not_warn(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="countquant.crf.train"):
+            model = train(TOY_DATA, feature_cutoff=1, max_iter=200)
+        assert model.n_iterations < 200
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
     def test_learns_toy_pattern(self):
         model = train(TOY_DATA, feature_cutoff=1, max_iter=200)
         assert decode(model, ["she", "have", "CARDINAL", "child"]) == ["O", "O", "COUNT", "O"]
@@ -479,3 +560,29 @@ class TestModelFile:
         for array in (model.weights, model.transitions):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
+
+    def test_compiled_lookup_is_rebuilt_after_pickle_roundtrip(self):
+        model = train(TOY_DATA, feature_cutoff=1, max_iter=50)
+        state = model.__getstate__()
+        assert "gram_ids" not in state and "padded_weights" not in state
+        back = pickle.loads(pickle.dumps(model))
+        assert back.gram_ids == model.gram_ids
+        for m in (model, back):
+            assert m.padded_weights.shape == (len(m.weights) + 1, len(TAGS))
+            assert not m.padded_weights[-1].any()
+            with pytest.raises(ValueError):
+                m.padded_weights[0, 0] = 1.0
+        rng = np.random.default_rng(5)
+        for length in (0, 1, 4, 9):
+            seq = random_sequence(rng, VOCAB + ["trump", "book", "unseen"], length)
+            assert np.array_equal(back.emissions(seq), model.emissions(seq))
+            assert np.array_equal(model.emissions(seq), _reference_emissions(model, seq))
+
+    def test_model_without_features_gives_zero_emissions(self, tmp_path):
+        model = train(_varied_lengths_data(), feature_cutoff=10**6, max_iter=20)
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        assert loaded.weights.shape == (0, len(TAGS))
+        for seq in ([], ["she", "have", "CARDINAL", "child"]):
+            assert np.array_equal(loaded.emissions(seq), np.zeros((len(seq), len(TAGS))))
+            assert loaded.feature_ids(seq).shape == (len(seq), 15)

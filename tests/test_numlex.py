@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import shutil
 import string
 from pathlib import Path
@@ -13,6 +14,7 @@ from countquant.numlex import (
     TRAIN_MODE,
     MentionAnnotation,
     MentionKind,
+    Sentence,
     Token,
     annotate_mentions,
     detokenize,
@@ -88,6 +90,30 @@ class TestTokenize:
         assert lemmatize("counties") == "county"
         assert lemmatize("brought") == "bring"
         assert lemmatize("always") == "always"
+
+
+class TestSentence:
+    def test_mentions_computed_once(self, prep):
+        s = prep("She has twenty one children and a dozen cats")
+        assert s.mentions is s.mentions
+        rebuilt = Sentence(tokens=s.tokens)
+        assert rebuilt == s and hash(rebuilt) == hash(s)
+        assert rebuilt.mentions == s.mentions
+        assert [t.surface for t in s.mentions] == ["twenty one", "twelve"]
+
+    def test_pickles_as_its_tokens(self, prep):
+        s = prep("She has twenty one children")
+        fresh = Sentence(tokens=s.tokens)
+        assert s.mentions
+        assert pickle.dumps(s) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and back.mentions == s.mentions
+
+    def test_annotate_returns_input_when_nothing_annotated(self, prep):
+        (plain,) = tokenize("She wrote poems .")
+        assert annotate_mentions(plain, LEXICON) is plain
+        done = prep("She has twenty one children")
+        assert annotate_mentions(done, LEXICON) is done
 
 
 class TestAnnotateMentions:
@@ -230,6 +256,26 @@ class TestAnnotateMentions:
             (" ".join(text.split()[:-1]), value)
         ]
         assert [t.mention.value for t in spaced] == [value]
+
+    @pytest.mark.parametrize("mode", [TRAIN_MODE, INFERENCE_MODE])
+    @pytest.mark.parametrize("zero_mode,expected", [
+        (False, []),
+        (True, [("No", MentionKind.ZERO, 0)]),
+    ])
+    def test_one_after_no_is_not_a_cardinal(self, prep, mode, zero_mode, expected):
+        s = prep("No one knows .", mode=mode, zero_mode=zero_mode)
+        assert [(t.surface, t.mention.kind, t.mention.value) for t in s.mentions] == expected
+
+    @pytest.mark.parametrize("zero_mode", [False, True])
+    def test_no_and_one_apart_are_unchanged(self, prep, zero_mode):
+        no = prep("He has no children", zero_mode=zero_mode)
+        assert [(t.surface, t.mention.kind) for t in no.mentions] == (
+            [("no", MentionKind.ZERO)] if zero_mode else []
+        )
+        one = prep("one child and no , one son", zero_mode=zero_mode)
+        assert [(t.surface, t.mention.value) for t in one.mentions] == (
+            [("one", 1), ("no", 0), ("one", 1)] if zero_mode else [("one", 1), ("one", 1)]
+        )
 
     def test_digit_ordinal(self, prep):
         s = prep("the 23rd season")
@@ -609,7 +655,10 @@ def _reference_annotate_mentions(sentence, lexicon, mode):
             continue
 
         head = surface.split("-")
-        if surface == "and" or all(word in lexicon.cardinal_words for word in head):
+        no_one = surface == "one" and i > 0 and tokens[i - 1].surface.lower() == "no"
+        if not no_one and (
+            surface == "and" or all(word in lexicon.cardinal_words for word in head)
+        ):
             run = _reference_cardinal_run(tokens, i, head, lexicon)
             if run is not None:
                 value, length = run
@@ -701,7 +750,7 @@ _reference_chunk = st.one_of(
         _special_words
         + ["score", "weight", "a", "an", "first", "third", "twenty-first", "twenty-one",
            "3rd", "7", "1,200", "1999,200", "12,345,678", "3.5", "pentalogy", "trilogy",
-           "triplets", "no", "0", "never", "without", "any", "didn't", "times", "children",
+           "triplets", "no", "no one", "0", "never", "without", "any", "didn't", "times", "children",
            ",", "."]
     ),
     st.text(alphabet=string.ascii_letters, min_size=1, max_size=6),
