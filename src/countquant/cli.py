@@ -23,8 +23,9 @@ from . import crf, dsgen, evaluate as ev, kbstore
 from .consolidate import CountingQuantifier
 from .dsgen import Corpus, SeedPolicy
 from .kbstore import Relation
-from .numlex import LexiconFormatError, load_default_lexicon, load_lexicon
+from .numlex import load_default_lexicon, load_lexicon
 from .pipeline import extract_document
+from .reader import InputError, read_file, read_keyed, read_lines
 
 
 def parse_relation(spec: str) -> Relation:
@@ -42,54 +43,31 @@ def parse_relation(spec: str) -> Relation:
 def load_config(path: str, known: set[str]) -> dict[str, str]:
     """``key = value`` lines; a key is the parameter name of some command's option."""
     config: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise click.ClickException(f"{path}:{lineno}: expected key = value")
+            raise InputError(path, "expected key = value", lineno)
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         if key not in known:
-            raise click.ClickException(f"{path}:{lineno}: unknown key '{key}'")
+            raise InputError(path, f"unknown key '{key}'", lineno)
         config[key] = value.strip()
     return config
 
 
-def _require_file(path: str, what: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise click.ClickException(f"{what} file not found: {path}")
-    return p
+class _Main(click.Group):
+    """The command group: a bad input file exits 1 with its ``file[:line]`` message."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except InputError as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
-def _read_input(loader, path: str, what: str):
-    """``loader(path)`` on an existing file; a malformed input exits without a traceback."""
-    try:
-        return loader(_require_file(path, what))
-    except (ValueError, kbstore.TripleLoadError) as exc:  # reported as "file[:line]: ..."
-        raise click.ClickException(str(exc)) from exc
-
-
-def _read_conll(path: str, what: str) -> list[tuple[list[str], list[str]]]:
-    return _read_input(lambda p: list(dsgen.read_conll(p)), path, what)
-
-
-def _load_checked(loader, path, what: str):
-    """``loader(path)``; an unreadable or malformed lexicon or model exits naming *path*."""
-    try:
-        return loader(path)
-    except (OSError, LexiconFormatError, crf.ModelFormatError) as exc:
-        raise click.ClickException(f"{path}: cannot load {what}: {exc}") from exc
-
-
-def _load_lexicon(lexicon_dir: Optional[str]):
-    if not lexicon_dir:
-        return load_default_lexicon()
-    return _load_checked(load_lexicon, lexicon_dir, "lexicon")
-
-
-@click.group()
+@click.group(cls=_Main)
 @click.option("--config", type=click.Path(exists=True, dir_okay=False),
               help="key = value config file")
 @click.pass_context
@@ -156,14 +134,14 @@ def _extract_task(model, lexicon, threshold, zero_mode, relation, task):
 def cmd_build_training(kb, corpus, relation, training, lexicon_dir,
                        popularity_top, upper_bound_q, entropy_min, workers):
     """Generate a CoNLL-style training file from KB counts and a corpus."""
-    lexicon = _load_lexicon(lexicon_dir)
+    lexicon = load_lexicon(lexicon_dir) if lexicon_dir else load_default_lexicon()
     policy = SeedPolicy(
         popularity_top_fraction=popularity_top,
         upper_bound_q=upper_bound_q,
         entropy_threshold=entropy_min,
     )
-    store = _read_input(kbstore.load_triples, kb, "KB")
-    documents = _read_input(Corpus.load, corpus, "corpus")
+    store = kbstore.load_triples(kb)
+    documents = Corpus.load(corpus)
     rel = parse_relation(relation)
 
     upper_bound, selection = dsgen.select_subjects(store, documents, rel, policy)
@@ -190,9 +168,9 @@ def cmd_build_training(kb, corpus, relation, training, lexicon_dir,
 @click.option("--feature-cutoff", default=2)
 def cmd_train(training, model, relation, l2_sigma, max_iter, feature_cutoff):
     """Train a CRF on a CoNLL training file."""
-    examples = _read_conll(training, "training")
+    examples = list(dsgen.read_conll(training))
     if not examples:
-        raise click.ClickException(f"no sentences in {training}")
+        raise InputError(training, "no sentences")
     try:
         fitted = crf.train(
             examples,
@@ -221,9 +199,9 @@ def cmd_train(training, model, relation, l2_sigma, max_iter, feature_cutoff):
 @click.option("--workers", default=1)
 def cmd_extract(model, corpus, relation, predictions, lexicon_dir, threshold, zero_mode, workers):
     """Extract counting quantifiers from documents; JSON-lines output."""
-    lexicon = _load_lexicon(lexicon_dir)
-    fitted = _load_checked(crf.load_model, _require_file(model, "model"), "model")
-    documents = _read_input(Corpus.load, corpus, "corpus")
+    lexicon = load_lexicon(lexicon_dir) if lexicon_dir else load_default_lexicon()
+    fitted = crf.load_model(model)
+    documents = Corpus.load(corpus)
     rel = parse_relation(relation) if relation else None
 
     tasks = [(s, documents[s]) for s in documents.subjects()]
@@ -233,42 +211,23 @@ def cmd_extract(model, corpus, relation, predictions, lexicon_dir, threshold, ze
     click.echo(f"wrote {predictions}: {len(lines)} predictions for {len(tasks)} subjects")
 
 
-def _load_predictions(path: Path) -> dict[str, CountingQuantifier]:
-    predictions: dict[str, CountingQuantifier] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            subject = str(record["subject"])
-            prediction = CountingQuantifier(
-                subject=subject,
-                relation=None,
-                count=int(record["count"]),
-                confidence=float(record["confidence"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise click.ClickException(f"{path}:{lineno}: bad prediction record: {exc}") from exc
-        if subject in predictions:
-            raise click.ClickException(f"{path}:{lineno}: duplicate subject {subject!r}")
-        predictions[subject] = prediction
-    return predictions
+def _load_predictions(path: str) -> dict[str, CountingQuantifier]:
+    def record(line: str) -> tuple[str, CountingQuantifier]:
+        fields = json.loads(line)
+        subject, count = str(fields["subject"]), int(fields["count"])
+        return subject, CountingQuantifier(subject, None, count, float(fields["confidence"]))
+
+    return read_keyed(path, record, "bad prediction record")
 
 
-def _load_gold_counts(path: Path) -> dict[str, int]:
-    gold: dict[str, int] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        try:
-            subject, count = line.split("\t")
-            count = int(count)
-        except ValueError as exc:
-            raise click.ClickException(f"{path}:{lineno}: expected subject<TAB>count") from exc
-        if subject in gold:
-            raise click.ClickException(f"{path}:{lineno}: duplicate subject {subject!r}")
-        gold[subject] = count
-    return gold
+def _load_gold_counts(path: str) -> dict[str, int]:
+    def record(line: str) -> Optional[tuple[str, int]]:
+        if line.startswith("#"):
+            return None
+        subject, count = line.split("\t")
+        return subject, int(count)
+
+    return read_keyed(path, record, "expected subject<TAB>count")
 
 
 @main.command("evaluate")
@@ -282,10 +241,10 @@ def cmd_evaluate(predictions, gold, gold_conll, pred_conll, metrics, table):
     """Score predictions: end-to-end against gold counts, or tag-level."""
     scores: dict = {}
     if predictions and gold:
-        predicted = _load_predictions(_require_file(predictions, "predictions"))
-        gold_counts = _load_gold_counts(_require_file(gold, "gold counts"))
+        predicted = _load_predictions(predictions)
+        gold_counts = _load_gold_counts(gold)
         if not gold_counts:
-            raise click.ClickException(f"no gold counts in {gold}")
+            raise InputError(gold, "no gold counts")
         score = ev.score_end_to_end(gold_counts, predicted)
         scores["end_to_end"] = score.to_json_dict()
         if table:
@@ -294,8 +253,8 @@ def cmd_evaluate(predictions, gold, gold_conll, pred_conll, metrics, table):
                 [[f"{score.precision:.3f}", f"{score.coverage:.3f}", f"{score.mae:.3f}"]],
             ))
     if gold_conll and pred_conll:
-        gold_seqs = _read_conll(gold_conll, "gold tags")
-        pred_seqs = _read_conll(pred_conll, "predicted tags")
+        gold_seqs = list(dsgen.read_conll(gold_conll))
+        pred_seqs = list(dsgen.read_conll(pred_conll))
         if len(gold_seqs) != len(pred_seqs):
             raise click.ClickException("gold and predicted tag files differ in sentence count")
         tp = n_pred = n_gold = 0
@@ -333,9 +292,9 @@ def cmd_analyze_popularity(kb, relation, gold, popularity_report):
     the most popular 1%/10%/20% of subjects, which is the evidence for (or
     against) restricting training to popular subjects.
     """
-    store = _read_input(kbstore.load_triples, kb, "KB")
+    store = kbstore.load_triples(kb)
     rel = parse_relation(relation)
-    gold_counts = _load_gold_counts(_require_file(gold, "gold counts"))
+    gold_counts = _load_gold_counts(gold)
     rows = kbstore.popularity_completeness_report(store, rel, gold_counts)
     click.echo(ev.render_table(
         ["top fraction", "subjects", "mean gap (truth - KB)"],
@@ -347,10 +306,11 @@ def cmd_analyze_popularity(kb, relation, gold, popularity_report):
     )
 
 
-def _load_end_to_end_score(path: Path) -> ev.EndToEndScore:
+def _load_end_to_end_score(path: str) -> ev.EndToEndScore:
     """The ``end_to_end`` scores of a metrics file written by ``evaluate``."""
+    text = read_file(path)
     try:
-        metrics = json.loads(path.read_text(encoding="utf-8"))
+        metrics = json.loads(text)
         e2e = metrics.get("end_to_end") if isinstance(metrics, dict) else None
         if not isinstance(e2e, dict):
             raise ValueError("no end_to_end object")
@@ -360,9 +320,9 @@ def _load_end_to_end_score(path: Path) -> ev.EndToEndScore:
             mae=float(e2e["mae"]),
         )
     except KeyError as exc:
-        raise click.ClickException(f"{path}: bad metrics file: end_to_end lacks {exc}") from exc
+        raise InputError(path, f"bad metrics file: end_to_end lacks {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise click.ClickException(f"{path}: bad metrics file: {exc}") from exc
+        raise InputError(path, f"bad metrics file: {exc}") from exc
 
 
 @main.command("enrich")
@@ -375,10 +335,10 @@ def _load_end_to_end_score(path: Path) -> ev.EndToEndScore:
 @click.option("--min-coverage", default=0.05)
 def cmd_enrich(kb, relation, predictions, metrics, enrichment, min_precision, min_coverage):
     """KB-enrichment accounting, gated on held-out evaluation quality."""
-    store = _read_input(kbstore.load_triples, kb, "KB")
+    store = kbstore.load_triples(kb)
     rel = parse_relation(relation)
-    predicted = _load_predictions(_require_file(predictions, "predictions"))
-    score = _load_end_to_end_score(_require_file(metrics, "metrics"))
+    predicted = _load_predictions(predictions)
+    score = _load_end_to_end_score(metrics)
     report = ev.enrichment_report(
         store, rel, predicted, score,
         min_precision=min_precision, min_coverage=min_coverage,

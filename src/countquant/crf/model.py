@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..reader import InputError, read_file
 from .features import TOKEN_NGRAM, FeatureTemplate, template_columns
 
 
@@ -33,8 +34,11 @@ MODEL_MAGIC = "countquant-crf"
 MODEL_VERSION = 1
 
 
-class ModelFormatError(Exception):
-    """Model file is corrupt, truncated, or of an unsupported version."""
+class ModelFormatError(InputError):
+    """Model file is missing, corrupt, truncated, or of an unsupported version."""
+
+    def __init__(self, path, message: str, lineno: Optional[int] = None) -> None:
+        super().__init__(path, f"cannot load model: {message}", lineno)
 
 
 @dataclass(frozen=True)
@@ -176,14 +180,6 @@ def marginals(model: CrfModel, sequence: list[str]) -> np.ndarray:
     return np.exp(alpha + beta - log_z)
 
 
-def _template_to_dict(tpl: FeatureTemplate) -> dict:
-    return {"kind": tpl.kind, "offsets": list(tpl.offsets)}
-
-
-def _template_from_dict(d: dict) -> FeatureTemplate:
-    return FeatureTemplate(kind=d["kind"], offsets=tuple(d.get("offsets", ())))
-
-
 def save_model(model: CrfModel, path: Path | str) -> None:
     """Write the model as versioned JSON; load_model round-trips it exactly."""
     payload = {
@@ -194,7 +190,7 @@ def save_model(model: CrfModel, path: Path | str) -> None:
         "relation": model.relation,
         "final_objective": model.final_objective,
         "n_iterations": model.n_iterations,
-        "templates": [_template_to_dict(t) for t in model.templates],
+        "templates": [{"kind": t.kind, "offsets": list(t.offsets)} for t in model.templates],
         "features": list(model.feature_index.keys()),
         "weights": model.weights.tolist(),
         "transitions": model.transitions.tolist(),
@@ -204,38 +200,40 @@ def save_model(model: CrfModel, path: Path | str) -> None:
 
 def load_model(path: Path | str) -> CrfModel:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
+        payload = json.loads(read_file(path, ModelFormatError))
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(path, str(exc)) from exc
     if not isinstance(payload, dict) or payload.get("magic") != MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: not a {MODEL_MAGIC} model file")
+        raise ModelFormatError(path, f"not a {MODEL_MAGIC} model file")
     if payload.get("version") != MODEL_VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported model version {payload.get('version')!r}"
-        )
+        raise ModelFormatError(path, f"unsupported model version {payload.get('version')!r}")
     try:
-        features = payload["features"]
-        tags = tuple(payload["tags"])
+        features, tags = payload["features"], payload["tags"]
+        if not isinstance(features, list) or not all(isinstance(f, str) for f in features):
+            raise TypeError("features must be a list of strings")
+        if not isinstance(tags, list):
+            raise TypeError("tags must be a list")
+        if not all(isinstance(d, dict) for d in payload["templates"]):
+            raise TypeError("templates must be objects")
+        templates = tuple(FeatureTemplate(kind=d["kind"], offsets=tuple(d.get("offsets", ())))
+                          for d in payload["templates"])
         weights = np.asarray(payload["weights"], dtype=float)
         if weights.size == 0:  # a model without features stores [], read as shape (0,)
             weights = weights.reshape(0, len(tags))
         transitions = np.asarray(payload["transitions"], dtype=float)
-        templates = tuple(_template_from_dict(d) for d in payload["templates"])
+        n_tags = len(tags)
+        if weights.shape != (len(features), n_tags) or transitions.shape != (n_tags, n_tags):
+            raise ValueError("weight shapes do not match feature/tag counts")
+        return CrfModel(
+            feature_index={f: i for i, f in enumerate(features)},
+            weights=weights,
+            transitions=transitions,
+            templates=templates,
+            tags=tuple(tags),
+            l2_sigma=float(payload.get("l2_sigma", 1.0)),
+            relation=payload.get("relation"),
+            final_objective=float(payload.get("final_objective", 0.0)),
+            n_iterations=int(payload.get("n_iterations", 0)),
+        )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{path}: corrupt model payload: {exc}") from exc
-    if weights.shape != (len(features), len(tags)) or transitions.shape != (
-        len(tags),
-        len(tags),
-    ):
-        raise ModelFormatError(f"{path}: weight shapes do not match feature/tag counts")
-    return CrfModel(
-        feature_index={f: i for i, f in enumerate(features)},
-        weights=weights,
-        transitions=transitions,
-        templates=templates,
-        tags=tags,
-        l2_sigma=float(payload.get("l2_sigma", 1.0)),
-        relation=payload.get("relation"),
-        final_objective=float(payload.get("final_objective", 0.0)),
-        n_iterations=int(payload.get("n_iterations", 0)),
-    )
+        raise ModelFormatError(path, f"corrupt model payload: {exc}") from exc

@@ -40,6 +40,7 @@ from .numlex import (
     tokenize,
 )
 from .numlex.types import MentionKind
+from .reader import InputError, read_keyed, read_lines
 
 COUNT = "COUNT"
 COMP = "COMP"
@@ -229,21 +230,11 @@ class Corpus:
 
     @staticmethod
     def load(path: Path | str) -> "Corpus":
-        docs: dict[str, str] = {}
-        for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), 1
-        ):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                subject, text = str(record["subject"]), str(record["text"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
-            if subject in docs:
-                raise ValueError(f"{path}:{lineno}: duplicate subject {subject!r}")
-            docs[subject] = text
-        return Corpus(documents=docs)
+        def record(line: str) -> tuple[str, str]:
+            doc = json.loads(line)
+            return str(doc["subject"]), str(doc["text"])
+
+        return Corpus(documents=read_keyed(path, record, "bad corpus record"))
 
     def __contains__(self, subject: str) -> bool:
         return subject in self.documents
@@ -367,16 +358,15 @@ def read_conll(path: Path | str) -> Iterator[tuple[list[str], list[str]]]:
     """Yield (placeholder sequence, tags) pairs from a training file."""
     symbols: list[str] = []
     tags: list[str] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            if symbols:
-                yield symbols, tags
-                symbols, tags = [], []
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 tab-separated columns")
-        symbols.append(parts[1])
-        tags.append(parts[2])
+    for lineno, line in read_lines(path):
+        if line.strip():
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise InputError(path, "expected 3 tab-separated columns", lineno)
+            symbols.append(parts[1])
+            tags.append(parts[2])
+        elif symbols:
+            yield symbols, tags
+            symbols, tags = [], []
     if symbols:
         yield symbols, tags

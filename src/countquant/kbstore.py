@@ -16,13 +16,15 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .reader import InputError, read_lines
+
 logger = logging.getLogger(__name__)
 
 NO_VALUE = "__no_value__"
 INSTANCE_OF = "__instance_of__"
 
 
-class TripleLoadError(Exception):
+class TripleLoadError(InputError):
     """The triple file could not be read."""
 
 
@@ -91,32 +93,23 @@ def load_triples(path: Path | str) -> KbStore:
     Malformed lines (wrong field count or empty fields) are counted and
     logged; more than 10% malformed raises :class:`TripleFormatError`.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise TripleLoadError(f"cannot read triple file {path}: {exc}") from exc
-
     triples: set[Triple] = set()
     membership: dict[str, set[str]] = {}
     popularity: dict[str, int] = {}
     n_lines = 0
     n_malformed = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\n")
+    for lineno, line in read_lines(path, TripleLoadError):
         if not line.strip() or line.startswith("#"):
             continue
         n_lines += 1
         parts = line.split("\t")
         if len(parts) != 3 or not all(p.strip() for p in parts):
             n_malformed += 1
-            logger.warning("%s:%d: malformed triple line", path.name, lineno)
+            logger.warning("%s:%d: malformed triple line", path, lineno)
             continue
         subject, predicate, obj = (p.strip() for p in parts)
-        if obj == NO_VALUE:
-            triple = Triple(subject=subject, predicate=predicate, object=None, no_value=True)
-        else:
-            triple = Triple(subject=subject, predicate=predicate, object=obj)
+        no_value = obj == NO_VALUE
+        triple = Triple(subject, predicate, None if no_value else obj, no_value)
         if triple in triples:
             continue
         triples.add(triple)
@@ -125,9 +118,7 @@ def load_triples(path: Path | str) -> KbStore:
             membership.setdefault(subject, set()).add(obj)
 
     if n_lines > 0 and n_malformed / n_lines > 0.10:
-        raise TripleFormatError(
-            f"{path}: {n_malformed} of {n_lines} lines malformed (>10%)"
-        )
+        raise TripleFormatError(path, f"{n_malformed} of {n_lines} lines malformed (>10%)")
 
     counts: dict[tuple[str, str], int] = {}
     zero: set[tuple[str, str]] = set()

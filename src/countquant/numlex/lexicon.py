@@ -18,6 +18,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
+
+from ..reader import InputError, read_lines
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -86,45 +89,49 @@ class NumLexicon:
         )
 
 
-class LexiconFormatError(ValueError):
-    """A lexicon data file line could not be parsed."""
+class LexiconFormatError(InputError):
+    """A missing or malformed table: ``<dir>: cannot load lexicon: <table>[:<line>]: ...``."""
+
+    def __init__(self, path, message: str, lineno: int | None = None) -> None:
+        table = Path(path)
+        where = f"{table.name}:{lineno}" if lineno else table.name
+        super().__init__(table.parent, f"cannot load lexicon: {where}: {message}")
 
 
-def _read_rows(path: Path, columns: int) -> list[list[str]]:
-    rows = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+def _read_rows(path: Path, columns: int) -> Iterator[tuple[int, list[str]]]:
+    """``(lineno, fields)`` of the table's non-blank, non-comment lines."""
+    for lineno, raw in read_lines(path, LexiconFormatError):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != columns:
             raise LexiconFormatError(
-                f"{path.name}:{lineno}: expected {columns} tab-separated fields, got {len(parts)}"
+                path, f"expected {columns} tab-separated fields, got {len(parts)}", lineno
             )
-        rows.append(parts)
-    return rows
+        yield lineno, parts
 
 
 def _read_value_table(path: Path) -> dict[str, int]:
     table: dict[str, int] = {}
-    for term, value in _read_rows(path, 2):
+    for lineno, (term, value) in _read_rows(path, 2):
         key = term.lower()
         if key in table:
-            raise LexiconFormatError(f"{path.name}: duplicate key {key!r}")
+            raise LexiconFormatError(path, f"duplicate key {key!r}", lineno)
         try:
             number = int(value)
         except ValueError:
             number = -1
         if number < 0:
             raise LexiconFormatError(
-                f"{path.name}: value of {key!r} must be a non-negative integer, got {value!r}"
+                path, f"value of {key!r} must be a non-negative integer, got {value!r}", lineno
             )
         table[key] = number
     return table
 
 
 def _read_word_set(path: Path) -> frozenset[str]:
-    return frozenset(row[0].lower() for row in _read_rows(path, 1))
+    return frozenset(row[0].lower() for _, row in _read_rows(path, 1))
 
 
 def _parse_special_term(term: str, replacement: str) -> SpecialTerm:
@@ -145,7 +152,7 @@ def load_lexicon(directory: Path | str) -> NumLexicon:
     d = Path(directory)
     specials = tuple(
         _parse_special_term(term, repl)
-        for term, repl in _read_rows(d / "special_terms.tsv", 2)
+        for _, (term, repl) in _read_rows(d / "special_terms.tsv", 2)
     )
     return NumLexicon(
         cardinal_words=_read_value_table(d / "cardinals.tsv"),

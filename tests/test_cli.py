@@ -341,6 +341,22 @@ class TestBundledMiniCorpus:
         scores = json.loads(metrics.read_text(encoding="utf-8"))["end_to_end"]
         assert scores["precision"] == 1.0
 
+    def test_line_separator_in_text_keeps_predictions(self, runner, tmp_path):
+        # U+2028 is whitespace inside a JSON string, not a line break of the corpus
+        corpus = self.MINI / "corpus.jsonl"
+        text = corpus.read_text(encoding="utf-8")
+        assert "Angelina has" in text
+        variant = tmp_path / "corpus.jsonl"
+        variant.write_text(text.replace("Angelina has", "Angelina\u2028has", 1), encoding="utf-8")
+        config = str(self.MINI / "run.conf")
+        run_ok(runner, ["--config", config, "build-training", "--out", str(tmp_path / "t.conll")])
+        run_ok(runner, ["train", "--training", str(tmp_path / "t.conll"),
+                        "--model", str(tmp_path / "m.json")])
+        for source, out in [(corpus, "plain.jsonl"), (variant, "u2028.jsonl")]:
+            run_ok(runner, ["--config", config, "extract", "--model", str(tmp_path / "m.json"),
+                            "--corpus", str(source), "--out", str(tmp_path / out)])
+        assert (tmp_path / "plain.jsonl").read_bytes() == (tmp_path / "u2028.jsonl").read_bytes()
+
 
 class TestAnalyzePopularity:
     def test_reports_bands(self, runner, fixture_dir, tmp_path):
@@ -562,7 +578,9 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("line,message", [
         ("three 3", "cardinals.tsv:3: expected 2 tab-separated fields"),
         ("three\tdrei", "value of 'three' must be a non-negative integer"),
-    ], ids=["no-tab", "bad-value"])
+        ("three\t-3", "cardinals.tsv:3: value of 'three' must be a non-negative integer"),
+        ("two\t2", "cardinals.tsv:3: duplicate key 'two'"),
+    ], ids=["no-tab", "bad-value", "bad-value-line", "duplicate-key"])
     def test_malformed_lexicon_file(self, runner, fixture_dir, line, message):
         lexicon_dir = fixture_dir / "lexicon"
         shutil.copytree(Path(numlex.__file__).parent / "data", lexicon_dir)
@@ -593,3 +611,55 @@ class TestMalformedInputs:
         result = runner.invoke(main, ["--config", str(write_config(fixture_dir)), "enrich"])
         self.assert_reported(result, metrics)
         assert "bad metrics file" in result.output
+
+    # One case per input file a command reads by key: its valid content with
+    # one Latin-1 byte (0xe9, not UTF-8) on a known line.
+    @pytest.mark.parametrize("key,command,content", [
+        ("kb", "build-training", b"# KB\np00\tchild\tx\np01\tchild\tcaf\xe9\n"),
+        ("corpus", "build-training",
+         b'{"subject": "p00", "text": "Hi ."}\n{"subject": "p01", "text": "caf\xe9 ."}\n'),
+        ("training", "train", b"three\tCARDINAL\tCOUNT\n\ncaf\xe9\tO\tO\n"),
+        ("gold_conll", "evaluate", b"three\tCARDINAL\tCOUNT\ncaf\xe9\tO\tO\n"),
+        ("pred_conll", "evaluate", b"three\tCARDINAL\tCOUNT\ncaf\xe9\tO\tO\n"),
+        ("gold", "evaluate", b"p00\t1\n# caf\xe9\n"),
+        ("predictions", "evaluate",
+         b'{"subject": "p00", "count": 1, "confidence": 0.9}\n{"subject": "caf\xe9"}\n'),
+        ("metrics", "enrich", b'{"end_to_end":\n {"precision": "\xe9"}}\n'),
+        ("model", "extract", b'{"magic":\n "caf\xe9"}\n'),
+    ], ids=["kb", "corpus", "training", "gold-conll", "pred-conll", "gold", "predictions",
+            "metrics", "model"])
+    def test_non_utf8_input(self, runner, fixture_dir, key, command, content):
+        bad = fixture_dir / f"bad_{key}"
+        bad.write_bytes(content)
+        lineno = content[: content.index(b"\xe9")].count(b"\n") + 1
+        (fixture_dir / "pred.jsonl").write_text(self.PRED + "\n", encoding="utf-8")
+        tags = fixture_dir / "tags.conll"
+        tags.write_text("three\tCARDINAL\tCOUNT\nsons\tO\tO\n", encoding="utf-8")
+        config = write_config(fixture_dir, f"gold_conll = {tags}", f"pred_conll = {tags}",
+                              f"{key} = {bad}")
+        result = runner.invoke(main, ["--config", str(config), command])
+        self.assert_reported(result, f"{bad}:{lineno}")
+
+    def test_non_utf8_config(self, runner, fixture_dir):
+        config = fixture_dir / "run.conf"
+        config.write_bytes(b"relation = human:child\n# caf\xe9\n")
+        result = runner.invoke(main, ["--config", str(config), "build-training"])
+        self.assert_reported(result, f"{config}:2")
+
+    def test_non_utf8_lexicon_table(self, runner, fixture_dir):
+        lexicon_dir = fixture_dir / "lexicon"
+        shutil.copytree(Path(numlex.__file__).parent / "data", lexicon_dir)
+        (lexicon_dir / "cardinals.tsv").write_bytes(b"one\t1\ncaf\xe9\t2\n")
+        config = write_config(fixture_dir, f"lexicon_dir = {lexicon_dir}")
+        result = runner.invoke(main, ["--config", str(config), "build-training"])
+        # the lexicon is one input, named by its directory, then the table and line
+        self.assert_reported(result, f"{lexicon_dir}: cannot load lexicon: cardinals.tsv:2")
+
+    def test_model_with_malformed_features(self, runner, fixture_dir):
+        model = fixture_dir / "model.json"
+        model.write_text(json.dumps({"magic": "countquant-crf", "version": 1, "features": 5,
+                                     "tags": ["O"], "templates": [], "weights": [],
+                                     "transitions": [[0.0]]}), encoding="utf-8")
+        result = runner.invoke(main, ["--config", str(write_config(fixture_dir)), "extract"])
+        self.assert_reported(result, model)
+        assert "cannot load model" in result.output

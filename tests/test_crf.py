@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import logging
 import pickle
 from collections import Counter
@@ -537,6 +538,22 @@ class TestModelFile:
         path.write_text('{"magic": "something-else", "version": 1}', encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("features", 5),
+        ("features", [1, 2]),
+        ("tags", "COUNT"),
+        ("templates", [5]),
+    ], ids=["features-int", "features-not-strings", "tags-string", "template-not-object"])
+    def test_malformed_payload_raises(self, tmp_path, field, value):
+        path = tmp_path / "model.json"
+        save_model(train(TOY_DATA, feature_cutoff=1, max_iter=20), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[field] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: cannot load model: ")
 
     def test_templates_restored_from_file(self, tmp_path):
         templates = [
