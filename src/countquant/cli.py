@@ -225,7 +225,7 @@ def _load_gold_counts(path: str) -> dict[str, int]:
         if line.startswith("#"):
             return None
         subject, count = line.split("\t")
-        return subject, int(count)
+        return subject.strip(), int(count)
 
     return read_keyed(path, record, "expected subject<TAB>count")
 

@@ -7,7 +7,6 @@ from .features import (
     TOKEN_NGRAM,
     FeatureTemplate,
     default_templates,
-    sentence_features,
     template_columns,
 )
 from .model import (
@@ -18,7 +17,6 @@ from .model import (
     load_model,
     log_partition,
     marginals,
-    path_score,
     save_model,
     viterbi,
 )
@@ -31,7 +29,6 @@ __all__ = [
     "TOKEN_NGRAM",
     "FeatureTemplate",
     "default_templates",
-    "sentence_features",
     "template_columns",
     "TAGS",
     "CrfModel",
@@ -40,7 +37,6 @@ __all__ = [
     "load_model",
     "log_partition",
     "marginals",
-    "path_score",
     "save_model",
     "viterbi",
     "DegenerateTrainingError",

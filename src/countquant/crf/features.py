@@ -6,15 +6,19 @@ the sequence. One tag-bigram template adds the 3x3 transition parameters.
 
 :func:`template_columns` builds the n-grams of a whole sequence at once: it
 pads the sequence with ``BOS``/``EOS`` a single time and builds each width's
-n-grams once, by extending the next narrower ones. :func:`sentence_features`
-prefixes them with the template's name, which is how training names a
-feature; a trained model looks the bare n-grams up per template.
+n-grams once, by extending the next narrower ones. A feature is named
+``"<template name>:<n-gram>"``, but neither training nor inference builds
+that string per token: both keep one n-gram -> feature id table per template
+name and map a sentence's columns to ids with :func:`lookup_ids`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
+
+import numpy as np
 
 BOS = "BOS"
 EOS = "EOS"
@@ -86,17 +90,15 @@ def template_columns(
     ]
 
 
-def sentence_features(
-    sequence: Sequence[str], templates: Sequence[FeatureTemplate]
-) -> list[list[str]]:
-    """Observation feature strings of every position, in template order.
+def lookup_ids(
+    tables: Sequence[dict[str, int]], columns: Sequence[Sequence[str]], n: int, unseen: int
+) -> np.ndarray:
+    """Feature ids of *n* positions, shape (n, len(tables)), in template order.
 
-    A feature is its template's name, ``":"`` and the n-gram. Tag-bigram
-    templates emit none.
+    ``tables[j]`` maps the n-grams of ``columns[j]`` to feature ids; an n-gram
+    missing from its table gets the id *unseen*.
     """
-    columns = template_columns(sequence, templates)
-    if not columns:
-        return [[] for _ in sequence]
-    prefixes = [f"{tpl.name}:" for tpl in templates if tpl.kind == TOKEN_NGRAM]
-    prefixed = [[prefix + gram for gram in col] for prefix, col in zip(prefixes, columns)]
-    return [list(row) for row in zip(*prefixed)]
+    ids: list[int] = []
+    for table, column in zip(tables, columns):
+        ids += map(table.get, column, repeat(unseen))
+    return np.array(ids, dtype=np.intp).reshape(len(tables), n).T

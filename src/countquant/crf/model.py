@@ -5,23 +5,23 @@ and :func:`log_backward` are the one forward-backward kernel: inference runs
 it on one sentence (n, k), :mod:`.train` on equal-length stacks (B, n, k).
 A trained model is immutable (weight arrays are write-protected) and safe to
 share across threads; decoding and marginal inference are reentrant. It
-compiles its feature lookup once, as one n-gram -> feature id table per
-n-gram template, so a sentence's emissions are one gather-sum over its
-(tokens, templates) id array.
+compiles its feature lookup once from the feature names: one n-gram ->
+feature id table per n-gram template name, the tables training builds. A
+sentence's ids come from :func:`.features.lookup_ids`, as in training, and
+its emissions are one gather-sum over that (tokens, templates) id array.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from ..reader import InputError, read_file
-from .features import TOKEN_NGRAM, FeatureTemplate, template_columns
+from .features import TOKEN_NGRAM, FeatureTemplate, lookup_ids, template_columns
 
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -84,21 +84,14 @@ class CrfModel:
     def n_tags(self) -> int:
         return len(self.tags)
 
-    @property
-    def n_parameters(self) -> int:
-        return self.weights.size + self.transitions.size
-
     def feature_ids(self, sequence: list[str]) -> np.ndarray:
         """Feature ids, shape (len(sequence), n-gram templates), in template order.
 
         An unseen feature gets the id n_features, the zero row of
         ``padded_weights``.
         """
-        unseen = len(self.weights)
-        ids: list[int] = []
-        for table, column in zip(self.gram_ids, template_columns(sequence, self.templates)):
-            ids += map(table.get, column, repeat(unseen))
-        return np.array(ids, dtype=np.intp).reshape(len(self.gram_ids), len(sequence)).T
+        columns = template_columns(sequence, self.templates)
+        return lookup_ids(self.gram_ids, columns, len(sequence), len(self.weights))
 
     def emissions(self, sequence: list[str]) -> np.ndarray:
         """Per-position observation scores, shape (len(sequence), n_tags)."""
@@ -146,15 +139,6 @@ def viterbi(emissions: np.ndarray, transitions: np.ndarray) -> list[int]:
         path.append(int(back[t][path[-1]]))
     path.reverse()
     return path
-
-
-def path_score(
-    emissions: np.ndarray, transitions: np.ndarray, tag_ids: list[int]
-) -> float:
-    n = len(tag_ids)
-    score = sum(emissions[t, tag_ids[t]] for t in range(n))
-    score += sum(transitions[tag_ids[t - 1], tag_ids[t]] for t in range(1, n))
-    return float(score)
 
 
 def decode(model: CrfModel, sequence: list[str]) -> list[str]:

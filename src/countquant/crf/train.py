@@ -8,16 +8,19 @@ order.
 
 The training data are compiled once into a sparse 0/1 matrix ``X``, one row
 per token position and one column per feature, so emissions are ``X @ W``
-and expected feature counts ``Xᵀ @ μ``. Rows run length bucket by length
-bucket, so each bucket's rows reshape to a (batch, length, tags) tensor and
-the forward-backward kernel of :mod:`.model` (``log_forward``,
-``log_backward``) runs once per sentence length; only the pairwise marginals
-and the gradient are computed here.
+and expected feature counts ``Xᵀ @ μ``. Its column ids come from the
+per-template n-gram tables and :func:`.features.lookup_ids` that a trained
+model's inference uses, so both see the same features. Rows run length
+bucket by length bucket, so each bucket's rows reshape to a (batch, length,
+tags) tensor and the forward-backward kernel of :mod:`.model`
+(``log_forward``, ``log_backward``) runs once per sentence length; only the
+pairwise marginals and the gradient are computed here.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -25,7 +28,13 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.sparse import csr_matrix
 
-from .features import FeatureTemplate, default_templates, sentence_features
+from .features import (
+    TOKEN_NGRAM,
+    FeatureTemplate,
+    default_templates,
+    lookup_ids,
+    template_columns,
+)
 from .model import TAGS, CrfModel, log_backward, log_forward, logsumexp
 
 logger = logging.getLogger(__name__)
@@ -81,51 +90,50 @@ class TrainingProblem:
         self.templates = list(templates) if templates is not None else default_templates()
         self.l2_sigma = float(l2_sigma)
 
-        counts: dict[str, int] = {}
-        per_sentence: list[list[list[str]]] = []
-        for seq, _ in examples:
-            rows = sentence_features(seq, self.templates)
-            per_sentence.append(rows)
-            for row in rows:
-                for f in row:
-                    counts[f] = counts.get(f, 0) + 1
+        # One n-gram -> id table per template name, as CrfModel compiles from
+        # the feature index. Ids go in first-occurrence order (sentence, then
+        # position, then template) to the n-grams seen feature_cutoff times.
+        names = [tpl.name for tpl in self.templates if tpl.kind == TOKEN_NGRAM]
+        counts = {name: Counter() for name in names}
+        columns = [template_columns(seq, self.templates) for seq, _ in examples]
+        for cols in columns:
+            for name, col in zip(names, cols):
+                counts[name].update(col)
+        by_name: dict[str, dict[str, int]] = {name: {} for name in names}
+        tables = [by_name[name] for name in names]
         self.feature_index: dict[str, int] = {}
-        for rows in per_sentence:
-            for row in rows:
-                for f in row:
-                    if counts[f] >= feature_cutoff and f not in self.feature_index:
-                        self.feature_index[f] = len(self.feature_index)
-
+        sentence_ids = []
+        for (seq, _), cols in zip(examples, columns):
+            ids = lookup_ids(tables, cols, len(seq), -1)
+            # Only a kept n-gram's first occurrences and the rare n-grams miss.
+            for p, j in np.argwhere(ids < 0).tolist():
+                gram, table = cols[j][p], tables[j]
+                if gram not in table and counts[names[j]][gram] >= feature_cutoff:
+                    table[gram] = len(self.feature_index)
+                    self.feature_index[f"{names[j]}:{gram}"] = table[gram]
+                ids[p, j] = table.get(gram, -1)
+            sentence_ids.append(ids)
         self.n_features = len(self.feature_index)
         self.n_tags = len(tags)
 
         by_length: dict[int, list[int]] = {}
         for i, (seq, _) in enumerate(examples):
             by_length.setdefault(len(seq), []).append(i)
-
-        # Built from (data, indices, indptr) with each row's feature ids in
-        # template order: COO input would sort the columns, and that changes
-        # the floating-point summation order of the emissions.
         self.buckets: list[_Bucket] = []
-        indices: list[int] = []
-        indptr = [0]
         for length in sorted(by_length):
-            members = by_length[length]
-            first_row = len(indptr) - 1
-            for i in members:
-                for row in per_sentence[i]:
-                    indices.extend(
-                        self.feature_index[f] for f in row if f in self.feature_index
-                    )
-                    indptr.append(len(indices))
-            tag_mat = np.array(
-                [[self.tag_ids[t] for t in examples[i][1]] for i in members],
-                dtype=np.intp,
-            )
-            self.buckets.append(_Bucket(length, tag_mat, slice(first_row, len(indptr) - 1)))
+            y = np.array([[self.tag_ids[t] for t in examples[i][1]] for i in by_length[length]],
+                         dtype=np.intp)
+            start = self.buckets[-1].rows.stop if self.buckets else 0
+            self.buckets.append(_Bucket(length, y, slice(start, start + y.size)))
+        # One row per token position, bucket by bucket. X is built from
+        # (data, indices, indptr) with each row's ids in template order: COO
+        # input would sort the columns, and that changes the floating-point
+        # summation order of the emissions.
+        ids = np.concatenate([sentence_ids[i] for n in sorted(by_length) for i in by_length[n]])
+        kept = ids >= 0
+        indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=1))])
         self.X = csr_matrix(
-            (np.ones(len(indices)), np.asarray(indices, dtype=np.intp), np.asarray(indptr)),
-            shape=(len(indptr) - 1, self.n_features),
+            (np.ones(indptr[-1]), ids[kept], indptr), shape=(len(ids), self.n_features)
         )
 
         all_tags = np.concatenate([bucket.tag_ids.ravel() for bucket in self.buckets])

@@ -182,20 +182,18 @@ def enrichment_report(
     """Enrichment accounting, emitted only for trustworthy relations.
 
     A report is produced when the held-out evaluation shows precision and
-    coverage strictly above the filters. Each predicted count above the
-    KB's stored count contributes the difference as missing facts.
+    coverage strictly above the filters. Only members of the relation's
+    subject class count; each predicted count above the KB's stored count
+    contributes the difference as missing facts.
     """
     if not (score.precision > min_precision and score.coverage > min_coverage):
         return None
-    existing = sum(
-        store.triple_count(s, rel.property)
-        for s in store.class_members(rel.subject_class)
-    )
-    missing = sum(
-        max(0, cq.count - store.triple_count(s, rel.property))
-        for s, cq in predictions.items()
-    )
-    zeros = sum(1 for cq in predictions.values() if cq.count == 0)
+    members = store.class_members(rel.subject_class)
+    existing = sum(store.triple_count(s, rel.property) for s in members)
+    pairs = [(predictions[s].count, store.triple_count(s, rel.property))
+             for s in members if s in predictions]
+    missing = sum(max(0, count - kb) for count, kb in pairs)
+    zeros = sum(count == 0 for count, _ in pairs)
     return EnrichmentReport(
         relation=rel,
         existing_facts=existing,

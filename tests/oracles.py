@@ -24,6 +24,14 @@ def path_scores(emissions: np.ndarray, transitions: np.ndarray) -> tuple[np.ndar
     return paths, scores
 
 
+def path_score(emissions: np.ndarray, transitions: np.ndarray, tag_ids: list[int]) -> float:
+    """Score of one tag path: its emissions plus its transitions."""
+    n = len(tag_ids)
+    score = sum(emissions[t, tag_ids[t]] for t in range(n))
+    score += sum(transitions[tag_ids[t - 1], tag_ids[t]] for t in range(1, n))
+    return float(score)
+
+
 def assert_viterbi_optimal(
     emissions: np.ndarray, transitions: np.ndarray, path: list[int]
 ) -> None:

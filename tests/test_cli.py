@@ -488,6 +488,18 @@ class TestOptionValues:
         assert config_out == flag_out.read_text(encoding="utf-8")
 
 
+def test_gold_fields_are_stripped(runner, tmp_path):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps({"subject": "p00", "count": 1, "confidence": 0.9}) + "\n",
+                    encoding="utf-8")
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("p00 \t 1 \n", encoding="utf-8")
+    metrics = tmp_path / "m.json"
+    run_ok(runner, ["evaluate", "--pred", str(pred), "--gold", str(gold), "--out", str(metrics)])
+    e2e = json.loads(metrics.read_text(encoding="utf-8"))["end_to_end"]
+    assert e2e["precision"] == 1.0 and e2e["coverage"] == 1.0
+
+
 class TestMalformedInputs:
     """A bad line in an input file exits with code 1 and its file:line, no traceback."""
 

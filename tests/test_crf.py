@@ -27,17 +27,17 @@ from countquant.crf import (
     log_partition,
     marginals,
     save_model,
-    sentence_features,
     template_columns,
     train,
     viterbi,
 )
-from countquant.crf.model import log_backward, log_forward, logsumexp, path_score
+from countquant.crf.model import log_backward, log_forward, logsumexp
 
 from oracles import (
     assert_viterbi_optimal,
     brute_force_log_partition,
     brute_force_marginals,
+    path_score,
     random_model,
     random_sequence,
 )
@@ -55,21 +55,21 @@ class TestExtractFeatures:
     def test_centered_pentagram(self):
         seq = ["trump", "have", "CARDINAL", "child", "from"]
         tpl = FeatureTemplate(kind=TOKEN_NGRAM, offsets=(-2, -1, 0, 1, 2))
-        assert sentence_features(seq, [tpl])[2] == ["U5:trump|have|CARDINAL|child|from"]
+        assert _reference_features(seq, 2, [tpl]) == ["U5:trump|have|CARDINAL|child|from"]
 
     def test_boundary_symbols(self):
         tpl = FeatureTemplate(kind=TOKEN_NGRAM, offsets=(-1,))
-        assert sentence_features(["a", "b"], [tpl])[0] == ["U1[-1]:BOS"]
-        assert sentence_features(["a", "b"], [FeatureTemplate(kind=TOKEN_NGRAM, offsets=(1,))])[1] == ["U1[1]:EOS"]
+        assert _reference_features(["a", "b"], 0, [tpl]) == ["U1[-1]:BOS"]
+        assert _reference_features(["a", "b"], 1, [FeatureTemplate(kind=TOKEN_NGRAM, offsets=(1,))]) == ["U1[1]:EOS"]
 
     def test_deterministic(self):
         seq = ["a", "b", "c"]
         templates = default_templates()
-        assert sentence_features(seq, templates)[1] == sentence_features(seq, templates)[1]
+        assert template_columns(seq, templates) == template_columns(seq, templates)
 
     def test_tag_bigram_emits_nothing(self):
         tpl = FeatureTemplate(kind=TAG_BIGRAM)
-        assert sentence_features(["a"], [tpl])[0] == []
+        assert _reference_features(["a"], 0, [tpl]) == []
 
     def test_default_template_set(self):
         templates = default_templates()
@@ -117,8 +117,11 @@ _template_pool = default_templates() + [
     st.lists(st.sampled_from(VOCAB + ["BOS", "a|b", "é"]), max_size=12),
     st.lists(st.sampled_from(_template_pool), max_size=8),
 )
-def test_sentence_features_equal_per_position_reference_property(sequence, templates):
-    rows = sentence_features(sequence, templates)
+def test_template_columns_equal_per_position_reference_property(sequence, templates):
+    names = [t.name for t in templates if t.kind == TOKEN_NGRAM]
+    columns = template_columns(sequence, templates)
+    rows = [[f"{name}:{col[pos]}" for name, col in zip(names, columns)]
+            for pos in range(len(sequence))]
     assert rows == [_reference_features(sequence, pos, templates) for pos in range(len(sequence))]
 
 
@@ -128,7 +131,7 @@ def test_template_columns_are_the_unprefixed_features():
     columns = template_columns(seq, templates)
     names = [t.name for t in templates if t.kind == TOKEN_NGRAM]
     assert len(columns) == len(names) and all(len(col) == len(seq) for col in columns)
-    assert sentence_features(seq, templates) == [
+    assert [_reference_features(seq, pos, templates) for pos in range(len(seq))] == [
         [f"{name}:{col[pos]}" for name, col in zip(names, columns)] for pos in range(len(seq))
     ]
     assert template_columns(seq, [FeatureTemplate(kind=TAG_BIGRAM)]) == []
@@ -215,6 +218,35 @@ def test_feature_index_order_on_mini_fixture():
     assert problem.feature_index == {f: i for i, f in enumerate(expected)}
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    templates=st.lists(st.sampled_from(_template_pool), max_size=6).map(
+        lambda tpls: tpls + tpls[:2]  # duplicate templates share one table
+    ),
+    training=st.lists(st.lists(_symbols, min_size=1, max_size=8), min_size=1, max_size=6),
+    cutoff=st.integers(1, 3),
+)
+def test_training_rows_equal_inference_ids_property(templates, training, cutoff):
+    """Each sentence's row of X holds the ids model.feature_ids gives it, unseen ones dropped."""
+    data = [(seq, ["COUNT"] + ["O"] * (len(seq) - 1)) for seq in training]
+    problem = TrainingProblem(data, templates=templates, feature_cutoff=cutoff)
+    model = CrfModel(
+        feature_index=problem.feature_index,
+        weights=np.zeros((problem.n_features, len(TAGS))),
+        transitions=np.zeros((len(TAGS), len(TAGS))),
+        templates=tuple(templates),
+    )
+    X = problem.X
+    for bucket in problem.buckets:
+        members = [seq for seq in training if len(seq) == bucket.length]
+        for b, seq in enumerate(members):
+            ids = model.feature_ids(seq)
+            for p, row in enumerate(ids):
+                r = bucket.rows.start + b * bucket.length + p
+                got = X.indices[X.indptr[r]:X.indptr[r + 1]]
+                assert np.array_equal(got, row[row != problem.n_features])
+
+
 class TestGradient:
     def test_matches_central_differences(self):
         problem = TrainingProblem(TOY_DATA, l2_sigma=0.5, feature_cutoff=1)
@@ -260,8 +292,8 @@ def _scatter_value_and_grad(problem, examples, theta):
         y = np.array([[problem.tag_ids[t] for t in tags] for _, tags in members])
         fids, sent, pos = [], [], []
         for b, (seq, _) in enumerate(members):
-            for p, row in enumerate(sentence_features(seq, problem.templates)):
-                for f in row:
+            for p in range(len(seq)):
+                for f in _reference_features(seq, p, problem.templates):
                     if f in problem.feature_index:
                         fids.append(problem.feature_index[f])
                         sent.append(b)

@@ -168,6 +168,18 @@ class TestEnrichment:
         )
         assert report.missing_facts == 2  # only ann: 3 - 1
 
+    def test_out_of_class_subjects_not_counted(self, write_kb):
+        store = load_triples(write_kb(
+            ("garfield", "__instance_of__", "human"),
+            ("garfield", "child", "c0"),
+            ("paris", "__instance_of__", "city"),
+        ))
+        preds = {"garfield": cq("garfield", 2), "paris": cq("paris", 5), "nobody": cq("nobody", 0)}
+        report = enrichment_report(store, REL, preds, GOOD)
+        assert report.missing_facts == 1  # only garfield: 2 - 1
+        assert report.existing_facts == 1
+        assert report.zero_assertions == 0
+
     def test_zero_assertions_counted(self, write_kb):
         store = self._store(write_kb)
         report = enrichment_report(store, REL, {"ann": cq("ann", 0)}, GOOD)
