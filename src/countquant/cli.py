@@ -215,6 +215,8 @@ def _load_predictions(path: str) -> dict[str, CountingQuantifier]:
     def record(line: str) -> tuple[str, CountingQuantifier]:
         fields = json.loads(line)
         subject, count = str(fields["subject"]), int(fields["count"])
+        if not subject.strip():
+            raise ValueError("empty subject")
         return subject, CountingQuantifier(subject, None, count, float(fields["confidence"]))
 
     return read_keyed(path, record, "bad prediction record")
@@ -225,6 +227,8 @@ def _load_gold_counts(path: str) -> dict[str, int]:
         if line.startswith("#"):
             return None
         subject, count = line.split("\t")
+        if not subject.strip():
+            raise ValueError("empty subject")
         return subject.strip(), int(count)
 
     return read_keyed(path, record, "expected subject<TAB>count")

@@ -1,14 +1,13 @@
 """Linear-chain CRF over the COUNT/COMP/O tag scheme.
 
-All dynamic programs run in log-space with log-sum-exp. :func:`log_forward`
-and :func:`log_backward` are the one forward-backward kernel: inference runs
-it on one sentence (n, k), :mod:`.train` on equal-length stacks (B, n, k).
-A trained model is immutable (weight arrays are write-protected) and safe to
-share across threads; decoding and marginal inference are reentrant. It
-compiles its feature lookup once from the feature names: one n-gram ->
-feature id table per n-gram template name, the tables training builds. A
-sentence's ids come from :func:`.features.lookup_ids`, as in training, and
-its emissions are one gather-sum over that (tokens, templates) id array.
+:func:`forward_backward` is the one forward-backward kernel: inference runs
+it on one sentence (n, k), :mod:`.train` on equal-length stacks (B, n, k). It
+works in probability space, rescaling each step (Rabiner scaling); a call
+whose scale factors under- or overflow is redone in log space by
+:func:`log_forward` and :func:`log_backward`. A trained model is immutable
+(write-protected weights), so decoding and marginals are thread-safe. It
+compiles its feature lookup once: one n-gram -> feature id table per n-gram
+template, the tables training builds, read through :func:`.features.lookup_ids`.
 """
 
 from __future__ import annotations
@@ -23,10 +22,6 @@ import numpy as np
 from ..reader import InputError, read_file
 from .features import TOKEN_NGRAM, FeatureTemplate, lookup_ids, template_columns
 
-
-def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = a.max(axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(np.exp(a - m).sum(axis=axis))
 
 TAGS = ("COUNT", "COMP", "O")
 
@@ -101,10 +96,9 @@ class CrfModel:
 def log_forward(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
     """Log forward scores of emissions (..., n >= 1, k); leading axes are sentences."""
     em = emissions.swapaxes(0, -2)  # time axis first; a no-op for one sentence
-    alpha = np.empty(em.shape)
-    alpha[0] = em[0]
+    alpha = em.astype(float)
     for t in range(1, len(em)):
-        alpha[t] = em[t] + logsumexp(alpha[t - 1][..., None] + transitions, axis=-2)
+        alpha[t] += np.logaddexp.reduce(alpha[t - 1][..., None] + transitions, axis=-2)
     return alpha.swapaxes(0, -2)
 
 
@@ -113,14 +107,45 @@ def log_backward(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
     em = emissions.swapaxes(0, -2)
     beta = np.zeros(em.shape)
     for t in range(len(em) - 2, -1, -1):
-        beta[t] = logsumexp(transitions + (em[t + 1] + beta[t + 1])[..., None, :])
+        beta[t] = np.logaddexp.reduce(transitions + (em[t + 1] + beta[t + 1])[..., None, :], -1)
     return beta.swapaxes(0, -2)
+
+
+def forward_backward(emissions: np.ndarray, transitions: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Tag marginals ``mu``, expected transition counts ``xi`` and ``log_z``.
+
+    Emissions are (..., n >= 1, k), leading axes sentences. ``mu`` has their
+    shape, ``xi`` (k, k) sums over positions and sentences, ``log_z`` is per sentence.
+    """
+    k = emissions.shape[-1]
+    em = np.ascontiguousarray(np.moveaxis(emissions, -2, 0))  # time-major copy
+    row_max, t_max = em.max(axis=-1, keepdims=True), transitions.max()
+    with np.errstate(all="ignore"):
+        p, e = np.exp(em - row_max), np.exp(transitions - t_max)
+        alpha, beta, c = np.empty_like(p), np.ones_like(p), np.empty_like(row_max)
+        for t in range(len(p)):
+            a = (alpha[t - 1] @ e) * p[t] if t else p[0]
+            c[t] = a.sum(axis=-1, keepdims=True)
+            alpha[t] = a / c[t]
+        q = p / c
+        for t in range(len(p) - 1, 0, -1):
+            beta[t - 1] = (q[t] * beta[t]) @ e.T
+        log_z = (np.log(c).sum(axis=0) + row_max.sum(axis=0))[..., 0] + (len(p) - 1) * t_max
+    if not (np.isfinite(log_z).all() and np.isfinite(beta).all()):  # a scale under/overflowed
+        alpha, beta = log_forward(emissions, transitions), log_backward(emissions, transitions)
+        log_z = np.logaddexp.reduce(alpha[..., -1, :], axis=-1)
+        xi = np.exp(alpha[..., :-1, :, None] + transitions
+                    + (emissions + beta)[..., 1:, None, :] - log_z[..., None, None, None])
+        mu = np.exp(alpha + beta - log_z[..., None, None])
+        return mu, xi.reshape(-1, k, k).sum(axis=0), log_z
+    xi = e * (alpha[:-1].reshape(-1, k).T @ (q[1:] * beta[1:]).reshape(-1, k))
+    return np.moveaxis(alpha * beta, 0, -2), xi, log_z
 
 
 def log_partition(emissions: np.ndarray, transitions: np.ndarray) -> float:
     if emissions.shape[0] == 0:
         return 0.0
-    return float(logsumexp(log_forward(emissions, transitions)[-1]))
+    return float(forward_backward(emissions, transitions)[2])
 
 
 def viterbi(emissions: np.ndarray, transitions: np.ndarray) -> list[int]:
@@ -143,8 +168,6 @@ def viterbi(emissions: np.ndarray, transitions: np.ndarray) -> list[int]:
 
 def decode(model: CrfModel, sequence: list[str]) -> list[str]:
     """Viterbi tag sequence for a placeholder/lemma sequence."""
-    if not sequence:
-        return []
     path = viterbi(model.emissions(sequence), model.transitions)
     return [model.tags[i] for i in path]
 
@@ -157,11 +180,7 @@ def marginals(model: CrfModel, sequence: list[str]) -> np.ndarray:
     """
     if not sequence:
         return np.zeros((0, model.n_tags))
-    em = model.emissions(sequence)
-    alpha = log_forward(em, model.transitions)
-    beta = log_backward(em, model.transitions)
-    log_z = logsumexp(alpha[-1])
-    return np.exp(alpha + beta - log_z)
+    return forward_backward(model.emissions(sequence), model.transitions)[0]
 
 
 def save_model(model: CrfModel, path: Path | str) -> None:

@@ -1,20 +1,17 @@
 """Maximum-likelihood CRF training.
 
-The penalized conditional log-likelihood and its analytic gradient are
-computed here (empirical minus expected feature counts via forward-backward);
-the quasi-Newton step itself is delegated to scipy's L-BFGS-B. Training is
-deterministic: weights start at zero and sentences are processed in input
-order.
+The penalized conditional log-likelihood and its analytic gradient
+(empirical minus expected feature counts) are computed here; scipy's
+L-BFGS-B takes the quasi-Newton steps. Training is deterministic: weights
+start at zero and sentences are processed in input order.
 
 The training data are compiled once into a sparse 0/1 matrix ``X``, one row
 per token position and one column per feature, so emissions are ``X @ W``
 and expected feature counts ``Xᵀ @ μ``. Its column ids come from the
-per-template n-gram tables and :func:`.features.lookup_ids` that a trained
-model's inference uses, so both see the same features. Rows run length
-bucket by length bucket, so each bucket's rows reshape to a (batch, length,
-tags) tensor and the forward-backward kernel of :mod:`.model`
-(``log_forward``, ``log_backward``) runs once per sentence length; only the
-pairwise marginals and the gradient are computed here.
+per-template n-gram tables and :func:`.features.lookup_ids` of inference.
+Rows run length bucket by length bucket, so each bucket reshapes to a
+(batch, length, tags) stack, and one scaled :func:`.model.forward_backward`
+call gives its tag marginals, expected transition counts and log partitions.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from .features import (
     lookup_ids,
     template_columns,
 )
-from .model import TAGS, CrfModel, log_backward, log_forward, logsumexp
+from .model import TAGS, CrfModel, forward_backward
 
 logger = logging.getLogger(__name__)
 
@@ -120,11 +117,13 @@ class TrainingProblem:
         for i, (seq, _) in enumerate(examples):
             by_length.setdefault(len(seq), []).append(i)
         self.buckets: list[_Bucket] = []
+        self._emp_t = np.zeros((self.n_tags, self.n_tags))
         for length in sorted(by_length):
             y = np.array([[self.tag_ids[t] for t in examples[i][1]] for i in by_length[length]],
                          dtype=np.intp)
             start = self.buckets[-1].rows.stop if self.buckets else 0
             self.buckets.append(_Bucket(length, y, slice(start, start + y.size)))
+            np.add.at(self._emp_t, (y[:, :-1].ravel(), y[:, 1:].ravel()), 1.0)
         # One row per token position, bucket by bucket. X is built from
         # (data, indices, indptr) with each row's ids in template order: COO
         # input would sort the columns, and that changes the floating-point
@@ -138,10 +137,6 @@ class TrainingProblem:
 
         all_tags = np.concatenate([bucket.tag_ids.ravel() for bucket in self.buckets])
         self._emp_w = self.X.T @ np.eye(self.n_tags)[all_tags]
-        self._emp_t = np.zeros((self.n_tags, self.n_tags))
-        for bucket in self.buckets:
-            y = bucket.tag_ids
-            np.add.at(self._emp_t, (y[:, :-1].ravel(), y[:, 1:].ravel()), 1.0)
 
     @property
     def n_params(self) -> int:
@@ -162,34 +157,19 @@ class TrainingProblem:
         exp_t = np.zeros_like(trans)
         ll = 0.0
         for bucket in self.buckets:
-            n = bucket.length
             y = bucket.tag_ids
-            batch = y.shape[0]
+            batch, n = y.shape
             em = em_all[bucket.rows].reshape(batch, n, k)
-            alpha = log_forward(em, trans)
-            beta = log_backward(em, trans)
-            log_z = logsumexp(alpha[:, n - 1])
-
+            mu, xi, log_z = forward_backward(em, trans)
             score = em[np.arange(batch)[:, None], np.arange(n)[None, :], y].sum(axis=1)
             score = score + trans[y[:, :-1], y[:, 1:]].sum(axis=1)
             ll += float((score - log_z).sum())
-
-            mu = np.exp(alpha + beta - log_z[:, None, None])
             mu_all[bucket.rows] = mu.reshape(batch * n, k)
-            xi = np.exp(
-                alpha[:, :-1, :, None]
-                + trans[None, None, :, :]
-                + (em[:, 1:] + beta[:, 1:])[:, :, None, :]
-                - log_z[:, None, None, None]
-            )
-            exp_t += xi.sum(axis=(0, 1))
+            exp_t += xi
         exp_w = self.X.T @ mu_all
-        penalty = 0.5 * self.l2_sigma * float(theta @ theta)
-        value = -(ll - penalty)
-        grad_w = -(self._emp_w - exp_w)
-        grad_t = -(self._emp_t - exp_t)
-        grad = np.concatenate([grad_w.ravel(), grad_t.ravel()]) + self.l2_sigma * theta
-        return value, grad
+        value = -(ll - 0.5 * self.l2_sigma * float(theta @ theta))
+        grad = np.concatenate([(exp_w - self._emp_w).ravel(), (exp_t - self._emp_t).ravel()])
+        return value, grad + self.l2_sigma * theta
 
 
 def train(

@@ -153,6 +153,7 @@ class EnrichmentReport:
     existing_facts: int
     missing_facts: int
     zero_assertions: int
+    conflicts: int  # positive predictions for subjects the KB asserts have none
 
     @property
     def kb_increase(self) -> float:
@@ -168,6 +169,7 @@ class EnrichmentReport:
             "missing_facts": self.missing_facts,
             "kb_increase_pct": round(100.0 * self.kb_increase, 1),
             "zero_assertions": self.zero_assertions,
+            "conflicts": self.conflicts,
         }
 
 
@@ -184,21 +186,22 @@ def enrichment_report(
     A report is produced when the held-out evaluation shows precision and
     coverage strictly above the filters. Only members of the relation's
     subject class count; each predicted count above the KB's stored count
-    contributes the difference as missing facts.
+    contributes the difference as missing facts. A positive count for a
+    subject whose KB row asserts no value (``__no_value__``) adds no missing
+    facts; it is counted as a conflict instead.
     """
     if not (score.precision > min_precision and score.coverage > min_coverage):
         return None
     members = store.class_members(rel.subject_class)
     existing = sum(store.triple_count(s, rel.property) for s in members)
-    pairs = [(predictions[s].count, store.triple_count(s, rel.property))
-             for s in members if s in predictions]
-    missing = sum(max(0, count - kb) for count, kb in pairs)
-    zeros = sum(count == 0 for count, _ in pairs)
+    rows = [(predictions[s].count, store.triple_count(s, rel.property),
+             store.has_explicit_zero(s, rel.property)) for s in members if s in predictions]
     return EnrichmentReport(
         relation=rel,
         existing_facts=existing,
-        missing_facts=missing,
-        zero_assertions=zeros,
+        missing_facts=sum(max(0, count - kb) for count, kb, zero in rows if not zero),
+        zero_assertions=sum(count == 0 for count, _, _ in rows),
+        conflicts=sum(count > 0 for count, _, zero in rows if zero),
     )
 
 

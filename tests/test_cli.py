@@ -519,6 +519,15 @@ class TestMalformedInputs:
                                       "--gold", str(gold), "--out", str(tmp_path / "m.json")])
         self.assert_reported(result, f"{gold}:2")
 
+    def test_empty_gold_subject(self, runner, tmp_path):
+        (tmp_path / "pred.jsonl").write_text(self.PRED + "\n", encoding="utf-8")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("p00\t1\n \t1\n", encoding="utf-8")
+        result = runner.invoke(main, ["evaluate", "--pred", str(tmp_path / "pred.jsonl"),
+                                      "--gold", str(gold), "--out", str(tmp_path / "m.json")])
+        self.assert_reported(result, f"{gold}:2")
+        assert "empty subject" in result.output
+
     def test_duplicate_gold_subject(self, runner, tmp_path):
         (tmp_path / "pred.jsonl").write_text(self.PRED + "\n", encoding="utf-8")
         gold = tmp_path / "gold.tsv"
@@ -542,7 +551,8 @@ class TestMalformedInputs:
         '{"subject": "a", "confidence": 0.5}',
         '{"subject": "a", "count": "x", "confidence": 0.5}',
         '["a", 1, 0.5]',
-    ], ids=["json", "missing-key", "bad-number", "not-an-object"])
+        '{"subject": " ", "count": 1, "confidence": 0.5}',
+    ], ids=["json", "missing-key", "bad-number", "not-an-object", "empty-subject"])
     def test_bad_prediction_line(self, runner, fixture_dir, bad):
         pred = fixture_dir / "pred.jsonl"
         pred.write_text(self.PRED + "\n" + bad + "\n", encoding="utf-8")

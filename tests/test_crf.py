@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import pickle
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -31,13 +32,14 @@ from countquant.crf import (
     train,
     viterbi,
 )
-from countquant.crf.model import log_backward, log_forward, logsumexp
+from countquant.crf.model import forward_backward, log_backward, log_forward
 
 from oracles import (
     assert_viterbi_optimal,
     brute_force_log_partition,
     brute_force_marginals,
     path_score,
+    path_scores,
     random_model,
     random_sequence,
 )
@@ -303,22 +305,13 @@ def _scatter_value_and_grad(problem, examples, theta):
         np.add.at(emp_t, (y[:, :-1].ravel(), y[:, 1:].ravel()), 1.0)
         em = np.zeros((len(members), n, k))
         np.add.at(em, (sent, pos), w[fids])
-        alpha, beta = log_forward(em, trans), log_backward(em, trans)
-        log_z = logsumexp(alpha[:, n - 1])
+        mu, xi, log_z = forward_backward(em, trans)
         score = em[np.arange(len(members))[:, None], np.arange(n)[None, :], y].sum(axis=1)
         if n > 1:
             score = score + trans[y[:, :-1], y[:, 1:]].sum(axis=1)
         ll += float((score - log_z).sum())
-        mu = np.exp(alpha + beta - log_z[:, None, None])
         np.add.at(exp_w, fids, mu[sent, pos])
-        if n > 1:
-            xi = np.exp(
-                alpha[:, :-1, :, None]
-                + trans[None, None, :, :]
-                + (em[:, 1:] + beta[:, 1:])[:, :, None, :]
-                - log_z[:, None, None, None]
-            )
-            exp_t += xi.sum(axis=(0, 1))
+        exp_t += xi
     value = -(ll - 0.5 * problem.l2_sigma * float(theta @ theta))
     grad = np.concatenate([-(emp_w - exp_w).ravel(), -(emp_t - exp_t).ravel()])
     return value, grad + problem.l2_sigma * theta
@@ -520,6 +513,67 @@ class TestMarginals:
         grid = stack.reshape(2, 3, length, 3)
         assert np.array_equal(log_forward(grid, trans), alpha.reshape(grid.shape))
         assert np.array_equal(log_backward(grid, trans), beta.reshape(grid.shape))
+
+    @staticmethod
+    def _brute_force_transition_counts(em, trans):
+        """Pairwise tag marginals summed over positions, by path enumeration."""
+        paths, scores = path_scores(em, trans)
+        weights = np.exp(scores - scores.max())
+        weights /= weights.sum()
+        counts = np.zeros_like(trans)
+        for t in range(len(em) - 1):
+            np.add.at(counts, (paths[:, t], paths[:, t + 1]), weights)
+        return counts
+
+    @pytest.mark.parametrize("length", [1, 2, 4, 6])
+    def test_forward_backward_matches_brute_force_and_single_calls(self, length):
+        rng = np.random.default_rng(29 + length)
+        model = random_model(rng, VOCAB, scale=2.0)
+        trans = model.transitions
+        stack = np.stack([
+            model.emissions(random_sequence(rng, VOCAB, length)) for _ in range(6)
+        ])
+        mu, xi, log_z = forward_backward(stack, trans)
+        assert mu.shape == stack.shape and xi.shape == (3, 3) and log_z.shape == (6,)
+        total = np.zeros((3, 3))
+        for em, row_mu, row_log_z in zip(stack, mu, log_z):
+            one_mu, one_xi, one_log_z = forward_backward(em, trans)
+            counts = self._brute_force_transition_counts(em, trans)
+            assert abs(one_log_z - brute_force_log_partition(em, trans)) < 1e-8
+            assert np.abs(one_mu - brute_force_marginals(em, trans)).max() < 1e-8
+            assert np.abs(one_xi - counts).max() < 1e-8
+            # A stack's matmuls need not round as one sentence's do.
+            assert np.abs(row_mu - one_mu).max() < 1e-12
+            assert abs(row_log_z - one_log_z) < 1e-12
+            total += counts
+        assert np.abs(xi - total).max() < 1e-8
+
+    def test_extreme_scores_fall_back_to_log_space(self, monkeypatch):
+        # Every transition out of tag 0 lies 1400 below the largest one, so
+        # the scaled step after a position that must be tag 0 sums to 0.
+        em = np.array([[700.0, -700.0, -700.0], [-700.0, 700.0, 0.0], [0.0, -700.0, 700.0]])
+        trans = np.array([[-700.0, -700.0, -700.0], [700.0, 0.0, -700.0], [0.0, 700.0, -700.0]])
+        calls = []
+
+        def counting_forward(emissions, transitions):
+            calls.append(emissions.shape)
+            return log_forward(emissions, transitions)
+
+        monkeypatch.setattr("countquant.crf.model.log_forward", counting_forward)
+        stack = np.stack([em, em[::-1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [forward_backward(em, trans), forward_backward(stack, trans)]
+        assert calls == [em.shape, stack.shape]
+        (mu, xi, log_z), (stack_mu, stack_xi, stack_log_z) = results
+        assert abs(log_z - brute_force_log_partition(em, trans)) < 1e-8
+        assert np.abs(mu - brute_force_marginals(em, trans)).max() < 1e-8
+        assert np.abs(xi - self._brute_force_transition_counts(em, trans)).max() < 1e-8
+        for one, got_mu, got_log_z in zip(stack, stack_mu, stack_log_z):
+            assert abs(got_log_z - brute_force_log_partition(one, trans)) < 1e-8
+            assert np.abs(got_mu - brute_force_marginals(one, trans)).max() < 1e-8
+        expected = sum(self._brute_force_transition_counts(one, trans) for one in stack)
+        assert np.abs(stack_xi - expected).max() < 1e-8
 
     def test_uniform_model_gives_thirds(self):
         templates = (FeatureTemplate(kind=TOKEN_NGRAM, offsets=(0,)),)

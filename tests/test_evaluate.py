@@ -185,9 +185,26 @@ class TestEnrichment:
         report = enrichment_report(store, REL, {"ann": cq("ann", 0)}, GOOD)
         assert report.zero_assertions == 1
 
+    def test_kb_explicit_zero_is_a_conflict_not_missing_facts(self, write_kb):
+        store = load_triples(write_kb(
+            ("garfield", "__instance_of__", "human"),
+            ("garfield", "child", "c0"),
+            ("ann", "__instance_of__", "human"),
+            ("ann", "child", "__no_value__"),
+            ("bob", "__instance_of__", "human"),
+            ("bob", "child", "__no_value__"),
+        ))
+        preds = {"garfield": cq("garfield", 3), "ann": cq("ann", 2), "bob": cq("bob", 0)}
+        report = enrichment_report(store, REL, preds, GOOD)
+        assert report.missing_facts == 2  # only garfield: 3 - 1
+        assert report.conflicts == 1      # ann: 2 against the KB's asserted zero
+        assert report.zero_assertions == 1
+        assert report.to_json_dict()["conflicts"] == 1
+
     def test_ratio_matches_reported_increase(self):
         report = EnrichmentReport(
-            relation=REL, existing_facts=73527, missing_facts=117942, zero_assertions=0
+            relation=REL, existing_facts=73527, missing_facts=117942, zero_assertions=0,
+            conflicts=0,
         )
         assert round(100 * report.kb_increase, 1) == 160.4
 
