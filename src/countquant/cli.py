@@ -211,10 +211,18 @@ def cmd_extract(model, corpus, relation, predictions, lexicon_dir, threshold, ze
     click.echo(f"wrote {predictions}: {len(lines)} predictions for {len(tasks)} subjects")
 
 
+def _count(field) -> int:
+    """A count field as an int; a count below zero is malformed."""
+    count = int(field)
+    if count < 0:
+        raise ValueError(f"negative count {count}")
+    return count
+
+
 def _load_predictions(path: str) -> dict[str, CountingQuantifier]:
     def record(line: str) -> tuple[str, CountingQuantifier]:
         fields = json.loads(line)
-        subject, count = str(fields["subject"]), int(fields["count"])
+        subject, count = str(fields["subject"]), _count(fields["count"])
         if not subject.strip():
             raise ValueError("empty subject")
         return subject, CountingQuantifier(subject, None, count, float(fields["confidence"]))
@@ -229,7 +237,7 @@ def _load_gold_counts(path: str) -> dict[str, int]:
         subject, count = line.split("\t")
         if not subject.strip():
             raise ValueError("empty subject")
-        return subject.strip(), int(count)
+        return subject.strip(), _count(count)
 
     return read_keyed(path, record, "expected subject<TAB>count")
 
@@ -258,22 +266,16 @@ def cmd_evaluate(predictions, gold, gold_conll, pred_conll, metrics, table):
             ))
     if gold_conll and pred_conll:
         gold_seqs = list(dsgen.read_conll(gold_conll))
-        pred_seqs = list(dsgen.read_conll(pred_conll))
-        if len(gold_seqs) != len(pred_seqs):
-            raise click.ClickException("gold and predicted tag files differ in sentence count")
-        tp = n_pred = n_gold = 0
-        for (_, g_tags), (_, p_tags) in zip(gold_seqs, pred_seqs):
-            if len(g_tags) != len(p_tags):
-                raise click.ClickException("sentence length mismatch between tag files")
-            n_gold += sum(t == dsgen.COUNT for t in g_tags)
-            n_pred += sum(t == dsgen.COUNT for t in p_tags)
-            tp += sum(g == p == dsgen.COUNT for g, p in zip(g_tags, p_tags))
-        precision, recall, f1 = ev.prf(tp, n_pred, n_gold)
-        scores["recognition"] = {
-            "precision": round(precision, 4),
-            "recall": round(recall, 4),
-            "f1": round(f1, 4),
-        }
+        pred_tags = [tags for _, tags in dsgen.read_conll(pred_conll)]
+        try:
+            recognition = ev.score_tags(
+                [symbols for symbols, _ in gold_seqs], [tags for _, tags in gold_seqs], pred_tags
+            )
+        except ValueError as exc:
+            raise click.ClickException(
+                f"{pred_conll} does not match {gold_conll}: {exc}"
+            ) from exc
+        scores["recognition"] = recognition.to_json_dict()
     if not scores:
         raise click.ClickException(
             "nothing to evaluate: pass --pred/--gold and/or --gold-conll/--pred-conll"

@@ -3,8 +3,6 @@
 from .features import (
     BOS,
     EOS,
-    TAG_BIGRAM,
-    TOKEN_NGRAM,
     FeatureTemplate,
     default_templates,
     template_columns,
@@ -25,8 +23,6 @@ from .train import DegenerateTrainingError, TrainingProblem, train
 __all__ = [
     "BOS",
     "EOS",
-    "TAG_BIGRAM",
-    "TOKEN_NGRAM",
     "FeatureTemplate",
     "default_templates",
     "template_columns",

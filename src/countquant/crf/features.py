@@ -2,7 +2,8 @@
 
 Observation features are n-grams (length 1..5) of the symbols in a window
 around the current position; ``BOS``/``EOS`` stand in for positions outside
-the sequence. One tag-bigram template adds the 3x3 transition parameters.
+the sequence. A template is its window of contiguous offsets; the 3x3
+tag-transition weights are part of every model, not a template.
 
 :func:`template_columns` builds the n-grams of a whole sequence at once: it
 pads the sequence with ``BOS``/``EOS`` a single time and builds each width's
@@ -23,24 +24,17 @@ import numpy as np
 BOS = "BOS"
 EOS = "EOS"
 
-TOKEN_NGRAM = "token_ngram"
-TAG_BIGRAM = "tag_bigram"
-
 
 @dataclass(frozen=True)
 class FeatureTemplate:
-    kind: str
-    offsets: tuple[int, ...] = ()
+    offsets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in (TOKEN_NGRAM, TAG_BIGRAM):
-            raise ValueError(f"unknown template kind {self.kind!r}")
-        if self.kind == TOKEN_NGRAM:
-            n = len(self.offsets)
-            if not 1 <= n <= 5:
-                raise ValueError("n-gram length must be 1..5")
-            if list(self.offsets) != list(range(self.offsets[0], self.offsets[0] + n)):
-                raise ValueError("n-gram offsets must be contiguous")
+        n = len(self.offsets)
+        if not 1 <= n <= 5:
+            raise ValueError("n-gram length must be 1..5")
+        if list(self.offsets) != list(range(self.offsets[0], self.offsets[0] + n)):
+            raise ValueError("n-gram offsets must be contiguous")
 
     @property
     def name(self) -> str:
@@ -52,41 +46,35 @@ class FeatureTemplate:
         return f"U{n}[{start}]"
 
 
-def default_templates(max_len: int = 5, window: int = 4) -> list[FeatureTemplate]:
-    """Every contiguous n-gram (length 1..max_len) within +/-window touching position 0."""
-    templates = []
-    for n in range(1, max_len + 1):
-        for start in range(-(n - 1), 1):
-            if start >= -window and start + n - 1 <= window:
-                templates.append(
-                    FeatureTemplate(kind=TOKEN_NGRAM, offsets=tuple(range(start, start + n)))
-                )
-    templates.append(FeatureTemplate(kind=TAG_BIGRAM))
-    return templates
+def default_templates() -> list[FeatureTemplate]:
+    """Every contiguous n-gram of length 1..5 that covers position 0, shortest first."""
+    return [
+        FeatureTemplate(tuple(range(start, start + n)))
+        for n in range(1, 6)
+        for start in range(1 - n, 1)
+    ]
 
 
 def template_columns(
     sequence: Sequence[str], templates: Sequence[FeatureTemplate]
 ) -> list[list[str]]:
-    """The ``"|"``-joined n-gram of every position, one column per n-gram template.
+    """The ``"|"``-joined n-gram of every position, one column per template, in order.
 
-    Columns follow the n-gram templates in order; tag-bigram templates get
-    none. The sequence is padded with ``BOS``/``EOS`` once, and each width's
+    The sequence is padded with ``BOS``/``EOS`` once, and each width's
     n-grams are built once, by extending those one symbol narrower.
     """
-    ngrams = [tpl for tpl in templates if tpl.kind == TOKEN_NGRAM]
-    if not ngrams:
+    if not templates:
         return []
     n = len(sequence)
-    left = max(0, -min(tpl.offsets[0] for tpl in ngrams))
-    right = max(0, max(tpl.offsets[-1] for tpl in ngrams))
+    left = max(0, -min(tpl.offsets[0] for tpl in templates))
+    right = max(0, max(tpl.offsets[-1] for tpl in templates))
     padded = [BOS] * left + list(sequence) + [EOS] * right
     by_width = [padded]  # by_width[w - 1][j] joins padded[j : j + w]
-    for w in range(2, max(len(tpl.offsets) for tpl in ngrams) + 1):
+    for w in range(2, max(len(tpl.offsets) for tpl in templates) + 1):
         by_width.append(list(map("|".join, zip(by_width[-1], padded[w - 1 :]))))
     return [
         by_width[len(tpl.offsets) - 1][left + tpl.offsets[0] : left + tpl.offsets[0] + n]
-        for tpl in ngrams
+        for tpl in templates
     ]
 
 

@@ -6,8 +6,8 @@ works in probability space, rescaling each step (Rabiner scaling); a call
 whose scale factors under- or overflow is redone in log space by
 :func:`log_forward` and :func:`log_backward`. A trained model is immutable
 (write-protected weights), so decoding and marginals are thread-safe. It
-compiles its feature lookup once: one n-gram -> feature id table per n-gram
-template, the tables training builds, read through :func:`.features.lookup_ids`.
+compiles its feature lookup once: one n-gram -> feature id table per template,
+the tables training builds, read through :func:`.features.lookup_ids`.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ from typing import Optional
 import numpy as np
 
 from ..reader import InputError, read_file
-from .features import TOKEN_NGRAM, FeatureTemplate, lookup_ids, template_columns
+from .features import FeatureTemplate, lookup_ids, template_columns
 
 
 TAGS = ("COUNT", "COMP", "O")
 
 MODEL_MAGIC = "countquant-crf"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 class ModelFormatError(InputError):
@@ -48,15 +48,15 @@ class CrfModel:
     final_objective: float = 0.0
     n_iterations: int = 0
     # Compiled from the fields above, never pickled: one n-gram -> feature id
-    # table per n-gram template, and the weights plus one zero row that the
-    # id of an unseen feature (n_features) selects.
+    # table per template, and the weights plus one zero row that the id of an
+    # unseen feature (n_features) selects.
     gram_ids: tuple[dict[str, int], ...] = field(init=False, repr=False, compare=False)
     padded_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.weights.flags.writeable = False
         self.transitions.flags.writeable = False
-        names = [tpl.name for tpl in self.templates if tpl.kind == TOKEN_NGRAM]
+        names = [tpl.name for tpl in self.templates]
         tables: dict[str, dict[str, int]] = {name: {} for name in names}
         for feature, fid in self.feature_index.items():
             name, _, gram = feature.partition(":")  # no template name holds a ":"
@@ -80,7 +80,7 @@ class CrfModel:
         return len(self.tags)
 
     def feature_ids(self, sequence: list[str]) -> np.ndarray:
-        """Feature ids, shape (len(sequence), n-gram templates), in template order.
+        """Feature ids, shape (len(sequence), templates), in template order.
 
         An unseen feature gets the id n_features, the zero row of
         ``padded_weights``.
@@ -193,7 +193,7 @@ def save_model(model: CrfModel, path: Path | str) -> None:
         "relation": model.relation,
         "final_objective": model.final_objective,
         "n_iterations": model.n_iterations,
-        "templates": [{"kind": t.kind, "offsets": list(t.offsets)} for t in model.templates],
+        "templates": [list(t.offsets) for t in model.templates],
         "features": list(model.feature_index.keys()),
         "weights": model.weights.tolist(),
         "transitions": model.transitions.tolist(),
@@ -216,10 +216,9 @@ def load_model(path: Path | str) -> CrfModel:
             raise TypeError("features must be a list of strings")
         if not isinstance(tags, list):
             raise TypeError("tags must be a list")
-        if not all(isinstance(d, dict) for d in payload["templates"]):
-            raise TypeError("templates must be objects")
-        templates = tuple(FeatureTemplate(kind=d["kind"], offsets=tuple(d.get("offsets", ())))
-                          for d in payload["templates"])
+        if not all(isinstance(offsets, list) for offsets in payload["templates"]):
+            raise TypeError("templates must be offset lists")
+        templates = tuple(FeatureTemplate(tuple(offsets)) for offsets in payload["templates"])
         weights = np.asarray(payload["weights"], dtype=float)
         if weights.size == 0:  # a model without features stores [], read as shape (0,)
             weights = weights.reshape(0, len(tags))

@@ -25,13 +25,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.sparse import csr_matrix
 
-from .features import (
-    TOKEN_NGRAM,
-    FeatureTemplate,
-    default_templates,
-    lookup_ids,
-    template_columns,
-)
+from .features import FeatureTemplate, default_templates, lookup_ids, template_columns
 from .model import TAGS, CrfModel, forward_backward
 
 logger = logging.getLogger(__name__)
@@ -90,7 +84,7 @@ class TrainingProblem:
         # One n-gram -> id table per template name, as CrfModel compiles from
         # the feature index. Ids go in first-occurrence order (sentence, then
         # position, then template) to the n-grams seen feature_cutoff times.
-        names = [tpl.name for tpl in self.templates if tpl.kind == TOKEN_NGRAM]
+        names = [tpl.name for tpl in self.templates]
         counts = {name: Counter() for name in names}
         columns = [template_columns(seq, self.templates) for seq, _ in examples]
         for cols in columns:

@@ -45,6 +45,7 @@ from .reader import InputError, read_keyed, read_lines
 COUNT = "COUNT"
 COMP = "COMP"
 OTHER = "O"
+TAGS = (COUNT, COMP, OTHER)
 
 # Compositional seed matching: at most this many mentions per run, at most
 # this many tokens between adjacent mentions (at least one being a cue).
@@ -363,6 +364,9 @@ def read_conll(path: Path | str) -> Iterator[tuple[list[str], list[str]]]:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise InputError(path, "expected 3 tab-separated columns", lineno)
+            if parts[2] not in TAGS:
+                raise InputError(path, f"unknown tag {parts[2]!r}, expected one of "
+                                 f"{', '.join(TAGS)}", lineno)
             symbols.append(parts[1])
             tags.append(parts[2])
         elif symbols:

@@ -8,6 +8,7 @@ from typing import Mapping, Optional, Sequence
 from .consolidate import CountingQuantifier
 from .dsgen import COMP, COUNT, LabeledSentence
 from .kbstore import KbStore, Relation
+from .numlex import PLACEHOLDER_CARDINAL, PLACEHOLDER_NUMTERM, PLACEHOLDER_ORDINAL
 
 
 def prf(tp: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
@@ -47,54 +48,64 @@ class RecognitionScore:
         }
 
 
-def score_recognition(
-    gold: Sequence[LabeledSentence],
+# The placeholder symbols of mentions, and the kind each is scored under.
+# Articles and zero cues read as CARDINAL, so they are scored as cardinals.
+_PLACEHOLDER_KINDS = {
+    symbol: symbol.lower()
+    for symbol in (PLACEHOLDER_CARDINAL, PLACEHOLDER_ORDINAL, PLACEHOLDER_NUMTERM)
+}
+
+
+def score_tags(
+    symbols: Sequence[Sequence[str]],
+    gold: Sequence[Sequence[str]],
     predicted: Sequence[Sequence[str]],
 ) -> RecognitionScore:
-    """Exact-match P/R/F1 on COUNT mentions, with a per-kind breakdown.
+    """Exact-match P/R/F1 on COUNT tags, per placeholder kind, and on COMP tags.
 
-    Mentions occupy a single token after placeholder merging, so mention and
-    token matches coincide. COMP tags are scored separately and never mixed
-    into mention scores.
+    The three arguments hold one entry per sentence: its placeholder
+    sequence, its gold tags and its predicted tags. Mentions occupy a single
+    token after placeholder merging, so mention and token matches coincide.
+    A placeholder kind is listed once some token of it is tagged COUNT in
+    gold or prediction. COMP tags are scored separately and never mixed
+    into the COUNT scores.
     """
-    if len(gold) != len(predicted):
+    if not len(symbols) == len(gold) == len(predicted):
         raise ValueError(
             f"gold ({len(gold)}) and predicted ({len(predicted)}) sentence counts differ"
         )
-    tp = n_pred = n_gold = 0
-    comp_tp = comp_pred = comp_gold = 0
-    kind_counts: dict[str, list[int]] = {}
-    for ls, pred_tags in zip(gold, predicted):
-        if len(pred_tags) != len(ls.tags):
-            raise ValueError("predicted tag sequence length mismatch")
-        for tok, g, p in zip(ls.sentence, ls.tags, pred_tags):
-            if g == COUNT:
-                n_gold += 1
-            if p == COUNT:
-                n_pred += 1
-            if g == COUNT and p == COUNT:
-                tp += 1
-            if g == COMP:
-                comp_gold += 1
-            if p == COMP:
-                comp_pred += 1
-            if g == COMP and p == COMP:
-                comp_tp += 1
-            if tok.mention is not None:
-                row = kind_counts.setdefault(tok.mention.kind.value, [0, 0, 0])
-                row[0] += 1 if (g == COUNT and p == COUNT) else 0
-                row[1] += 1 if p == COUNT else 0
-                row[2] += 1 if g == COUNT else 0
-    precision, recall, f1 = prf(tp, n_pred, n_gold)
+    # COUNT, COMP or a placeholder kind -> [true positives, predicted, gold]
+    rows: dict[str, list[int]] = {}
+    for i, (seq, g_tags, p_tags) in enumerate(zip(symbols, gold, predicted), 1):
+        if not len(seq) == len(g_tags) == len(p_tags):
+            raise ValueError(f"sentence {i}: {len(g_tags)} gold tags but {len(p_tags)} predicted")
+        for symbol, g, p in zip(seq, g_tags, p_tags):
+            kind = _PLACEHOLDER_KINDS.get(symbol)
+            for key, tag in ((COUNT, COUNT), (COMP, COMP), (kind, COUNT)):
+                if key is not None and tag in (g, p):
+                    row = rows.setdefault(key, [0, 0, 0])
+                    row[0] += g == p
+                    row[1] += p == tag
+                    row[2] += g == tag
+    precision, recall, f1 = prf(*rows.get(COUNT, (0, 0, 0)))
     return RecognitionScore(
         precision=precision,
         recall=recall,
         f1=f1,
         supports_by_kind={
-            kind: prf(*counts) for kind, counts in kind_counts.items()
+            key: prf(*row) for key, row in rows.items() if key not in (COUNT, COMP)
         },
-        comp_score=prf(comp_tp, comp_pred, comp_gold),
+        comp_score=prf(*rows.get(COMP, (0, 0, 0))),
     )
+
+
+def score_recognition(
+    gold: Sequence[LabeledSentence],
+    predicted: Sequence[Sequence[str]],
+) -> RecognitionScore:
+    """:func:`score_tags` of gold labeled sentences and predicted tag sequences."""
+    return score_tags([ls.placeholder_sequence() for ls in gold], [ls.tags for ls in gold],
+                      predicted)
 
 
 @dataclass(frozen=True)

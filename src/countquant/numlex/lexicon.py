@@ -8,9 +8,9 @@ truth for which terms are recognized; ``load_default_lexicon`` reads them,
 A :class:`NumLexicon` compiles its lookup tables once, when it is built:
 ``specials_by_first`` maps a special term's first token to the terms that
 start with it, longest first, ``affixed_words`` maps every prefix + suffix
-word to its decoded number term, and ``readable_words`` holds every word a
-single-token check can read. Mention detection then costs one set or dict
-lookup per token.
+word to its value, and ``readable_words`` holds every word a single-token
+check can read. Mention detection then costs one set or dict lookup per
+token.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from ..reader import InputError, read_lines
 
 _DATA_DIR = Path(__file__).parent / "data"
 
-# Replacement syntax for special terms that stay in place as a suffixed
-# number-term placeholder, e.g. "NUMTERM-plets:2".
-_PLACEHOLDER_REPLACEMENT_RE = re.compile(r"^NUMTERM(-[a-z]+):(\d+)$")
+# Replacement syntax for special terms that stay in place as one number-term
+# token with a value, e.g. "NUMTERM:2". Lexicons written in the older form
+# "NUMTERM-plets:2" still load: the suffix is read and ignored.
+_PLACEHOLDER_REPLACEMENT_RE = re.compile(r"^NUMTERM(?:-[a-z]+)?:(\d+)$")
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class SpecialTerm:
 
     term: tuple[str, ...]            # lowercased token sequence it matches
     replacement_text: str | None     # rewrite text, or None for in-place terms
-    suffix_class: str | None         # "-plets" style class for in-place terms
     value: int | None                # decoded count for in-place terms
 
 
@@ -54,9 +54,9 @@ class NumLexicon:
     specials_by_first: dict[str, tuple[SpecialTerm, ...]] = field(
         init=False, repr=False, compare=False
     )
-    # prefix + suffix word -> (value, "-suffix") from its longest decoding suffix;
+    # prefix + suffix word -> its prefix's value, split at its longest suffix;
     # the affix exceptions are left out
-    affixed_words: dict[str, tuple[int, str]] = field(init=False, repr=False, compare=False)
+    affixed_words: dict[str, int] = field(init=False, repr=False, compare=False)
     # every word a single-token check can read: "and", the cardinal, ordinal and
     # affixed words and the articles (digits and hyphenated words aside)
     readable_words: frozenset[str] = field(init=False, repr=False, compare=False)
@@ -71,11 +71,11 @@ class NumLexicon:
         by_first: dict[str, list[SpecialTerm]] = {}
         for term in sorted(self.special_terms, key=lambda t: -len(t.term)):
             by_first.setdefault(term.term[0], []).append(term)
-        affixed: dict[str, tuple[int, str]] = {}
+        affixed: dict[str, int] = {}
         for suffix in sorted(self.num_term_suffixes, key=len, reverse=True):
             for stem, value in self.latin_greek_prefixes.items():
                 if stem and stem + suffix not in self.affix_exceptions:
-                    affixed.setdefault(stem + suffix, (value, f"-{suffix}"))
+                    affixed.setdefault(stem + suffix, value)
         object.__setattr__(
             self, "specials_by_first", {w: tuple(ts) for w, ts in by_first.items()}
         )
@@ -138,13 +138,8 @@ def _parse_special_term(term: str, replacement: str) -> SpecialTerm:
     tokens = tuple(term.lower().split())
     m = _PLACEHOLDER_REPLACEMENT_RE.match(replacement)
     if m:
-        return SpecialTerm(
-            term=tokens,
-            replacement_text=None,
-            suffix_class=m.group(1),
-            value=int(m.group(2)),
-        )
-    return SpecialTerm(term=tokens, replacement_text=replacement, suffix_class=None, value=None)
+        return SpecialTerm(term=tokens, replacement_text=None, value=int(m.group(1)))
+    return SpecialTerm(term=tokens, replacement_text=replacement, value=None)
 
 
 def load_lexicon(directory: Path | str) -> NumLexicon:

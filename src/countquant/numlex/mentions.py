@@ -149,11 +149,6 @@ def _parse_ordinal(surface: str, lexicon: NumLexicon) -> Optional[int]:
     return None
 
 
-def _decode_affix(word: str, lexicon: NumLexicon) -> Optional[tuple[int, str]]:
-    """Split *word* into numeric prefix + known suffix, e.g. pentalogy -> (5, "-logy")."""
-    return lexicon.affixed_words.get(word)
-
-
 def _match_special(
     tokens: tuple[Token, ...], i: int, lexicon: NumLexicon
 ) -> Optional[SpecialTerm]:
@@ -243,9 +238,10 @@ def _recognise(
     value = _parse_ordinal(surface, lexicon)
     if value is not None:
         return MentionAnnotation(MentionKind.ORDINAL, value), 1
-    affix = _decode_affix(surface, lexicon) or _decode_affix(tokens[i].lemma, lexicon)
-    if affix is not None:
-        return MentionAnnotation(MentionKind.NUMTERM, affix[0], suffix_class=affix[1]), 1
+    affixed = lexicon.affixed_words
+    value = affixed.get(surface, affixed.get(tokens[i].lemma))
+    if value is not None:
+        return MentionAnnotation(MentionKind.NUMTERM, value), 1
     if surface in lexicon.articles:
         run = _cardinal_run(tokens, i, ["one"], specials, lexicon)
         if run is not None and run[1] > 1:
@@ -306,9 +302,7 @@ def annotate_mentions(
             i += length
         else:
             if special.replacement_text is None:
-                mention = MentionAnnotation(
-                    MentionKind.NUMTERM, special.value, suffix_class=special.suffix_class
-                )
+                mention = MentionAnnotation(MentionKind.NUMTERM, special.value)
                 out.append(_merge_tokens(tokens[i : i + len(special.term)], mention))
             else:
                 out.extend(_rewrite(special.replacement_text, lexicon, mode))
@@ -375,22 +369,9 @@ def rewrite_zero_cues(sentence: Sentence) -> Sentence:
     return make_sentence(annotated)
 
 
-def to_placeholder_sequence(sentence: Sentence, full: bool = False) -> list[str]:
-    """Lemma sequence with mentions replaced by their placeholder symbols.
-
-    ``full=True`` keeps suffixed number-term placeholders (NUMTERM-plets);
-    the default collapses them to the bare kind, which is what sequence
-    models are trained on.
-    """
-    seq = []
-    for tok in sentence:
-        if tok.mention is None:
-            seq.append(tok.lemma)
-        elif full:
-            seq.append(tok.mention.placeholder)
-        else:
-            seq.append(tok.mention.base_placeholder)
-    return seq
+def to_placeholder_sequence(sentence: Sentence) -> list[str]:
+    """Lemma sequence with mentions replaced by their placeholder symbols."""
+    return [tok.lemma if tok.mention is None else tok.mention.placeholder for tok in sentence]
 
 
 def preprocess_sentence(

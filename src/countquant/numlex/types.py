@@ -27,7 +27,7 @@ PLACEHOLDER_CARDINAL = "CARDINAL"
 PLACEHOLDER_ORDINAL = "ORDINAL"
 PLACEHOLDER_NUMTERM = "NUMTERM"
 
-_BASE_PLACEHOLDER = {
+_PLACEHOLDER = {
     MentionKind.CARDINAL: PLACEHOLDER_CARDINAL,
     MentionKind.ORDINAL: PLACEHOLDER_ORDINAL,
     MentionKind.NUMTERM: PLACEHOLDER_NUMTERM,
@@ -39,17 +39,10 @@ _BASE_PLACEHOLDER = {
 
 @dataclass(frozen=True)
 class MentionAnnotation:
-    """Normalized numeric reading attached to a token.
-
-    ``placeholder`` is the full symbol (``NUMTERM-plets`` for suffixed
-    number terms); ``base_placeholder`` collapses it to the bare kind used
-    in placeholder sequences.
-    """
+    """Normalized numeric reading attached to a token."""
 
     kind: MentionKind
     value: int
-    suffix_class: Optional[str] = None
-    placeholder: str = ""
 
     def __post_init__(self) -> None:
         if self.value < 0:
@@ -60,17 +53,11 @@ class MentionAnnotation:
             raise ValueError("zero mentions always count zero")
         if self.kind is MentionKind.NUMTERM and self.value < 1:
             raise ValueError("number-term mentions decode to a value >= 1")
-        if self.suffix_class is not None and self.kind is not MentionKind.NUMTERM:
-            raise ValueError("suffix class only applies to number terms")
-        if not self.placeholder:
-            ph = _BASE_PLACEHOLDER[self.kind]
-            if self.kind is MentionKind.NUMTERM and self.suffix_class:
-                ph = f"{PLACEHOLDER_NUMTERM}{self.suffix_class}"
-            object.__setattr__(self, "placeholder", ph)
 
     @property
-    def base_placeholder(self) -> str:
-        return _BASE_PLACEHOLDER[self.kind]
+    def placeholder(self) -> str:
+        """The symbol that stands for the mention in placeholder sequences."""
+        return _PLACEHOLDER[self.kind]
 
 
 @dataclass(frozen=True)

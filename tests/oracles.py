@@ -72,13 +72,9 @@ def brute_force_marginals(emissions: np.ndarray, transitions: np.ndarray) -> np.
 
 def random_model(rng: np.random.Generator, vocab: list[str], scale: float = 1.0):
     """A small CRF with one feature per symbol plus a bigram context feature."""
-    from countquant.crf import CrfModel, FeatureTemplate, TOKEN_NGRAM, TAG_BIGRAM
+    from countquant.crf import CrfModel, FeatureTemplate
 
-    templates = (
-        FeatureTemplate(kind=TOKEN_NGRAM, offsets=(0,)),
-        FeatureTemplate(kind=TOKEN_NGRAM, offsets=(-1, 0)),
-        FeatureTemplate(kind=TAG_BIGRAM),
-    )
+    templates = (FeatureTemplate((0,)), FeatureTemplate((-1, 0)))
     features: dict[str, int] = {}
     for w in vocab + ["BOS"]:
         features[f"U1:{w}"] = len(features)

@@ -274,6 +274,26 @@ class TestFullPipeline:
         assert rec["f1"] == 1.0
 
 
+def test_recognition_metrics_by_kind_and_comp(runner, tmp_path):
+    gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
+    rows = [("She", "she"), ("has", "have"), ("three", "CARDINAL"), ("sons", "son"),
+            ("and", "and"), ("twins", "NUMTERM")]
+    for path, tags in ((gold, ["O", "O", "COUNT", "O", "COMP", "COUNT"]),
+                       (pred, ["O", "O", "COUNT", "O", "COMP", "O"])):
+        path.write_text("".join(f"{s}\t{p}\t{t}\n" for (s, p), t in zip(rows, tags)),
+                        encoding="utf-8")
+    metrics = tmp_path / "m.json"
+    run_ok(runner, ["evaluate", "--gold-conll", str(gold), "--pred-conll", str(pred),
+                    "--out", str(metrics)])
+    perfect = {"precision": 1.0, "recall": 1.0, "f1": 1.0}
+    assert json.loads(metrics.read_text(encoding="utf-8")) == {"recognition": {
+        "precision": 1.0, "recall": 0.5, "f1": 0.6667,
+        "by_kind": {"cardinal": perfect,
+                    "numterm": {"precision": 0.0, "recall": 0.0, "f1": 0.0}},
+        "comp": perfect,
+    }}
+
+
 class TestBundledMiniCorpus:
     """Full pipeline over the versioned fixture under tests/data/mini."""
 
@@ -579,6 +599,59 @@ class TestMalformedInputs:
                                       "--model", str(tmp_path / "m.json")])
         self.assert_reported(result, f"{training}:2")
 
+    def test_unknown_training_tag(self, runner, tmp_path):
+        training = tmp_path / "train.conll"
+        training.write_text("three\tCARDINAL\tCOUNT\nkids\tkid\tX\n", encoding="utf-8")
+        result = runner.invoke(main, ["train", "--training", str(training),
+                                      "--model", str(tmp_path / "m.json")])
+        self.assert_reported(result, f"{training}:2")
+        assert "unknown tag 'X'" in result.output
+
+    @pytest.mark.parametrize("which", ["gold-conll", "pred-conll"])
+    def test_unknown_recognition_tag(self, runner, tmp_path, which):
+        good, bad = tmp_path / "good.conll", tmp_path / "bad.conll"
+        good.write_text("three\tCARDINAL\tCOUNT\n\nkids\tkid\tO\n", encoding="utf-8")
+        bad.write_text("three\tCARDINAL\tCOUNT\n\nkids\tkid\tB-COUNT\n", encoding="utf-8")
+        files = {"gold-conll": good, "pred-conll": good, which: bad}
+        result = runner.invoke(main, ["evaluate", "--gold-conll", str(files["gold-conll"]),
+                                      "--pred-conll", str(files["pred-conll"]),
+                                      "--out", str(tmp_path / "m.json")])
+        self.assert_reported(result, f"{bad}:3")
+
+    @pytest.mark.parametrize("pred_text,message", [
+        ("a\tb\tO\n", "sentence counts differ"),
+        ("a\tb\tO\n\nc\td\tO\n", "sentence 1: 2 gold tags but 1 predicted"),
+    ], ids=["sentences", "tokens"])
+    def test_recognition_files_do_not_match(self, runner, tmp_path, pred_text, message):
+        gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
+        gold.write_text("a\tb\tO\nc\td\tO\n\ne\tf\tO\n", encoding="utf-8")
+        pred.write_text(pred_text, encoding="utf-8")
+        result = runner.invoke(main, ["evaluate", "--gold-conll", str(gold),
+                                      "--pred-conll", str(pred),
+                                      "--out", str(tmp_path / "m.json")])
+        self.assert_reported(result, f"{pred} does not match {gold}")
+        assert message in result.output
+
+    def test_negative_gold_count(self, runner, tmp_path):
+        (tmp_path / "pred.jsonl").write_text(self.PRED + "\n", encoding="utf-8")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("p00\t1\np1\t-2\n", encoding="utf-8")
+        result = runner.invoke(main, ["evaluate", "--pred", str(tmp_path / "pred.jsonl"),
+                                      "--gold", str(gold), "--out", str(tmp_path / "m.json")])
+        self.assert_reported(result, f"{gold}:2")
+        assert "negative count -2" in result.output
+
+    def test_negative_predicted_count(self, runner, tmp_path):
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(self.PRED + "\n" + json.dumps(
+            {"subject": "p1", "count": -4, "confidence": 0.9}) + "\n", encoding="utf-8")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("p00\t1\np1\t2\n", encoding="utf-8")
+        result = runner.invoke(main, ["evaluate", "--pred", str(pred),
+                                      "--gold", str(gold), "--out", str(tmp_path / "m.json")])
+        self.assert_reported(result, f"{pred}:2")
+        assert "negative count -4" in result.output
+
     @pytest.mark.parametrize("command", ["build-training", "enrich", "analyze-popularity"])
     def test_malformed_kb(self, runner, fixture_dir, command):
         kb = fixture_dir / "bad_kb.tsv"
@@ -679,9 +752,9 @@ class TestMalformedInputs:
 
     def test_model_with_malformed_features(self, runner, fixture_dir):
         model = fixture_dir / "model.json"
-        model.write_text(json.dumps({"magic": "countquant-crf", "version": 1, "features": 5,
+        model.write_text(json.dumps({"magic": "countquant-crf", "version": 2, "features": 5,
                                      "tags": ["O"], "templates": [], "weights": [],
                                      "transitions": [[0.0]]}), encoding="utf-8")
         result = runner.invoke(main, ["--config", str(write_config(fixture_dir)), "extract"])
         self.assert_reported(result, model)
-        assert "cannot load model" in result.output
+        assert "cannot load model: corrupt model payload" in result.output

@@ -18,9 +18,7 @@ from countquant.crf import (
     DegenerateTrainingError,
     FeatureTemplate,
     ModelFormatError,
-    TAG_BIGRAM,
     TAGS,
-    TOKEN_NGRAM,
     TrainingProblem,
     decode,
     default_templates,
@@ -56,37 +54,37 @@ TOY_DATA = [
 class TestExtractFeatures:
     def test_centered_pentagram(self):
         seq = ["trump", "have", "CARDINAL", "child", "from"]
-        tpl = FeatureTemplate(kind=TOKEN_NGRAM, offsets=(-2, -1, 0, 1, 2))
+        tpl = FeatureTemplate((-2, -1, 0, 1, 2))
         assert _reference_features(seq, 2, [tpl]) == ["U5:trump|have|CARDINAL|child|from"]
 
     def test_boundary_symbols(self):
-        tpl = FeatureTemplate(kind=TOKEN_NGRAM, offsets=(-1,))
+        tpl = FeatureTemplate((-1,))
         assert _reference_features(["a", "b"], 0, [tpl]) == ["U1[-1]:BOS"]
-        assert _reference_features(["a", "b"], 1, [FeatureTemplate(kind=TOKEN_NGRAM, offsets=(1,))]) == ["U1[1]:EOS"]
+        assert _reference_features(["a", "b"], 1, [FeatureTemplate((1,))]) == ["U1[1]:EOS"]
 
     def test_deterministic(self):
         seq = ["a", "b", "c"]
         templates = default_templates()
         assert template_columns(seq, templates) == template_columns(seq, templates)
 
-    def test_tag_bigram_emits_nothing(self):
-        tpl = FeatureTemplate(kind=TAG_BIGRAM)
-        assert _reference_features(["a"], 0, [tpl]) == []
-
     def test_default_template_set(self):
         templates = default_templates()
-        ngrams = [t for t in templates if t.kind == TOKEN_NGRAM]
-        assert len(ngrams) == 15
-        assert all(0 in t.offsets for t in ngrams)
-        assert all(-4 <= t.offsets[0] and t.offsets[-1] <= 4 for t in ngrams)
-        assert sum(t.kind == TAG_BIGRAM for t in templates) == 1
+        assert len(templates) == len(set(templates)) == 15
+        assert all(0 in t.offsets for t in templates)
+        assert all(-4 <= t.offsets[0] and t.offsets[-1] <= 4 for t in templates)
 
     def test_invalid_length_rejected(self):
         with pytest.raises(ValueError):
-            FeatureTemplate(kind=TOKEN_NGRAM, offsets=(0, 1, 2, 3, 4, 5))
+            FeatureTemplate((0, 1, 2, 3, 4, 5))
+        with pytest.raises(ValueError):
+            FeatureTemplate(())
+
+    def test_non_contiguous_offsets_rejected(self):
+        with pytest.raises(ValueError):
+            FeatureTemplate((-1, 1))
 
     def test_default_template_names(self):
-        names = [t.name for t in default_templates() if t.kind == TOKEN_NGRAM]
+        names = [t.name for t in default_templates()]
         assert names == [
             "U1", "U2[-1]", "U2[0]", "U3[-2]", "U3", "U3[0]", "U4[-3]", "U4[-2]",
             "U4[-1]", "U4[0]", "U5[-4]", "U5[-3]", "U5", "U5[-1]", "U5[0]",
@@ -97,8 +95,6 @@ def _reference_features(sequence, position, templates):
     """Per-position feature strings, padding each offset on its own."""
     feats = []
     for tpl in templates:
-        if tpl.kind != TOKEN_NGRAM:
-            continue
         parts = []
         for off in tpl.offsets:
             j = position + off
@@ -108,7 +104,7 @@ def _reference_features(sequence, position, templates):
 
 
 _template_pool = default_templates() + [
-    FeatureTemplate(kind=TOKEN_NGRAM, offsets=tuple(range(start, start + n)))
+    FeatureTemplate(tuple(range(start, start + n)))
     for n in (1, 2, 3, 5)
     for start in (-7, -5, 1, 3, 6)
 ]
@@ -120,7 +116,7 @@ _template_pool = default_templates() + [
     st.lists(st.sampled_from(_template_pool), max_size=8),
 )
 def test_template_columns_equal_per_position_reference_property(sequence, templates):
-    names = [t.name for t in templates if t.kind == TOKEN_NGRAM]
+    names = [t.name for t in templates]
     columns = template_columns(sequence, templates)
     rows = [[f"{name}:{col[pos]}" for name, col in zip(names, columns)]
             for pos in range(len(sequence))]
@@ -131,12 +127,12 @@ def test_template_columns_are_the_unprefixed_features():
     templates = default_templates()
     seq = ["trump", "have", "CARDINAL", "child"]
     columns = template_columns(seq, templates)
-    names = [t.name for t in templates if t.kind == TOKEN_NGRAM]
+    names = [t.name for t in templates]
     assert len(columns) == len(names) and all(len(col) == len(seq) for col in columns)
     assert [_reference_features(seq, pos, templates) for pos in range(len(seq))] == [
         [f"{name}:{col[pos]}" for name, col in zip(names, columns)] for pos in range(len(seq))
     ]
-    assert template_columns(seq, [FeatureTemplate(kind=TAG_BIGRAM)]) == []
+    assert template_columns(seq, []) == []
     assert template_columns([], templates) == [[] for _ in names]
 
 
@@ -186,8 +182,7 @@ def test_emissions_equal_per_position_reference_property(templates, training, se
     )
     for seq in sequences + [[]]:
         ids = model.feature_ids(seq)
-        n_ngrams = sum(t.kind == TOKEN_NGRAM for t in templates)
-        assert ids.shape == (len(seq), n_ngrams) and ids.dtype == np.intp
+        assert ids.shape == (len(seq), len(templates)) and ids.dtype == np.intp
         em = model.emissions(seq)
         assert em.shape == (len(seq), 3) and em.dtype == np.float64
         assert np.array_equal(em, _reference_emissions(model, seq))
@@ -576,7 +571,7 @@ class TestMarginals:
         assert np.abs(stack_xi - expected).max() < 1e-8
 
     def test_uniform_model_gives_thirds(self):
-        templates = (FeatureTemplate(kind=TOKEN_NGRAM, offsets=(0,)),)
+        templates = (FeatureTemplate((0,)),)
         model = CrfModel(
             feature_index={"U1:a": 0},
             weights=np.zeros((1, 3)),
@@ -621,7 +616,7 @@ class TestModelFile:
 
     def test_wrong_magic_raises(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text('{"magic": "something-else", "version": 1}', encoding="utf-8")
+        path.write_text('{"magic": "something-else", "version": 2}', encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(path)
 
@@ -630,7 +625,10 @@ class TestModelFile:
         ("features", [1, 2]),
         ("tags", "COUNT"),
         ("templates", [5]),
-    ], ids=["features-int", "features-not-strings", "tags-string", "template-not-object"])
+        ("templates", [{"kind": "token_ngram", "offsets": [0]}]),
+        ("templates", [[-1, 1]]),
+    ], ids=["features-int", "features-not-strings", "tags-string", "template-not-object",
+            "template-object", "template-not-contiguous"])
     def test_malformed_payload_raises(self, tmp_path, field, value):
         path = tmp_path / "model.json"
         save_model(train(TOY_DATA, feature_cutoff=1, max_iter=20), path)
@@ -642,16 +640,26 @@ class TestModelFile:
         assert str(err.value).startswith(f"{path}: cannot load model: ")
 
     def test_templates_restored_from_file(self, tmp_path):
-        templates = [
-            FeatureTemplate(kind=TOKEN_NGRAM, offsets=(0,)),
-            FeatureTemplate(kind=TOKEN_NGRAM, offsets=(-1, 0)),
-            FeatureTemplate(kind=TAG_BIGRAM),
-        ]
+        templates = [FeatureTemplate((0,)), FeatureTemplate((-1, 0))]
         model = train(TOY_DATA, templates=templates, feature_cutoff=1, max_iter=50)
         path = tmp_path / "model.json"
         save_model(model, path)
+        assert json.loads(path.read_text(encoding="utf-8"))["templates"] == [[0], [-1, 0]]
         loaded = load_model(path)
         assert loaded.templates == tuple(templates)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        """A version-1 file, whose templates are objects with a kind, is not read."""
+        path = tmp_path / "model.json"
+        save_model(train(TOY_DATA, feature_cutoff=1, max_iter=20), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["version"] = 1
+        payload["templates"] = [{"kind": "token_ngram", "offsets": offsets}
+                                for offsets in payload["templates"]] + [{"kind": "tag_bigram"}]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: cannot load model: unsupported model version 1"
 
     def test_weights_immutable(self):
         model = train(TOY_DATA, feature_cutoff=1, max_iter=20)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from countquant.consolidate import CountingQuantifier
-from countquant.dsgen import COMP, COUNT, label_sentence
+from countquant.dsgen import COMP, COUNT, LabeledSentence, label_sentence
 from countquant.evaluate import (
     EndToEndScore,
     EnrichmentReport,
@@ -12,6 +12,7 @@ from countquant.evaluate import (
     render_table,
     score_end_to_end,
     score_recognition,
+    score_tags,
 )
 from countquant.kbstore import Relation, load_triples
 
@@ -92,6 +93,46 @@ class TestScoreRecognition:
         score = score_recognition(gold, [tags])
         assert score.precision == 1.0        # COUNT mentions all correct
         assert score.comp_score[1] == 0.0    # comp recall zero
+
+    def test_articles_and_zero_cues_score_as_cardinals(self, prep):
+        sentences = [prep("She has a son .", mode="inference"),
+                     prep("She has no sons .", zero_mode=True)]
+        gold = [LabeledSentence(s, tuple(COUNT if t.mention else "O" for t in s))
+                for s in sentences]
+        kinds = [tok.mention.kind.value for ls in gold for tok in ls.sentence.mentions]
+        assert kinds == ["article", "zero"]
+        predicted = [["O"] * len(ls.tags) for ls in gold]
+        predicted[1] = list(gold[1].tags)
+        score = score_recognition(gold, predicted)
+        assert score.supports_by_kind == {"cardinal": (1.0, 0.5, pytest.approx(2 / 3))}
+
+
+class TestScoreTags:
+    SYMBOLS = [["she", "have", "CARDINAL", "son", "and", "NUMTERM"], ["the", "ORDINAL", "son"]]
+    GOLD = [["O", "O", "COUNT", "O", "COMP", "COUNT"], ["O", "O", "O"]]
+
+    def test_per_kind_and_comp(self):
+        predicted = [["O", "O", "COUNT", "O", "O", "O"], ["O", "COUNT", "O"]]
+        score = score_tags(self.SYMBOLS, self.GOLD, predicted)
+        assert (score.precision, score.recall) == (0.5, 0.5)
+        assert score.supports_by_kind == {
+            "cardinal": (1.0, 1.0, 1.0),
+            "numterm": (0.0, 0.0, 0.0),
+            "ordinal": (0.0, 0.0, 0.0),
+        }
+        assert score.comp_score == (0.0, 0.0, 0.0)
+
+    def test_kind_without_count_tags_is_not_listed(self):
+        score = score_tags(self.SYMBOLS, self.GOLD, self.GOLD)
+        assert score.supports_by_kind == {"cardinal": (1.0, 1.0, 1.0),
+                                          "numterm": (1.0, 1.0, 1.0)}
+        assert score.comp_score == (1.0, 1.0, 1.0)
+
+    def test_misaligned_raises(self):
+        with pytest.raises(ValueError, match="sentence counts differ"):
+            score_tags(self.SYMBOLS, self.GOLD, self.GOLD[:1])
+        with pytest.raises(ValueError, match="sentence 2: 3 gold tags but 2 predicted"):
+            score_tags(self.SYMBOLS, self.GOLD, [self.GOLD[0], ["O", "O"]])
 
 
 class TestScoreEndToEnd:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from countquant.numlex import (
@@ -8,9 +10,11 @@ from countquant.numlex import (
     MentionKind,
     Sentence,
     Token,
+    annotate_mentions,
     load_default_lexicon,
     load_lexicon,
     make_sentence,
+    tokenize,
 )
 from countquant.numlex.lexicon import _DATA_DIR
 
@@ -61,6 +65,34 @@ class TestLexiconFiles:
         lx = load_lexicon(tmp_path)
         assert lx.cardinal_words == {"one": 1}
 
+    def test_shipped_in_place_terms_are_numterms_with_values(self):
+        rows = [line.split("\t") for line in
+                (_DATA_DIR / "special_terms.tsv").read_text(encoding="utf-8").splitlines()
+                if line and not line.startswith("#")]
+        in_place = {term: int(repl.partition(":")[2])
+                    for term, repl in rows if repl.startswith("NUMTERM")}
+        assert in_place == {"twins": 2, "twin": 2, "duo": 2, "trio": 3, "solo": 1}
+        lx = load_default_lexicon()
+        specials = {" ".join(t.term): t for t in lx.special_terms}
+        for term, value in in_place.items():
+            assert specials[term].replacement_text is None
+            assert specials[term].value == value
+            sentence = annotate_mentions(tokenize(f"They are a {term} .")[0], lx)
+            [tok] = sentence.mentions
+            assert (tok.surface, tok.mention.kind, tok.mention.value) == (
+                term, MentionKind.NUMTERM, value)
+            assert tok.mention.placeholder == "NUMTERM"
+
+    def test_suffixed_numterm_row_reads_as_bare_numterm(self, tmp_path):
+        lexicons = []
+        for name, row in (("suffixed", "twins\tNUMTERM-plets:2\n"),
+                          ("bare", "twins\tNUMTERM:2\n")):
+            shutil.copytree(_DATA_DIR, tmp_path / name)
+            (tmp_path / name / "special_terms.tsv").write_text(row, encoding="utf-8")
+            lexicons.append(load_lexicon(tmp_path / name))
+        assert lexicons[0] == lexicons[1]
+        assert lexicons[0].special_terms[0].value == 2
+
 
 class TestAnnotationInvariants:
     def test_article_value_fixed(self):
@@ -75,20 +107,15 @@ class TestAnnotationInvariants:
         with pytest.raises(ValueError):
             MentionAnnotation(kind=MentionKind.NUMTERM, value=0)
 
-    def test_suffix_only_on_numterms(self):
-        with pytest.raises(ValueError):
-            MentionAnnotation(kind=MentionKind.CARDINAL, value=3, suffix_class="-plets")
-
     def test_placeholder_derived(self):
         plain = MentionAnnotation(kind=MentionKind.ORDINAL, value=3)
         assert plain.placeholder == "ORDINAL"
-        suffixed = MentionAnnotation(
-            kind=MentionKind.NUMTERM, value=2, suffix_class="-plets"
-        )
-        assert suffixed.placeholder == "NUMTERM-plets"
-        assert suffixed.base_placeholder == "NUMTERM"
+        numterm = MentionAnnotation(kind=MentionKind.NUMTERM, value=2)
+        assert numterm.placeholder == "NUMTERM"
         article = MentionAnnotation(kind=MentionKind.ARTICLE, value=1)
         assert article.placeholder == "CARDINAL"
+        zero = MentionAnnotation(kind=MentionKind.ZERO, value=0)
+        assert zero.placeholder == "CARDINAL"
 
     def test_sentence_index_invariant(self):
         bad = [Token(surface="a", lemma="a", index=1)]

@@ -30,7 +30,6 @@ from countquant.numlex import (
 from countquant.numlex import mentions
 from countquant.numlex.mentions import (
     _DIGIT_CARDINAL_RE,
-    _decode_affix,
     _match_special,
     _merge_tokens,
     _parse_cardinal_words,
@@ -118,12 +117,12 @@ class TestSentence:
 
 class TestAnnotateMentions:
     def test_twins_is_suffixed_numterm(self, prep):
+        """The "-plets" of "twins" leaves no trace: its placeholder is the bare NUMTERM."""
         s = prep("her twins")
         (tok,) = s.mentions
         assert tok.surface == "twins"
-        assert tok.mention.kind is MentionKind.NUMTERM
-        assert tok.mention.value == 2
-        assert tok.mention.placeholder == "NUMTERM-plets"
+        assert tok.mention == MentionAnnotation(MentionKind.NUMTERM, 2)
+        assert tok.mention.placeholder == "NUMTERM"
 
     def test_article_only_at_inference(self, prep):
         s = prep("a son", mode=INFERENCE_MODE)
@@ -136,9 +135,8 @@ class TestAnnotateMentions:
     def test_pentalogy(self, prep):
         s = prep("pentalogy")
         (tok,) = s.mentions
-        assert tok.mention.kind is MentionKind.NUMTERM
-        assert tok.mention.value == 5
-        assert tok.mention.suffix_class == "-logy"
+        assert tok.mention == MentionAnnotation(MentionKind.NUMTERM, 5)
+        assert tok.mention.placeholder == "NUMTERM"
 
     def test_digit_and_comma_cardinals(self, prep):
         s = prep("He won 1,200 games in 58 counties")
@@ -309,7 +307,7 @@ class TestNormalizeSpecialTerms:
         (s,) = tokenize("her twins arrived")
         out = annotate_mentions(s, lexicon)
         assert out.surfaces() == ["her", "twins", "arrived"]
-        assert out[1].mention.placeholder == "NUMTERM-plets"
+        assert out[1].mention.placeholder == "NUMTERM"
 
     def test_reindexes(self, lexicon):
         (s,) = tokenize("thrice happy")
@@ -384,13 +382,19 @@ class TestPlaceholderSequence:
         s = prep("the gala was lovely")
         assert to_placeholder_sequence(s) == ["the", "gala", "be", "lovely"]
 
-    def test_numterm_collapses_to_base_placeholder(self, prep):
+    def test_numterm_is_the_bare_placeholder(self, prep):
         s = prep("her twins , one daughter")
         assert to_placeholder_sequence(s) == ["her", "NUMTERM", ",", "CARDINAL", "daughter"]
 
-    def test_full_keeps_suffix(self, prep):
-        s = prep("her twins")
-        assert to_placeholder_sequence(s, full=True) == ["her", "NUMTERM-plets"]
+    def test_full_keeps_suffix(self, tmp_path):
+        """A suffixed in-place row ("NUMTERM-plets:2") keeps no suffix in the sequence."""
+        shutil.copytree(Path(mentions.__file__).parent / "data", tmp_path / "lexicon")
+        (tmp_path / "lexicon" / "special_terms.tsv").write_text(
+            "twins\tNUMTERM-plets:2\n", encoding="utf-8")
+        (s,) = tokenize("her twins")
+        out = annotate_mentions(s, load_lexicon(tmp_path / "lexicon"))
+        assert to_placeholder_sequence(out) == ["her", "NUMTERM"]
+        assert out[1].mention.value == 2
 
     def test_length_matches_tokens(self, prep):
         s = prep("she raised twenty one children and two dogs .")
@@ -476,15 +480,15 @@ def _naive_match_special(tokens, i, lexicon):
     return None
 
 
-def _naive_decode_affix(word, lexicon):
-    """Longest-suffix-first scan over every suffix."""
+def _naive_affix_value(word, lexicon):
+    """Prefix value of *word*, by a longest-suffix-first scan over every suffix."""
     if word in lexicon.affix_exceptions:
         return None
     for suffix in sorted(lexicon.num_term_suffixes, key=len, reverse=True):
         if word.endswith(suffix) and len(word) > len(suffix):
             value = lexicon.latin_greek_prefixes.get(word[: -len(suffix)])
             if value is not None:
-                return value, f"-{suffix}"
+                return value
     return None
 
 
@@ -519,8 +523,8 @@ def test_match_special_equals_naive_scan_property(words):
 
 @settings(max_examples=300, deadline=None)
 @given(_affix_word)
-def test_decode_affix_equals_naive_scan_property(word):
-    assert _decode_affix(word, LEXICON) == _naive_decode_affix(word, LEXICON)
+def test_affixed_words_equal_naive_scan_property(word):
+    assert LEXICON.affixed_words.get(word) == _naive_affix_value(word, LEXICON)
 
 
 def test_compiled_tables_on_overlapping_lexicon(tmp_path):
@@ -539,13 +543,14 @@ def test_compiled_tables_on_overlapping_lexicon(tmp_path):
     (tmp_path / "affix_exceptions.tsv").write_text("septs\n", encoding="utf-8")
     lexicon = load_lexicon(tmp_path)
 
-    assert _decode_affix("quintuplets", lexicon) == (5, "-uplets")
-    assert _decode_affix("triplets", lexicon) == (3, "-plets")
-    assert _decode_affix("septs", lexicon) is None
+    # the longest suffix decides the split: quint + uplets, not quintu + plets
+    assert lexicon.affixed_words.get("quintuplets") == 5
+    assert lexicon.affixed_words.get("triplets") == 3
+    assert lexicon.affixed_words.get("septs") is None
     words = ["quintuplets", "quintuplet", "triplets", "triuplets", "uplets", "plets",
              "septs", "sets", "quintus", "quintuts"]
     for word in words:
-        assert _decode_affix(word, lexicon) == _naive_decode_affix(word, lexicon), word
+        assert lexicon.affixed_words.get(word) == _naive_affix_value(word, lexicon), word
 
     # equal lengths keep table order: the first "a dozen" row wins
     assert _match_special(_as_tokens(["A", "dozen"]), 0, lexicon).replacement_text == "twelve"
@@ -589,9 +594,7 @@ def _reference_normalize_special_terms(sentence, lexicon):
         span = tokens[i : i + len(special.term)]
         if special.replacement_text is None:
             mention = MentionAnnotation(
-                kind=MentionKind.NUMTERM,
-                value=_reference_special_value(special, lexicon),
-                suffix_class=special.suffix_class,
+                kind=MentionKind.NUMTERM, value=_reference_special_value(special, lexicon)
             )
             out.append(_merge_tokens(span, mention))
         else:
@@ -638,9 +641,7 @@ def _reference_annotate_mentions(sentence, lexicon, mode):
             t.mention is None for t in tokens[i : i + len(special.term)]
         ):
             value = _reference_special_value(special, lexicon)
-            mention = MentionAnnotation(
-                kind=MentionKind.NUMTERM, value=value, suffix_class=special.suffix_class
-            )
+            mention = MentionAnnotation(kind=MentionKind.NUMTERM, value=value)
             out.append(_merge_tokens(tokens[i : i + len(special.term)], mention))
             i += len(special.term)
             continue
@@ -677,15 +678,12 @@ def _reference_annotate_mentions(sentence, lexicon, mode):
             i += 1
             continue
 
-        affix = _decode_affix(surface, lexicon) or _decode_affix(tok.lemma, lexicon)
-        if affix is not None:
-            value, suffix = affix
+        value = _naive_affix_value(surface, lexicon)
+        if value is None:
+            value = _naive_affix_value(tok.lemma, lexicon)
+        if value is not None:
             out.append(
-                tok.with_mention(
-                    MentionAnnotation(
-                        kind=MentionKind.NUMTERM, value=value, suffix_class=suffix
-                    )
-                )
+                tok.with_mention(MentionAnnotation(kind=MentionKind.NUMTERM, value=value))
             )
             i += 1
             continue
