@@ -266,11 +266,16 @@ def cmd_evaluate(predictions, gold, gold_conll, pred_conll, metrics, table):
             ))
     if gold_conll and pred_conll:
         gold_seqs = list(dsgen.read_conll(gold_conll))
-        pred_tags = [tags for _, tags in dsgen.read_conll(pred_conll)]
+        pred_seqs = list(dsgen.read_conll(pred_conll))
         try:
             recognition = ev.score_tags(
-                [symbols for symbols, _ in gold_seqs], [tags for _, tags in gold_seqs], pred_tags
+                [s for s, _ in gold_seqs], [t for _, t in gold_seqs], [t for _, t in pred_seqs]
             )
+            for i, ((g_syms, _), (p_syms, _)) in enumerate(zip(gold_seqs, pred_seqs), 1):
+                for j, (g, p) in enumerate(zip(g_syms, p_syms), 1):
+                    if g != p:
+                        raise ValueError(f"sentence {i}, token {j}: gold placeholder {g!r} "
+                                         f"but predicted {p!r}")
         except ValueError as exc:
             raise click.ClickException(
                 f"{pred_conll} does not match {gold_conll}: {exc}"

@@ -10,10 +10,8 @@ from .lexicon import (
 from .mentions import (
     INFERENCE_MODE,
     TRAIN_MODE,
-    annotate_mentions,
     is_comp_cue,
     preprocess_sentence,
-    rewrite_zero_cues,
     to_placeholder_sequence,
 )
 from .tokenizer import detokenize, lemmatize, tokenize
@@ -36,10 +34,8 @@ __all__ = [
     "load_lexicon",
     "INFERENCE_MODE",
     "TRAIN_MODE",
-    "annotate_mentions",
     "is_comp_cue",
     "preprocess_sentence",
-    "rewrite_zero_cues",
     "to_placeholder_sequence",
     "detokenize",
     "lemmatize",

@@ -112,7 +112,7 @@ def _read_rows(path: Path, columns: int) -> Iterator[tuple[int, list[str]]]:
         yield lineno, parts
 
 
-def _read_value_table(path: Path) -> dict[str, int]:
+def _read_value_table(path: Path, positive: bool = False) -> dict[str, int]:
     table: dict[str, int] = {}
     for lineno, (term, value) in _read_rows(path, 2):
         key = term.lower()
@@ -122,9 +122,10 @@ def _read_value_table(path: Path) -> dict[str, int]:
             number = int(value)
         except ValueError:
             number = -1
-        if number < 0:
+        if number < (1 if positive else 0):
+            sign = "positive" if positive else "non-negative"
             raise LexiconFormatError(
-                path, f"value of {key!r} must be a non-negative integer, got {value!r}", lineno
+                path, f"value of {key!r} must be a {sign} integer, got {value!r}", lineno
             )
         table[key] = number
     return table
@@ -134,27 +135,29 @@ def _read_word_set(path: Path) -> frozenset[str]:
     return frozenset(row[0].lower() for _, row in _read_rows(path, 1))
 
 
-def _parse_special_term(term: str, replacement: str) -> SpecialTerm:
-    tokens = tuple(term.lower().split())
-    m = _PLACEHOLDER_REPLACEMENT_RE.match(replacement)
-    if m:
-        return SpecialTerm(term=tokens, replacement_text=None, value=int(m.group(1)))
-    return SpecialTerm(term=tokens, replacement_text=replacement, value=None)
+def _read_special_terms(path: Path) -> tuple[SpecialTerm, ...]:
+    specials = []
+    for lineno, (term, replacement) in _read_rows(path, 2):
+        m = _PLACEHOLDER_REPLACEMENT_RE.match(replacement)
+        value = int(m.group(1)) if m else None
+        if value == 0:
+            raise LexiconFormatError(
+                path, f"number term {term!r} must count at least 1, got {replacement!r}", lineno
+            )
+        text = None if m else replacement
+        specials.append(SpecialTerm(tuple(term.lower().split()), text, value))
+    return tuple(specials)
 
 
 def load_lexicon(directory: Path | str) -> NumLexicon:
-    """Load a lexicon from a directory holding the five TSV tables."""
+    """Load a lexicon from the five TSV tables of *directory*; a number term counts >= 1."""
     d = Path(directory)
-    specials = tuple(
-        _parse_special_term(term, repl)
-        for _, (term, repl) in _read_rows(d / "special_terms.tsv", 2)
-    )
     return NumLexicon(
         cardinal_words=_read_value_table(d / "cardinals.tsv"),
         ordinal_words=_read_value_table(d / "ordinals.tsv"),
-        latin_greek_prefixes=_read_value_table(d / "prefixes.tsv"),
+        latin_greek_prefixes=_read_value_table(d / "prefixes.tsv", positive=True),
         num_term_suffixes=_read_word_set(d / "suffixes.tsv"),
-        special_terms=specials,
+        special_terms=_read_special_terms(d / "special_terms.tsv"),
         affix_exceptions=_read_word_set(d / "affix_exceptions.tsv"),
     )
 

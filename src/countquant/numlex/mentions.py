@@ -2,15 +2,17 @@
 
 The preprocessing chain for a sentence is::
 
-    tokenize -> [rewrite_zero_cues] -> annotate_mentions
+    tokenize -> preprocess_sentence
 
 after which :func:`to_placeholder_sequence` produces the lemma/placeholder
-symbols consumed by the sequence labeler. ``annotate_mentions`` is one
-left-to-right scan: special terms are matched first and rewritten where they
-stand, so a word-cardinal run never crosses the start of one. Every function
-returns a new sentence. Annotated tokens are never touched again, so
-annotating twice gives the same sentence as long as no word of a special
-term's replacement text starts a special term itself.
+symbols consumed by the sequence labeler. ``preprocess_sentence`` is one
+left-to-right scan, after one linear pass of zero-cue rewrites in zero mode:
+special terms are matched first and rewritten where they stand, so a
+word-cardinal run never crosses the start of one. It returns its input
+sentence when nothing changes, else one new sentence. Annotated tokens are
+never touched again, so outside zero mode preprocessing twice gives the same
+sentence as long as no word of a special term's replacement text starts a
+special term itself.
 
 ``mode="train"`` skips indefinite articles: they are far too frequent to act
 as training cues and are only annotated when applying a trained model
@@ -21,6 +23,7 @@ both modes: "a hundred" is the cardinal 100.
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from operator import is_
 from typing import Optional
 
@@ -269,10 +272,74 @@ def _rewrite(text: str, lexicon: NumLexicon, mode: str) -> list[Token]:
     return out
 
 
-def annotate_mentions(
-    sentence: Sentence, lexicon: NumLexicon, mode: str = TRAIN_MODE
+_NEGATIONS = frozenset({"n't", "not"})
+_AUXILIARIES = frozenset({"do", "does", "did"})
+_ZERO_CUES = _NEGATIONS | {"any", "never", "without", "no", "0"}
+_ZERO = MentionAnnotation(MentionKind.ZERO, 0)
+_NO = Token("no", "no", 0, _ZERO)  # surface, lemma, index, mention
+
+
+def _zero_cue_rewrites(tokens: tuple[Token, ...]) -> tuple[Token, ...]:
+    """*tokens* with the zero cues rewritten as :func:`preprocess_sentence` describes.
+
+    Negations meet auxiliaries on a stack of the kept positions, so dropping
+    a pair lets the auxiliary before it meet the negation after it.
+    """
+    words = [tok.surface.lower() for tok in tokens]
+    if _ZERO_CUES.isdisjoint(words):
+        return tokens
+    anys = [k for k, word in enumerate(words) if word == "any"]
+    claimed: set[int] = set()
+    kept: list[int] = []
+    n = 0  # anys[:n] are claimed or come before the current position
+    for i, word in enumerate(words):
+        if word in _NEGATIONS and kept and words[kept[-1]] in _AUXILIARIES:
+            n = bisect(anys, i, n)
+            if n < len(anys):
+                claimed.add(anys[n])
+                n += 1
+                kept.pop()
+                continue
+        kept.append(i)
+    out: list[Token] = []
+    for i in kept:
+        if words[i] == "without":
+            out += (Token("with", "with", 0), _NO)
+        elif i in claimed:
+            out.append(_NO)
+        elif words[i] in ("no", "0") and tokens[i].mention is None:
+            out.append(tokens[i].with_mention(_ZERO))
+        elif words[i] != "never":
+            out.append(tokens[i])
+    if "never" in words:
+        tail = len(out) - bool(out and out[-1].surface in (".", "!", "?"))
+        out[tail:tail] = (Token("0", "0", 0, _ZERO), Token("times", "time", 0))
+    return tuple(out)
+
+
+def to_placeholder_sequence(sentence: Sentence) -> list[str]:
+    """Lemma sequence with mentions replaced by their placeholder symbols."""
+    return [tok.lemma if tok.mention is None else tok.mention.placeholder for tok in sentence]
+
+
+def preprocess_sentence(
+    sentence: Sentence,
+    lexicon: NumLexicon,
+    mode: str = TRAIN_MODE,
+    zero_mode: bool = False,
 ) -> Sentence:
     """Attach a :class:`MentionAnnotation` to every numeric mention, in one scan.
+
+    In zero mode, non-existence phrasings are first rewritten into zero
+    mentions. A "do"/"does"/"did" straight before "n't"/"not" is a pair (a
+    "never" between them blocks it, though it is dropped later); taken in
+    the order of their negations, each pair claims the first "any"
+    after it that no earlier pair claimed, turns it into "no" and is
+    dropped, which can make the auxiliary before it and the negation after
+    it a pair ("did did n't n't any any"). A pair with no "any" left stays.
+    Then every "never" is dropped and "0 times" is added once, before a
+    final ".", "!" or "?"; "without" becomes "with no"; and every "no" and
+    "0" not yet annotated becomes a ZERO mention.
 
     At each unannotated token the longest special term is tried first. A
     term with a placeholder replacement ("twins") becomes one NUMTERM token;
@@ -281,8 +348,9 @@ def annotate_mentions(
     token is read as a digit or word cardinal (a multi-word run merges into
     one token), ordinal, Latin/Greek-affixed number term or, in inference
     mode, an indefinite article. Already-annotated tokens are left untouched.
+    Returns *sentence* itself when nothing changed.
     """
-    tokens = sentence.tokens
+    tokens = _zero_cue_rewrites(sentence.tokens) if zero_mode else sentence.tokens
     specials = {
         i: term
         for i, tok in enumerate(tokens)
@@ -307,80 +375,6 @@ def annotate_mentions(
             else:
                 out.extend(_rewrite(special.replacement_text, lexicon, mode))
             i += len(special.term)
-    if len(out) == len(tokens) and all(map(is_, out, tokens)):
-        return sentence  # nothing annotated
+    if len(out) == len(sentence.tokens) and all(map(is_, out, sentence.tokens)):
+        return sentence  # nothing rewritten or annotated
     return make_sentence(out)
-
-
-def rewrite_zero_cues(sentence: Sentence) -> Sentence:
-    """Rewrite non-existence phrasings into countable zero mentions.
-
-    Three schemas: "did n't ... any" drops the auxiliary and negation and
-    turns "any" into "no"; every "never" is removed and "0 times" appended
-    once; "without" becomes "with no". All remaining "no"/"0" tokens are then
-    annotated as zero-count cardinal mentions.
-    """
-    tokens = list(sentence.tokens)
-
-    changed = True
-    while changed:  # n't-any: apply until no pattern is left
-        changed = False
-        for j in range(1, len(tokens)):
-            if tokens[j].surface.lower() not in ("n't", "not"):
-                continue
-            if tokens[j - 1].surface.lower() not in ("do", "does", "did"):
-                continue
-            k = next(
-                (m for m in range(j + 1, len(tokens)) if tokens[m].surface.lower() == "any"),
-                None,
-            )
-            if k is None:
-                continue
-            tokens[k] = Token(surface="no", lemma="no", index=0)
-            del tokens[j - 1 : j + 1]
-            changed = True
-            break
-
-    kept = [tok for tok in tokens if tok.surface.lower() != "never"]
-    if len(kept) < len(tokens):
-        tokens = kept
-        tail = len(tokens)
-        if tail and tokens[-1].surface in (".", "!", "?"):
-            tail -= 1
-        tokens[tail:tail] = [
-            Token(surface="0", lemma="0", index=0),
-            Token(surface="times", lemma="time", index=0),
-        ]
-
-    out: list[Token] = []
-    for tok in tokens:
-        if tok.surface.lower() == "without":
-            out.append(Token(surface="with", lemma="with", index=0))
-            out.append(Token(surface="no", lemma="no", index=0))
-        else:
-            out.append(tok)
-
-    annotated = [
-        tok.with_mention(MentionAnnotation(kind=MentionKind.ZERO, value=0))
-        if tok.mention is None and tok.surface.lower() in ("no", "0")
-        else tok
-        for tok in out
-    ]
-    return make_sentence(annotated)
-
-
-def to_placeholder_sequence(sentence: Sentence) -> list[str]:
-    """Lemma sequence with mentions replaced by their placeholder symbols."""
-    return [tok.lemma if tok.mention is None else tok.mention.placeholder for tok in sentence]
-
-
-def preprocess_sentence(
-    sentence: Sentence,
-    lexicon: NumLexicon,
-    mode: str = TRAIN_MODE,
-    zero_mode: bool = False,
-) -> Sentence:
-    """Run the full per-sentence preprocessing chain."""
-    return annotate_mentions(
-        rewrite_zero_cues(sentence) if zero_mode else sentence, lexicon, mode=mode
-    )

@@ -1,7 +1,8 @@
 """Core token/sentence types shared by the whole pipeline.
 
-Sentences are immutable: every preprocessing step returns a new ``Sentence``
-with token indices re-assigned, so they can be passed freely between workers.
+Sentences are immutable: a preprocessing step that changes one returns a new
+``Sentence`` with token indices re-assigned, so they can be passed freely
+between workers.
 """
 
 from __future__ import annotations

@@ -632,6 +632,19 @@ class TestMalformedInputs:
         self.assert_reported(result, f"{pred} does not match {gold}")
         assert message in result.output
 
+    def test_recognition_files_with_other_placeholders(self, runner, tmp_path):
+        gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
+        gold.write_text("a\tb\tO\n\nShe\tshe\tO\nhas\thave\tO\nthree\tCARDINAL\tCOUNT\n",
+                        encoding="utf-8")
+        pred.write_text("a\tb\tO\n\nHe\the\tO\nwrote\twrite\tO\nbooks\tbook\tCOUNT\n",
+                        encoding="utf-8")
+        result = runner.invoke(main, ["evaluate", "--gold-conll", str(gold),
+                                      "--pred-conll", str(pred),
+                                      "--out", str(tmp_path / "m.json")])
+        self.assert_reported(result, f"{pred} does not match {gold}")
+        assert "sentence 2, token 1: gold placeholder 'she' but predicted 'he'" in result.output
+        assert not (tmp_path / "m.json").exists()
+
     def test_negative_gold_count(self, runner, tmp_path):
         (tmp_path / "pred.jsonl").write_text(self.PRED + "\n", encoding="utf-8")
         gold = tmp_path / "gold.tsv"
@@ -684,6 +697,20 @@ class TestMalformedInputs:
         result = runner.invoke(main, ["--config", str(config), "build-training"])
         self.assert_reported(result, lexicon_dir)
         assert message in result.output
+
+    def test_zero_valued_prefix(self, runner, fixture_dir):
+        lexicon_dir = fixture_dir / "lexicon"
+        shutil.copytree(Path(numlex.__file__).parent / "data", lexicon_dir)
+        prefixes = lexicon_dir / "prefixes.tsv"
+        lines = prefixes.read_text(encoding="utf-8").splitlines()
+        prefixes.write_text("\n".join(lines + ["nulli\t0"]) + "\n", encoding="utf-8")
+        corpus = fixture_dir / "nulli.jsonl"
+        corpus.write_text('{"subject": "p00", "text": "He has nulliplets ."}\n', encoding="utf-8")
+        config = write_config(fixture_dir, f"lexicon_dir = {lexicon_dir}", f"corpus = {corpus}")
+        result = runner.invoke(main, ["--config", str(config), "build-training"])
+        self.assert_reported(result, lexicon_dir)
+        assert f"prefixes.tsv:{len(lines) + 1}: value of 'nulli' must be a positive integer" \
+            in result.output
 
     def test_file_that_is_not_a_model(self, runner, fixture_dir):
         kb = fixture_dir / "kb.tsv"

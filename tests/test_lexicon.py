@@ -10,10 +10,10 @@ from countquant.numlex import (
     MentionKind,
     Sentence,
     Token,
-    annotate_mentions,
     load_default_lexicon,
     load_lexicon,
     make_sentence,
+    preprocess_sentence,
     tokenize,
 )
 from countquant.numlex.lexicon import _DATA_DIR
@@ -52,6 +52,20 @@ class TestLexiconFiles:
         with pytest.raises(LexiconFormatError):
             load_lexicon(tmp_path)
 
+    @pytest.mark.parametrize("table,rows,where", [
+        ("prefixes", "tri\t3\nnulli\t0\n",
+         "prefixes.tsv:2: value of 'nulli' must be a positive integer, got '0'"),
+        ("special_terms", "twins\tNUMTERM:2\n# none\nnulliplets\tNUMTERM:0\n",
+         "special_terms.tsv:3: number term 'nulliplets' must count at least 1, got 'NUMTERM:0'"),
+    ], ids=["prefix", "special-term"])
+    def test_zero_valued_number_term_rejected(self, tmp_path, table, rows, where):
+        """A number term reads as a count of at least one, so a row of value 0 cannot load."""
+        shutil.copytree(_DATA_DIR, tmp_path / "lexicon")
+        (tmp_path / "lexicon" / f"{table}.tsv").write_text(rows, encoding="utf-8")
+        with pytest.raises(LexiconFormatError) as info:
+            load_lexicon(tmp_path / "lexicon")
+        assert str(info.value).endswith(f"cannot load lexicon: {where}")
+
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         for name, content in {
             "cardinals": "# heading\n\none\t1\n",
@@ -77,7 +91,7 @@ class TestLexiconFiles:
         for term, value in in_place.items():
             assert specials[term].replacement_text is None
             assert specials[term].value == value
-            sentence = annotate_mentions(tokenize(f"They are a {term} .")[0], lx)
+            sentence = preprocess_sentence(tokenize(f"They are a {term} .")[0], lx)
             [tok] = sentence.mentions
             assert (tok.surface, tok.mention.kind, tok.mention.value) == (
                 term, MentionKind.NUMTERM, value)

@@ -16,14 +16,12 @@ from countquant.numlex import (
     MentionKind,
     Sentence,
     Token,
-    annotate_mentions,
     detokenize,
     lemmatize,
     load_default_lexicon,
     load_lexicon,
     make_sentence,
     preprocess_sentence,
-    rewrite_zero_cues,
     to_placeholder_sequence,
     tokenize,
 )
@@ -108,11 +106,14 @@ class TestSentence:
         back = pickle.loads(pickle.dumps(s))
         assert back == s and back.mentions == s.mentions
 
-    def test_annotate_returns_input_when_nothing_annotated(self, prep):
+    @pytest.mark.parametrize("zero_mode", [False, True])
+    def test_preprocess_returns_input_when_nothing_changes(self, prep, zero_mode):
         (plain,) = tokenize("She wrote poems .")
-        assert annotate_mentions(plain, LEXICON) is plain
-        done = prep("She has twenty one children")
-        assert annotate_mentions(done, LEXICON) is done
+        assert preprocess_sentence(plain, LEXICON, zero_mode=zero_mode) is plain
+        done = prep("She has twenty one children", zero_mode=zero_mode)
+        assert preprocess_sentence(done, LEXICON, zero_mode=zero_mode) is done
+        (unpaired,) = tokenize("Any child did not come .")
+        assert preprocess_sentence(unpaired, LEXICON, zero_mode=zero_mode) is unpaired
 
 
 class TestAnnotateMentions:
@@ -158,7 +159,7 @@ class TestAnnotateMentions:
     @pytest.mark.parametrize("surface", ["1,2", "1999,2001", "1,2345", "1,", "1999,200"])
     def test_digit_cardinal_needs_three_digit_groups(self, surface):
         s = make_sentence([Token(surface=surface, lemma=surface, index=0)])
-        assert annotate_mentions(s, LEXICON).mentions == ()
+        assert preprocess_sentence(s, LEXICON).mentions == ()
 
     def test_decimals_are_not_mentions(self, prep):
         assert prep("He ran 3.5 miles").mentions == ()
@@ -286,32 +287,32 @@ class TestAnnotateMentions:
 
     def test_idempotent(self, prep):
         s = prep("She has twenty one children and a dozen cats, honestly.")
-        again = annotate_mentions(s, LEXICON)
+        again = preprocess_sentence(s, LEXICON)
         assert again == s
 
 
 class TestNormalizeSpecialTerms:
     def test_thrice_becomes_three_times(self, lexicon):
         (s,) = tokenize("thrice")
-        out = annotate_mentions(s, lexicon)
+        out = preprocess_sentence(s, lexicon)
         assert out.surfaces() == ["three", "times"]
         assert out[0].mention.value == 3
 
     def test_a_dozen_becomes_twelve(self, lexicon):
         (s,) = tokenize("She bought a dozen eggs")
-        out = annotate_mentions(s, lexicon)
+        out = preprocess_sentence(s, lexicon)
         assert out.surfaces() == ["She", "bought", "twelve", "eggs"]
         assert out[2].mention.value == 12
 
     def test_twins_kept_as_placeholder_token(self, lexicon):
         (s,) = tokenize("her twins arrived")
-        out = annotate_mentions(s, lexicon)
+        out = preprocess_sentence(s, lexicon)
         assert out.surfaces() == ["her", "twins", "arrived"]
         assert out[1].mention.placeholder == "NUMTERM"
 
     def test_reindexes(self, lexicon):
         (s,) = tokenize("thrice happy")
-        out = annotate_mentions(s, lexicon)
+        out = preprocess_sentence(s, lexicon)
         assert [t.index for t in out] == [0, 1, 2]
 
 
@@ -326,11 +327,11 @@ class TestRewriteZeroCues:
     )
     def test_schema_pairs(self, before, after):
         (s,) = tokenize(before)
-        assert detokenize(rewrite_zero_cues(s)) == after
+        assert detokenize(preprocess_sentence(s, LEXICON, zero_mode=True)) == after
 
     def test_zero_tokens_annotated(self):
         (s,) = tokenize("He has never been married")
-        out = rewrite_zero_cues(s)
+        out = preprocess_sentence(s, LEXICON, zero_mode=True)
         zero = [t for t in out if t.mention is not None]
         assert len(zero) == 1
         assert zero[0].surface == "0"
@@ -339,17 +340,17 @@ class TestRewriteZeroCues:
 
     def test_plain_no_annotated(self):
         (s,) = tokenize("They have no children")
-        out = rewrite_zero_cues(s)
+        out = preprocess_sentence(s, LEXICON, zero_mode=True)
         assert out[2].mention is not None and out[2].mention.value == 0
 
     def test_terminal_punctuation_kept_last(self):
         (s,) = tokenize("He has never been married.")
-        out = rewrite_zero_cues(s)
+        out = preprocess_sentence(s, LEXICON, zero_mode=True)
         assert out.surfaces()[-3:] == ["0", "times", "."]
 
     def test_repeated_never_counts_zero_once(self):
         (s,) = tokenize("She never sang and never acted.")
-        out = rewrite_zero_cues(s)
+        out = preprocess_sentence(s, LEXICON, zero_mode=True)
         assert detokenize(out) == "She sang and acted 0 times."
         assert [t.surface for t in out.mentions] == ["0"]
 
@@ -361,13 +362,29 @@ class TestRewriteZeroCues:
         ]
         for text in texts:
             (s,) = tokenize(text)
-            out = rewrite_zero_cues(s)
+            out = preprocess_sentence(s, LEXICON, zero_mode=True)
             surfaces = [t.lower() for t in out.surfaces()]
             assert "never" not in surfaces
             assert "without" not in surfaces
             for j, w in enumerate(surfaces):
                 if w == "n't":
                     assert "any" not in surfaces[j:]
+
+    @pytest.mark.parametrize("before,surfaces", [
+        ("did didn't not any any", ["no", "no"]),
+        ("did never n't any", ["did", "n't", "any", "0", "times"]),
+        ("never", ["0", "times"]),
+        ("She left without", ["She", "left", "with", "no"]),
+        ("No one knows", ["No", "one", "knows"]),
+    ], ids=["nested-pairs", "never-blocks-pair", "only-never", "final-without", "no-one"])
+    def test_edge_cases(self, before, surfaces):
+        (s,) = tokenize(before)
+        out = preprocess_sentence(s, LEXICON, zero_mode=True)
+        assert out.surfaces() == surfaces
+        assert [(t.surface, t.mention.kind) for t in out.mentions] == [
+            (w, MentionKind.ZERO) for w in surfaces if w.lower() in ("no", "0")
+        ]
+        assert out == _reference_preprocess(s, LEXICON, TRAIN_MODE, zero_mode=True)
 
 
 class TestPlaceholderSequence:
@@ -392,7 +409,7 @@ class TestPlaceholderSequence:
         (tmp_path / "lexicon" / "special_terms.tsv").write_text(
             "twins\tNUMTERM-plets:2\n", encoding="utf-8")
         (s,) = tokenize("her twins")
-        out = annotate_mentions(s, load_lexicon(tmp_path / "lexicon"))
+        out = preprocess_sentence(s, load_lexicon(tmp_path / "lexicon"))
         assert to_placeholder_sequence(out) == ["her", "NUMTERM"]
         assert out[1].mention.value == 2
 
@@ -419,8 +436,8 @@ _texts = st.lists(_word, min_size=1, max_size=12).map(" ".join)
 @given(_texts)
 def test_annotate_idempotent_property(text):
     for sentence in tokenize(text):
-        once = annotate_mentions(sentence, LEXICON, mode=INFERENCE_MODE)
-        twice = annotate_mentions(once, LEXICON, mode=INFERENCE_MODE)
+        once = preprocess_sentence(sentence, LEXICON, mode=INFERENCE_MODE)
+        twice = preprocess_sentence(once, LEXICON, mode=INFERENCE_MODE)
         assert once == twice
 
 
@@ -431,7 +448,7 @@ def test_annotation_deterministic_property(text):
         [
             (t.surface, t.mention.value if t.mention else None)
             for s in tokenize(text)
-            for t in annotate_mentions(s, LEXICON, mode=INFERENCE_MODE)
+            for t in preprocess_sentence(s, LEXICON, mode=INFERENCE_MODE)
         ]
         for _ in range(2)
     ]
@@ -450,7 +467,7 @@ def test_placeholder_length_property(text):
 @given(_texts)
 def test_zero_rewrite_removes_cues_property(text):
     for sentence in tokenize(text):
-        out = rewrite_zero_cues(sentence)
+        out = preprocess_sentence(sentence, LEXICON, zero_mode=True)
         surfaces = [t.lower() for t in [tok.surface for tok in out]]
         assert "never" not in surfaces
         assert "without" not in surfaces
@@ -565,9 +582,11 @@ def test_compiled_tables_on_overlapping_lexicon(tmp_path):
 
 # -- the one-scan annotation against the two-pass reference -------------------
 #
-# The reference is the earlier chain: a pass that rewrites special terms,
-# then an annotation pass that matches special terms again. It shares the
-# module's parsers, so both sides read numbers the same way.
+# The reference is the earlier chain: in zero mode a pass that rewrites zero
+# cues (restarting its "n't ... any" search after each match), then a pass
+# that rewrites special terms, then an annotation pass that matches special
+# terms again. It shares the module's parsers, so both sides read numbers the
+# same way.
 
 
 def _reference_special_value(term, lexicon):
@@ -708,9 +727,66 @@ def _reference_annotate_mentions(sentence, lexicon, mode):
     return make_sentence(out)
 
 
+def _reference_rewrite_zero_cues(sentence: Sentence) -> Sentence:
+    """Rewrite non-existence phrasings into countable zero mentions.
+
+    Three schemas: "did n't ... any" drops the auxiliary and negation and
+    turns "any" into "no"; every "never" is removed and "0 times" appended
+    once; "without" becomes "with no". All remaining "no"/"0" tokens are then
+    annotated as zero-count cardinal mentions.
+    """
+    tokens = list(sentence.tokens)
+
+    changed = True
+    while changed:  # n't-any: apply until no pattern is left
+        changed = False
+        for j in range(1, len(tokens)):
+            if tokens[j].surface.lower() not in ("n't", "not"):
+                continue
+            if tokens[j - 1].surface.lower() not in ("do", "does", "did"):
+                continue
+            k = next(
+                (m for m in range(j + 1, len(tokens)) if tokens[m].surface.lower() == "any"),
+                None,
+            )
+            if k is None:
+                continue
+            tokens[k] = Token(surface="no", lemma="no", index=0)
+            del tokens[j - 1 : j + 1]
+            changed = True
+            break
+
+    kept = [tok for tok in tokens if tok.surface.lower() != "never"]
+    if len(kept) < len(tokens):
+        tokens = kept
+        tail = len(tokens)
+        if tail and tokens[-1].surface in (".", "!", "?"):
+            tail -= 1
+        tokens[tail:tail] = [
+            Token(surface="0", lemma="0", index=0),
+            Token(surface="times", lemma="time", index=0),
+        ]
+
+    out: list[Token] = []
+    for tok in tokens:
+        if tok.surface.lower() == "without":
+            out.append(Token(surface="with", lemma="with", index=0))
+            out.append(Token(surface="no", lemma="no", index=0))
+        else:
+            out.append(tok)
+
+    annotated = [
+        tok.with_mention(MentionAnnotation(kind=MentionKind.ZERO, value=0))
+        if tok.mention is None and tok.surface.lower() in ("no", "0")
+        else tok
+        for tok in out
+    ]
+    return make_sentence(annotated)
+
+
 def _reference_preprocess(sentence, lexicon, mode, zero_mode):
     if zero_mode:
-        sentence = rewrite_zero_cues(sentence)
+        sentence = _reference_rewrite_zero_cues(sentence)
     sentence = _reference_normalize_special_terms(sentence, lexicon)
     return _reference_annotate_mentions(sentence, lexicon, mode)
 
@@ -737,7 +813,7 @@ def reference_lexicons(tmp_path_factory):
 
 
 # Chunks of one or more words, drawn by kind so that cardinal runs meet
-# special terms often.
+# special terms, and negations meet auxiliaries, often.
 _reference_chunk = st.one_of(
     st.sampled_from(sorted(LEXICON.cardinal_words) + ["and"]),
     st.sampled_from(
@@ -749,8 +825,15 @@ _reference_chunk = st.one_of(
         + ["score", "weight", "a", "an", "first", "third", "twenty-first", "twenty-one",
            "3rd", "7", "1,200", "1999,200", "12,345,678", "3.5", "pentalogy", "trilogy",
            "triplets", "no", "no one", "0", "never", "without", "any", "didn't", "times", "children",
-           ",", "."]
+           "do", "does", "did", "not", "Didn't", "Any", "Never", "Without", "No", ",", "."]
     ),
+    # auxiliaries, then negations or "never", then "any"s: pairs nest ("did did
+    # n't n't any any"), and a "never" can sit between a pair's two words
+    st.tuples(
+        st.lists(st.sampled_from(["did", "Does", "do"]), min_size=1, max_size=3),
+        st.lists(st.sampled_from(["n't", "not", "Not", "never"]), min_size=1, max_size=3),
+        st.lists(st.sampled_from(["any", "Any", "children"]), max_size=3),
+    ).map(lambda parts: " ".join(sum(parts, []))),
     st.text(alphabet=string.ascii_letters, min_size=1, max_size=6),
 )
 
