@@ -129,8 +129,8 @@ def _extract_task(model, lexicon, threshold, zero_mode, relation, task):
 @click.option("--lexicon-dir")
 @click.option("--popularity-top", type=click.FloatRange(0, 1, min_open=True), default=1.0)
 @click.option("--upper-bound-q", type=click.FloatRange(0, 1), default=0.99)
-@click.option("--entropy-min", default=0.5)
-@click.option("--workers", default=1)
+@click.option("--entropy-min", type=click.FloatRange(min=0), default=0.5)
+@click.option("--workers", type=click.IntRange(min=1), default=1)
 def cmd_build_training(kb, corpus, relation, training, lexicon_dir,
                        popularity_top, upper_bound_q, entropy_min, workers):
     """Generate a CoNLL-style training file from KB counts and a corpus."""
@@ -164,8 +164,8 @@ def cmd_build_training(kb, corpus, relation, training, lexicon_dir,
 @click.option("--model", default="model.json")
 @click.option("--relation")
 @click.option("--l2-sigma", type=click.FloatRange(0, min_open=True), default=1.0)
-@click.option("--max-iter", default=300)
-@click.option("--feature-cutoff", default=2)
+@click.option("--max-iter", type=click.IntRange(min=1), default=300)
+@click.option("--feature-cutoff", type=click.IntRange(min=1), default=2)
 def cmd_train(training, model, relation, l2_sigma, max_iter, feature_cutoff):
     """Train a CRF on a CoNLL training file."""
     examples = list(dsgen.read_conll(training))
@@ -183,7 +183,7 @@ def cmd_train(training, model, relation, l2_sigma, max_iter, feature_cutoff):
         raise click.ClickException(str(exc)) from exc
     crf.save_model(fitted, model)
     click.echo(
-        f"wrote {model}: {len(fitted.feature_index)} features, "
+        f"wrote {model}: {len(fitted.weights)} features, "
         f"objective {fitted.final_objective:.4f} after {fitted.n_iterations} iterations"
     )
 
@@ -196,7 +196,7 @@ def cmd_train(training, model, relation, l2_sigma, max_iter, feature_cutoff):
 @click.option("--lexicon-dir")
 @click.option("--threshold", type=click.FloatRange(0, 1), default=0.1)
 @click.option("--zero-mode", is_flag=True)
-@click.option("--workers", default=1)
+@click.option("--workers", type=click.IntRange(min=1), default=1)
 def cmd_extract(model, corpus, relation, predictions, lexicon_dir, threshold, zero_mode, workers):
     """Extract counting quantifiers from documents; JSON-lines output."""
     lexicon = load_lexicon(lexicon_dir) if lexicon_dir else load_default_lexicon()
@@ -342,8 +342,8 @@ def _load_end_to_end_score(path: str) -> ev.EndToEndScore:
 @click.option("--pred", "predictions", required=True)
 @click.option("--metrics", default="metrics.json")
 @click.option("--out", "enrichment", default="enrichment.json")
-@click.option("--min-precision", default=0.5)
-@click.option("--min-coverage", default=0.05)
+@click.option("--min-precision", type=click.FloatRange(0, 1), default=0.5)
+@click.option("--min-coverage", type=click.FloatRange(0, 1), default=0.05)
 def cmd_enrich(kb, relation, predictions, metrics, enrichment, min_precision, min_coverage):
     """KB-enrichment accounting, gated on held-out evaluation quality."""
     store = kbstore.load_triples(kb)

@@ -7,10 +7,11 @@ tag-transition weights are part of every model, not a template.
 
 :func:`template_columns` builds the n-grams of a whole sequence at once: it
 pads the sequence with ``BOS``/``EOS`` a single time and builds each width's
-n-grams once, by extending the next narrower ones. A feature is named
-``"<template name>:<n-gram>"``, but neither training nor inference builds
-that string per token: both keep one n-gram -> feature id table per template
-name and map a sentence's columns to ids with :func:`lookup_ids`.
+n-grams once, by extending the next narrower ones. A model's features are
+one n-gram -> feature id table per template name; training and inference
+both map a sentence's columns to ids through those tables with
+:func:`lookup_ids`. Only the model file names a feature as a string,
+``"<template name>:<n-gram>"``.
 """
 
 from __future__ import annotations

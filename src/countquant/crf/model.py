@@ -1,13 +1,15 @@
-"""Linear-chain CRF over the COUNT/COMP/O tag scheme.
+"""Linear-chain CRF over the fixed COUNT/COMP/O tag scheme.
 
 :func:`forward_backward` is the one forward-backward kernel: inference runs
 it on one sentence (n, k), :mod:`.train` on equal-length stacks (B, n, k). It
 works in probability space, rescaling each step (Rabiner scaling); a call
 whose scale factors under- or overflow is redone in log space by
 :func:`log_forward` and :func:`log_backward`. A trained model is immutable
-(write-protected weights), so decoding and marginals are thread-safe. It
-compiles its feature lookup once: one n-gram -> feature id table per template,
+(write-protected weights), so decoding and marginals are thread-safe. Its
+features are its n-gram tables: one n-gram -> feature id table per template,
 the tables training builds, read through :func:`.features.lookup_ids`.
+Feature strings ``"<template name>:<n-gram>"`` exist only in the model file,
+built by :func:`save_model` and parsed by :func:`load_model`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from ..reader import InputError, read_file
 from .features import FeatureTemplate, lookup_ids, template_columns
 
 
-TAGS = ("COUNT", "COMP", "O")
+# The tag scheme of every model; a tag's id is its position.
+COUNT, COMP, OTHER = TAGS = ("COUNT", "COMP", "O")
 
 MODEL_MAGIC = "countquant-crf"
 MODEL_VERSION = 2
@@ -38,46 +41,34 @@ class ModelFormatError(InputError):
 
 @dataclass(frozen=True)
 class CrfModel:
-    feature_index: dict[str, int]
-    weights: np.ndarray          # (n_features, n_tags) observation weights
-    transitions: np.ndarray      # (n_tags, n_tags) tag-transition weights
+    # One n-gram -> feature id table per template, in template order; equal
+    # templates share one table. Ids index the rows of ``weights``.
+    gram_ids: tuple[dict[str, int], ...]
+    weights: np.ndarray          # (n_features, len(TAGS)) observation weights
+    transitions: np.ndarray      # (len(TAGS), len(TAGS)) tag-transition weights
     templates: tuple[FeatureTemplate, ...]
-    tags: tuple[str, ...] = TAGS
     l2_sigma: float = 1.0
     relation: Optional[dict] = None
     final_objective: float = 0.0
     n_iterations: int = 0
-    # Compiled from the fields above, never pickled: one n-gram -> feature id
-    # table per template, and the weights plus one zero row that the id of an
-    # unseen feature (n_features) selects.
-    gram_ids: tuple[dict[str, int], ...] = field(init=False, repr=False, compare=False)
+    # The weights plus one zero row, which the id of an unseen feature
+    # (n_features) selects; never pickled.
     padded_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.weights.flags.writeable = False
         self.transitions.flags.writeable = False
-        names = [tpl.name for tpl in self.templates]
-        tables: dict[str, dict[str, int]] = {name: {} for name in names}
-        for feature, fid in self.feature_index.items():
-            name, _, gram = feature.partition(":")  # no template name holds a ":"
-            if name in tables:
-                tables[name][gram] = fid
         padded = np.concatenate([self.weights, np.zeros((1, self.weights.shape[1]))])
         padded.flags.writeable = False
-        object.__setattr__(self, "gram_ids", tuple(tables[name] for name in names))
         object.__setattr__(self, "padded_weights", padded)
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     def __setstate__(self, state: dict) -> None:
-        # Unpickled arrays come back writeable; protect them again and recompile.
+        # Unpickled arrays come back writeable; protect them again.
         self.__dict__.update(state)
         self.__post_init__()
-
-    @property
-    def n_tags(self) -> int:
-        return len(self.tags)
 
     def feature_ids(self, sequence: list[str]) -> np.ndarray:
         """Feature ids, shape (len(sequence), templates), in template order.
@@ -89,7 +80,7 @@ class CrfModel:
         return lookup_ids(self.gram_ids, columns, len(sequence), len(self.weights))
 
     def emissions(self, sequence: list[str]) -> np.ndarray:
-        """Per-position observation scores, shape (len(sequence), n_tags)."""
+        """Per-position observation scores, shape (len(sequence), len(TAGS))."""
         return self.padded_weights.take(self.feature_ids(sequence), axis=0).sum(axis=1)
 
 
@@ -169,32 +160,39 @@ def viterbi(emissions: np.ndarray, transitions: np.ndarray) -> list[int]:
 def decode(model: CrfModel, sequence: list[str]) -> list[str]:
     """Viterbi tag sequence for a placeholder/lemma sequence."""
     path = viterbi(model.emissions(sequence), model.transitions)
-    return [model.tags[i] for i in path]
+    return [TAGS[i] for i in path]
 
 
 def marginals(model: CrfModel, sequence: list[str]) -> np.ndarray:
-    """Forward-backward per-position tag probabilities, shape (n, n_tags).
+    """Forward-backward per-position tag probabilities, shape (n, len(TAGS)).
 
     Each row sums to 1; entry [t, k] is the probability that position t
     carries tag k, used downstream as the mention confidence score.
     """
     if not sequence:
-        return np.zeros((0, model.n_tags))
+        return np.zeros((0, len(TAGS)))
     return forward_backward(model.emissions(sequence), model.transitions)[0]
 
 
 def save_model(model: CrfModel, path: Path | str) -> None:
-    """Write the model as versioned JSON; load_model round-trips it exactly."""
+    """Write the model as versioned JSON; load_model round-trips it exactly.
+
+    Features are listed in id order, each as ``"<template name>:<n-gram>"``.
+    """
+    features = [""] * len(model.weights)
+    for template, table in zip(model.templates, model.gram_ids):
+        for gram, fid in table.items():
+            features[fid] = f"{template.name}:{gram}"
     payload = {
         "magic": MODEL_MAGIC,
         "version": MODEL_VERSION,
-        "tags": list(model.tags),
+        "tags": list(TAGS),
         "l2_sigma": model.l2_sigma,
         "relation": model.relation,
         "final_objective": model.final_objective,
         "n_iterations": model.n_iterations,
         "templates": [list(t.offsets) for t in model.templates],
-        "features": list(model.feature_index.keys()),
+        "features": features,
         "weights": model.weights.tolist(),
         "transitions": model.transitions.tolist(),
     }
@@ -211,27 +209,33 @@ def load_model(path: Path | str) -> CrfModel:
     if payload.get("version") != MODEL_VERSION:
         raise ModelFormatError(path, f"unsupported model version {payload.get('version')!r}")
     try:
-        features, tags = payload["features"], payload["tags"]
+        features = payload["features"]
         if not isinstance(features, list) or not all(isinstance(f, str) for f in features):
             raise TypeError("features must be a list of strings")
-        if not isinstance(tags, list):
-            raise TypeError("tags must be a list")
+        if payload["tags"] != list(TAGS):
+            raise ValueError(f"tags must be {list(TAGS)}, got {payload['tags']!r}")
         if not all(isinstance(offsets, list) for offsets in payload["templates"]):
             raise TypeError("templates must be offset lists")
         templates = tuple(FeatureTemplate(tuple(offsets)) for offsets in payload["templates"])
+        tables: dict[str, dict[str, int]] = {t.name: {} for t in templates}
+        for fid, feature in enumerate(features):
+            name, colon, gram = feature.partition(":")  # no template name holds a ":"
+            if not colon or name not in tables:
+                raise ValueError(f"feature {feature!r} names no template of the model")
+            if tables[name].setdefault(gram, fid) != fid:
+                raise ValueError(f"repeated feature {feature!r}")
+        k = len(TAGS)
         weights = np.asarray(payload["weights"], dtype=float)
         if weights.size == 0:  # a model without features stores [], read as shape (0,)
-            weights = weights.reshape(0, len(tags))
+            weights = weights.reshape(0, k)
         transitions = np.asarray(payload["transitions"], dtype=float)
-        n_tags = len(tags)
-        if weights.shape != (len(features), n_tags) or transitions.shape != (n_tags, n_tags):
+        if weights.shape != (len(features), k) or transitions.shape != (k, k):
             raise ValueError("weight shapes do not match feature/tag counts")
         return CrfModel(
-            feature_index={f: i for i, f in enumerate(features)},
+            gram_ids=tuple(tables[t.name] for t in templates),
             weights=weights,
             transitions=transitions,
             templates=templates,
-            tags=tuple(tags),
             l2_sigma=float(payload.get("l2_sigma", 1.0)),
             relation=payload.get("relation"),
             final_objective=float(payload.get("final_objective", 0.0)),

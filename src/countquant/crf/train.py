@@ -26,7 +26,7 @@ from scipy.optimize import minimize
 from scipy.sparse import csr_matrix
 
 from .features import FeatureTemplate, default_templates, lookup_ids, template_columns
-from .model import TAGS, CrfModel, forward_backward
+from .model import COUNT, TAGS, CrfModel, forward_backward
 
 logger = logging.getLogger(__name__)
 
@@ -40,7 +40,7 @@ class _Bucket:
     """All training sentences of one length, stacked."""
 
     length: int
-    tag_ids: np.ndarray  # (B, n)
+    y: np.ndarray        # (B, n) tag ids
     rows: slice          # the bucket's B * n rows of the feature matrix
 
 
@@ -64,7 +64,6 @@ class TrainingProblem:
         templates: Optional[Iterable[FeatureTemplate]] = None,
         l2_sigma: float = 1.0,
         feature_cutoff: int = 2,
-        tags: tuple[str, ...] = TAGS,
     ) -> None:
         if l2_sigma <= 0:
             raise ValueError("l2_sigma must be positive")
@@ -72,18 +71,16 @@ class TrainingProblem:
         examples = [(seq, tg) for seq, tg in examples if seq]
         if not examples:
             raise ValueError("no non-empty training sentences")
-        if not any("COUNT" in tg for _, tg in examples):
+        if not any(COUNT in tg for _, tg in examples):
             raise DegenerateTrainingError(
                 "no COUNT tag in the training data; the model would be degenerate"
             )
-        self.tags = tags
-        self.tag_ids = {t: i for i, t in enumerate(tags)}
         self.templates = list(templates) if templates is not None else default_templates()
         self.l2_sigma = float(l2_sigma)
 
-        # One n-gram -> id table per template name, as CrfModel compiles from
-        # the feature index. Ids go in first-occurrence order (sentence, then
-        # position, then template) to the n-grams seen feature_cutoff times.
+        # The model's n-gram -> id tables, one per template name (equal
+        # templates share one). Ids go in first-occurrence order (sentence,
+        # then position, then template) to the n-grams seen feature_cutoff times.
         names = [tpl.name for tpl in self.templates]
         counts = {name: Counter() for name in names}
         columns = [template_columns(seq, self.templates) for seq, _ in examples]
@@ -91,29 +88,28 @@ class TrainingProblem:
             for name, col in zip(names, cols):
                 counts[name].update(col)
         by_name: dict[str, dict[str, int]] = {name: {} for name in names}
-        tables = [by_name[name] for name in names]
-        self.feature_index: dict[str, int] = {}
+        self.gram_ids = tuple(by_name[name] for name in names)
+        self.n_features = 0
         sentence_ids = []
         for (seq, _), cols in zip(examples, columns):
-            ids = lookup_ids(tables, cols, len(seq), -1)
+            ids = lookup_ids(self.gram_ids, cols, len(seq), -1)
             # Only a kept n-gram's first occurrences and the rare n-grams miss.
             for p, j in np.argwhere(ids < 0).tolist():
-                gram, table = cols[j][p], tables[j]
+                gram, table = cols[j][p], self.gram_ids[j]
                 if gram not in table and counts[names[j]][gram] >= feature_cutoff:
-                    table[gram] = len(self.feature_index)
-                    self.feature_index[f"{names[j]}:{gram}"] = table[gram]
+                    table[gram] = self.n_features
+                    self.n_features += 1
                 ids[p, j] = table.get(gram, -1)
             sentence_ids.append(ids)
-        self.n_features = len(self.feature_index)
-        self.n_tags = len(tags)
+        k = len(TAGS)
 
         by_length: dict[int, list[int]] = {}
         for i, (seq, _) in enumerate(examples):
             by_length.setdefault(len(seq), []).append(i)
         self.buckets: list[_Bucket] = []
-        self._emp_t = np.zeros((self.n_tags, self.n_tags))
+        self._emp_t = np.zeros((k, k))
         for length in sorted(by_length):
-            y = np.array([[self.tag_ids[t] for t in examples[i][1]] for i in by_length[length]],
+            y = np.array([[TAGS.index(t) for t in examples[i][1]] for i in by_length[length]],
                          dtype=np.intp)
             start = self.buckets[-1].rows.stop if self.buckets else 0
             self.buckets.append(_Bucket(length, y, slice(start, start + y.size)))
@@ -129,29 +125,28 @@ class TrainingProblem:
             (np.ones(indptr[-1]), ids[kept], indptr), shape=(len(ids), self.n_features)
         )
 
-        all_tags = np.concatenate([bucket.tag_ids.ravel() for bucket in self.buckets])
-        self._emp_w = self.X.T @ np.eye(self.n_tags)[all_tags]
+        all_tags = np.concatenate([bucket.y.ravel() for bucket in self.buckets])
+        self._emp_w = self.X.T @ np.eye(k)[all_tags]
 
     @property
     def n_params(self) -> int:
-        return self.n_features * self.n_tags + self.n_tags * self.n_tags
+        return (self.n_features + len(TAGS)) * len(TAGS)
 
     def split(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cut = self.n_features * self.n_tags
-        w = theta[:cut].reshape(self.n_features, self.n_tags)
-        t = theta[cut:].reshape(self.n_tags, self.n_tags)
-        return w, t
+        k = len(TAGS)
+        cut = self.n_features * k
+        return theta[:cut].reshape(self.n_features, k), theta[cut:].reshape(k, k)
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Negative penalized log-likelihood and its gradient."""
         w, trans = self.split(theta)
-        k = self.n_tags
+        k = len(TAGS)
         em_all = self.X @ w
         mu_all = np.empty_like(em_all)
         exp_t = np.zeros_like(trans)
         ll = 0.0
         for bucket in self.buckets:
-            y = bucket.tag_ids
+            y = bucket.y
             batch, n = y.shape
             em = em_all[bucket.rows].reshape(batch, n, k)
             mu, xi, log_z = forward_backward(em, trans)
@@ -161,7 +156,9 @@ class TrainingProblem:
             mu_all[bucket.rows] = mu.reshape(batch * n, k)
             exp_t += xi
         exp_w = self.X.T @ mu_all
-        value = -(ll - 0.5 * self.l2_sigma * float(theta @ theta))
+        # Not theta @ theta: a BLAS dot that long wakes OpenBLAS's threads,
+        # which then compete with this one unless BLAS is pinned to one thread.
+        value = -(ll - 0.5 * self.l2_sigma * float(np.square(theta).sum()))
         grad = np.concatenate([(exp_w - self._emp_w).ravel(), (exp_t - self._emp_t).ravel()])
         return value, grad + self.l2_sigma * theta
 
@@ -218,11 +215,10 @@ def train(
         result.nit,
     )
     return CrfModel(
-        feature_index=dict(problem.feature_index),
+        gram_ids=problem.gram_ids,
         weights=w.copy(),
         transitions=trans.copy(),
         templates=tuple(problem.templates),
-        tags=problem.tags,
         l2_sigma=l2_sigma,
         relation=relation,
         final_objective=final_objective,

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
+from .crf.model import COMP, COUNT, OTHER, TAGS
 from .kbstore import KbStore, Relation, count_percentile, popularity_percentile_cutoff
 from .numlex import (
     NumLexicon,
@@ -41,11 +42,6 @@ from .numlex import (
 )
 from .numlex.types import MentionKind
 from .reader import InputError, read_keyed, read_lines
-
-COUNT = "COUNT"
-COMP = "COMP"
-OTHER = "O"
-TAGS = (COUNT, COMP, OTHER)
 
 # Compositional seed matching: at most this many mentions per run, at most
 # this many tokens between adjacent mentions (at least one being a cue).

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .consolidate import CountingQuantifier, consolidate
-from .crf import CrfModel, decode, marginals
-from .dsgen import LabeledSentence
+from .crf import TAGS, CrfModel, decode, marginals
+from .dsgen import COUNT, LabeledSentence
 from .kbstore import Relation
 from .numlex import (
     INFERENCE_MODE,
@@ -36,7 +36,7 @@ def decode_document(
     zero_mode: bool = False,
 ) -> list[DecodedSentence]:
     """Preprocess and tag every candidate-bearing sentence of a document."""
-    count_id = model.tags.index("COUNT")
+    count_id = TAGS.index(COUNT)
     decoded: list[DecodedSentence] = []
     for raw in tokenize(text):
         sentence = preprocess_sentence(

@@ -75,16 +75,17 @@ def random_model(rng: np.random.Generator, vocab: list[str], scale: float = 1.0)
     from countquant.crf import CrfModel, FeatureTemplate
 
     templates = (FeatureTemplate((0,)), FeatureTemplate((-1, 0)))
-    features: dict[str, int] = {}
+    unigrams: dict[str, int] = {}
     for w in vocab + ["BOS"]:
-        features[f"U1:{w}"] = len(features)
+        unigrams[w] = len(unigrams)
+    bigrams: dict[str, int] = {}
     for left in vocab + ["BOS"]:
         for right in vocab:
-            features[f"U2[-1]:{left}|{right}"] = len(features)
-    weights = rng.normal(scale=scale, size=(len(features), 3))
+            bigrams[f"{left}|{right}"] = len(unigrams) + len(bigrams)
+    weights = rng.normal(scale=scale, size=(len(unigrams) + len(bigrams), 3))
     transitions = rng.normal(scale=scale, size=(3, 3))
     return CrfModel(
-        feature_index=features,
+        gram_ids=(unigrams, bigrams),
         weights=weights,
         transitions=transitions,
         templates=templates,

@@ -474,6 +474,14 @@ class TestOptionValues:
         ("build-training", "popularity_top", "0"),
         ("extract", "threshold", "1.5"),
         ("train", "l2_sigma", "0"),
+        ("train", "max_iter", "-5"),
+        ("train", "max_iter", "0"),
+        ("train", "feature_cutoff", "0"),
+        ("build-training", "workers", "0"),
+        ("extract", "workers", "-2"),
+        ("build-training", "entropy_min", "-0.1"),
+        ("enrich", "min_precision", "1.5"),
+        ("enrich", "min_coverage", "-0.1"),
     ])
     def test_out_of_range_value_exits_2(self, runner, fixture_dir, command, key, value, via):
         flag = "--" + key.replace("_", "-")
@@ -484,6 +492,12 @@ class TestOptionValues:
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert f"Invalid value for '{flag}'" in result.output
+
+    def test_lowest_values_in_range_are_accepted(self, runner, fixture_dir):
+        config = str(write_config(fixture_dir))
+        run_ok(runner, ["--config", config, "build-training", "--entropy-min", "0",
+                        "--workers", "1"])
+        run_ok(runner, ["--config", config, "train", "--max-iter", "1", "--feature-cutoff", "1"])
 
     @pytest.mark.parametrize("line,flag", [
         ("threshold = abc", "--threshold"),
@@ -776,6 +790,29 @@ class TestMalformedInputs:
         result = runner.invoke(main, ["--config", str(config), "build-training"])
         # the lexicon is one input, named by its directory, then the table and line
         self.assert_reported(result, f"{lexicon_dir}: cannot load lexicon: cardinals.tsv:2")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m.update(tags=["B-COUNT", "COMP", "O"]), "tags must be"),
+        (lambda m: m.update(tags=["O", "COMP", "COUNT"]), "tags must be"),
+        (lambda m: m["features"].append("U9:x"), "feature 'U9:x' names no template"),
+        (lambda m: m["features"].append("nocolon"), "feature 'nocolon' names no template"),
+        (lambda m: m["features"].append("U1"), "feature 'U1' names no template"),
+        (lambda m: m["features"].append(m["features"][0]), "repeated feature"),
+    ], ids=["tags-unknown", "tags-reordered", "feature-unknown-template",
+            "feature-without-colon", "feature-template-name-only", "feature-repeated"])
+    def test_defective_model_file(self, runner, fixture_dir, edit, message):
+        config = write_config(fixture_dir)
+        run_ok(runner, ["--config", str(config), "build-training"])
+        run_ok(runner, ["--config", str(config), "train", "--max-iter", "5"])
+        model = fixture_dir / "model.json"
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        edit(payload)
+        payload["weights"] += [[0.0] * 3] * (len(payload["features"]) - len(payload["weights"]))
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        result = runner.invoke(main, ["--config", str(config), "extract"])
+        self.assert_reported(result, model)
+        assert f"Error: {model}: cannot load model: " in result.output
+        assert message in result.output
 
     def test_model_with_malformed_features(self, runner, fixture_dir):
         model = fixture_dir / "model.json"

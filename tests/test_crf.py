@@ -136,10 +136,16 @@ def test_template_columns_are_the_unprefixed_features():
     assert template_columns([], templates) == [[] for _ in names]
 
 
+def _feature_strings(templates, gram_ids):
+    """Feature id of every ``"<template name>:<n-gram>"`` string of the tables."""
+    return {f"{tpl.name}:{gram}": fid
+            for tpl, table in zip(templates, gram_ids) for gram, fid in table.items()}
+
+
 def _reference_emissions(model, sequence):
     """Emissions summed position by position over the known feature strings."""
-    index = model.feature_index
-    em = np.zeros((len(sequence), model.n_tags))
+    index = _feature_strings(model.templates, model.gram_ids)
+    em = np.zeros((len(sequence), len(TAGS)))
     for pos in range(len(sequence)):
         row = _reference_features(sequence, pos, model.templates)
         ids = np.asarray([index[f] for f in row if f in index], dtype=np.intp)
@@ -169,13 +175,16 @@ def test_emissions_equal_per_position_reference_property(templates, training, se
         for pos in range(len(seq))
         for f in _reference_features(seq, pos, templates)
     )
-    # a random subset of the seen features, plus some no template produces
-    kept = [f for f in seen if rng.random() < 0.7] + ["U9:x", "nocolon", "U1"]
-    feature_index = {f: i for i, f in enumerate(rng.permutation(kept).tolist())}
+    # a random subset of the seen features, numbered in random order
+    kept = [f for f in seen if rng.random() < 0.7]
+    tables: dict[str, dict[str, int]] = {tpl.name: {} for tpl in templates}
+    for fid, feature in enumerate(rng.permutation(kept).tolist()):
+        name, _, gram = feature.partition(":")
+        tables[name][gram] = fid
     # mixed magnitudes make the sums sensitive to their order
     weights = rng.normal(size=(len(kept), 3)) * 10.0 ** rng.integers(-6, 7, size=(len(kept), 1))
     model = CrfModel(
-        feature_index=feature_index,
+        gram_ids=tuple(tables[tpl.name] for tpl in templates),
         weights=weights,
         transitions=rng.normal(size=(3, 3)),
         templates=tuple(templates),
@@ -211,8 +220,10 @@ def test_feature_index_order_on_mini_fixture():
     counts = Counter(seen)
     expected = list(dict.fromkeys(f for f in seen if counts[f] >= 2))
     problem = TrainingProblem(examples, templates=templates, feature_cutoff=2)
-    assert list(problem.feature_index) == expected
-    assert problem.feature_index == {f: i for i, f in enumerate(expected)}
+    assert problem.n_features == len(expected)
+    assert _feature_strings(problem.templates, problem.gram_ids) == {
+        f: i for i, f in enumerate(expected)
+    }
 
 
 @settings(max_examples=100, deadline=None)
@@ -228,7 +239,7 @@ def test_training_rows_equal_inference_ids_property(templates, training, cutoff)
     data = [(seq, ["COUNT"] + ["O"] * (len(seq) - 1)) for seq in training]
     problem = TrainingProblem(data, templates=templates, feature_cutoff=cutoff)
     model = CrfModel(
-        feature_index=problem.feature_index,
+        gram_ids=problem.gram_ids,
         weights=np.zeros((problem.n_features, len(TAGS))),
         transitions=np.zeros((len(TAGS), len(TAGS))),
         templates=tuple(templates),
@@ -280,19 +291,20 @@ def _scatter_value_and_grad(problem, examples, theta):
     for bit.
     """
     w, trans = problem.split(theta)
-    k = problem.n_tags
+    k = len(TAGS)
+    index = _feature_strings(problem.templates, problem.gram_ids)
     emp_w, exp_w = np.zeros_like(w), np.zeros_like(w)
     emp_t, exp_t = np.zeros_like(trans), np.zeros_like(trans)
     ll = 0.0
     for n in sorted({len(seq) for seq, _ in examples}):
         members = [(seq, tags) for seq, tags in examples if len(seq) == n]
-        y = np.array([[problem.tag_ids[t] for t in tags] for _, tags in members])
+        y = np.array([[TAGS.index(t) for t in tags] for _, tags in members])
         fids, sent, pos = [], [], []
         for b, (seq, _) in enumerate(members):
             for p in range(len(seq)):
                 for f in _reference_features(seq, p, problem.templates):
-                    if f in problem.feature_index:
-                        fids.append(problem.feature_index[f])
+                    if f in index:
+                        fids.append(index[f])
                         sent.append(b)
                         pos.append(p)
         fids, sent, pos = (np.asarray(a, dtype=np.intp) for a in (fids, sent, pos))
@@ -307,7 +319,7 @@ def _scatter_value_and_grad(problem, examples, theta):
         ll += float((score - log_z).sum())
         np.add.at(exp_w, fids, mu[sent, pos])
         exp_t += xi
-    value = -(ll - 0.5 * problem.l2_sigma * float(theta @ theta))
+    value = -(ll - 0.5 * problem.l2_sigma * float(np.square(theta).sum()))
     grad = np.concatenate([-(emp_w - exp_w).ravel(), -(emp_t - exp_t).ravel()])
     return value, grad + problem.l2_sigma * theta
 
@@ -406,9 +418,10 @@ class TestTrain:
 
     def test_feature_cutoff_drops_singletons(self):
         problem = TrainingProblem(TOY_DATA, feature_cutoff=2)
+        index = _feature_strings(problem.templates, problem.gram_ids)
         # "U1:trump" appears once over the corpus and must be gone
-        assert "U1:trump" not in problem.feature_index
-        assert "U1:CARDINAL" in problem.feature_index  # appears three times
+        assert "U1:trump" not in index
+        assert "U1:CARDINAL" in index  # appears three times
 
     def test_stronger_penalty_shrinks_weights(self):
         norms = []
@@ -573,7 +586,7 @@ class TestMarginals:
     def test_uniform_model_gives_thirds(self):
         templates = (FeatureTemplate((0,)),)
         model = CrfModel(
-            feature_index={"U1:a": 0},
+            gram_ids=({"a": 0},),
             weights=np.zeros((1, 3)),
             transitions=np.zeros((3, 3)),
             templates=templates,
@@ -605,6 +618,20 @@ class TestModelFile:
             assert decode(model, seq) == decode(loaded, seq)
         assert np.array_equal(model.weights, loaded.weights)
         assert np.array_equal(model.transitions, loaded.transitions)
+
+    @pytest.mark.parametrize("templates,cutoff", [
+        (None, 1),
+        ((FeatureTemplate((0,)), FeatureTemplate((-1, 0)), FeatureTemplate((0,))), 1),
+        (None, 10**6),
+    ], ids=["default-templates", "duplicate-templates", "no-features"])
+    def test_save_of_load_rewrites_the_file_exactly(self, tmp_path, templates, cutoff):
+        data = TOY_DATA + [(["zoë", "have", "CARDINAL", "x:y"], ["O", "O", "COUNT", "O"])]
+        model = train(data, templates=templates, feature_cutoff=cutoff, max_iter=20,
+                      relation={"subject_class": "human", "property": "child"})
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
+        save_model(model, path)
+        save_model(load_model(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_truncated_file_raises(self, tmp_path):
         model = train(TOY_DATA, feature_cutoff=1, max_iter=20)
@@ -675,14 +702,15 @@ class TestModelFile:
     def test_compiled_lookup_is_rebuilt_after_pickle_roundtrip(self):
         model = train(TOY_DATA, feature_cutoff=1, max_iter=50)
         state = model.__getstate__()
-        assert "gram_ids" not in state and "padded_weights" not in state
+        assert state["gram_ids"] is model.gram_ids and "padded_weights" not in state
         back = pickle.loads(pickle.dumps(model))
         assert back.gram_ids == model.gram_ids
         for m in (model, back):
             assert m.padded_weights.shape == (len(m.weights) + 1, len(TAGS))
             assert not m.padded_weights[-1].any()
-            with pytest.raises(ValueError):
-                m.padded_weights[0, 0] = 1.0
+            for array in (m.weights, m.transitions, m.padded_weights):
+                with pytest.raises(ValueError):
+                    array[0, 0] = 1.0
         rng = np.random.default_rng(5)
         for length in (0, 1, 4, 9):
             seq = random_sequence(rng, VOCAB + ["trump", "book", "unseen"], length)
