@@ -31,10 +31,11 @@ from .reader import InputError, read_file, read_keyed, read_lines
 def parse_relation(spec: str) -> Relation:
     """Parse ``subject_class:property`` or ``subject_class:property:label``."""
     parts = spec.split(":")
-    if len(parts) == 2:
-        return Relation(subject_class=parts[0], property=parts[1])
-    if len(parts) == 3:
-        return Relation(subject_class=parts[0], property=parts[1], label=parts[2])
+    if len(parts) in (2, 3):
+        try:
+            return Relation(*parts)
+        except ValueError as exc:
+            raise click.BadParameter(f"{exc}, got {spec!r}") from exc
     raise click.BadParameter(
         f"relation must be subject_class:property[:label], got {spec!r}"
     )
@@ -134,6 +135,7 @@ def _extract_task(model, lexicon, threshold, zero_mode, relation, task):
 def cmd_build_training(kb, corpus, relation, training, lexicon_dir,
                        popularity_top, upper_bound_q, entropy_min, workers):
     """Generate a CoNLL-style training file from KB counts and a corpus."""
+    rel = parse_relation(relation)
     lexicon = load_lexicon(lexicon_dir) if lexicon_dir else load_default_lexicon()
     policy = SeedPolicy(
         popularity_top_fraction=popularity_top,
@@ -142,7 +144,6 @@ def cmd_build_training(kb, corpus, relation, training, lexicon_dir,
     )
     store = kbstore.load_triples(kb)
     documents = Corpus.load(corpus)
-    rel = parse_relation(relation)
 
     upper_bound, selection = dsgen.select_subjects(store, documents, rel, policy)
     if not selection:
@@ -168,6 +169,7 @@ def cmd_build_training(kb, corpus, relation, training, lexicon_dir,
 @click.option("--feature-cutoff", type=click.IntRange(min=1), default=2)
 def cmd_train(training, model, relation, l2_sigma, max_iter, feature_cutoff):
     """Train a CRF on a CoNLL training file."""
+    rel = parse_relation(relation) if relation else None
     examples = list(dsgen.read_conll(training))
     if not examples:
         raise InputError(training, "no sentences")
@@ -177,7 +179,7 @@ def cmd_train(training, model, relation, l2_sigma, max_iter, feature_cutoff):
             l2_sigma=l2_sigma,
             max_iter=max_iter,
             feature_cutoff=feature_cutoff,
-            relation=parse_relation(relation).__dict__ if relation else None,
+            relation=rel.__dict__ if rel else None,
         )
     except crf.DegenerateTrainingError as exc:
         raise click.ClickException(str(exc)) from exc
@@ -199,10 +201,10 @@ def cmd_train(training, model, relation, l2_sigma, max_iter, feature_cutoff):
 @click.option("--workers", type=click.IntRange(min=1), default=1)
 def cmd_extract(model, corpus, relation, predictions, lexicon_dir, threshold, zero_mode, workers):
     """Extract counting quantifiers from documents; JSON-lines output."""
+    rel = parse_relation(relation) if relation else None
     lexicon = load_lexicon(lexicon_dir) if lexicon_dir else load_default_lexicon()
     fitted = crf.load_model(model)
     documents = Corpus.load(corpus)
-    rel = parse_relation(relation) if relation else None
 
     tasks = [(s, documents[s]) for s in documents.subjects()]
     extract = partial(_extract_task, fitted, lexicon, threshold, zero_mode, rel)
@@ -303,8 +305,8 @@ def cmd_analyze_popularity(kb, relation, gold, popularity_report):
     the most popular 1%/10%/20% of subjects, which is the evidence for (or
     against) restricting training to popular subjects.
     """
-    store = kbstore.load_triples(kb)
     rel = parse_relation(relation)
+    store = kbstore.load_triples(kb)
     gold_counts = _load_gold_counts(gold)
     rows = kbstore.popularity_completeness_report(store, rel, gold_counts)
     click.echo(ev.render_table(
@@ -346,8 +348,8 @@ def _load_end_to_end_score(path: str) -> ev.EndToEndScore:
 @click.option("--min-coverage", type=click.FloatRange(0, 1), default=0.05)
 def cmd_enrich(kb, relation, predictions, metrics, enrichment, min_precision, min_coverage):
     """KB-enrichment accounting, gated on held-out evaluation quality."""
-    store = kbstore.load_triples(kb)
     rel = parse_relation(relation)
+    store = kbstore.load_triples(kb)
     predicted = _load_predictions(predictions)
     score = _load_end_to_end_score(metrics)
     report = ev.enrichment_report(
@@ -366,10 +368,11 @@ def cmd_enrich(kb, relation, predictions, metrics, enrichment, min_precision, mi
         click.echo(f"suppressed: {payload['reason']}")
     else:
         payload = {"emitted": True, "report": report.to_json_dict()}
+        increase = report.kb_increase
+        growth = "no existing facts" if increase is None else f"{100 * increase:.1f}% increase"
         click.echo(
             f"relation {rel.label}: {report.missing_facts} missing vs "
-            f"{report.existing_facts} existing facts "
-            f"({100 * report.kb_increase:.1f}% increase)"
+            f"{report.existing_facts} existing facts ({growth})"
         )
     Path(enrichment).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"

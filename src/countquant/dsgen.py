@@ -229,7 +229,12 @@ class Corpus:
     def load(path: Path | str) -> "Corpus":
         def record(line: str) -> tuple[str, str]:
             doc = json.loads(line)
-            return str(doc["subject"]), str(doc["text"])
+            subject, text = doc["subject"], doc["text"]
+            if not (isinstance(subject, str) and isinstance(text, str)):
+                raise ValueError("subject and text must be strings")
+            if not subject.strip():
+                raise ValueError("empty subject")
+            return subject.strip(), text
 
         return Corpus(documents=read_keyed(path, record, "bad corpus record"))
 

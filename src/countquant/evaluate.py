@@ -167,18 +167,19 @@ class EnrichmentReport:
     conflicts: int  # positive predictions for subjects the KB asserts have none
 
     @property
-    def kb_increase(self) -> float:
-        """Missing over existing facts; how much the KB would grow."""
+    def kb_increase(self) -> Optional[float]:
+        """Missing over existing facts: how much the KB would grow; None without existing facts."""
         if self.existing_facts == 0:
-            return float("inf") if self.missing_facts else 0.0
+            return None
         return self.missing_facts / self.existing_facts
 
     def to_json_dict(self) -> dict:
+        increase = self.kb_increase
         return {
             "relation": self.relation.label,
             "existing_facts": self.existing_facts,
             "missing_facts": self.missing_facts,
-            "kb_increase_pct": round(100.0 * self.kb_increase, 1),
+            "kb_increase_pct": None if increase is None else round(100.0 * increase, 1),
             "zero_assertions": self.zero_assertions,
             "conflicts": self.conflicts,
         }

@@ -1,19 +1,23 @@
 """Triple store with the per-relation statistics used for seeding and evaluation.
 
-The store is immutable after :func:`load_triples`; any number of readers may
-share it. Triple files are UTF-8 TSV (``subject<TAB>property<TAB>object``)
-with two reserved tokens:
+:func:`load_triples` reads a triple file once and builds every index the
+store's readers look up; the store is immutable afterwards, and any number
+of readers may share it. Triple files are UTF-8 TSV
+(``subject<TAB>property<TAB>object``) with two reserved tokens:
 
 * object ``__no_value__`` asserts that the subject has zero objects for the
   property (an explicit known-zero, not a missing fact);
 * property ``__instance_of__`` assigns the subject to a class.
+
+A duplicate row counts once; every other row, a known-zero row included,
+counts toward its subject's popularity and its property's functionality.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .reader import InputError, read_lines
@@ -33,18 +37,6 @@ class TripleFormatError(TripleLoadError):
 
 
 @dataclass(frozen=True)
-class Triple:
-    subject: str
-    predicate: str
-    object: str | None
-    no_value: bool = False
-
-    def __post_init__(self) -> None:
-        if self.no_value and self.object is not None:
-            raise ValueError("a known-zero triple carries no object")
-
-
-@dataclass(frozen=True)
 class Relation:
     """A (subject class, property) pair; one extraction model is trained per relation."""
 
@@ -53,18 +45,21 @@ class Relation:
     label: str = ""
 
     def __post_init__(self) -> None:
+        if not self.subject_class or not self.property:
+            raise ValueError("a relation needs a non-empty subject class and property")
         if not self.label:
             object.__setattr__(self, "label", f"{self.subject_class}_{self.property}")
 
 
 @dataclass(frozen=True)
 class KbStore:
-    triples: frozenset[Triple]
-    class_membership: dict[str, frozenset[str]]
+    triples: frozenset[tuple[str, str, str]]
     popularity: dict[str, int]
-    n_malformed: int = 0
-    _counts: dict[tuple[str, str], int] = field(default_factory=dict, repr=False)
-    _known_zero: frozenset[tuple[str, str]] = field(default_factory=frozenset, repr=False)
+    n_malformed: int
+    _counts: dict[tuple[str, str], int]
+    _known_zero: frozenset[tuple[str, str]]
+    _members: dict[str, tuple[str, ...]]
+    _properties: dict[str, tuple[int, int]]
 
     def triple_count(self, subject: str, prop: str) -> int:
         """Number of distinct objects for (subject, prop); known-zero rows do not count."""
@@ -75,27 +70,28 @@ class KbStore:
         return (subject, prop) in self._known_zero
 
     def class_members(self, class_id: str) -> list[str]:
-        return sorted(
-            e for e, classes in self.class_membership.items() if class_id in classes
-        )
+        return list(self._members.get(class_id, ()))
 
     def relation_subjects(self, rel: Relation) -> list[str]:
         """Members of the relation's class with at least one object, sorted."""
         return [
-            s for s in self.class_members(rel.subject_class)
+            s for s in self._members.get(rel.subject_class, ())
             if self.triple_count(s, rel.property) >= 1
         ]
 
 
 def load_triples(path: Path | str) -> KbStore:
-    """Build a store from a triple file.
+    """Build a store from a triple file in one pass over its lines.
 
     Malformed lines (wrong field count or empty fields) are counted and
     logged; more than 10% malformed raises :class:`TripleFormatError`.
     """
-    triples: set[Triple] = set()
-    membership: dict[str, set[str]] = {}
+    triples: set[tuple[str, str, str]] = set()
     popularity: dict[str, int] = {}
+    counts: dict[tuple[str, str], int] = {}
+    zero: set[tuple[str, str]] = set()
+    members: dict[str, list[str]] = {}
+    properties: dict[str, list[int]] = {}  # property -> [subjects, rows]
     n_lines = 0
     n_malformed = 0
     for lineno, line in read_lines(path, TripleLoadError):
@@ -107,37 +103,34 @@ def load_triples(path: Path | str) -> KbStore:
             n_malformed += 1
             logger.warning("%s:%d: malformed triple line", path, lineno)
             continue
-        subject, predicate, obj = (p.strip() for p in parts)
-        no_value = obj == NO_VALUE
-        triple = Triple(subject, predicate, None if no_value else obj, no_value)
-        if triple in triples:
+        subject, prop, obj = row = tuple(p.strip() for p in parts)
+        if row in triples:
             continue
-        triples.add(triple)
+        triples.add(row)
         popularity[subject] = popularity.get(subject, 0) + 1
-        if predicate == INSTANCE_OF and obj != NO_VALUE:
-            membership.setdefault(subject, set()).add(obj)
+        pair = (subject, prop)
+        stats = properties.setdefault(prop, [0, 0])
+        stats[0] += pair not in counts and pair not in zero  # first row of this subject
+        stats[1] += 1
+        if obj == NO_VALUE:
+            zero.add(pair)
+            continue
+        counts[pair] = counts.get(pair, 0) + 1
+        if prop == INSTANCE_OF:
+            members.setdefault(obj, []).append(subject)
 
     if n_lines > 0 and n_malformed / n_lines > 0.10:
         raise TripleFormatError(path, f"{n_malformed} of {n_lines} lines malformed (>10%)")
 
-    counts: dict[tuple[str, str], int] = {}
-    zero: set[tuple[str, str]] = set()
-    for t in triples:
-        if t.no_value:
-            zero.add((t.subject, t.predicate))
-        else:
-            key = (t.subject, t.predicate)
-            counts[key] = counts.get(key, 0) + 1
-    # A real object wins over a stray known-zero row for the same pair.
-    zero -= set(counts)
-
     return KbStore(
         triples=frozenset(triples),
-        class_membership={s: frozenset(c) for s, c in membership.items()},
         popularity=popularity,
         n_malformed=n_malformed,
         _counts=counts,
-        _known_zero=frozenset(zero),
+        # A real object wins over a stray known-zero row for the same pair.
+        _known_zero=frozenset(zero - counts.keys()),
+        _members={c: tuple(sorted(m)) for c, m in members.items()},
+        _properties={p: tuple(stats) for p, stats in properties.items()},
     )
 
 
@@ -161,16 +154,19 @@ def count_percentile(store: KbStore, rel: Relation, q: float) -> int:
 
 
 def functionality_degree(store: KbStore, prop: str) -> float:
-    """#distinct subjects / #triples for a property; near 1 means single-valued."""
-    triples = [t for t in store.triples if t.predicate == prop]
-    if not triples:
+    """#distinct subjects / #rows for a property; near 1 means single-valued.
+
+    Known-zero rows count as rows, and their subjects as subjects.
+    """
+    if prop not in store._properties:
         raise ValueError(f"property {prop!r} has no triples")
-    subjects = {t.subject for t in triples}
-    return len(subjects) / len(triples)
+    subjects, rows = store._properties[prop]
+    return subjects / rows
 
 
 def property_subject_count(store: KbStore, prop: str) -> int:
-    return len({t.subject for t in store.triples if t.predicate == prop})
+    """Distinct subjects with a row for the property, known-zero rows included."""
+    return store._properties.get(prop, (0, 0))[0]
 
 
 def passes_relation_filter(

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -90,6 +91,23 @@ class TestParseRelation:
     def test_bad_spec(self):
         with pytest.raises(Exception):
             parse_relation("nope")
+
+    def test_empty_label_takes_default(self):
+        assert parse_relation("human:child:").label == "human_child"
+
+    @pytest.mark.parametrize("spec", ["human:", ":child", "::", ":child:label", "human::label"])
+    def test_empty_class_or_property_is_rejected(self, spec):
+        with pytest.raises(click.BadParameter):
+            parse_relation(spec)
+
+    @pytest.mark.parametrize("command", [
+        "build-training", "train", "extract", "analyze-popularity", "enrich",
+    ])
+    def test_empty_part_exits_2(self, runner, tmp_path, command):
+        config = write_config(tmp_path, "relation = human:")
+        result = runner.invoke(main, ["--config", str(config), command])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value" in result.output and "'human:'" in result.output
 
 
 class TestBuildTraining:
@@ -262,6 +280,45 @@ class TestFullPipeline:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["emitted"] is False
         assert "suppressed" in result.output
+
+    def test_padded_corpus_subjects_match_gold(self, runner, fixture_dir):
+        corpus = fixture_dir / "corpus.jsonl"
+        records = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+        corpus.write_text("".join(
+            json.dumps({"subject": f" {r['subject']} ", "text": r["text"]}) + "\n"
+            for r in records
+        ), encoding="utf-8")
+        _, _, pred, metrics = self._pipeline(runner, fixture_dir)
+        subjects = [json.loads(line)["subject"]
+                    for line in pred.read_text(encoding="utf-8").splitlines()]
+        assert subjects and all(s == s.strip() for s in subjects)
+        scores = json.loads(metrics.read_text(encoding="utf-8"))["end_to_end"]
+        assert scores["coverage"] > 0.5
+
+    def test_enrich_without_existing_facts_writes_valid_json(self, runner, tmp_path):
+        kb = tmp_path / "kb.tsv"
+        kb.write_text("ann\t__instance_of__\thuman\nbob\t__instance_of__\thuman\n",
+                      encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps({"subject": "ann", "count": 3, "confidence": 0.9}) + "\n",
+                        encoding="utf-8")
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text(json.dumps({
+            "end_to_end": {"precision": 1.0, "coverage": 1.0, "mae": 0.0}
+        }), encoding="utf-8")
+        out = tmp_path / "enrichment.json"
+        result = run_ok(runner, [
+            "enrich", "--kb", str(kb), "--relation", "human:child",
+            "--pred", str(pred), "--metrics", str(metrics), "--out", str(out),
+        ])
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)["report"]
+        assert (report["existing_facts"], report["missing_facts"]) == (0, 3)
+        assert report["kb_increase_pct"] is None
+        assert "no existing facts" in result.output and "inf" not in result.output
 
     def test_recognition_evaluation_mode(self, runner, fixture_dir, tmp_path):
         train, _, _, _ = self._pipeline(runner, fixture_dir)
@@ -595,8 +652,17 @@ class TestMalformedInputs:
                                       "--out", str(fixture_dir / "m.json")])
         self.assert_reported(result, f"{pred}:2")
 
-    @pytest.mark.parametrize("bad", ['{"text": "Hi ."}', '{"subject": "p00", "text": "Hi ."}'],
-                             ids=["missing-key", "duplicate-subject"])
+    @pytest.mark.parametrize("bad", [
+        '{"text": "Hi ."}',
+        '{"subject": "p00", "text": "Hi ."}',
+        '{"subject": "", "text": "Hi ."}',
+        '{"subject": "  ", "text": "Hi ."}',
+        '{"subject": "p00 ", "text": "Hi ."}',
+        '{"subject": "q01", "text": null}',
+        '{"subject": 7, "text": "Hi ."}',
+        '["q01", "Hi ."]',
+    ], ids=["missing-key", "duplicate-subject", "empty-subject", "blank-subject",
+            "duplicate-after-strip", "null-text", "number-subject", "not-an-object"])
     def test_bad_corpus_line(self, runner, fixture_dir, bad):
         corpus = fixture_dir / "corpus.jsonl"
         lines = corpus.read_text(encoding="utf-8").splitlines()

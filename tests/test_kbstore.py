@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from countquant.kbstore import (
+    INSTANCE_OF,
+    NO_VALUE,
     Relation,
     TripleFormatError,
     TripleLoadError,
@@ -35,8 +39,8 @@ class TestLoadTriples:
 
     def test_no_value_token(self, write_kb):
         store = build_store(write_kb, ("ann", "child", "__no_value__"))
-        (triple,) = store.triples
-        assert triple.no_value and triple.object is None
+        assert store.triples == frozenset({("ann", "child", "__no_value__")})
+        assert store.has_explicit_zero("ann", "child")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.tsv"
@@ -68,6 +72,18 @@ class TestLoadTriples:
         )
         assert len(store.triples) == 1
         assert store.popularity["a"] == 1
+
+
+class TestClassMembers:
+    def test_no_value_class_gives_no_membership(self, write_kb):
+        store = build_store(write_kb, ("amy", "__instance_of__", "__no_value__"))
+        assert store.class_members("__no_value__") == []
+        assert store.has_explicit_zero("amy", "__instance_of__")
+
+    def test_returned_list_is_a_copy(self, write_kb):
+        store = build_store(write_kb, ("amy", "__instance_of__", "human"))
+        store.class_members("human").append("intruder")
+        assert store.class_members("human") == ["amy"]
 
 
 class TestTripleCount:
@@ -163,6 +179,17 @@ class TestFunctionalityDegree:
         with pytest.raises(ValueError):
             functionality_degree(store, "spouse")
 
+    def test_known_zero_rows_count(self, write_kb):
+        store = build_store(
+            write_kb,
+            ("a", "child", "x"),
+            ("a", "child", "__no_value__"),
+            ("b", "child", "__no_value__"),
+        )
+        assert not store.has_explicit_zero("a", "child")
+        assert functionality_degree(store, "child") == 2 / 3
+        assert property_subject_count(store, "child") == 2
+
     def test_in_unit_interval(self, write_kb):
         triples = [("a", "p", "x"), ("a", "p", "y"), ("b", "p", "z")]
         store = build_store(write_kb, *triples)
@@ -203,3 +230,133 @@ class TestPopularityCutoff:
         store = self._store(write_kb)
         with pytest.raises(ValueError):
             popularity_percentile_cutoff(store, REL, 0.0)
+
+
+# The store as it was built before its indexes: a Triple object per row, a
+# second pass over the rows, and a scan of every row per property query.
+# Every reader of today's store must agree with it.
+
+
+@dataclass(frozen=True)
+class _RefTriple:
+    subject: str
+    predicate: str
+    object: str | None
+    no_value: bool = False
+
+
+@dataclass(frozen=True)
+class _RefStore:
+    triples: frozenset
+    class_membership: dict
+    popularity: dict
+    n_malformed: int
+    counts: dict
+    known_zero: frozenset
+
+    def class_members(self, class_id):
+        return sorted(e for e, classes in self.class_membership.items() if class_id in classes)
+
+    def relation_subjects(self, rel):
+        return [s for s in self.class_members(rel.subject_class)
+                if self.counts.get((s, rel.property), 0) >= 1]
+
+
+def _ref_load_triples(text):
+    triples, membership, popularity = set(), {}, {}
+    n_lines = n_malformed = 0
+    for line in text.split("\n"):
+        if not line.strip() or line.startswith("#"):
+            continue
+        n_lines += 1
+        parts = line.split("\t")
+        if len(parts) != 3 or not all(p.strip() for p in parts):
+            n_malformed += 1
+            continue
+        subject, predicate, obj = (p.strip() for p in parts)
+        no_value = obj == NO_VALUE
+        triple = _RefTriple(subject, predicate, None if no_value else obj, no_value)
+        if triple in triples:
+            continue
+        triples.add(triple)
+        popularity[subject] = popularity.get(subject, 0) + 1
+        if predicate == INSTANCE_OF and obj != NO_VALUE:
+            membership.setdefault(subject, set()).add(obj)
+    if n_lines > 0 and n_malformed / n_lines > 0.10:
+        raise TripleFormatError("ref", "too many malformed lines")
+    counts, zero = {}, set()
+    for t in triples:
+        key = (t.subject, t.predicate)
+        if t.no_value:
+            zero.add(key)
+        else:
+            counts[key] = counts.get(key, 0) + 1
+    zero -= set(counts)
+    return _RefStore(frozenset(triples), {s: frozenset(c) for s, c in membership.items()},
+                     popularity, n_malformed, counts, frozenset(zero))
+
+
+def _ref_functionality_degree(store, prop):
+    triples = [t for t in store.triples if t.predicate == prop]
+    if not triples:
+        raise ValueError(f"property {prop!r} has no triples")
+    return len({t.subject for t in triples}) / len(triples)
+
+
+def _ref_property_subject_count(store, prop):
+    return len({t.subject for t in store.triples if t.predicate == prop})
+
+
+SUBJECTS = ["amy", "bob", "Q9"]
+PROPERTIES = ["child", "spouse", INSTANCE_OF]
+OBJECTS = ["x", "y", "human", "org", NO_VALUE]
+
+
+def _padded(pool):
+    pad = st.sampled_from(["", " ", "  "])
+    return st.builds(lambda left, value, right: left + value + right,
+                     pad, st.sampled_from(pool), pad)
+
+
+@st.composite
+def triple_files(draw):
+    """A triple file: rows with duplicates, padding and known zeros, plus
+    blank, comment and (under 10%) malformed lines, in any order."""
+    rows = draw(st.lists(
+        st.builds("\t".join, st.tuples(_padded(SUBJECTS), _padded(PROPERTIES), _padded(OBJECTS))),
+        max_size=40,
+    ))
+    filler = draw(st.lists(st.sampled_from(["", "   ", "# note", "#\tx\ty\tz"]), max_size=4))
+    malformed = draw(st.lists(
+        st.sampled_from(["amy\tchild", "amy\t \tx", "amy\tchild\tx\ty", "no tabs"]),
+        max_size=len(rows) // 9,
+    ))
+    return "\n".join(draw(st.permutations(rows + filler + malformed))) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=triple_files())
+def test_indexes_agree_with_reference_store(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("kb") / "kb.tsv"
+    path.write_text(text, encoding="utf-8")
+    store, ref = load_triples(path), _ref_load_triples(text)
+
+    assert store.n_malformed == ref.n_malformed
+    assert len(store.triples) == len(ref.triples)
+    assert store.popularity == ref.popularity
+    for subject in SUBJECTS + ["nobody"]:
+        for prop in PROPERTIES + ["born"]:
+            assert store.triple_count(subject, prop) == ref.counts.get((subject, prop), 0)
+            assert store.has_explicit_zero(subject, prop) == ((subject, prop) in ref.known_zero)
+    for class_id in OBJECTS + ["planet"]:
+        assert store.class_members(class_id) == ref.class_members(class_id)
+        for prop in PROPERTIES + ["born"]:
+            rel = Relation(class_id, prop)
+            assert store.relation_subjects(rel) == ref.relation_subjects(rel)
+    for prop in PROPERTIES + ["born"]:
+        assert property_subject_count(store, prop) == _ref_property_subject_count(ref, prop)
+        if _ref_property_subject_count(ref, prop):
+            assert functionality_degree(store, prop) == _ref_functionality_degree(ref, prop)
+        else:
+            with pytest.raises(ValueError):
+                functionality_degree(store, prop)
