@@ -20,7 +20,6 @@ from typing import Optional
 import click
 
 from . import crf, dsgen, evaluate as ev, kbstore
-from .consolidate import CountingQuantifier
 from .dsgen import Corpus, SeedPolicy
 from .kbstore import Relation
 from .numlex import load_default_lexicon, load_lexicon
@@ -221,13 +220,20 @@ def _count(field) -> int:
     return count
 
 
-def _load_predictions(path: str) -> dict[str, CountingQuantifier]:
-    def record(line: str) -> tuple[str, CountingQuantifier]:
+def _load_predictions(path: str) -> dict[str, int]:
+    """``{subject: count}`` of a predictions file written by ``extract``."""
+    def record(line: str) -> tuple[str, int]:
         fields = json.loads(line)
-        subject, count = str(fields["subject"]), _count(fields["count"])
+        subject, count, confidence = fields["subject"], fields["count"], fields["confidence"]
+        if not isinstance(subject, str):
+            raise ValueError(f"subject must be a string, got {subject!r}")
         if not subject.strip():
             raise ValueError("empty subject")
-        return subject, CountingQuantifier(subject, None, count, float(fields["confidence"]))
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise ValueError(f"count must be an integer, got {count!r}")
+        if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
+            raise ValueError(f"confidence must be a number, got {confidence!r}")
+        return subject.strip(), _count(count)
 
     return read_keyed(path, record, "bad prediction record")
 
@@ -264,7 +270,8 @@ def cmd_evaluate(predictions, gold, gold_conll, pred_conll, metrics, table):
         if table:
             click.echo(ev.render_table(
                 ["precision", "coverage", "mae"],
-                [[f"{score.precision:.3f}", f"{score.coverage:.3f}", f"{score.mae:.3f}"]],
+                [[f"{score.precision:.3f}", f"{score.coverage:.3f}",
+                  "n/a" if score.mae is None else f"{score.mae:.3f}"]],
             ))
     if gold_conll and pred_conll:
         gold_seqs = list(dsgen.read_conll(gold_conll))
@@ -330,7 +337,7 @@ def _load_end_to_end_score(path: str) -> ev.EndToEndScore:
         return ev.EndToEndScore(
             precision=float(e2e["precision"]),
             coverage=float(e2e["coverage"]),
-            mae=float(e2e["mae"]),
+            mae=None if e2e["mae"] is None else float(e2e["mae"]),
         )
     except KeyError as exc:
         raise InputError(path, f"bad metrics file: end_to_end lacks {exc}") from exc

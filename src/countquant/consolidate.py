@@ -1,32 +1,36 @@
 """Consolidation of labeled mentions into one count per (subject, relation).
 
 Input: decoded tag sequences plus per-position COUNT marginals for every
-sentence of a subject's document. Three steps produce the final prediction:
+sentence of a subject's document. One pass over the sentences produces the
+final prediction:
 
-1. mentions joined by COMP-tagged cues within a sentence are summed into a
-   single composed mention (confidence = max over members);
-2. per mention type, the best candidate is selected -- highest confidence
-   for cardinals/number terms/articles (kept only strictly above the
-   threshold), highest *value* for ordinals (threshold-exempt);
-3. types are ranked cardinal > number term > ordinal > article and the best
-   surviving type supplies the count.
-
-Zero-count mentions compete as cardinals of value 0; on a confidence tie a
-positive cardinal beats a zero.
+1. :func:`candidates` yields each sentence's COUNT-tagged mentions in token
+   order; a run of mentions joined by COMP-tagged cues comes out as one
+   composed mention (value = sum, confidence = max over members);
+2. every mention competes in the pool of its type, where zero-count and
+   composed mentions compete as cardinals, and each pool keeps the mention
+   with the smallest key: ``(-value, -confidence, sentence, token)`` for
+   ordinals (highest value), ``(-confidence, value == 0, sentence, token)``
+   for every other pool (highest confidence; on a tie a positive count
+   beats a zero, then the earlier mention wins);
+3. a pool's best survives when it is an ordinal or its confidence is
+   strictly above the threshold; the survivors are ranked cardinal > number
+   term > ordinal > article, and the first supplies the count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .dsgen import COMP, COUNT, LabeledSentence
 from .kbstore import Relation
 from .numlex.types import MentionKind
 
-# Final ranking of mention types (lower = preferred).
+# Pool of each mention type, which is also its final rank (lower = preferred).
 _KIND_RANK = {
     MentionKind.CARDINAL: 0,
+    MentionKind.ZERO: 0,
     MentionKind.NUMTERM: 1,
     MentionKind.ORDINAL: 2,
     MentionKind.ARTICLE: 3,
@@ -42,9 +46,6 @@ class CqCandidate:
     token_index: int
     surface: str = ""
     composed: bool = False
-
-    def sort_key(self) -> tuple:
-        return (self.sentence_index, self.token_index)
 
 
 @dataclass(frozen=True)
@@ -76,127 +77,51 @@ class CountingQuantifier:
         }
 
 
-def extract_candidates(
-    labeled: LabeledSentence, confidences: list[float], sentence_index: int
-) -> list[CqCandidate]:
-    """COUNT-tagged mentions of one sentence with their confidence scores."""
-    candidates = []
+def _merged(run: list[CqCandidate]) -> CqCandidate:
+    """A run's one mention: itself when alone, else a composed cardinal."""
+    if len(run) == 1:
+        return run[0]
+    return CqCandidate(
+        kind=MentionKind.CARDINAL,
+        value=sum(c.value for c in run),
+        confidence=max(c.confidence for c in run),
+        sentence_index=run[0].sentence_index,
+        token_index=run[0].token_index,
+        surface=" + ".join(c.surface for c in run),
+        composed=True,
+    )
+
+
+def candidates(
+    labeled: LabeledSentence, confidences: Sequence[float], sentence_index: int
+) -> Iterator[CqCandidate]:
+    """COUNT-tagged mentions of one sentence, in token order, with their confidences.
+
+    Adjacent mentions belong to one run when at least one token between them
+    is tagged COMP. A run of several mentions is yielded as one composed
+    cardinal: the sum of the member values, with the highest member
+    confidence, at the first member's position.
+    """
+    run: list[CqCandidate] = []
+    linked = False
     for tok, tag in zip(labeled.sentence, labeled.tags):
-        if tag == COUNT and tok.mention is not None:
-            candidates.append(
-                CqCandidate(
-                    kind=tok.mention.kind,
-                    value=tok.mention.value,
-                    confidence=float(confidences[tok.index]),
-                    sentence_index=sentence_index,
-                    token_index=tok.index,
-                    surface=tok.surface,
-                )
-            )
-    return candidates
-
-
-def sum_compositional(
-    candidates: list[CqCandidate], labeled: LabeledSentence
-) -> list[CqCandidate]:
-    """Merge mention chains linked by COMP-tagged cue tokens.
-
-    Adjacent COUNT mentions belong to one chain when at least one token
-    between them is tagged COMP. A merged mention takes the sum of the
-    member values, the highest member confidence, and competes as a
-    cardinal.
-    """
-    if len(candidates) < 2:
-        return list(candidates)
-    ordered = sorted(candidates, key=lambda c: c.token_index)
-    chains: list[list[CqCandidate]] = [[ordered[0]]]
-    for prev, cur in zip(ordered, ordered[1:]):
-        between = range(prev.token_index + 1, cur.token_index)
-        linked = any(labeled.tags[j] == COMP for j in between)
-        if linked:
-            chains[-1].append(cur)
-        else:
-            chains.append([cur])
-    merged: list[CqCandidate] = []
-    for chain in chains:
-        if len(chain) == 1:
-            merged.append(chain[0])
-        else:
-            best = max(range(len(chain)), key=lambda i: (chain[i].confidence, -i))
-            merged.append(
-                CqCandidate(
-                    kind=MentionKind.CARDINAL,
-                    value=sum(c.value for c in chain),
-                    confidence=chain[best].confidence,
-                    sentence_index=chain[0].sentence_index,
-                    token_index=chain[0].token_index,
-                    surface=" + ".join(c.surface for c in chain),
-                    composed=True,
-                )
-            )
-    return merged
-
-
-def _pool_kind(candidate: CqCandidate) -> MentionKind:
-    """Zero mentions and composed mentions compete in the cardinal pool."""
-    if candidate.kind is MentionKind.ZERO or candidate.composed:
-        return MentionKind.CARDINAL
-    return candidate.kind
-
-
-def select_per_type(
-    candidates: list[CqCandidate], threshold: float
-) -> dict[MentionKind, CqCandidate]:
-    """Best candidate per mention type.
-
-    Cardinals, number terms and articles keep their highest-confidence
-    member if it is strictly above the threshold. Ordinals keep the highest
-    value present, regardless of confidence. Ties break toward positive
-    values, then earlier sentence/token positions.
-    """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0,1], got {threshold}")
-    pools: dict[MentionKind, list[CqCandidate]] = {}
-    for c in candidates:
-        pools.setdefault(_pool_kind(c), []).append(c)
-
-    selected: dict[MentionKind, CqCandidate] = {}
-    for kind, pool in pools.items():
-        if kind is MentionKind.ORDINAL:
-            best = min(
-                pool, key=lambda c: (-c.value, -c.confidence) + c.sort_key()
-            )
-            selected[kind] = best
-            continue
-        best = min(
-            pool,
-            key=lambda c: (-c.confidence, c.value == 0) + c.sort_key(),
-        )
-        if best.confidence > threshold:
-            selected[kind] = best
-    return selected
-
-
-def rank_types(
-    per_type: dict[MentionKind, CqCandidate],
-    subject: str = "",
-    relation: Optional[Relation] = None,
-) -> Optional[CountingQuantifier]:
-    """Pick the final prediction by type preference; None when nothing survived."""
-    if not per_type:
-        return None
-    winner_kind = min(per_type, key=lambda k: _KIND_RANK[k])
-    winner = per_type[winner_kind]
-    provenance = tuple(
-        per_type[k] for k in sorted(per_type, key=lambda k: _KIND_RANK[k])
-    )
-    return CountingQuantifier(
-        subject=subject,
-        relation=relation,
-        count=winner.value,
-        confidence=winner.confidence,
-        provenance=provenance,
-    )
+        if tag == COMP:
+            linked = True
+        elif tag == COUNT and tok.mention is not None:
+            if run and not linked:
+                yield _merged(run)
+                run = []
+            run.append(CqCandidate(
+                kind=tok.mention.kind,
+                value=tok.mention.value,
+                confidence=float(confidences[tok.index]),
+                sentence_index=sentence_index,
+                token_index=tok.index,
+                surface=tok.surface,
+            ))
+            linked = False
+    if run:
+        yield _merged(run)
 
 
 def consolidate(
@@ -210,9 +135,31 @@ def consolidate(
 
     *confidences* holds, per sentence, the COUNT marginal for every token
     position. Deterministic: ties break toward earlier sentences/tokens.
+    None when no pool's best survives the threshold.
     """
-    pooled: list[CqCandidate] = []
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0,1], got {threshold}")
+    best: dict[int, tuple[tuple, CqCandidate]] = {}
     for idx, (labeled, conf) in enumerate(zip(labeled_sentences, confidences)):
-        candidates = extract_candidates(labeled, conf, idx)
-        pooled.extend(sum_compositional(candidates, labeled))
-    return rank_types(select_per_type(pooled, threshold), subject, relation)
+        for c in candidates(labeled, conf, idx):
+            if c.kind is MentionKind.ORDINAL:
+                key = (-c.value, -c.confidence, idx, c.token_index)
+            else:
+                key = (-c.confidence, c.value == 0, idx, c.token_index)
+            rank = _KIND_RANK[c.kind]
+            if rank not in best or key < best[rank][0]:
+                best[rank] = (key, c)
+    provenance = tuple(
+        c for _, (_, c) in sorted(best.items())
+        if c.kind is MentionKind.ORDINAL or c.confidence > threshold
+    )
+    if not provenance:
+        return None
+    winner = provenance[0]
+    return CountingQuantifier(
+        subject=subject,
+        relation=relation,
+        count=winner.value,
+        confidence=winner.confidence,
+        provenance=provenance,
+    )

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .consolidate import CountingQuantifier
 from .dsgen import COMP, COUNT, LabeledSentence
 from .kbstore import KbStore, Relation
 from .numlex import PLACEHOLDER_CARDINAL, PLACEHOLDER_NUMTERM, PLACEHOLDER_ORDINAL
@@ -112,7 +111,7 @@ def score_recognition(
 class EndToEndScore:
     precision: float
     coverage: float
-    mae: float
+    mae: Optional[float]  # None when no prediction could be judged
     n_evaluated: int = 0
     n_predicted: int = 0
     n_correct: int = 0
@@ -121,7 +120,7 @@ class EndToEndScore:
         return {
             "precision": round(self.precision, 4),
             "coverage": round(self.coverage, 4),
-            "mae": round(self.mae, 4),
+            "mae": None if self.mae is None else round(self.mae, 4),
             "n_evaluated": self.n_evaluated,
             "n_predicted": self.n_predicted,
             "n_correct": self.n_correct,
@@ -130,23 +129,24 @@ class EndToEndScore:
 
 def score_end_to_end(
     gold_counts: Mapping[str, int],
-    predictions: Mapping[str, CountingQuantifier],
+    predictions: Mapping[str, int],
 ) -> EndToEndScore:
     """Precision over judged predictions, coverage over all gold subjects, MAE.
 
-    Predictions for subjects without a gold count cannot be judged and are
-    left out of precision and MAE.
+    *predictions* maps a subject to its predicted count. Predictions for
+    subjects without a gold count cannot be judged and are left out of
+    precision and MAE; with none judged, MAE is None.
     """
     if not gold_counts:
         raise ValueError("gold counts must be non-empty")
-    judged = {s: cq for s, cq in predictions.items() if s in gold_counts}
-    n_correct = sum(1 for s, cq in judged.items() if cq.count == gold_counts[s])
+    judged = {s: count for s, count in predictions.items() if s in gold_counts}
+    n_correct = sum(1 for s, count in judged.items() if count == gold_counts[s])
     precision = n_correct / len(judged) if judged else 0.0
     coverage = n_correct / len(gold_counts)
     mae = (
-        sum(abs(cq.count - gold_counts[s]) for s, cq in judged.items()) / len(judged)
+        sum(abs(count - gold_counts[s]) for s, count in judged.items()) / len(judged)
         if judged
-        else 0.0
+        else None
     )
     return EndToEndScore(
         precision=precision,
@@ -188,7 +188,7 @@ class EnrichmentReport:
 def enrichment_report(
     store: KbStore,
     rel: Relation,
-    predictions: Mapping[str, CountingQuantifier],
+    predictions: Mapping[str, int],
     score: EndToEndScore,
     min_precision: float = 0.5,
     min_coverage: float = 0.05,
@@ -206,7 +206,7 @@ def enrichment_report(
         return None
     members = store.class_members(rel.subject_class)
     existing = sum(store.triple_count(s, rel.property) for s in members)
-    rows = [(predictions[s].count, store.triple_count(s, rel.property),
+    rows = [(predictions[s], store.triple_count(s, rel.property),
              store.has_explicit_zero(s, rel.property)) for s in members if s in predictions]
     return EnrichmentReport(
         relation=rel,

@@ -367,14 +367,14 @@ def test_criterion_8_enrichment_accounting(tmp_path):
         # seven via 2 + 1 + 4 compositional route
         assert prediction is not None and prediction.count == 7
         good = EndToEndScore(precision=0.8, coverage=0.4, mae=0.2)
-        report = enrichment_report(store, REL, {"garfield": prediction}, good)
+        report = enrichment_report(store, REL, {"garfield": prediction.count}, good)
         assert report is not None
         assert report.missing_facts == 3
 
         at_precision_gate = EndToEndScore(precision=0.5, coverage=0.4, mae=0.2)
         at_coverage_gate = EndToEndScore(precision=0.8, coverage=0.05, mae=0.2)
         above_both = EndToEndScore(precision=0.500001, coverage=0.050001, mae=0.2)
-        preds = {"garfield": prediction}
+        preds = {"garfield": prediction.count}
         assert enrichment_report(store, REL, preds, at_precision_gate) is None
         assert enrichment_report(store, REL, preds, at_coverage_gate) is None
         assert enrichment_report(store, REL, preds, above_both) is not None

@@ -591,6 +591,41 @@ def test_gold_fields_are_stripped(runner, tmp_path):
     assert e2e["precision"] == 1.0 and e2e["coverage"] == 1.0
 
 
+def test_prediction_subjects_are_stripped(runner, tmp_path):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text("".join(json.dumps({"subject": s, "count": c, "confidence": 0.9}) + "\n"
+                            for s, c in [("p00 ", 2), (" p01", 3)]), encoding="utf-8")
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("p00\t2\np01\t3\n", encoding="utf-8")
+    metrics = tmp_path / "m.json"
+    run_ok(runner, ["evaluate", "--pred", str(pred), "--gold", str(gold), "--out", str(metrics)])
+    e2e = json.loads(metrics.read_text(encoding="utf-8"))["end_to_end"]
+    assert e2e["precision"] == 1.0 and e2e["coverage"] == 1.0
+
+
+def test_mae_is_null_when_nothing_is_judged(runner, fixture_dir, tmp_path):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps({"subject": "nobody", "count": 2, "confidence": 0.9}) + "\n",
+                    encoding="utf-8")
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("p00\t2\n", encoding="utf-8")
+    metrics = tmp_path / "m.json"
+    result = run_ok(runner, ["evaluate", "--pred", str(pred), "--gold", str(gold),
+                             "--out", str(metrics), "--table"])
+    assert result.output.splitlines()[2].split() == ["0.000", "0.000", "n/a"]
+    e2e = json.loads(metrics.read_text(encoding="utf-8"))["end_to_end"]
+    assert (e2e["n_predicted"], e2e["mae"]) == (0, None)
+
+    # enrich gates on precision and coverage alone, so a null MAE is read.
+    metrics.write_text(json.dumps({
+        "end_to_end": {"precision": 1.0, "coverage": 1.0, "mae": None}
+    }), encoding="utf-8")
+    out = tmp_path / "enrichment.json"
+    run_ok(runner, ["enrich", "--kb", str(fixture_dir / "kb.tsv"), "--relation", "human:child",
+                    "--pred", str(pred), "--metrics", str(metrics), "--out", str(out)])
+    assert json.loads(out.read_text(encoding="utf-8"))["emitted"] is True
+
+
 class TestMalformedInputs:
     """A bad line in an input file exits with code 1 and its file:line, no traceback."""
 
@@ -643,7 +678,15 @@ class TestMalformedInputs:
         '{"subject": "a", "count": "x", "confidence": 0.5}',
         '["a", 1, 0.5]',
         '{"subject": " ", "count": 1, "confidence": 0.5}',
-    ], ids=["json", "missing-key", "bad-number", "not-an-object", "empty-subject"])
+        '{"subject": "a", "count": 2.7, "confidence": 0.5}',
+        '{"subject": "a", "count": true, "confidence": 0.5}',
+        '{"subject": "a", "count": "2", "confidence": 0.5}',
+        '{"subject": "a", "count": 1, "confidence": "0.5"}',
+        '{"subject": "a", "count": 1, "confidence": true}',
+        '{"subject": 7, "count": 1, "confidence": 0.5}',
+    ], ids=["json", "missing-key", "bad-number", "not-an-object", "empty-subject",
+            "float-count", "bool-count", "string-count", "string-confidence",
+            "bool-confidence", "number-subject"])
     def test_bad_prediction_line(self, runner, fixture_dir, bad):
         pred = fixture_dir / "pred.jsonl"
         pred.write_text(self.PRED + "\n" + bad + "\n", encoding="utf-8")
@@ -651,6 +694,7 @@ class TestMalformedInputs:
                                       "--gold", str(fixture_dir / "gold.tsv"),
                                       "--out", str(fixture_dir / "m.json")])
         self.assert_reported(result, f"{pred}:2")
+        assert f"Error: {pred}:2: bad prediction record: " in result.output
 
     @pytest.mark.parametrize("bad", [
         '{"text": "Hi ."}',

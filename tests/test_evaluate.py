@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from countquant.consolidate import CountingQuantifier
 from countquant.dsgen import COMP, COUNT, LabeledSentence, label_sentence
 from countquant.evaluate import (
     EndToEndScore,
@@ -17,12 +16,6 @@ from countquant.evaluate import (
 from countquant.kbstore import Relation, load_triples
 
 REL = Relation(subject_class="human", property="child")
-
-
-def cq(subject, count, confidence=0.9):
-    return CountingQuantifier(
-        subject=subject, relation=REL, count=count, confidence=confidence
-    )
 
 
 def _gold_sentences(prep):
@@ -138,7 +131,7 @@ class TestScoreTags:
 class TestScoreEndToEnd:
     def test_all_exact(self):
         gold = {"a": 3, "b": 2, "c": 4}
-        preds = {"a": cq("a", 3), "b": cq("b", 2)}
+        preds = {"a": 3, "b": 2}
         score = score_end_to_end(gold, preds)
         assert score.precision == 1.0
         assert score.coverage == pytest.approx(2 / 3)
@@ -146,18 +139,19 @@ class TestScoreEndToEnd:
 
     def test_hand_computed(self):
         gold = {"a": 7, "b": 3}
-        preds = {"a": cq("a", 5), "b": cq("b", 3)}
+        preds = {"a": 5, "b": 3}
         score = score_end_to_end(gold, preds)
         assert score.precision == 0.5
         assert score.mae == pytest.approx(1.0)
 
     def test_no_predictions(self):
         score = score_end_to_end({"a": 1}, {})
-        assert (score.precision, score.coverage, score.mae) == (0.0, 0.0, 0.0)
+        assert (score.precision, score.coverage, score.mae) == (0.0, 0.0, None)
+        assert score.to_json_dict()["mae"] is None
 
     def test_unjudgeable_predictions_skipped(self):
         gold = {"a": 2}
-        preds = {"a": cq("a", 2), "mystery": cq("mystery", 9)}
+        preds = {"a": 2, "mystery": 9}
         score = score_end_to_end(gold, preds)
         assert score.precision == 1.0
         assert score.n_predicted == 1
@@ -181,20 +175,20 @@ class TestEnrichment:
 
     def test_garfield_contributes_three_missing(self, write_kb):
         store = self._store(write_kb)
-        report = enrichment_report(store, REL, {"garfield": cq("garfield", 7)}, GOOD)
+        report = enrichment_report(store, REL, {"garfield": 7}, GOOD)
         assert report.missing_facts == 3
         assert report.existing_facts == 5
 
     def test_low_precision_suppressed(self, write_kb):
         store = self._store(write_kb)
         bad = EndToEndScore(precision=0.4, coverage=0.4, mae=1.0)
-        assert enrichment_report(store, REL, {"garfield": cq("garfield", 7)}, bad) is None
+        assert enrichment_report(store, REL, {"garfield": 7}, bad) is None
 
     def test_filters_are_strict(self, write_kb):
         store = self._store(write_kb)
         edge_p = EndToEndScore(precision=0.5, coverage=0.4, mae=0.0)
         edge_c = EndToEndScore(precision=0.8, coverage=0.05, mae=0.0)
-        preds = {"garfield": cq("garfield", 7)}
+        preds = {"garfield": 7}
         assert enrichment_report(store, REL, preds, edge_p) is None
         assert enrichment_report(store, REL, preds, edge_c) is None
         just_over = EndToEndScore(precision=0.51, coverage=0.051, mae=0.0)
@@ -204,7 +198,7 @@ class TestEnrichment:
         store = self._store(write_kb)
         report = enrichment_report(
             store, REL,
-            {"garfield": cq("garfield", 2), "ann": cq("ann", 3)},
+            {"garfield": 2, "ann": 3},
             GOOD,
         )
         assert report.missing_facts == 2  # only ann: 3 - 1
@@ -215,7 +209,7 @@ class TestEnrichment:
             ("garfield", "child", "c0"),
             ("paris", "__instance_of__", "city"),
         ))
-        preds = {"garfield": cq("garfield", 2), "paris": cq("paris", 5), "nobody": cq("nobody", 0)}
+        preds = {"garfield": 2, "paris": 5, "nobody": 0}
         report = enrichment_report(store, REL, preds, GOOD)
         assert report.missing_facts == 1  # only garfield: 2 - 1
         assert report.existing_facts == 1
@@ -223,7 +217,7 @@ class TestEnrichment:
 
     def test_zero_assertions_counted(self, write_kb):
         store = self._store(write_kb)
-        report = enrichment_report(store, REL, {"ann": cq("ann", 0)}, GOOD)
+        report = enrichment_report(store, REL, {"ann": 0}, GOOD)
         assert report.zero_assertions == 1
 
     def test_kb_explicit_zero_is_a_conflict_not_missing_facts(self, write_kb):
@@ -235,7 +229,7 @@ class TestEnrichment:
             ("bob", "__instance_of__", "human"),
             ("bob", "child", "__no_value__"),
         ))
-        preds = {"garfield": cq("garfield", 3), "ann": cq("ann", 2), "bob": cq("bob", 0)}
+        preds = {"garfield": 3, "ann": 2, "bob": 0}
         report = enrichment_report(store, REL, preds, GOOD)
         assert report.missing_facts == 2  # only garfield: 3 - 1
         assert report.conflicts == 1      # ann: 2 against the KB's asserted zero
@@ -263,15 +257,17 @@ class TestEnrichment:
     ),
 )
 def test_score_ranges_property(gold, pred_counts):
-    preds = {s: cq(s, c) for s, c in pred_counts.items()}
+    preds = dict(pred_counts)
     score = score_end_to_end(gold, preds)
     assert 0.0 <= score.precision <= 1.0
     assert 0.0 <= score.coverage <= 1.0
-    assert score.mae >= 0.0
     judged = {s for s in preds if s in gold}
     if judged:
-        exact = all(preds[s].count == gold[s] for s in judged)
+        assert score.mae >= 0.0
+        exact = all(preds[s] == gold[s] for s in judged)
         assert (score.mae == 0.0) == exact
+    else:
+        assert score.mae is None
 
 
 def test_render_table_alignment():
