@@ -12,6 +12,7 @@ defines is rejected with its ``file:line``.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -220,6 +221,23 @@ def _count(field) -> int:
     return count
 
 
+def _finite_number(value, what: str) -> float:
+    """A JSON number that is not a bool and is finite, as a float.
+
+    ``json.loads`` reads the non-JSON literals ``NaN`` and ``Infinity`` as
+    floats, so those are refused here too.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
+
+
 def _load_predictions(path: str) -> dict[str, int]:
     """``{subject: count}`` of a predictions file written by ``extract``."""
     def record(line: str) -> tuple[str, int]:
@@ -231,8 +249,7 @@ def _load_predictions(path: str) -> dict[str, int]:
             raise ValueError("empty subject")
         if not isinstance(count, int) or isinstance(count, bool):
             raise ValueError(f"count must be an integer, got {count!r}")
-        if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
-            raise ValueError(f"confidence must be a number, got {confidence!r}")
+        _finite_number(confidence, "confidence")
         return subject.strip(), _count(count)
 
     return read_keyed(path, record, "bad prediction record")
@@ -335,9 +352,9 @@ def _load_end_to_end_score(path: str) -> ev.EndToEndScore:
         if not isinstance(e2e, dict):
             raise ValueError("no end_to_end object")
         return ev.EndToEndScore(
-            precision=float(e2e["precision"]),
-            coverage=float(e2e["coverage"]),
-            mae=None if e2e["mae"] is None else float(e2e["mae"]),
+            precision=_finite_number(e2e["precision"], "precision"),
+            coverage=_finite_number(e2e["coverage"], "coverage"),
+            mae=None if e2e["mae"] is None else _finite_number(e2e["mae"], "mae"),
         )
     except KeyError as exc:
         raise InputError(path, f"bad metrics file: end_to_end lacks {exc}") from exc

@@ -5,12 +5,15 @@ around the current position; ``BOS``/``EOS`` stand in for positions outside
 the sequence. A template is its window of contiguous offsets; the 3x3
 tag-transition weights are part of every model, not a template.
 
-:func:`template_columns` builds the n-grams of a whole sequence at once: it
-pads the sequence with ``BOS``/``EOS`` a single time and builds each width's
-n-grams once, by extending the next narrower ones. A model's features are
-one n-gram -> feature id table per template name; training and inference
-both map a sentence's columns to ids through those tables with
-:func:`lookup_ids`. Only the model file names a feature as a string,
+:func:`window_layout` works out once where each template reads in a padded
+sequence. :func:`template_columns` builds the n-grams of a whole sequence at
+once: it pads the sequence with ``BOS``/``EOS`` a single time and builds
+each width's n-grams once, by extending the next narrower ones. A model's
+features are one n-gram -> feature id table per template name. Inference
+maps a sentence's columns to ids through those tables with
+:func:`lookup_ids`; training builds the tables in one integer-coded pass
+over all its sentences (:mod:`.train`), on the same layout, and joins only
+the n-grams it keeps. Only the model file names a feature as a string,
 ``"<template name>:<n-gram>"``.
 """
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,27 +59,45 @@ def default_templates() -> list[FeatureTemplate]:
     ]
 
 
+class WindowLayout(NamedTuple):
+    """Where each template reads in a sequence padded with ``BOS``/``EOS``."""
+
+    left: int                           # BOS symbols before the sequence
+    right: int                          # EOS symbols after it
+    widest: int                         # the longest template's width
+    slots: tuple[tuple[int, int], ...]  # per template: (width, start in the padded sequence)
+
+
+def window_layout(templates: Sequence[FeatureTemplate]) -> WindowLayout:
+    """The padding and the per-template slots that *templates* read."""
+    if not templates:
+        return WindowLayout(0, 0, 0, ())
+    left = max(0, -min(tpl.offsets[0] for tpl in templates))
+    right = max(0, max(tpl.offsets[-1] for tpl in templates))
+    slots = tuple((len(tpl.offsets), left + tpl.offsets[0]) for tpl in templates)
+    return WindowLayout(left, right, max(width for width, _ in slots), slots)
+
+
 def template_columns(
-    sequence: Sequence[str], templates: Sequence[FeatureTemplate]
+    sequence: Sequence[str],
+    templates: Sequence[FeatureTemplate],
+    layout: Optional[WindowLayout] = None,
 ) -> list[list[str]]:
     """The ``"|"``-joined n-gram of every position, one column per template, in order.
 
     The sequence is padded with ``BOS``/``EOS`` once, and each width's
-    n-grams are built once, by extending those one symbol narrower.
+    n-grams are built once, by extending those one symbol narrower. Pass the
+    templates' precomputed *layout* to skip working it out again.
     """
-    if not templates:
+    left, right, widest, slots = window_layout(templates) if layout is None else layout
+    if not slots:
         return []
     n = len(sequence)
-    left = max(0, -min(tpl.offsets[0] for tpl in templates))
-    right = max(0, max(tpl.offsets[-1] for tpl in templates))
     padded = [BOS] * left + list(sequence) + [EOS] * right
     by_width = [padded]  # by_width[w - 1][j] joins padded[j : j + w]
-    for w in range(2, max(len(tpl.offsets) for tpl in templates) + 1):
+    for w in range(2, widest + 1):
         by_width.append(list(map("|".join, zip(by_width[-1], padded[w - 1 :]))))
-    return [
-        by_width[len(tpl.offsets) - 1][left + tpl.offsets[0] : left + tpl.offsets[0] + n]
-        for tpl in templates
-    ]
+    return [by_width[width - 1][start : start + n] for width, start in slots]
 
 
 def lookup_ids(

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from ..reader import InputError, read_file
-from .features import FeatureTemplate, lookup_ids, template_columns
+from .features import FeatureTemplate, WindowLayout, lookup_ids, template_columns, window_layout
 
 
 # The tag scheme of every model; a tag's id is its position.
@@ -54,6 +54,8 @@ class CrfModel:
     # The weights plus one zero row, which the id of an unseen feature
     # (n_features) selects; never pickled.
     padded_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    # The templates' window layout, worked out once; never pickled.
+    layout: WindowLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.weights.flags.writeable = False
@@ -61,6 +63,7 @@ class CrfModel:
         padded = np.concatenate([self.weights, np.zeros((1, self.weights.shape[1]))])
         padded.flags.writeable = False
         object.__setattr__(self, "padded_weights", padded)
+        object.__setattr__(self, "layout", window_layout(self.templates))
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
@@ -76,7 +79,7 @@ class CrfModel:
         An unseen feature gets the id n_features, the zero row of
         ``padded_weights``.
         """
-        columns = template_columns(sequence, self.templates)
+        columns = template_columns(sequence, self.templates, self.layout)
         return lookup_ids(self.gram_ids, columns, len(sequence), len(self.weights))
 
     def emissions(self, sequence: list[str]) -> np.ndarray:

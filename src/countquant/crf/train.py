@@ -7,8 +7,11 @@ start at zero and sentences are processed in input order.
 
 The training data are compiled once into a sparse 0/1 matrix ``X``, one row
 per token position and one column per feature, so emissions are ``X @ W``
-and expected feature counts ``Xᵀ @ μ``. Its column ids come from the
-per-template n-gram tables and :func:`.features.lookup_ids` of inference.
+and expected feature counts ``Xᵀ @ μ``. Its column ids come from one
+integer-coded pass over all sentences (:func:`_compile_features`): symbols
+become ints, n-gram windows become dense per-width codes, and a bincount
+keeps the frequent ones; it builds the per-template n-gram tables that
+inference reads through :func:`.features.lookup_ids`, with the same ids.
 Rows run length bucket by length bucket, so each bucket reshapes to a
 (batch, length, tags) stack, and one scaled :func:`.model.forward_backward`
 call gives its tag marginals, expected transition counts and log partitions.
@@ -17,7 +20,6 @@ call gives its tag marginals, expected transition counts and log partitions.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -25,7 +27,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.sparse import csr_matrix
 
-from .features import FeatureTemplate, default_templates, lookup_ids, template_columns
+from .features import BOS, EOS, FeatureTemplate, default_templates, window_layout
 from .model import COUNT, TAGS, CrfModel, forward_backward
 
 logger = logging.getLogger(__name__)
@@ -49,6 +51,95 @@ def _as_example(item) -> tuple[list[str], list[str]]:
         seq, tags = item
         return list(seq), list(tags)
     return list(item.placeholder_sequence()), list(item.tags)
+
+
+def _compile_features(
+    examples: list[tuple[list[str], list[str]]],
+    templates: list[FeatureTemplate],
+    feature_cutoff: int,
+) -> tuple[tuple[dict[str, int], ...], int, np.ndarray]:
+    """The n-gram tables, the feature count and the ids of every position.
+
+    A template's n-grams count per template name (equal templates share one
+    table and count twice), and the n-grams seen *feature_cutoff* times get
+    ids in first-occurrence order: sentence, then position, then template.
+    The ids have shape (positions, templates), rows in sentence order, and
+    read -1 where an n-gram was dropped.
+
+    All sentences are laid out in one padded int array. Each width's windows
+    get dense codes by extending the next narrower ones by one symbol, so
+    every (position, template) key is a small int: one ``np.bincount`` counts
+    them, and only the kept n-grams are ever joined into strings.
+    """
+    left, right, widest, slots = window_layout(templates)
+    names = [tpl.name for tpl in templates]
+    flat: list[str] = []
+    for seq, _ in examples:
+        flat += [BOS] * left + seq + [EOS] * right
+    # BOS/EOS are interned like any symbol, so a literal "BOS" token is the
+    # padding symbol, as in template_columns.
+    symbols = list(dict.fromkeys(flat))
+    code = {symbol: i for i, symbol in enumerate(symbols)}
+    codes = np.fromiter(map(code.__getitem__, flat), dtype=np.int64, count=len(flat))
+    # dense[w - 1][j] numbers the window flat[j : j + w] among that width's
+    # windows; renumbering each width keeps the next width's keys below len(flat) * V.
+    dense = [codes]
+    for w in range(2, widest + 1):
+        dense.append(np.unique(dense[-1][:-1] * len(symbols) + codes[w - 1 :],
+                               return_inverse=True)[1])
+
+    lengths = np.array([len(seq) for seq, _ in examples])
+    # base[row] is where the row's position sits in flat, less the left padding.
+    segment = lengths + left + right
+    row_start = np.cumsum(lengths) - lengths
+    base = np.repeat(np.cumsum(segment) - segment - row_start, lengths) + np.arange(lengths.sum())
+    width, start = np.array(slots, dtype=np.intp).reshape(-1, 2).T
+    group = {name: g for g, name in enumerate(dict.fromkeys(names))}
+    keys = np.empty((len(base), len(slots)), dtype=np.int64)
+    for t, name in enumerate(names):
+        keys[:, t] = dense[width[t] - 1][base + start[t]] * len(group) + group[name]
+    keys = keys.ravel()  # flat index f = row * len(slots) + template
+    symbol = np.array(symbols, dtype=object)
+
+    def joined(f: np.ndarray) -> list[str]:
+        """The ``"|"``-joined n-gram of each flat (position, template) index."""
+        row, t = np.divmod(f, len(slots))
+        # Read widest symbols from each start (clipped at the end of flat),
+        # then join only the window's own width.
+        at = (base[row] + start[t])[:, None] + np.arange(widest)
+        windows = symbol[codes[np.minimum(at, len(flat) - 1)]].tolist()
+        return ["|".join(parts[:w]) for parts, w in zip(windows, width[t].tolist())]
+
+    def occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Count and first flat index of every key value (count 0: never occurs)."""
+        counts = np.bincount(keys)
+        first = np.full(len(counts), keys.size)
+        np.minimum.at(first, keys, np.arange(keys.size))
+        return counts, first
+
+    counts, first = occurrences(keys)
+    # A feature is its joined string, so two windows that join alike are one
+    # feature: ("a|b", "c") and ("a", "b|c"), or ("", "|") and ("|", "").
+    # Joining can merge windows only if some symbol holds "|" beside other
+    # characters, or both "|" and "" are symbols; then re-key by the strings.
+    if any("|" in s and s != "|" for s in symbols) or {"|", ""} <= code.keys():
+        present = np.flatnonzero(counts)
+        by_string: dict[tuple[int, str], int] = {}
+        rekey = np.zeros(len(counts), dtype=np.int64)
+        rekey[present] = [by_string.setdefault((g % len(group), gram), len(by_string))
+                          for g, gram in zip(present.tolist(), joined(first[present]))]
+        keys = rekey[keys]
+        counts, first = occurrences(keys)
+
+    kept = np.flatnonzero(counts >= max(feature_cutoff, 1))
+    kept = kept[np.argsort(first[kept])]
+    feature = np.full(len(counts), -1, dtype=np.intp)
+    feature[kept] = np.arange(len(kept))
+    tables: dict[str, dict[str, int]] = {name: {} for name in names}
+    for fid, (f, gram) in enumerate(zip(first[kept].tolist(), joined(first[kept]))):
+        tables[names[f % len(slots)]][gram] = fid
+    ids = feature[keys].reshape(len(base), len(slots))
+    return tuple(tables[name] for name in names), len(kept), ids
 
 
 class TrainingProblem:
@@ -78,29 +169,9 @@ class TrainingProblem:
         self.templates = list(templates) if templates is not None else default_templates()
         self.l2_sigma = float(l2_sigma)
 
-        # The model's n-gram -> id tables, one per template name (equal
-        # templates share one). Ids go in first-occurrence order (sentence,
-        # then position, then template) to the n-grams seen feature_cutoff times.
-        names = [tpl.name for tpl in self.templates]
-        counts = {name: Counter() for name in names}
-        columns = [template_columns(seq, self.templates) for seq, _ in examples]
-        for cols in columns:
-            for name, col in zip(names, cols):
-                counts[name].update(col)
-        by_name: dict[str, dict[str, int]] = {name: {} for name in names}
-        self.gram_ids = tuple(by_name[name] for name in names)
-        self.n_features = 0
-        sentence_ids = []
-        for (seq, _), cols in zip(examples, columns):
-            ids = lookup_ids(self.gram_ids, cols, len(seq), -1)
-            # Only a kept n-gram's first occurrences and the rare n-grams miss.
-            for p, j in np.argwhere(ids < 0).tolist():
-                gram, table = cols[j][p], self.gram_ids[j]
-                if gram not in table and counts[names[j]][gram] >= feature_cutoff:
-                    table[gram] = self.n_features
-                    self.n_features += 1
-                ids[p, j] = table.get(gram, -1)
-            sentence_ids.append(ids)
+        self.gram_ids, self.n_features, ids = _compile_features(
+            examples, self.templates, feature_cutoff
+        )
         k = len(TAGS)
 
         by_length: dict[int, list[int]] = {}
@@ -114,11 +185,13 @@ class TrainingProblem:
             start = self.buckets[-1].rows.stop if self.buckets else 0
             self.buckets.append(_Bucket(length, y, slice(start, start + y.size)))
             np.add.at(self._emp_t, (y[:, :-1].ravel(), y[:, 1:].ravel()), 1.0)
-        # One row per token position, bucket by bucket. X is built from
-        # (data, indices, indptr) with each row's ids in template order: COO
-        # input would sort the columns, and that changes the floating-point
-        # summation order of the emissions.
-        ids = np.concatenate([sentence_ids[i] for n in sorted(by_length) for i in by_length[n]])
+        # One row per token position, bucket by bucket: a stable sort of the
+        # rows by their sentence's length. X is built from (data, indices,
+        # indptr) with each row's ids in template order: COO input would sort
+        # the columns, and that changes the floating-point summation order of
+        # the emissions.
+        lengths = np.array([len(seq) for seq, _ in examples])
+        ids = ids[np.argsort(np.repeat(lengths, lengths), kind="stable")]
         kept = ids >= 0
         indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=1))])
         self.X = csr_matrix(

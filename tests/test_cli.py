@@ -684,9 +684,14 @@ class TestMalformedInputs:
         '{"subject": "a", "count": 1, "confidence": "0.5"}',
         '{"subject": "a", "count": 1, "confidence": true}',
         '{"subject": 7, "count": 1, "confidence": 0.5}',
+        '{"subject": "a", "count": 1, "confidence": NaN}',
+        '{"subject": "a", "count": 1, "confidence": Infinity}',
+        '{"subject": "a", "count": 1, "confidence": -Infinity}',
+        '{"subject": "a", "count": 1, "confidence": 1e400}',
     ], ids=["json", "missing-key", "bad-number", "not-an-object", "empty-subject",
             "float-count", "bool-count", "string-count", "string-confidence",
-            "bool-confidence", "number-subject"])
+            "bool-confidence", "number-subject", "nan-confidence", "infinite-confidence",
+            "negative-infinite-confidence", "overflowing-confidence"])
     def test_bad_prediction_line(self, runner, fixture_dir, bad):
         pred = fixture_dir / "pred.jsonl"
         pred.write_text(self.PRED + "\n" + bad + "\n", encoding="utf-8")
@@ -849,14 +854,23 @@ class TestMalformedInputs:
         '{"recognition": {"f1": 1.0}}',
         '{"end_to_end": {"precision": 0.9}}',
         '{"end_to_end": {"precision": "high", "coverage": 0.5, "mae": 0.1}}',
-    ], ids=["json", "not-an-object", "no-end-to-end", "missing-key", "not-a-number"])
+        '{"end_to_end": {"precision": true, "coverage": true, "mae": null}}',
+        '{"end_to_end": {"precision": "0.9", "coverage": 0.5, "mae": null}}',
+        '{"end_to_end": {"precision": 0.9, "coverage": 0.5, "mae": false}}',
+        '{"end_to_end": {"precision": NaN, "coverage": 0.5, "mae": null}}',
+        '{"end_to_end": {"precision": 0.9, "coverage": Infinity, "mae": null}}',
+        '{"end_to_end": {"precision": 0.9, "coverage": 0.5, "mae": -Infinity}}',
+        '{"end_to_end": {"precision": 0.9, "coverage": 1%s, "mae": null}}' % ("0" * 400),
+    ], ids=["json", "not-an-object", "no-end-to-end", "missing-key", "not-a-number",
+            "bool", "numeric-string", "bool-mae", "nan", "infinity", "negative-infinite-mae",
+            "overflowing-integer"])
     def test_bad_metrics_file(self, runner, fixture_dir, content):
         metrics = fixture_dir / "metrics.json"
         metrics.write_text(content, encoding="utf-8")
         (fixture_dir / "pred.jsonl").write_text(self.PRED + "\n", encoding="utf-8")
         result = runner.invoke(main, ["--config", str(write_config(fixture_dir)), "enrich"])
         self.assert_reported(result, metrics)
-        assert "bad metrics file" in result.output
+        assert f"Error: {metrics}: bad metrics file: " in result.output
 
     # One case per input file a command reads by key: its valid content with
     # one Latin-1 byte (0xe9, not UTF-8) on a known line.

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
 
 from countquant.crf import (
     BOS,
@@ -30,6 +31,7 @@ from countquant.crf import (
     train,
     viterbi,
 )
+from countquant.crf.features import lookup_ids, window_layout
 from countquant.crf.model import forward_backward, log_backward, log_forward
 
 from oracles import (
@@ -118,6 +120,7 @@ _template_pool = default_templates() + [
 def test_template_columns_equal_per_position_reference_property(sequence, templates):
     names = [t.name for t in templates]
     columns = template_columns(sequence, templates)
+    assert template_columns(sequence, templates, window_layout(templates)) == columns
     rows = [[f"{name}:{col[pos]}" for name, col in zip(names, columns)]
             for pos in range(len(sequence))]
     assert rows == [_reference_features(sequence, pos, templates) for pos in range(len(sequence))]
@@ -253,6 +256,122 @@ def test_training_rows_equal_inference_ids_property(templates, training, cutoff)
                 r = bucket.rows.start + b * bucket.length + p
                 got = X.indices[X.indptr[r]:X.indptr[r + 1]]
                 assert np.array_equal(got, row[row != problem.n_features])
+
+
+def _string_path_problem(examples, templates, cutoff):
+    """The string-keyed compile of the training problem: the reference for the integer pass.
+
+    ``template_columns`` -> one ``Counter`` per template name -> ids by
+    ``lookup_ids`` and the ``argwhere`` misses, in first-occurrence order ->
+    rows bucket by bucket -> CSR. Returns the tables, the feature count, X,
+    the buckets' (length, y, rows) and the empirical counts.
+    """
+    names = [tpl.name for tpl in templates]
+    counts = {name: Counter() for name in names}
+    columns = [template_columns(seq, templates) for seq, _ in examples]
+    for cols in columns:
+        for name, col in zip(names, cols):
+            counts[name].update(col)
+    by_name = {name: {} for name in names}
+    gram_ids = tuple(by_name[name] for name in names)
+    n_features = 0
+    sentence_ids = []
+    for (seq, _), cols in zip(examples, columns):
+        ids = lookup_ids(gram_ids, cols, len(seq), -1)
+        for p, j in np.argwhere(ids < 0).tolist():
+            gram, table = cols[j][p], gram_ids[j]
+            if gram not in table and counts[names[j]][gram] >= cutoff:
+                table[gram] = n_features
+                n_features += 1
+            ids[p, j] = table.get(gram, -1)
+        sentence_ids.append(ids)
+    k = len(TAGS)
+    by_length = {}
+    for i, (seq, _) in enumerate(examples):
+        by_length.setdefault(len(seq), []).append(i)
+    buckets, emp_t, start = [], np.zeros((k, k)), 0
+    for length in sorted(by_length):
+        y = np.array([[TAGS.index(t) for t in examples[i][1]] for i in by_length[length]],
+                     dtype=np.intp)
+        buckets.append((length, y, slice(start, start + y.size)))
+        start += y.size
+        np.add.at(emp_t, (y[:, :-1].ravel(), y[:, 1:].ravel()), 1.0)
+    ids = np.concatenate([sentence_ids[i] for n in sorted(by_length) for i in by_length[n]])
+    kept = ids >= 0
+    indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=1))])
+    X = csr_matrix((np.ones(indptr[-1]), ids[kept], indptr), shape=(len(ids), n_features))
+    all_tags = np.concatenate([y.ravel() for _, y, _ in buckets])
+    return gram_ids, n_features, X, buckets, X.T @ np.eye(k)[all_tags], emp_t
+
+
+def _assert_problem_equals_string_path(examples, templates, cutoff):
+    problem = TrainingProblem(examples, templates=templates, feature_cutoff=cutoff)
+    gram_ids, n_features, X, buckets, emp_w, emp_t = _string_path_problem(
+        examples, templates, cutoff
+    )
+    assert [list(t.items()) for t in problem.gram_ids] == [list(t.items()) for t in gram_ids]
+    assert all(problem.gram_ids[i] is problem.gram_ids[j]
+               for i, a in enumerate(templates) for j, b in enumerate(templates) if a == b)
+    assert problem.n_features == n_features
+    assert problem.X.shape == X.shape
+    for got, want in ((problem.X.indices, X.indices), (problem.X.indptr, X.indptr),
+                      (problem.X.data, X.data)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert [(b.length, b.y.tolist(), b.rows) for b in problem.buckets] == [
+        (length, y.tolist(), rows) for length, y, rows in buckets
+    ]
+    assert np.array_equal(problem._emp_w, emp_w) and np.array_equal(problem._emp_t, emp_t)
+    return problem
+
+
+def _join_sentences(with_bars):
+    """Training sentences over symbols whose "|"-joined windows can coincide.
+
+    Without bars, only a literal ``BOS``/``EOS`` can match the padding. With
+    bars, two more sentences hold a pair of windows that join alike:
+    ("a|b", "c") and ("a", "b|c"), or ("", "|") and ("|", "").
+    """
+    symbols = [":", "a", "b", "c", "BOS", "EOS", ""] + (["|", "a|b", "b|c"] if with_bars else [])
+    sentences = st.lists(st.lists(st.sampled_from(symbols), min_size=1, max_size=7),
+                         min_size=1, max_size=6)
+    if not with_bars:
+        return sentences
+    pairs = st.sampled_from([[["a|b", "c"], ["a", "b|c"]], [["", "|"], ["|", ""]]])
+    return st.tuples(sentences, pairs).map(lambda drawn: drawn[0] + drawn[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    templates=st.lists(st.sampled_from(_template_pool), max_size=6).map(
+        lambda tpls: tpls + tpls[:2]  # duplicate templates share one table; [] stays []
+    ),
+    training=st.booleans().flatmap(_join_sentences),
+    cutoff=st.integers(0, 3),
+    data=st.data(),
+)
+def test_training_problem_equals_string_path_property(templates, training, cutoff, data):
+    """The integer-coded compile gives the string path's tables, X, buckets and counts."""
+    examples = [
+        (seq, data.draw(st.lists(st.sampled_from(TAGS), min_size=len(seq), max_size=len(seq))))
+        for seq in training
+    ]
+    examples[0][1][0] = "COUNT"
+    _assert_problem_equals_string_path(examples, templates, cutoff)
+
+
+def test_training_problem_merges_windows_that_join_alike(tmp_path):
+    """A feature is its joined string: windows that join to one string are one feature."""
+    tpl = [FeatureTemplate((0, 1))]
+    cases = [
+        ([(["a|b", "c"], ["COUNT", "O"]), (["a", "b|c"], ["O", "O"])], {"a|b|c": 0}),
+        ([(["", "|"], ["COUNT", "O"]), (["|", ""], ["O", "O"])], {"||": 0}),
+    ]
+    for examples, expected in cases:
+        problem = _assert_problem_equals_string_path(examples, tpl, 2)
+        assert problem.gram_ids == (expected,)
+        model = train(examples, templates=tpl, feature_cutoff=2, max_iter=5)
+        save_model(model, tmp_path / "model.json")
+        assert load_model(tmp_path / "model.json").gram_ids == (expected,)
 
 
 class TestGradient:
@@ -702,9 +821,11 @@ class TestModelFile:
     def test_compiled_lookup_is_rebuilt_after_pickle_roundtrip(self):
         model = train(TOY_DATA, feature_cutoff=1, max_iter=50)
         state = model.__getstate__()
-        assert state["gram_ids"] is model.gram_ids and "padded_weights" not in state
+        assert state["gram_ids"] is model.gram_ids
+        assert "padded_weights" not in state and "layout" not in state
         back = pickle.loads(pickle.dumps(model))
         assert back.gram_ids == model.gram_ids
+        assert back.layout == model.layout == window_layout(model.templates)
         for m in (model, back):
             assert m.padded_weights.shape == (len(m.weights) + 1, len(TAGS))
             assert not m.padded_weights[-1].any()
