@@ -13,7 +13,6 @@ from .model import (
     ModelFormatError,
     decode,
     load_model,
-    log_partition,
     marginals,
     save_model,
     viterbi,
@@ -31,7 +30,6 @@ __all__ = [
     "ModelFormatError",
     "decode",
     "load_model",
-    "log_partition",
     "marginals",
     "save_model",
     "viterbi",

@@ -136,12 +136,6 @@ def forward_backward(emissions: np.ndarray, transitions: np.ndarray) -> tuple[np
     return np.moveaxis(alpha * beta, 0, -2), xi, log_z
 
 
-def log_partition(emissions: np.ndarray, transitions: np.ndarray) -> float:
-    if emissions.shape[0] == 0:
-        return 0.0
-    return float(forward_backward(emissions, transitions)[2])
-
-
 def viterbi(emissions: np.ndarray, transitions: np.ndarray) -> list[int]:
     """Argmax tag-id path; ties break toward the lower tag id."""
     n, k = emissions.shape

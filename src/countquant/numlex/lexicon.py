@@ -8,9 +8,12 @@ truth for which terms are recognized; ``load_default_lexicon`` reads them,
 A :class:`NumLexicon` compiles its lookup tables once, when it is built:
 ``specials_by_first`` maps a special term's first token to the terms that
 start with it, longest first, ``affixed_words`` maps every prefix + suffix
-word to its value, and ``readable_words`` holds every word a single-token
-check can read. Mention detection then costs one set or dict lookup per
-token.
+word to its value, ``readable_words`` holds every word a single-token check
+can read, and ``live_words`` adds to those the first words of the special
+terms and the zero cues. :meth:`NumLexicon.is_live` is the one rule for
+whether a token can start anything at all: a live word, a hyphenated word,
+a leading digit or an affixed lemma. Preprocessing returns a sentence with
+no live token as it is, and reads only live tokens further.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ _DATA_DIR = Path(__file__).parent / "data"
 # "NUMTERM-plets:2" still load: the suffix is read and ignored.
 _PLACEHOLDER_REPLACEMENT_RE = re.compile(r"^NUMTERM(?:-[a-z]+)?:(\d+)$")
 
+# The lowercased words that zero mode rewrites into zero mentions.
+ZERO_CUES = frozenset({"n't", "not", "any", "never", "without", "no", "0"})
+
 
 @dataclass(frozen=True)
 class SpecialTerm:
@@ -41,7 +47,7 @@ class SpecialTerm:
 
 @dataclass(frozen=True)
 class NumLexicon:
-    """The word tables, plus two lookup tables compiled from them at construction."""
+    """The word tables, plus the lookup tables compiled from them at construction."""
 
     cardinal_words: dict[str, int]
     ordinal_words: dict[str, int]
@@ -60,6 +66,9 @@ class NumLexicon:
     # every word a single-token check can read: "and", the cardinal, ordinal and
     # affixed words and the articles (digits and hyphenated words aside)
     readable_words: frozenset[str] = field(init=False, repr=False, compare=False)
+    # every word that can start something: the readable words, the special
+    # terms' first words and the zero cues
+    live_words: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for table in (self.cardinal_words, self.ordinal_words, self.latin_greek_prefixes):
@@ -80,12 +89,23 @@ class NumLexicon:
             self, "specials_by_first", {w: tuple(ts) for w, ts in by_first.items()}
         )
         object.__setattr__(self, "affixed_words", affixed)
-        object.__setattr__(
-            self,
-            "readable_words",
-            frozenset({"and"}).union(
-                self.cardinal_words, self.ordinal_words, affixed, self.articles
-            ),
+        readable = frozenset({"and"}).union(
+            self.cardinal_words, self.ordinal_words, affixed, self.articles
+        )
+        object.__setattr__(self, "readable_words", readable)
+        object.__setattr__(self, "live_words", readable.union(by_first, ZERO_CUES))
+
+    def is_live(self, word: str, lemma: str) -> bool:
+        """Whether a token (lowercased surface *word*, lemma *lemma*) can start anything.
+
+        That is a mention, a special term or a zero cue. A token that is not
+        live is never read as any of them.
+        """
+        return (
+            word in self.live_words
+            or lemma in self.affixed_words
+            or "-" in word
+            or word[:1].isdigit()
         )
 
 

@@ -8,11 +8,12 @@ after which :func:`to_placeholder_sequence` produces the lemma/placeholder
 symbols consumed by the sequence labeler. ``preprocess_sentence`` is one
 left-to-right scan, after one linear pass of zero-cue rewrites in zero mode:
 special terms are matched first and rewritten where they stand, so a
-word-cardinal run never crosses the start of one. It returns its input
-sentence when nothing changes, else one new sentence. Annotated tokens are
-never touched again, so outside zero mode preprocessing twice gives the same
-sentence as long as no word of a special term's replacement text starts a
-special term itself.
+word-cardinal run never crosses the start of one. Only live tokens
+(:meth:`NumLexicon.is_live`) are read, so a sentence with none is returned at
+once. It returns its input sentence when nothing changes, else one new
+sentence. Annotated tokens are never touched again, so outside zero mode
+preprocessing twice gives the same sentence as long as no word of a special
+term's replacement text starts a special term itself.
 
 ``mode="train"`` skips indefinite articles: they are far too frequent to act
 as training cues and are only annotated when applying a trained model
@@ -27,7 +28,7 @@ from bisect import bisect
 from operator import is_
 from typing import Optional
 
-from .lexicon import NumLexicon, SpecialTerm
+from .lexicon import ZERO_CUES, NumLexicon, SpecialTerm
 from .tokenizer import lemmatize
 from .types import (
     MentionAnnotation,
@@ -221,11 +222,7 @@ def _recognise(
     mention.
     """
     surface = tokens[i].surface.lower()
-    if surface not in lexicon.readable_words and not (
-        "-" in surface
-        or surface[:1].isdigit()
-        or tokens[i].lemma in lexicon.affixed_words
-    ):
+    if not lexicon.is_live(surface, tokens[i].lemma):
         return None, 1
     if surface == "one" and i and tokens[i - 1].surface.lower() == "no":
         return None, 1
@@ -274,7 +271,6 @@ def _rewrite(text: str, lexicon: NumLexicon, mode: str) -> list[Token]:
 
 _NEGATIONS = frozenset({"n't", "not"})
 _AUXILIARIES = frozenset({"do", "does", "did"})
-_ZERO_CUES = _NEGATIONS | {"any", "never", "without", "no", "0"}
 _ZERO = MentionAnnotation(MentionKind.ZERO, 0)
 _NO = Token("no", "no", 0, _ZERO)  # surface, lemma, index, mention
 
@@ -286,7 +282,7 @@ def _zero_cue_rewrites(tokens: tuple[Token, ...]) -> tuple[Token, ...]:
     a pair lets the auxiliary before it meet the negation after it.
     """
     words = [tok.surface.lower() for tok in tokens]
-    if _ZERO_CUES.isdisjoint(words):
+    if ZERO_CUES.isdisjoint(words):
         return tokens
     anys = [k for k, word in enumerate(words) if word == "any"]
     claimed: set[int] = set()
@@ -317,6 +313,15 @@ def _zero_cue_rewrites(tokens: tuple[Token, ...]) -> tuple[Token, ...]:
     return tuple(out)
 
 
+def _live_positions(tokens: tuple[Token, ...], lexicon: NumLexicon) -> list[int]:
+    """Positions of the unannotated tokens that can start anything, in order."""
+    return [
+        i
+        for i, tok in enumerate(tokens)
+        if tok.mention is None and lexicon.is_live(tok.surface.lower(), tok.lemma)
+    ]
+
+
 def to_placeholder_sequence(sentence: Sentence) -> list[str]:
     """Lemma sequence with mentions replaced by their placeholder symbols."""
     return [tok.lemma if tok.mention is None else tok.mention.placeholder for tok in sentence]
@@ -341,40 +346,46 @@ def preprocess_sentence(
     final ".", "!" or "?"; "without" becomes "with no"; and every "no" and
     "0" not yet annotated becomes a ZERO mention.
 
-    At each unannotated token the longest special term is tried first. A
+    At each live token the longest special term is tried first. A
     term with a placeholder replacement ("twins") becomes one NUMTERM token;
     a term with a replacement text ("thrice" -> "three times", "a dozen" ->
     "twelve") is rewritten in place and its words annotated. Otherwise the
     token is read as a digit or word cardinal (a multi-word run merges into
     one token), ordinal, Latin/Greek-affixed number term or, in inference
     mode, an indefinite article. Already-annotated tokens are left untouched.
-    Returns *sentence* itself when nothing changed.
+    Returns *sentence* itself when nothing changed, and at once when no
+    unannotated token is live.
     """
-    tokens = _zero_cue_rewrites(sentence.tokens) if zero_mode else sentence.tokens
-    specials = {
-        i: term
-        for i, tok in enumerate(tokens)
-        if tok.mention is None and (term := _match_special(tokens, i, lexicon))
-    }
+    tokens = sentence.tokens
+    live = _live_positions(tokens, lexicon)
+    if not live:
+        return sentence
+    if zero_mode:
+        tokens = _zero_cue_rewrites(tokens)
+        if tokens is not sentence.tokens:
+            live = _live_positions(tokens, lexicon)
+    specials = {i: term for i in live if (term := _match_special(tokens, i, lexicon))}
     out: list[Token] = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        special = specials.get(i)
-        if tok.mention is not None:
-            out.append(tok)
-            i += 1
-        elif special is None:
-            mention, length = _recognise(tokens, i, specials, lexicon, mode)
-            out.append(tok if mention is None else _merge_tokens(tokens[i : i + length], mention))
-            i += length
+    i = 0  # tokens[:i] are read; only a live token can start anything
+    for j in live:
+        if j < i:
+            continue  # inside a mention or special term read already
+        out.extend(tokens[i:j])
+        special = specials.get(j)
+        if special is None:
+            mention, length = _recognise(tokens, j, specials, lexicon, mode)
+            out.append(
+                tokens[j] if mention is None else _merge_tokens(tokens[j : j + length], mention)
+            )
         else:
+            length = len(special.term)
             if special.replacement_text is None:
                 mention = MentionAnnotation(MentionKind.NUMTERM, special.value)
-                out.append(_merge_tokens(tokens[i : i + len(special.term)], mention))
+                out.append(_merge_tokens(tokens[j : j + length], mention))
             else:
                 out.extend(_rewrite(special.replacement_text, lexicon, mode))
-            i += len(special.term)
+        i = j + length
+    out.extend(tokens[i:])
     if len(out) == len(sentence.tokens) and all(map(is_, out, sentence.tokens)):
         return sentence  # nothing rewritten or annotated
     return make_sentence(out)

@@ -3,13 +3,19 @@
 No external NLP dependency: sentences split on terminal punctuation, tokens
 on whitespace/punctuation boundaries, and lemmas come from plural-stripping
 rules plus an exceptions table for irregular forms.
+
+Text repeats a small vocabulary, so the contraction split and the lemma are
+worked out once per distinct raw token: :func:`_pieces` is a bounded
+``functools.lru_cache`` (at most ``_PIECES_CACHE_SIZE`` raw tokens, however
+large the corpus), and the tokenize loop only builds the tokens.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
-from .types import Sentence, Token, make_sentence
+from .types import Sentence, Token
 
 # Ordered alternatives: digit ordinals, decimal numbers, comma-grouped
 # integers, words (internal apostrophes/hyphens/digits stay inside the
@@ -80,15 +86,22 @@ def lemmatize(word: str) -> str:
     return w
 
 
-def _split_contractions(raw: list[str]) -> list[str]:
-    out: list[str] = []
-    for tok in raw:
-        m = _CONTRACTION_RE.match(tok)
-        if m:
-            out.extend([m.group(1), m.group(2).replace("’", "'").lower()])
-        else:
-            out.append(tok)
-    return out
+# Distinct raw tokens whose pieces are kept; the least recently used go first.
+_PIECES_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_PIECES_CACHE_SIZE)
+def _pieces(raw: str) -> tuple[tuple[str, str], ...]:
+    """``(surface, lemma)`` of each token the raw token *raw* gives.
+
+    A contraction splits in two, its clitic lowercased with a straight
+    apostrophe ("ISN'T" gives "IS", "n't"); any other raw token is one token.
+    """
+    m = _CONTRACTION_RE.match(raw)
+    if m is None:
+        return ((raw, lemmatize(raw)),)
+    head, clitic = m.group(1), m.group(2).replace("’", "'").lower()
+    return ((head, lemmatize(head)), (clitic, lemmatize(clitic)))
 
 
 def tokenize(text: str) -> list[Sentence]:
@@ -97,16 +110,16 @@ def tokenize(text: str) -> list[Sentence]:
     Sentences end at ``.``, ``!`` or ``?`` tokens; decimal points inside
     number tokens do not split. Empty text yields an empty list.
     """
-    raw = _split_contractions(_TOKEN_RE.findall(text))
     sentences: list[Sentence] = []
     current: list[Token] = []
-    for surface in raw:
-        current.append(Token(surface=surface, lemma=lemmatize(surface), index=len(current)))
-        if surface in _TERMINALS:
-            sentences.append(make_sentence(current))
-            current = []
+    for raw in _TOKEN_RE.findall(text):
+        for surface, lemma in _pieces(raw):
+            current.append(Token(surface, lemma, len(current)))
+            if surface in _TERMINALS:
+                sentences.append(Sentence(tuple(current)))
+                current = []
     if current:
-        sentences.append(make_sentence(current))
+        sentences.append(Sentence(tuple(current)))
     return sentences
 
 

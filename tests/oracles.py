@@ -1,7 +1,9 @@
 """Independent brute-force references for CRF inference.
 
 These enumerate all tag paths explicitly; they must stay free of the
-dynamic-programming code they are used to check.
+dynamic-programming code they are used to check. The helpers at the end
+(``log_partition``, ``random_model``) call the library: they are what the
+tests check, or build their inputs.
 """
 
 from __future__ import annotations
@@ -68,6 +70,19 @@ def brute_force_marginals(emissions: np.ndarray, transitions: np.ndarray) -> np.
         for tag in range(k):
             out[t, tag] = weights[paths[:, t] == tag].sum()
     return out
+
+
+def log_partition(emissions: np.ndarray, transitions: np.ndarray) -> float:
+    """One sentence's log partition through the library's forward-backward kernel.
+
+    This is the code under test, not an oracle: the brute-force reference is
+    :func:`brute_force_log_partition`.
+    """
+    from countquant.crf.model import forward_backward
+
+    if emissions.shape[0] == 0:
+        return 0.0
+    return float(forward_backward(emissions, transitions)[2])
 
 
 def random_model(rng: np.random.Generator, vocab: list[str], scale: float = 1.0):

@@ -24,7 +24,6 @@ from countquant.crf import (
     decode,
     default_templates,
     load_model,
-    log_partition,
     marginals,
     save_model,
     template_columns,
@@ -38,6 +37,7 @@ from oracles import (
     assert_viterbi_optimal,
     brute_force_log_partition,
     brute_force_marginals,
+    log_partition,
     path_score,
     path_scores,
     random_model,

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import itertools
 import pickle
+import re
 import shutil
 import string
+from operator import is_
 from pathlib import Path
 
 import pytest
@@ -28,11 +30,14 @@ from countquant.numlex import (
 from countquant.numlex import mentions
 from countquant.numlex.mentions import (
     _DIGIT_CARDINAL_RE,
+    _cardinal_run,
     _match_special,
     _merge_tokens,
     _parse_cardinal_words,
     _parse_ordinal,
+    _zero_cue_rewrites,
 )
+from countquant.numlex.tokenizer import _TOKEN_RE
 
 LEXICON = load_default_lexicon()
 
@@ -853,3 +858,176 @@ def test_preprocess_equals_two_pass_reference_property(
         assert preprocess_sentence(
             sentence, lexicon, mode=mode, zero_mode=zero_mode
         ) == _reference_preprocess(sentence, lexicon, mode, zero_mode)
+
+
+# -- the per-word path against the per-token object path ----------------------
+#
+# A copy of tokenize, _split_contractions, make_sentence and the
+# preprocess_sentence scan as they were before tokens came from cached
+# per-raw-token pieces and a sentence with no live token was returned at
+# once: one contraction match, one lemmatize, one special-term match and one
+# _recognise call per token, and a re-index pass per sentence. It shares the
+# module's regexes, parsers and zero-cue pass, which did not change.
+
+_OBJECT_CONTRACTION_RE = re.compile(r"^([A-Za-z]+)(n['’]t|['’]s)$", re.IGNORECASE)
+
+
+def _object_split_contractions(raw):
+    out = []
+    for tok in raw:
+        m = _OBJECT_CONTRACTION_RE.match(tok)
+        if m:
+            out.extend([m.group(1), m.group(2).replace("’", "'").lower()])
+        else:
+            out.append(tok)
+    return out
+
+
+def _object_make_sentence(tokens):
+    return Sentence(
+        tokens=tuple(tok if tok.index == i else tok._replace(index=i) for i, tok in enumerate(tokens))
+    )
+
+
+def _object_tokenize(text):
+    raw = _object_split_contractions(_TOKEN_RE.findall(text))
+    sentences = []
+    current = []
+    for surface in raw:
+        current.append(Token(surface=surface, lemma=lemmatize(surface), index=len(current)))
+        if surface in (".", "!", "?"):
+            sentences.append(_object_make_sentence(current))
+            current = []
+    if current:
+        sentences.append(_object_make_sentence(current))
+    return sentences
+
+
+def _object_recognise(tokens, i, specials, lexicon, mode):
+    surface = tokens[i].surface.lower()
+    if surface not in lexicon.readable_words and not (
+        "-" in surface
+        or surface[:1].isdigit()
+        or tokens[i].lemma in lexicon.affixed_words
+    ):
+        return None, 1
+    if surface == "one" and i and tokens[i - 1].surface.lower() == "no":
+        return None, 1
+    if _DIGIT_CARDINAL_RE.match(surface):
+        return MentionAnnotation(MentionKind.CARDINAL, int(surface.replace(",", ""))), 1
+    table = lexicon.cardinal_words
+    if surface in table or surface == "and" or (
+        "-" in surface and all(word in table for word in surface.split("-"))
+    ):
+        run = _cardinal_run(tokens, i, surface.split("-"), specials, lexicon)
+        if run is not None:
+            return MentionAnnotation(MentionKind.CARDINAL, run[0]), run[1]
+    value = _parse_ordinal(surface, lexicon)
+    if value is not None:
+        return MentionAnnotation(MentionKind.ORDINAL, value), 1
+    affixed = lexicon.affixed_words
+    value = affixed.get(surface, affixed.get(tokens[i].lemma))
+    if value is not None:
+        return MentionAnnotation(MentionKind.NUMTERM, value), 1
+    if surface in lexicon.articles:
+        run = _cardinal_run(tokens, i, ["one"], specials, lexicon)
+        if run is not None and run[1] > 1:
+            return MentionAnnotation(MentionKind.CARDINAL, run[0]), run[1]
+        if mode == INFERENCE_MODE:
+            return MentionAnnotation(MentionKind.ARTICLE, 1), 1
+    return None, 1
+
+
+def _object_rewrite(text, lexicon, mode):
+    out = []
+    for word in text.split():
+        tok = Token(surface=word, lemma=lemmatize(word), index=0)
+        value = lexicon.cardinal_words.get(word.lower())
+        if value is not None:
+            mention = MentionAnnotation(MentionKind.CARDINAL, value)
+        else:
+            mention = _object_recognise((tok,), 0, {}, lexicon, mode)[0]
+        out.append(tok if mention is None else tok.with_mention(mention))
+    return out
+
+
+def _object_preprocess(sentence, lexicon, mode, zero_mode):
+    tokens = _zero_cue_rewrites(sentence.tokens) if zero_mode else sentence.tokens
+    specials = {
+        i: term
+        for i, tok in enumerate(tokens)
+        if tok.mention is None and (term := _match_special(tokens, i, lexicon))
+    }
+    out = []
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        special = specials.get(i)
+        if tok.mention is not None:
+            out.append(tok)
+            i += 1
+        elif special is None:
+            mention, length = _object_recognise(tokens, i, specials, lexicon, mode)
+            out.append(tok if mention is None else _merge_tokens(tokens[i : i + length], mention))
+            i += length
+        else:
+            if special.replacement_text is None:
+                mention = MentionAnnotation(MentionKind.NUMTERM, special.value)
+                out.append(_merge_tokens(tokens[i : i + len(special.term)], mention))
+            else:
+                out.extend(_object_rewrite(special.replacement_text, lexicon, mode))
+            i += len(special.term)
+    if len(out) == len(sentence.tokens) and all(map(is_, out, sentence.tokens)):
+        return sentence
+    return _object_make_sentence(out)
+
+
+def _columns(sentences):
+    return [[(t.surface, t.lemma, t.index, t.mention) for t in s] for s in sentences]
+
+
+# Words of every lexicon table, as they are and title-cased, plurals that only
+# their lemma makes affixed ("trilogies"), and the cases where tokenizing or
+# the live-token rule could go wrong: clitics, hyphenated numbers, digits,
+# zero cues, terminals, "BOS" and non-ASCII letters.
+_lexicon_words = st.sampled_from(
+    sorted(LEXICON.live_words)
+    + sorted({" ".join(t.term) for t in LEXICON.special_terms})
+    + sorted(w[:-1] + "ies" for w in LEXICON.affixed_words if w.endswith("y"))
+)
+_per_word_chunk = st.one_of(
+    _lexicon_words,
+    _lexicon_words.map(str.title),
+    st.sampled_from(
+        ["isn't", "ISN'T", "Didn’t", "did n't", "Maria’s", "it's", "23rd's", "twenty-one",
+         "Twenty-First", "forty-two", "ninety-ninth", "one-hundred", "well-known", "1,200",
+         "12,345,678", "1999,200", "1,2", "3.5", "23rd", "1st", "a hundred", "A thousand",
+         "no one", "No one", "without", "Without", "never", "any", "not", "0", ".", "!", "?",
+         "BOS", "EOS", "Zoë", "Müller", "Ærø", "naïve", "Trilogies", "Twins", ",",
+         "two score", "Score", "gross"]
+    ),
+    st.text(alphabet=string.ascii_letters + "äöüßéñÆ’'-", min_size=1, max_size=7),
+)
+
+
+@pytest.mark.parametrize("lexicon_name", ["shipped", "custom"])
+@settings(max_examples=250, deadline=None)
+@given(
+    parts=st.lists(
+        st.tuples(_per_word_chunk, st.sampled_from([" ", " ", " ", "", "\n"])),
+        min_size=1, max_size=14,
+    )
+)
+def test_per_word_path_equals_object_path_property(reference_lexicons, lexicon_name, parts):
+    lexicon = reference_lexicons[lexicon_name]
+    text = "".join(chunk + sep for chunk, sep in parts)
+    sentences = tokenize(text)
+    reference = _object_tokenize(text)
+    assert _columns(sentences) == _columns(reference)
+    for mode in (TRAIN_MODE, INFERENCE_MODE):
+        for zero_mode in (False, True):
+            assert _columns(
+                preprocess_sentence(s, lexicon, mode=mode, zero_mode=zero_mode) for s in sentences
+            ) == _columns(
+                _object_preprocess(s, lexicon, mode, zero_mode) for s in reference
+            )
