@@ -21,7 +21,7 @@ from typing import Optional
 import click
 
 from . import crf, dsgen, evaluate as ev, kbstore
-from .dsgen import Corpus, SeedPolicy
+from .dsgen import SeedPolicy, load_corpus
 from .kbstore import Relation
 from .numlex import load_default_lexicon, load_lexicon
 from .pipeline import extract_document
@@ -143,7 +143,7 @@ def cmd_build_training(kb, corpus, relation, training, lexicon_dir,
         entropy_threshold=entropy_min,
     )
     store = kbstore.load_triples(kb)
-    documents = Corpus.load(corpus)
+    documents = load_corpus(corpus)
 
     upper_bound, selection = dsgen.select_subjects(store, documents, rel, policy)
     if not selection:
@@ -151,13 +151,12 @@ def cmd_build_training(kb, corpus, relation, training, lexicon_dir,
             f"no subjects of relation {rel.label} found in both KB and corpus"
         )
     labeled, stats = dsgen.join_documents(
-        _pool_map(partial(_label_task, upper_bound, lexicon, policy, rel), selection, workers),
-        rel,
+        _pool_map(partial(_label_task, upper_bound, lexicon, policy, rel), selection, workers)
     )
     dsgen.write_conll(labeled, training)
     click.echo(f"wrote {training}: {len(labeled)} sentences ({stats.summary()})")
-    for warning in stats.warnings:
-        click.echo(f"warning: {warning}", err=True)
+    if not labeled:
+        click.echo(f"warning: relation {rel.label}: empty training set", err=True)
 
 
 @main.command("train")
@@ -204,9 +203,9 @@ def cmd_extract(model, corpus, relation, predictions, lexicon_dir, threshold, ze
     rel = parse_relation(relation) if relation else None
     lexicon = load_lexicon(lexicon_dir) if lexicon_dir else load_default_lexicon()
     fitted = crf.load_model(model)
-    documents = Corpus.load(corpus)
+    documents = load_corpus(corpus)
 
-    tasks = [(s, documents[s]) for s in documents.subjects()]
+    tasks = sorted(documents.items())
     extract = partial(_extract_task, fitted, lexicon, threshold, zero_mode, rel)
     lines = [line for line in _pool_map(extract, tasks, workers) if line is not None]
     Path(predictions).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -1,5 +1,10 @@
 """Training-data generation from KB counts.
 
+``build-training`` is one pass: :func:`select_subjects` picks the seed
+subjects of a relation and its upper bound, :func:`label_subject_document`
+labels each subject's document independently, and :func:`join_documents`
+concatenates the results in subject order and sums their stats.
+
 For every subject of a relation with at least one object, each sentence of
 its document that contains a candidate mention is labeled against the KB
 object count. Because KBs are incomplete, the count is only a lower bound,
@@ -24,9 +29,9 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .crf.model import COMP, COUNT, OTHER, TAGS
 from .kbstore import KbStore, Relation, count_percentile, popularity_percentile_cutoff
@@ -35,7 +40,6 @@ from .numlex import (
     Sentence,
     TRAIN_MODE,
     is_comp_cue,
-    load_default_lexicon,
     preprocess_sentence,
     to_placeholder_sequence,
     tokenize,
@@ -80,14 +84,6 @@ class LabeledSentence:
 
 
 @dataclass(frozen=True)
-class Excluded:
-    """A sentence dropped from training: some mention may be the true count."""
-
-    sentence: Sentence
-    reason: str = "mention above KB count within relation bound"
-
-
-@dataclass(frozen=True)
 class SeedPolicy:
     popularity_top_fraction: float = 1.0
     upper_bound_q: float = 0.99
@@ -101,7 +97,6 @@ class GenerationStats:
     negatives: int = 0
     excluded: int = 0
     entropy_dropped: int = 0
-    warnings: list[str] = field(default_factory=list)
 
     def __add__(self, other: "GenerationStats") -> "GenerationStats":
         return GenerationStats(
@@ -145,20 +140,25 @@ def _find_composition_run(
 
 
 def label_sentence(
-    sentence: Sentence, kb_count: int, upper_bound: int
-) -> LabeledSentence | Excluded:
-    """Label one mention-annotated sentence against the KB count.
+    sentence: Sentence,
+    kb_count: int,
+    upper_bound: int,
+    *,
+    subject: str = "",
+    relation: Optional[Relation] = None,
+) -> Optional[LabeledSentence]:
+    """Label one mention-annotated sentence of *subject* against the KB count.
 
-    Returns an :class:`Excluded` marker when any mention falls strictly
-    between the KB count and the relation upper bound; those sentences are
-    kept out of training entirely rather than risking a false negative.
+    Returns None when any mention lies above the KB count but within the
+    relation upper bound: such a sentence is kept out of training entirely
+    rather than risking a false negative.
     """
     if kb_count < 1:
         raise ValueError("training subjects must have at least one object")
 
     mentions = sentence.mentions
     if any(kb_count < t.mention.value <= upper_bound for t in mentions):
-        return Excluded(sentence=sentence)
+        return None
 
     eligible = [t.index for t in mentions if t.mention.kind not in _NEVER_SEEDS]
     exact = [i for i in eligible if sentence[i].mention.value == kb_count]
@@ -170,14 +170,16 @@ def label_sentence(
         tags[i] = COUNT
     for i in cues:
         tags[i] = COMP
-    return LabeledSentence(sentence=sentence, tags=tuple(tags))
+    return LabeledSentence(sentence, tuple(tags), subject, relation)
 
 
-def _contexts_by_value(document: list[Sentence]) -> dict[int, Counter]:
-    """How often each mentioned value occurs in each context, in one pass.
+def _uninformative_values(document: list[Sentence], threshold: float) -> set[int]:
+    """Values mentioned more than once whose context entropy is below *threshold* bits.
 
     A context is the two lemmas on each side of a mention, padded with
-    ``<BOS>``/``<EOS>``. Values and contexts are counted in document order.
+    ``<BOS>``/``<EOS>``; one pass over the document counts each value's
+    contexts. A value that recurs in one and the same context has entropy 0,
+    and n distinct contexts, each seen once, give log2(n) bits.
     """
     contexts: dict[int, Counter] = {}
     for sent in document:
@@ -189,63 +191,28 @@ def _contexts_by_value(document: list[Sentence]) -> dict[int, Counter]:
             i = tok.index + 2
             context = (lemmas[i - 2], lemmas[i - 1], lemmas[i + 1], lemmas[i + 2])
             contexts.setdefault(tok.mention.value, Counter())[context] += 1
-    return contexts
+    low = set()
+    for value, counts in contexts.items():
+        total = sum(counts.values())
+        if total > 1 and threshold > -sum(
+            (c / total) * math.log2(c / total) for c in counts.values()
+        ):
+            low.add(value)
+    return low
 
 
-def _entropy_bits(contexts: Counter) -> float:
-    total = sum(contexts.values())
-    return -sum((c / total) * math.log2(c / total) for c in contexts.values()) or 0.0
+def load_corpus(path: Path | str) -> dict[str, str]:
+    """``{subject: text}`` of a JSON-lines corpus: one pre-linked document per subject."""
+    def record(line: str) -> tuple[str, str]:
+        doc = json.loads(line)
+        subject, text = doc["subject"], doc["text"]
+        if not (isinstance(subject, str) and isinstance(text, str)):
+            raise ValueError("subject and text must be strings")
+        if not subject.strip():
+            raise ValueError("empty subject")
+        return subject.strip(), text
 
-
-def number_entropy(document: list[Sentence], value: int) -> float:
-    """Shannon entropy (bits) of the contexts in which *value* is mentioned.
-
-    Context = the lemma bigrams left and right of each mention of the value
-    across the document. A value that recurs in one and the same context has
-    entropy 0; n distinct contexts give log2(n) bits.
-    """
-    if not document:
-        raise ValueError("document must be non-empty")
-    contexts = _contexts_by_value(document).get(value)
-    return _entropy_bits(contexts) if contexts else 0.0
-
-
-def _uninformative_values(document: list[Sentence], threshold: float) -> set[int]:
-    """Values mentioned more than once whose context entropy is below threshold."""
-    return {
-        value
-        for value, contexts in _contexts_by_value(document).items()
-        if sum(contexts.values()) > 1 and _entropy_bits(contexts) < threshold
-    }
-
-
-@dataclass(frozen=True)
-class Corpus:
-    """Pre-linked document collection: one text per subject entity."""
-
-    documents: dict[str, str]
-
-    @staticmethod
-    def load(path: Path | str) -> "Corpus":
-        def record(line: str) -> tuple[str, str]:
-            doc = json.loads(line)
-            subject, text = doc["subject"], doc["text"]
-            if not (isinstance(subject, str) and isinstance(text, str)):
-                raise ValueError("subject and text must be strings")
-            if not subject.strip():
-                raise ValueError("empty subject")
-            return subject.strip(), text
-
-        return Corpus(documents=read_keyed(path, record, "bad corpus record"))
-
-    def __contains__(self, subject: str) -> bool:
-        return subject in self.documents
-
-    def __getitem__(self, subject: str) -> str:
-        return self.documents[subject]
-
-    def subjects(self) -> list[str]:
-        return sorted(self.documents)
+    return read_keyed(path, record, "bad corpus record")
 
 
 def label_subject_document(
@@ -271,11 +238,10 @@ def label_subject_document(
         if any(t.mention.value in low_entropy for t in sent.mentions):
             stats.entropy_dropped += 1
             continue
-        outcome = label_sentence(sent, kb_count, upper_bound)
-        if isinstance(outcome, Excluded):
+        outcome = label_sentence(sent, kb_count, upper_bound, subject=subject, relation=relation)
+        if outcome is None:
             stats.excluded += 1
             continue
-        outcome = replace(outcome, subject=subject, relation=relation)
         if COUNT in outcome.tags:
             stats.positives += 1
         else:
@@ -285,63 +251,34 @@ def label_subject_document(
 
 
 def select_subjects(
-    store: KbStore, corpus: Corpus, rel: Relation, policy: SeedPolicy
+    store: KbStore, documents: Mapping[str, str], rel: Relation, policy: SeedPolicy
 ) -> tuple[int, list[tuple[str, str, int]]]:
     """The relation's upper bound and its sorted ``(subject, text, kb_count)`` seeds.
 
     A seed subject has an object, lies within the popularity cutoff and has a
-    document. The bound is 0 when no subject qualifies.
+    document in *documents* (``{subject: text}``). The bound is 0 when no
+    subject qualifies.
     """
     keep = popularity_percentile_cutoff(store, rel, policy.popularity_top_fraction)
     selection = [
-        (subject, corpus[subject], store.triple_count(subject, rel.property))
+        (subject, documents[subject], store.triple_count(subject, rel.property))
         for subject in store.relation_subjects(rel)
-        if subject in keep and subject in corpus
+        if subject in keep and subject in documents
     ]
     if not selection:
         return 0, []
     return count_percentile(store, rel, policy.upper_bound_q), selection
 
 
-def generate_training_set(
-    store: KbStore,
-    corpus: Corpus,
-    rel: Relation,
-    policy: SeedPolicy = SeedPolicy(),
-    lexicon: Optional[NumLexicon] = None,
-) -> tuple[list[LabeledSentence], GenerationStats]:
-    """Labeled sentences for every qualifying subject of the relation.
-
-    Deterministic: subjects are processed in sorted order and each document
-    independently, so results do not depend on worker scheduling.
-    """
-    lexicon = lexicon or load_default_lexicon()
-    upper_bound, selection = select_subjects(store, corpus, rel, policy)
-    return join_documents(
-        (
-            label_subject_document(
-                text, kb_count, upper_bound, lexicon, policy, subject=subject, relation=rel,
-            )
-            for subject, text, kb_count in selection
-        ),
-        rel,
-    )
-
-
 def join_documents(
-    results: Iterable[tuple[list[LabeledSentence], GenerationStats]], rel: Relation
+    results: Iterable[tuple[list[LabeledSentence], GenerationStats]],
 ) -> tuple[list[LabeledSentence], GenerationStats]:
-    """The labeled sentences of per-document results, in order, and their summed stats.
-
-    An empty result warns that the relation has no training set.
-    """
+    """The labeled sentences of per-document results, in order, and their summed stats."""
     labeled: list[LabeledSentence] = []
     stats = GenerationStats()
     for sentences, doc_stats in results:
         labeled.extend(sentences)
         stats = stats + doc_stats
-    if not labeled:
-        stats.warnings.append(f"relation {rel.label}: empty training set")
     return labeled, stats
 
 

@@ -2,7 +2,6 @@
 
 from .lexicon import (
     NumLexicon,
-    SpecialTerm,
     LexiconFormatError,
     load_default_lexicon,
     load_lexicon,
@@ -14,7 +13,7 @@ from .mentions import (
     preprocess_sentence,
     to_placeholder_sequence,
 )
-from .tokenizer import detokenize, lemmatize, tokenize
+from .tokenizer import tokenize
 from .types import (
     MentionAnnotation,
     MentionKind,
@@ -28,7 +27,6 @@ from .types import (
 
 __all__ = [
     "NumLexicon",
-    "SpecialTerm",
     "LexiconFormatError",
     "load_default_lexicon",
     "load_lexicon",
@@ -37,8 +35,6 @@ __all__ = [
     "is_comp_cue",
     "preprocess_sentence",
     "to_placeholder_sequence",
-    "detokenize",
-    "lemmatize",
     "tokenize",
     "MentionAnnotation",
     "MentionKind",

@@ -10,10 +10,11 @@ A :class:`NumLexicon` compiles its lookup tables once, when it is built:
 start with it, longest first, ``affixed_words`` maps every prefix + suffix
 word to its value, ``readable_words`` holds every word a single-token check
 can read, and ``live_words`` adds to those the first words of the special
-terms and the zero cues. :meth:`NumLexicon.is_live` is the one rule for
-whether a token can start anything at all: a live word, a hyphenated word,
-a leading digit or an affixed lemma. Preprocessing returns a sentence with
-no live token as it is, and reads only live tokens further.
+terms. :meth:`NumLexicon.is_live` is the one rule for whether a token can
+start a mention or a special term: a live word, a hyphenated word, a leading
+digit or an affixed lemma. Only in zero mode does a zero cue also count as
+live. Preprocessing returns a sentence with no live token as it is, and
+reads only live tokens further.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ class NumLexicon:
     # every word a single-token check can read: "and", the cardinal, ordinal and
     # affixed words and the articles (digits and hyphenated words aside)
     readable_words: frozenset[str] = field(init=False, repr=False, compare=False)
-    # every word that can start something: the readable words, the special
-    # terms' first words and the zero cues
+    # every word that can start a mention or a special term: the readable
+    # words and the special terms' first words
     live_words: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -93,13 +94,13 @@ class NumLexicon:
             self.cardinal_words, self.ordinal_words, affixed, self.articles
         )
         object.__setattr__(self, "readable_words", readable)
-        object.__setattr__(self, "live_words", readable.union(by_first, ZERO_CUES))
+        object.__setattr__(self, "live_words", readable.union(by_first))
 
     def is_live(self, word: str, lemma: str) -> bool:
         """Whether a token (lowercased surface *word*, lemma *lemma*) can start anything.
 
-        That is a mention, a special term or a zero cue. A token that is not
-        live is never read as any of them.
+        That is a mention or a special term. A token that is not live is never
+        read as either.
         """
         return (
             word in self.live_words

@@ -9,11 +9,12 @@ symbols consumed by the sequence labeler. ``preprocess_sentence`` is one
 left-to-right scan, after one linear pass of zero-cue rewrites in zero mode:
 special terms are matched first and rewritten where they stand, so a
 word-cardinal run never crosses the start of one. Only live tokens
-(:meth:`NumLexicon.is_live`) are read, so a sentence with none is returned at
-once. It returns its input sentence when nothing changes, else one new
-sentence. Annotated tokens are never touched again, so outside zero mode
-preprocessing twice gives the same sentence as long as no word of a special
-term's replacement text starts a special term itself.
+(:meth:`NumLexicon.is_live`, and the zero cues in zero mode) are read, so a
+sentence with none is returned at once. It returns its input sentence when
+nothing changes, else one new sentence. Annotated tokens are never touched
+again, so outside zero mode preprocessing twice gives the same sentence as
+long as no word of a special term's replacement text starts a special term
+itself.
 
 ``mode="train"`` skips indefinite articles: they are far too frequent to act
 as training cues and are only annotated when applying a trained model
@@ -313,12 +314,19 @@ def _zero_cue_rewrites(tokens: tuple[Token, ...]) -> tuple[Token, ...]:
     return tuple(out)
 
 
-def _live_positions(tokens: tuple[Token, ...], lexicon: NumLexicon) -> list[int]:
-    """Positions of the unannotated tokens that can start anything, in order."""
+def _live_positions(
+    tokens: tuple[Token, ...], lexicon: NumLexicon, zero_mode: bool
+) -> list[int]:
+    """Positions of the unannotated tokens that can start anything, in order.
+
+    A zero cue can start a rewrite, so in zero mode it is live too.
+    """
     return [
         i
         for i, tok in enumerate(tokens)
-        if tok.mention is None and lexicon.is_live(tok.surface.lower(), tok.lemma)
+        if tok.mention is None
+        and (lexicon.is_live(word := tok.surface.lower(), tok.lemma)
+             or zero_mode and word in ZERO_CUES)
     ]
 
 
@@ -357,13 +365,13 @@ def preprocess_sentence(
     unannotated token is live.
     """
     tokens = sentence.tokens
-    live = _live_positions(tokens, lexicon)
+    live = _live_positions(tokens, lexicon, zero_mode)
     if not live:
         return sentence
     if zero_mode:
         tokens = _zero_cue_rewrites(tokens)
         if tokens is not sentence.tokens:
-            live = _live_positions(tokens, lexicon)
+            live = _live_positions(tokens, lexicon, zero_mode)
     specials = {i: term for i in live if (term := _match_special(tokens, i, lexicon))}
     out: list[Token] = []
     i = 0  # tokens[:i] are read; only a live token can start anything

@@ -38,10 +38,6 @@ _CONTRACTION_RE = re.compile(r"^([A-Za-z]+)(n['’]t|['’]s)$", re.IGNORECASE)
 
 _TERMINALS = {".", "!", "?"}
 
-# Punctuation that attaches to the preceding token when rendering text.
-_NO_SPACE_BEFORE = {".", ",", "!", "?", ";", ":", ")", "]", "%", "'s", "n't"}
-_NO_SPACE_AFTER = {"(", "["}
-
 # Irregular forms and words the suffix rules would mangle.
 _LEMMA_EXCEPTIONS = {
     "is": "be", "are": "be", "was": "be", "were": "be", "am": "be",
@@ -121,13 +117,3 @@ def tokenize(text: str) -> list[Sentence]:
     if current:
         sentences.append(Sentence(tuple(current)))
     return sentences
-
-
-def detokenize(sentence: Sentence) -> str:
-    """Render a sentence back to text with conventional spacing."""
-    parts: list[str] = []
-    for tok in sentence:
-        if parts and tok.surface not in _NO_SPACE_BEFORE and parts[-1] not in _NO_SPACE_AFTER:
-            parts.append(" ")
-        parts.append(tok.surface)
-    return "".join(parts)

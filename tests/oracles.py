@@ -1,9 +1,10 @@
-"""Independent brute-force references for CRF inference.
+"""Independent brute-force references for CRF inference, and test-side helpers.
 
-These enumerate all tag paths explicitly; they must stay free of the
-dynamic-programming code they are used to check. The helpers at the end
-(``log_partition``, ``random_model``) call the library: they are what the
-tests check, or build their inputs.
+The references enumerate all tag paths explicitly; they must stay free of the
+dynamic-programming code they are used to check. The helpers after them
+(``log_partition``, ``random_model``, ``training_set``) call the library:
+they are what the tests check, or build their inputs. ``detokenize`` renders
+a sentence as text for the bit-exact rewrite checks.
 """
 
 from __future__ import annotations
@@ -109,3 +110,38 @@ def random_model(rng: np.random.Generator, vocab: list[str], scale: float = 1.0)
 
 def random_sequence(rng: np.random.Generator, vocab: list[str], length: int) -> list[str]:
     return [vocab[i] for i in rng.integers(0, len(vocab), size=length)]
+
+
+def training_set(store, documents, rel, policy=None, lexicon=None):
+    """``(labeled, stats)`` of every seed subject, by the sequence ``build-training`` runs.
+
+    ``select_subjects``, then ``label_subject_document`` per document, then
+    ``join_documents``.
+    """
+    from countquant import dsgen
+    from countquant.numlex import load_default_lexicon
+
+    policy = policy or dsgen.SeedPolicy()
+    lexicon = lexicon or load_default_lexicon()
+    upper_bound, selection = dsgen.select_subjects(store, documents, rel, policy)
+    return dsgen.join_documents(
+        dsgen.label_subject_document(
+            text, kb_count, upper_bound, lexicon, policy, subject=subject, relation=rel
+        )
+        for subject, text, kb_count in selection
+    )
+
+
+# Punctuation that attaches to the preceding token when rendering text.
+_NO_SPACE_BEFORE = {".", ",", "!", "?", ";", ":", ")", "]", "%", "'s", "n't"}
+_NO_SPACE_AFTER = {"(", "["}
+
+
+def detokenize(sentence) -> str:
+    """Render a sentence back to text with conventional spacing."""
+    parts: list[str] = []
+    for tok in sentence:
+        if parts and tok.surface not in _NO_SPACE_BEFORE and parts[-1] not in _NO_SPACE_AFTER:
+            parts.append(" ")
+        parts.append(tok.surface)
+    return "".join(parts)

@@ -21,7 +21,6 @@ from countquant.crf import TrainingProblem, decode, marginals, train, viterbi
 from countquant.dsgen import (
     COMP,
     COUNT,
-    Excluded,
     LabeledSentence,
     label_sentence,
 )
@@ -32,7 +31,6 @@ from countquant.evaluate import (
 )
 from countquant.kbstore import Relation, load_triples
 from countquant.numlex import (
-    detokenize,
     load_default_lexicon,
     preprocess_sentence,
     tokenize,
@@ -43,6 +41,7 @@ from oracles import (
     assert_viterbi_optimal,
     brute_force_log_partition,
     brute_force_marginals,
+    detokenize,
     log_partition,
     random_model,
     random_sequence,
@@ -268,7 +267,7 @@ def test_criterion_6_labeling_outcome_table():
             upper_bound = rng.randint(1, 12)
             outcome = label_sentence(sentences[value], kb_count, upper_bound)
             if kb_count < value <= upper_bound:
-                ok = isinstance(outcome, Excluded)
+                ok = outcome is None
             elif value == kb_count:
                 ok = (
                     isinstance(outcome, LabeledSentence)

@@ -13,8 +13,10 @@ from click.testing import CliRunner
 
 from countquant import numlex
 from countquant.cli import main, parse_relation
-from countquant.dsgen import Corpus, SeedPolicy, generate_training_set, write_conll
+from countquant.dsgen import load_corpus, write_conll
 from countquant.kbstore import Relation, load_triples
+
+from oracles import training_set
 
 WORDS = {1: "one", 2: "two", 3: "three", 4: "four", 5: "five", 6: "six"}
 
@@ -364,11 +366,10 @@ class TestBundledMiniCorpus:
             "--corpus", str(self.MINI / "corpus.jsonl"),
             "--relation", "human:child", "--out", str(out), "--workers", str(workers),
         ])
-        labeled, _ = generate_training_set(
+        labeled, _ = training_set(
             load_triples(self.MINI / "kb.tsv"),
-            Corpus.load(self.MINI / "corpus.jsonl"),
+            load_corpus(self.MINI / "corpus.jsonl"),
             Relation(subject_class="human", property="child"),
-            SeedPolicy(),
         )
         write_conll(labeled, tmp_path / "library.conll")
         assert out.read_bytes() == (tmp_path / "library.conll").read_bytes()
@@ -433,6 +434,13 @@ class TestBundledMiniCorpus:
             run_ok(runner, ["--config", config, "extract", "--model", str(tmp_path / "m.json"),
                             "--corpus", str(source), "--out", str(tmp_path / out)])
         assert (tmp_path / "plain.jsonl").read_bytes() == (tmp_path / "u2028.jsonl").read_bytes()
+
+    def test_readme_library_use_runs_on_mini(self, monkeypatch):
+        readme = (self.MINI.parents[2] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Library use\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+        monkeypatch.chdir(self.MINI)
+        exec(compile(block, "README.md (Library use)", "exec"), {})
 
 
 class TestAnalyzePopularity:

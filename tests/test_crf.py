@@ -42,6 +42,7 @@ from oracles import (
     path_scores,
     random_model,
     random_sequence,
+    training_set,
 )
 
 VOCAB = ["CARDINAL", "child", "have", "x", "y"]
@@ -202,15 +203,14 @@ def test_emissions_equal_per_position_reference_property(templates, training, se
 
 def test_feature_index_order_on_mini_fixture():
     """TrainingProblem numbers features in first-seen order among those above the cutoff."""
-    from countquant.dsgen import Corpus, SeedPolicy, generate_training_set
+    from countquant.dsgen import load_corpus
     from countquant.kbstore import Relation, load_triples
 
     mini = Path(__file__).parent / "data" / "mini"
-    labeled, _ = generate_training_set(
+    labeled, _ = training_set(
         load_triples(mini / "kb.tsv"),
-        Corpus.load(mini / "corpus.jsonl"),
+        load_corpus(mini / "corpus.jsonl"),
         Relation(subject_class="human", property="child"),
-        SeedPolicy(),
     )
     examples = [(list(ls.placeholder_sequence()), list(ls.tags)) for ls in labeled]
     templates = default_templates()

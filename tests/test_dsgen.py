@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,30 +11,34 @@ from hypothesis import given, settings, strategies as st
 from countquant.dsgen import (
     COMP,
     COUNT,
-    Corpus,
-    Excluded,
     GenerationStats,
     LabeledSentence,
     OTHER,
     SeedPolicy,
+    _NEVER_SEEDS,
+    _find_composition_run,
     _uninformative_values,
-    generate_training_set,
     label_sentence,
-    number_entropy,
+    label_subject_document,
+    load_corpus,
     read_conll,
     select_subjects,
     write_conll,
 )
 from countquant.kbstore import Relation, load_triples
 from countquant.numlex import (
+    TRAIN_MODE,
     MentionAnnotation,
     MentionKind,
+    Sentence,
     Token,
     load_default_lexicon,
     make_sentence,
     preprocess_sentence,
     tokenize,
 )
+
+from oracles import training_set
 
 LEXICON = load_default_lexicon()
 REL = Relation(subject_class="human", property="child")
@@ -60,7 +65,7 @@ class TestLabelSentence:
 
     def test_mention_above_count_within_bound_excludes(self, prep):
         s = prep("He has five children .")
-        assert isinstance(label_sentence(s, 3, 7), Excluded)
+        assert label_sentence(s, 3, 7) is None
 
     def test_mention_above_bound_is_negative(self, prep):
         s = prep("He has twelve children .")
@@ -134,7 +139,7 @@ def test_four_way_outcome_table(kb_count, upper_bound, value):
     outcome = label_sentence(sentence, kb_count, upper_bound)
     mention_index = sentence.mentions[0].index
     if kb_count < value <= upper_bound:
-        assert isinstance(outcome, Excluded)
+        assert outcome is None
     elif value == kb_count:
         assert outcome.tags[mention_index] == COUNT
     else:
@@ -151,7 +156,7 @@ def test_comp_sum_invariant(kb_count, upper_bound, values):
     text = "He has " + " and ".join(_WORDS[v] for v in values) + " things ."
     (raw,) = tokenize(text)
     outcome = label_sentence(preprocess_sentence(raw, LEXICON), kb_count, upper_bound)
-    if isinstance(outcome, Excluded):
+    if outcome is None:
         return
     if COMP in outcome.tags:
         # COUNT goes only to exact matches and run members; the run members
@@ -165,9 +170,12 @@ def test_comp_sum_invariant(kb_count, upper_bound, values):
 
 
 class TestNumberEntropy:
+    """The entropy filter on the context entropy (bits) of one mentioned value."""
+
     def test_single_occurrence_zero_bits(self, prep):
+        # a value mentioned once has entropy 0, yet is never uninformative
         doc = [prep("He has four children .")]
-        assert number_entropy(doc, 4) == 0.0
+        assert _uninformative_values(doc, 10.0) == set()
 
     def test_four_distinct_contexts(self):
         text = (
@@ -175,7 +183,9 @@ class TestNumberEntropy:
             "Jim wants four cats someday . Kim saw four dogs yesterday ."
         )
         doc = [preprocess_sentence(s, LEXICON) for s in tokenize(text)]
-        assert number_entropy(doc, 4) == pytest.approx(2.0)
+        # exactly 2 bits: uninformative only under a threshold above 2
+        assert _uninformative_values(doc, 2.0) == set()
+        assert _uninformative_values(doc, 2.0 + 1e-9) == {4}
 
     def test_one_repeated_context(self):
         text = (
@@ -183,11 +193,9 @@ class TestNumberEntropy:
             "Jim said he has four children in total . Kim said he has four children in total ."
         )
         doc = [preprocess_sentence(s, LEXICON) for s in tokenize(text)]
-        assert number_entropy(doc, 4) == 0.0
-
-    def test_empty_document_rejected(self):
-        with pytest.raises(ValueError):
-            number_entropy([], 4)
+        # exactly 0 bits
+        assert _uninformative_values(doc, 0.0) == set()
+        assert _uninformative_values(doc, 1e-12) == {4}
 
 
 # -- the one-pass entropy filter against the per-value rescans it replaced -----
@@ -254,12 +262,143 @@ def _entropy_document(drawn):
 @given(drawn=st.lists(_entropy_sentence, min_size=1, max_size=8))
 def test_one_pass_entropy_equals_per_value_rescans(drawn):
     document = _entropy_document(drawn)
+    repeated = _reference_low_entropy_values(document, math.inf)
     for value in range(5):
-        assert number_entropy(document, value) == _reference_number_entropy(document, value)
+        # the filter's entropy equals the rescan's to the last bit: a threshold
+        # at it keeps the value, the next float up drops a repeated one
+        bits = _reference_number_entropy(document, value)
+        assert value not in _uninformative_values(document, bits)
+        dropped = _uninformative_values(document, math.nextafter(bits, math.inf))
+        assert (value in dropped) == (value in repeated)
     for threshold in (0.0, 0.5, 1.0):
         assert _uninformative_values(document, threshold) == _reference_low_entropy_values(
             document, threshold
         )
+
+
+# -- the one labeling pass against the two-step labeling it replaced -----------
+#
+# A copy of label_sentence as it was when it returned an Excluded marker and
+# built its LabeledSentence without subject and relation, of the replace step
+# that then added them, and of the entropy functions the filter used. It
+# shares the composition-run search, which did not change.
+
+
+@dataclass(frozen=True)
+class _Excluded:
+    sentence: Sentence
+    reason: str = "mention above KB count within relation bound"
+
+
+def _reference_label_sentence(sentence, kb_count, upper_bound):
+    if kb_count < 1:
+        raise ValueError("training subjects must have at least one object")
+    mentions = sentence.mentions
+    if any(kb_count < t.mention.value <= upper_bound for t in mentions):
+        return _Excluded(sentence=sentence)
+    eligible = [t.index for t in mentions if t.mention.kind not in _NEVER_SEEDS]
+    exact = [i for i in eligible if sentence[i].mention.value == kb_count]
+    run, cues = _find_composition_run(
+        sentence, [i for i in eligible if i not in exact], kb_count
+    )
+    tags = [OTHER] * len(sentence)
+    for i in exact + run:
+        tags[i] = COUNT
+    for i in cues:
+        tags[i] = COMP
+    return LabeledSentence(sentence=sentence, tags=tuple(tags))
+
+
+def _reference_contexts_by_value(document):
+    contexts = {}
+    for sent in document:
+        mentions = sent.mentions
+        if not mentions:
+            continue
+        lemmas = ["<BOS>", "<BOS>", *sent.lemmas(), "<EOS>", "<EOS>"]
+        for tok in mentions:
+            i = tok.index + 2
+            context = (lemmas[i - 2], lemmas[i - 1], lemmas[i + 1], lemmas[i + 2])
+            contexts.setdefault(tok.mention.value, Counter())[context] += 1
+    return contexts
+
+
+def _reference_entropy_bits(contexts):
+    total = sum(contexts.values())
+    return -sum((c / total) * math.log2(c / total) for c in contexts.values()) or 0.0
+
+
+def _reference_uninformative_values(document, threshold):
+    return {
+        value
+        for value, contexts in _reference_contexts_by_value(document).items()
+        if sum(contexts.values()) > 1 and _reference_entropy_bits(contexts) < threshold
+    }
+
+
+def _reference_label_subject_document(text, kb_count, upper_bound, policy, subject, relation):
+    stats = GenerationStats(subjects=1)
+    document = [preprocess_sentence(s, LEXICON, mode=TRAIN_MODE) for s in tokenize(text)]
+    low_entropy = _reference_uninformative_values(document, policy.entropy_threshold)
+    labeled = []
+    for sent in document:
+        if not sent.mentions:
+            continue
+        if any(t.mention.value in low_entropy for t in sent.mentions):
+            stats.entropy_dropped += 1
+            continue
+        outcome = _reference_label_sentence(sent, kb_count, upper_bound)
+        if isinstance(outcome, _Excluded):
+            stats.excluded += 1
+            continue
+        outcome = replace(outcome, subject=subject, relation=relation)
+        if COUNT in outcome.tags:
+            stats.positives += 1
+        else:
+            stats.negatives += 1
+        labeled.append(outcome)
+    return labeled, stats
+
+
+# Sentences over number words, digits, "and" and commas with few other words,
+# so that values repeat in equal contexts and runs meet their cues; a drawn
+# document also repeats some of its sentences word for word.
+_labeling_sentence = st.lists(
+    st.sampled_from(
+        [*_WORDS.values(), "3", "7", "12", "and", "and", ",", ",", "has", "children",
+         "sons", "twins", "third", "a"]
+    ),
+    min_size=1, max_size=8,
+).map(lambda words: " ".join(words) + " .")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sentences=st.lists(_labeling_sentence, min_size=1, max_size=6),
+    repeats=st.lists(st.integers(min_value=0, max_value=5), max_size=4),
+    kb_count=st.integers(min_value=1, max_value=12),
+    upper_bound=st.integers(min_value=0, max_value=14),
+    threshold=st.floats(min_value=0.0, max_value=3.0),
+    subject=st.sampled_from(["trump", "Zoë Müller", "q42"]),
+    relation=st.sampled_from([REL, Relation("human", "spouse", "wed")]),
+)
+def test_one_labeling_pass_equals_two_step_reference(
+    sentences, repeats, kb_count, upper_bound, threshold, subject, relation
+):
+    text = " ".join(sentences + [sentences[i % len(sentences)] for i in repeats])
+    for entropy_threshold in (0.0, 0.5, 1.0, threshold):
+        policy = SeedPolicy(entropy_threshold=entropy_threshold)
+        got, stats = label_subject_document(
+            text, kb_count, upper_bound, LEXICON, policy, subject=subject, relation=relation
+        )
+        want, want_stats = _reference_label_subject_document(
+            text, kb_count, upper_bound, policy, subject, relation
+        )
+        assert [(ls.sentence, ls.tags, ls.subject, ls.relation) for ls in got] == [
+            (ls.sentence, ls.tags, ls.subject, ls.relation) for ls in want
+        ]
+        counters = ("positives", "negatives", "excluded", "entropy_dropped")
+        assert [getattr(stats, c) for c in counters] == [getattr(want_stats, c) for c in counters]
 
 
 def _fixture_kb(tmp_path, *extra):
@@ -277,13 +416,15 @@ def _fixture_kb(tmp_path, *extra):
 
 
 class TestGenerateTrainingSet:
+    """The training set of a relation, built the way ``build-training`` builds it."""
+
     def test_compositional_fixture(self, tmp_path):
         store = _fixture_kb(tmp_path)
-        corpus = Corpus(documents={
+        corpus = {
             "trump": "Trump has three sons and two daughters .",
             "poor": "He wrote one book .",
-        })
-        labeled, stats = generate_training_set(store, corpus, REL)
+        }
+        labeled, stats = training_set(store, corpus, REL)
         trump = [ls for ls in labeled if ls.subject == "trump"]
         assert len(trump) == 1
         tagged = [
@@ -296,28 +437,28 @@ class TestGenerateTrainingSet:
 
     def test_zero_count_subject_skipped(self, tmp_path):
         store = _fixture_kb(tmp_path)
-        corpus = Corpus(documents={"nobody": "He has three children ."})
-        labeled, stats = generate_training_set(store, corpus, REL)
+        corpus = {"nobody": "He has three children ."}
+        labeled, stats = training_set(store, corpus, REL)
         assert labeled == []
-        assert stats.warnings == ["relation human_child: empty training set"]
+        assert stats == GenerationStats()
 
     def test_relation_without_subjects_gives_empty_set(self, tmp_path):
         store = _fixture_kb(tmp_path)
-        corpus = Corpus(documents={"trump": "Trump has five children ."})
+        corpus = {"trump": "Trump has five children ."}
         spouse = Relation(subject_class="human", property="spouse")
         assert select_subjects(store, corpus, spouse, SeedPolicy()) == (0, [])
-        labeled, stats = generate_training_set(store, corpus, spouse)
+        labeled, stats = training_set(store, corpus, spouse)
         assert labeled == []
-        assert stats.warnings == ["relation human_spouse: empty training set"]
+        assert stats == GenerationStats()
 
     def test_popularity_cutoff_drops_unpopular(self, tmp_path):
         store = _fixture_kb(tmp_path)
-        corpus = Corpus(documents={
+        corpus = {
             "trump": "Trump has five children .",
             "poor": "He has one child .",
-        })
+        }
         policy = SeedPolicy(popularity_top_fraction=0.5)
-        labeled, _ = generate_training_set(store, corpus, REL, policy)
+        labeled, _ = training_set(store, corpus, REL, policy)
         assert {ls.subject for ls in labeled} == {"trump"}
 
     def test_entropy_filter_drops_repeated_context(self, tmp_path):
@@ -327,16 +468,16 @@ class TestGenerateTrainingSet:
             "Again he has five children in total . "
             "Once more he has five children in total ."
         )
-        corpus = Corpus(documents={"trump": text})
-        labeled, stats = generate_training_set(store, corpus, REL)
+        corpus = {"trump": text}
+        labeled, stats = training_set(store, corpus, REL)
         assert stats.entropy_dropped == 3
         assert [ls for ls in labeled if ls.subject == "trump"] == []
 
     def test_articles_never_count(self, tmp_path):
         store = _fixture_kb(tmp_path, ("single", "__instance_of__", "human"),
                             ("single", "child", "sc1"))
-        corpus = Corpus(documents={"single": "She has a child ."})
-        labeled, _ = generate_training_set(store, corpus, REL)
+        corpus = {"single": "She has a child ."}
+        labeled, _ = training_set(store, corpus, REL)
         for ls in labeled:
             for tok, tag in zip(ls.sentence, ls.tags):
                 if tag == COUNT:
@@ -344,30 +485,30 @@ class TestGenerateTrainingSet:
 
     def test_deterministic(self, tmp_path):
         store = _fixture_kb(tmp_path)
-        corpus = Corpus(documents={
+        corpus = {
             "trump": "Trump has five children . He wrote three books .",
             "poor": "He has one child .",
-        })
-        a = generate_training_set(store, corpus, REL)
-        b = generate_training_set(store, corpus, REL)
+        }
+        a = training_set(store, corpus, REL)
+        b = training_set(store, corpus, REL)
         assert [(ls.subject, ls.tags) for ls in a[0]] == [(ls.subject, ls.tags) for ls in b[0]]
 
     def test_no_excluded_band_mention_survives(self, tmp_path):
         store = _fixture_kb(tmp_path)
-        corpus = Corpus(documents={
+        corpus = {
             # 7 sits in (5, upper_bound]: whole sentence must vanish
             "trump": "Trump has seven children . Trump has five children .",
-        })
+        }
         policy = SeedPolicy(upper_bound_q=1.0)
-        labeled, stats = generate_training_set(store, corpus, REL, policy)
+        labeled, stats = training_set(store, corpus, REL, policy)
         # upper bound is 5 here (max count), so 7 > bound -> negative instead
         assert stats.excluded == 0
         store2 = _fixture_kb(tmp_path, *[("rich", "__instance_of__", "human")],
                              *[("rich", "child", f"r{i}") for i in range(9)])
-        labeled2, stats2 = generate_training_set(
-            store2, Corpus(documents={
+        labeled2, stats2 = training_set(
+            store2, {
                 "trump": "Trump has seven children . Trump has five children .",
-            }), REL, policy)
+            }, REL, policy)
         assert stats2.excluded == 1
         for ls in labeled2:
             for tok in ls.sentence.mentions:
@@ -394,8 +535,8 @@ class TestStatsAndIo:
         ]
         (tmp_path / "kb.tsv").write_text("\n".join(lines), encoding="utf-8")
         store = load_triples(tmp_path / "kb.tsv")
-        corpus = Corpus(documents={"trump": text})
-        _, stats = generate_training_set(store, corpus, REL)
+        corpus = {"trump": text}
+        _, stats = training_set(store, corpus, REL)
         assert stats.entropy_dropped == 2
 
     def test_read_conll_bad_columns(self, tmp_path):
@@ -420,15 +561,13 @@ class TestStatsAndIo:
             + json.dumps({"subject": "b", "text": "Yo ."}) + "\n",
             encoding="utf-8",
         )
-        corpus = Corpus.load(path)
-        assert corpus.subjects() == ["a", "b"]
-        assert corpus["a"] == "Hi ."
+        assert load_corpus(path) == {"a": "Hi .", "b": "Yo ."}
 
     def test_bad_corpus_record(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"nope": 1}\n', encoding="utf-8")
         with pytest.raises(ValueError):
-            Corpus.load(path)
+            load_corpus(path)
 
     def test_duplicate_corpus_subject_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -438,7 +577,7 @@ class TestStatsAndIo:
             encoding="utf-8",
         )
         with pytest.raises(ValueError) as err:
-            Corpus.load(path)
+            load_corpus(path)
         assert str(err.value) == f"{path}:3: duplicate subject 'a'"
 
     def test_labeled_sentence_validation(self, prep):

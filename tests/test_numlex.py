@@ -18,8 +18,6 @@ from countquant.numlex import (
     MentionKind,
     Sentence,
     Token,
-    detokenize,
-    lemmatize,
     load_default_lexicon,
     load_lexicon,
     make_sentence,
@@ -37,7 +35,9 @@ from countquant.numlex.mentions import (
     _parse_ordinal,
     _zero_cue_rewrites,
 )
-from countquant.numlex.tokenizer import _TOKEN_RE
+from countquant.numlex.tokenizer import _TOKEN_RE, lemmatize
+
+from oracles import detokenize
 
 LEXICON = load_default_lexicon()
 
@@ -808,13 +808,20 @@ _REFERENCE_SPECIALS = (
 )
 
 
+class _Lexicons(dict):
+    """Lexicons by name; the repr names them only, so a failing example shows its input."""
+
+    def __repr__(self) -> str:
+        return f"<lexicons {', '.join(self)}>"
+
+
 @pytest.fixture(scope="module")
 def reference_lexicons(tmp_path_factory):
     directory = tmp_path_factory.mktemp("lexicon")
     for table in (Path(mentions.__file__).parent / "data").glob("*.tsv"):
         shutil.copy(table, directory / table.name)
     (directory / "special_terms.tsv").write_text(_REFERENCE_SPECIALS, encoding="utf-8")
-    return {"shipped": LEXICON, "custom": load_lexicon(directory)}
+    return _Lexicons(shipped=LEXICON, custom=load_lexicon(directory))
 
 
 # Chunks of one or more words, drawn by kind so that cardinal runs meet

@@ -9,7 +9,7 @@ import pytest
 
 from countquant import crf
 from countquant.cli import _load_end_to_end_score, _load_gold_counts, _load_predictions, load_config
-from countquant.dsgen import Corpus, read_conll
+from countquant.dsgen import load_corpus, read_conll
 from countquant.kbstore import load_triples
 from countquant.numlex import load_lexicon
 from countquant.numlex.lexicon import _DATA_DIR
@@ -92,7 +92,7 @@ class TestLineSeparatorsInText:
         path = tmp_path / "corpus.jsonl"
         record = {"subject": "a\u2028b", "text": "Hi\u2028there \u2029 ."}
         path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
-        assert Corpus.load(path).documents == {"a\u2028b": "Hi\u2028there \u2029 ."}
+        assert load_corpus(path) == {"a\u2028b": "Hi\u2028there \u2029 ."}
 
     def test_gold_keeps_u2028_in_subject(self, tmp_path):
         path = tmp_path / "gold.tsv"
@@ -110,7 +110,7 @@ class TestCrlfInputs:
 
     def test_corpus(self, tmp_path):
         crlf = crlf_copy(MINI / "corpus.jsonl", tmp_path / "corpus.jsonl")
-        assert Corpus.load(crlf) == Corpus.load(MINI / "corpus.jsonl")
+        assert load_corpus(crlf) == load_corpus(MINI / "corpus.jsonl")
 
     def test_gold_counts(self, tmp_path):
         crlf = crlf_copy(MINI / "gold.tsv", tmp_path / "gold.tsv")
