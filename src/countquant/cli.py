@@ -12,7 +12,6 @@ defines is rejected with its ``file:line``.
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -25,7 +24,7 @@ from .dsgen import SeedPolicy, load_corpus
 from .kbstore import Relation
 from .numlex import load_default_lexicon, load_lexicon
 from .pipeline import extract_document
-from .reader import InputError, read_file, read_keyed, read_lines
+from .reader import InputError, finite_number, read_file, read_keyed, read_lines
 
 
 def parse_relation(spec: str) -> Relation:
@@ -42,7 +41,7 @@ def parse_relation(spec: str) -> Relation:
 
 
 def load_config(path: str, known: set[str]) -> dict[str, str]:
-    """``key = value`` lines; a key is the parameter name of some command's option."""
+    """``key = value`` lines; a key is the parameter name of some command's option, named once."""
     config: dict[str, str] = {}
     for lineno, raw in read_lines(path):
         line = raw.strip()
@@ -54,6 +53,8 @@ def load_config(path: str, known: set[str]) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if key not in known:
             raise InputError(path, f"unknown key '{key}'", lineno)
+        if key in config:
+            raise InputError(path, f"duplicate key '{key}'", lineno)
         config[key] = value.strip()
     return config
 
@@ -220,23 +221,6 @@ def _count(field) -> int:
     return count
 
 
-def _finite_number(value, what: str) -> float:
-    """A JSON number that is not a bool and is finite, as a float.
-
-    ``json.loads`` reads the non-JSON literals ``NaN`` and ``Infinity`` as
-    floats, so those are refused here too.
-    """
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer too large for a float
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return number
-
-
 def _load_predictions(path: str) -> dict[str, int]:
     """``{subject: count}`` of a predictions file written by ``extract``."""
     def record(line: str) -> tuple[str, int]:
@@ -248,7 +232,7 @@ def _load_predictions(path: str) -> dict[str, int]:
             raise ValueError("empty subject")
         if not isinstance(count, int) or isinstance(count, bool):
             raise ValueError(f"count must be an integer, got {count!r}")
-        _finite_number(confidence, "confidence")
+        finite_number(confidence, "confidence")
         return subject.strip(), _count(count)
 
     return read_keyed(path, record, "bad prediction record")
@@ -351,9 +335,9 @@ def _load_end_to_end_score(path: str) -> ev.EndToEndScore:
         if not isinstance(e2e, dict):
             raise ValueError("no end_to_end object")
         return ev.EndToEndScore(
-            precision=_finite_number(e2e["precision"], "precision"),
-            coverage=_finite_number(e2e["coverage"], "coverage"),
-            mae=None if e2e["mae"] is None else _finite_number(e2e["mae"], "mae"),
+            precision=finite_number(e2e["precision"], "precision"),
+            coverage=finite_number(e2e["coverage"], "coverage"),
+            mae=None if e2e["mae"] is None else finite_number(e2e["mae"], "mae"),
         )
     except KeyError as exc:
         raise InputError(path, f"bad metrics file: end_to_end lacks {exc}") from exc

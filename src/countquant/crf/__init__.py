@@ -1,12 +1,6 @@
 """Linear-chain CRF: features, training, Viterbi decoding, marginals."""
 
-from .features import (
-    BOS,
-    EOS,
-    FeatureTemplate,
-    default_templates,
-    template_columns,
-)
+from .features import BOS, EOS, template_columns
 from .model import (
     TAGS,
     CrfModel,
@@ -22,8 +16,6 @@ from .train import DegenerateTrainingError, TrainingProblem, train
 __all__ = [
     "BOS",
     "EOS",
-    "FeatureTemplate",
-    "default_templates",
     "template_columns",
     "TAGS",
     "CrfModel",

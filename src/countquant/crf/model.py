@@ -6,10 +6,11 @@ works in probability space, rescaling each step (Rabiner scaling); a call
 whose scale factors under- or overflow is redone in log space by
 :func:`log_forward` and :func:`log_backward`. A trained model is immutable
 (write-protected weights), so decoding and marginals are thread-safe. Its
-features are its n-gram tables: one n-gram -> feature id table per template,
-the tables training builds, read through :func:`.features.lookup_ids`.
-Feature strings ``"<template name>:<n-gram>"`` exist only in the model file,
-built by :func:`save_model` and parsed by :func:`load_model`.
+features are its n-gram tables: one n-gram -> feature id table per window of
+:data:`.features.WINDOWS`, the tables training builds, read through
+:func:`.features.lookup_ids`. Feature strings ``"<window name>:<n-gram>"``
+exist only in the model file, built by :func:`save_model` and parsed by
+:func:`load_model`, which refuses anything but finite numbers as weights.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..reader import InputError, read_file
-from .features import FeatureTemplate, WindowLayout, lookup_ids, template_columns, window_layout
+from ..reader import InputError, finite_number, read_file
+from .features import WINDOW_NAMES, WINDOWS, lookup_ids, template_columns
 
 
 # The tag scheme of every model; a tag's id is its position.
@@ -30,6 +31,9 @@ COUNT, COMP, OTHER = TAGS = ("COUNT", "COMP", "O")
 
 MODEL_MAGIC = "countquant-crf"
 MODEL_VERSION = 2
+# The file's "templates": each window's offsets, in window order. A file that
+# lists any other windows is refused.
+MODEL_TEMPLATES = tuple(tuple(range(start, start + width)) for width, start in WINDOWS)
 
 
 class ModelFormatError(InputError):
@@ -41,12 +45,11 @@ class ModelFormatError(InputError):
 
 @dataclass(frozen=True)
 class CrfModel:
-    # One n-gram -> feature id table per template, in template order; equal
-    # templates share one table. Ids index the rows of ``weights``.
+    # One n-gram -> feature id table per window, in window order. Ids index
+    # the rows of ``weights``.
     gram_ids: tuple[dict[str, int], ...]
     weights: np.ndarray          # (n_features, len(TAGS)) observation weights
     transitions: np.ndarray      # (len(TAGS), len(TAGS)) tag-transition weights
-    templates: tuple[FeatureTemplate, ...]
     l2_sigma: float = 1.0
     relation: Optional[dict] = None
     final_objective: float = 0.0
@@ -54,16 +57,15 @@ class CrfModel:
     # The weights plus one zero row, which the id of an unseen feature
     # (n_features) selects; never pickled.
     padded_weights: np.ndarray = field(init=False, repr=False, compare=False)
-    # The templates' window layout, worked out once; never pickled.
-    layout: WindowLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if len(self.gram_ids) != len(WINDOWS):
+            raise ValueError(f"a model has {len(WINDOWS)} n-gram tables, got {len(self.gram_ids)}")
         self.weights.flags.writeable = False
         self.transitions.flags.writeable = False
         padded = np.concatenate([self.weights, np.zeros((1, self.weights.shape[1]))])
         padded.flags.writeable = False
         object.__setattr__(self, "padded_weights", padded)
-        object.__setattr__(self, "layout", window_layout(self.templates))
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
@@ -74,12 +76,12 @@ class CrfModel:
         self.__post_init__()
 
     def feature_ids(self, sequence: list[str]) -> np.ndarray:
-        """Feature ids, shape (len(sequence), templates), in template order.
+        """Feature ids, shape (len(sequence), len(WINDOWS)), in window order.
 
         An unseen feature gets the id n_features, the zero row of
         ``padded_weights``.
         """
-        columns = template_columns(sequence, self.templates, self.layout)
+        columns = template_columns(sequence)
         return lookup_ids(self.gram_ids, columns, len(sequence), len(self.weights))
 
     def emissions(self, sequence: list[str]) -> np.ndarray:
@@ -174,12 +176,12 @@ def marginals(model: CrfModel, sequence: list[str]) -> np.ndarray:
 def save_model(model: CrfModel, path: Path | str) -> None:
     """Write the model as versioned JSON; load_model round-trips it exactly.
 
-    Features are listed in id order, each as ``"<template name>:<n-gram>"``.
+    Features are listed in id order, each as ``"<window name>:<n-gram>"``.
     """
     features = [""] * len(model.weights)
-    for template, table in zip(model.templates, model.gram_ids):
+    for name, table in zip(WINDOW_NAMES, model.gram_ids):
         for gram, fid in table.items():
-            features[fid] = f"{template.name}:{gram}"
+            features[fid] = f"{name}:{gram}"
     payload = {
         "magic": MODEL_MAGIC,
         "version": MODEL_VERSION,
@@ -188,12 +190,23 @@ def save_model(model: CrfModel, path: Path | str) -> None:
         "relation": model.relation,
         "final_objective": model.final_objective,
         "n_iterations": model.n_iterations,
-        "templates": [list(t.offsets) for t in model.templates],
+        "templates": MODEL_TEMPLATES,
         "features": features,
         "weights": model.weights.tolist(),
         "transitions": model.transitions.tolist(),
     }
     Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+
+
+def _number_rows(value, what: str) -> np.ndarray:
+    """A JSON list of number lists as a float array; anything but finite numbers is refused."""
+    if not (isinstance(value, list) and all(isinstance(row, list) for row in value)
+            and {type(x) for row in value for x in row} <= {int, float}):
+        raise TypeError(f"{what} must be lists of numbers")
+    array = np.array(value, dtype=float)  # ragged rows raise ValueError
+    if not np.isfinite(array).all():
+        raise ValueError(f"{what} must be finite numbers")
+    return array
 
 
 def load_model(path: Path | str) -> CrfModel:
@@ -211,32 +224,34 @@ def load_model(path: Path | str) -> CrfModel:
             raise TypeError("features must be a list of strings")
         if payload["tags"] != list(TAGS):
             raise ValueError(f"tags must be {list(TAGS)}, got {payload['tags']!r}")
-        if not all(isinstance(offsets, list) for offsets in payload["templates"]):
-            raise TypeError("templates must be offset lists")
-        templates = tuple(FeatureTemplate(tuple(offsets)) for offsets in payload["templates"])
-        tables: dict[str, dict[str, int]] = {t.name: {} for t in templates}
+        # Compared as JSON text, so an offset written 0.0 or false is refused too.
+        if json.dumps(payload["templates"]) != json.dumps(MODEL_TEMPLATES):
+            raise ValueError(f"templates must list the {len(WINDOWS)} fixed windows, shortest first")
+        tables: dict[str, dict[str, int]] = {name: {} for name in WINDOW_NAMES}
         for fid, feature in enumerate(features):
-            name, colon, gram = feature.partition(":")  # no template name holds a ":"
+            name, colon, gram = feature.partition(":")  # no window name holds a ":"
             if not colon or name not in tables:
-                raise ValueError(f"feature {feature!r} names no template of the model")
+                raise ValueError(f"feature {feature!r} names no template")
             if tables[name].setdefault(gram, fid) != fid:
                 raise ValueError(f"repeated feature {feature!r}")
         k = len(TAGS)
-        weights = np.asarray(payload["weights"], dtype=float)
+        weights = _number_rows(payload["weights"], "weights")
         if weights.size == 0:  # a model without features stores [], read as shape (0,)
             weights = weights.reshape(0, k)
-        transitions = np.asarray(payload["transitions"], dtype=float)
+        transitions = _number_rows(payload["transitions"], "transitions")
         if weights.shape != (len(features), k) or transitions.shape != (k, k):
             raise ValueError("weight shapes do not match feature/tag counts")
+        n_iterations = payload.get("n_iterations", 0)
+        if type(n_iterations) is not int or n_iterations < 0:
+            raise ValueError(f"n_iterations must be a non-negative integer, got {n_iterations!r}")
         return CrfModel(
-            gram_ids=tuple(tables[t.name] for t in templates),
+            gram_ids=tuple(tables.values()),
             weights=weights,
             transitions=transitions,
-            templates=templates,
-            l2_sigma=float(payload.get("l2_sigma", 1.0)),
+            l2_sigma=finite_number(payload.get("l2_sigma", 1.0), "l2_sigma"),
             relation=payload.get("relation"),
-            final_objective=float(payload.get("final_objective", 0.0)),
-            n_iterations=int(payload.get("n_iterations", 0)),
+            final_objective=finite_number(payload.get("final_objective", 0.0), "final_objective"),
+            n_iterations=n_iterations,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(path, f"corrupt model payload: {exc}") from exc

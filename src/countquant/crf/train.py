@@ -10,7 +10,7 @@ per token position and one column per feature, so emissions are ``X @ W``
 and expected feature counts ``Xᵀ @ μ``. Its column ids come from one
 integer-coded pass over all sentences (:func:`_compile_features`): symbols
 become ints, n-gram windows become dense per-width codes, and a bincount
-keeps the frequent ones; it builds the per-template n-gram tables that
+keeps the frequent ones; it builds the per-window n-gram tables that
 inference reads through :func:`.features.lookup_ids`, with the same ids.
 Rows run length bucket by length bucket, so each bucket reshapes to a
 (batch, length, tags) stack, and one scaled :func:`.model.forward_backward`
@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.sparse import csr_matrix
 
-from .features import BOS, EOS, FeatureTemplate, default_templates, window_layout
+from .features import BOS, EOS, PAD, WINDOWS
 from .model import COUNT, TAGS, CrfModel, forward_backward
 
 logger = logging.getLogger(__name__)
@@ -54,33 +54,29 @@ def _as_example(item) -> tuple[list[str], list[str]]:
 
 
 def _compile_features(
-    examples: list[tuple[list[str], list[str]]],
-    templates: list[FeatureTemplate],
-    feature_cutoff: int,
+    examples: list[tuple[list[str], list[str]]], feature_cutoff: int
 ) -> tuple[tuple[dict[str, int], ...], int, np.ndarray]:
     """The n-gram tables, the feature count and the ids of every position.
 
-    A template's n-grams count per template name (equal templates share one
-    table and count twice), and the n-grams seen *feature_cutoff* times get
-    ids in first-occurrence order: sentence, then position, then template.
-    The ids have shape (positions, templates), rows in sentence order, and
-    read -1 where an n-gram was dropped.
+    A window's n-grams count per window, and the n-grams seen
+    *feature_cutoff* times get ids in first-occurrence order: sentence, then
+    position, then window. The ids have shape (positions, windows), rows in
+    sentence order, and read -1 where an n-gram was dropped.
 
     All sentences are laid out in one padded int array. Each width's windows
     get dense codes by extending the next narrower ones by one symbol, so
-    every (position, template) key is a small int: one ``np.bincount`` counts
+    every (position, window) key is a small int: one ``np.bincount`` counts
     them, and only the kept n-grams are ever joined into strings.
     """
-    left, right, widest, slots = window_layout(templates)
-    names = [tpl.name for tpl in templates]
     flat: list[str] = []
     for seq, _ in examples:
-        flat += [BOS] * left + seq + [EOS] * right
+        flat += [BOS] * PAD + seq + [EOS] * PAD
     # BOS/EOS are interned like any symbol, so a literal "BOS" token is the
     # padding symbol, as in template_columns.
     symbols = list(dict.fromkeys(flat))
     code = {symbol: i for i, symbol in enumerate(symbols)}
     codes = np.fromiter(map(code.__getitem__, flat), dtype=np.int64, count=len(flat))
+    widest = WINDOWS[-1][0]
     # dense[w - 1][j] numbers the window flat[j : j + w] among that width's
     # windows; renumbering each width keeps the next width's keys below len(flat) * V.
     dense = [codes]
@@ -90,20 +86,20 @@ def _compile_features(
 
     lengths = np.array([len(seq) for seq, _ in examples])
     # base[row] is where the row's position sits in flat, less the left padding.
-    segment = lengths + left + right
+    segment = lengths + 2 * PAD
     row_start = np.cumsum(lengths) - lengths
     base = np.repeat(np.cumsum(segment) - segment - row_start, lengths) + np.arange(lengths.sum())
-    width, start = np.array(slots, dtype=np.intp).reshape(-1, 2).T
-    group = {name: g for g, name in enumerate(dict.fromkeys(names))}
-    keys = np.empty((len(base), len(slots)), dtype=np.int64)
-    for t, name in enumerate(names):
-        keys[:, t] = dense[width[t] - 1][base + start[t]] * len(group) + group[name]
-    keys = keys.ravel()  # flat index f = row * len(slots) + template
+    width, start = np.array(WINDOWS, dtype=np.intp).T
+    start += PAD  # where each window starts in the padded sequence
+    keys = np.empty((len(base), len(WINDOWS)), dtype=np.int64)
+    for t in range(len(WINDOWS)):
+        keys[:, t] = dense[width[t] - 1][base + start[t]] * len(WINDOWS) + t
+    keys = keys.ravel()  # flat index f = row * len(WINDOWS) + window
     symbol = np.array(symbols, dtype=object)
 
     def joined(f: np.ndarray) -> list[str]:
-        """The ``"|"``-joined n-gram of each flat (position, template) index."""
-        row, t = np.divmod(f, len(slots))
+        """The ``"|"``-joined n-gram of each flat (position, window) index."""
+        row, t = np.divmod(f, len(WINDOWS))
         # Read widest symbols from each start (clipped at the end of flat),
         # then join only the window's own width.
         at = (base[row] + start[t])[:, None] + np.arange(widest)
@@ -126,7 +122,7 @@ def _compile_features(
         present = np.flatnonzero(counts)
         by_string: dict[tuple[int, str], int] = {}
         rekey = np.zeros(len(counts), dtype=np.int64)
-        rekey[present] = [by_string.setdefault((g % len(group), gram), len(by_string))
+        rekey[present] = [by_string.setdefault((g % len(WINDOWS), gram), len(by_string))
                           for g, gram in zip(present.tolist(), joined(first[present]))]
         keys = rekey[keys]
         counts, first = occurrences(keys)
@@ -135,11 +131,11 @@ def _compile_features(
     kept = kept[np.argsort(first[kept])]
     feature = np.full(len(counts), -1, dtype=np.intp)
     feature[kept] = np.arange(len(kept))
-    tables: dict[str, dict[str, int]] = {name: {} for name in names}
+    tables: tuple[dict[str, int], ...] = tuple({} for _ in WINDOWS)
     for fid, (f, gram) in enumerate(zip(first[kept].tolist(), joined(first[kept]))):
-        tables[names[f % len(slots)]][gram] = fid
-    ids = feature[keys].reshape(len(base), len(slots))
-    return tuple(tables[name] for name in names), len(kept), ids
+        tables[f % len(WINDOWS)][gram] = fid
+    ids = feature[keys].reshape(len(base), len(WINDOWS))
+    return tables, len(kept), ids
 
 
 class TrainingProblem:
@@ -152,7 +148,6 @@ class TrainingProblem:
     def __init__(
         self,
         data: Sequence,
-        templates: Optional[Iterable[FeatureTemplate]] = None,
         l2_sigma: float = 1.0,
         feature_cutoff: int = 2,
     ) -> None:
@@ -166,12 +161,9 @@ class TrainingProblem:
             raise DegenerateTrainingError(
                 "no COUNT tag in the training data; the model would be degenerate"
             )
-        self.templates = list(templates) if templates is not None else default_templates()
         self.l2_sigma = float(l2_sigma)
 
-        self.gram_ids, self.n_features, ids = _compile_features(
-            examples, self.templates, feature_cutoff
-        )
+        self.gram_ids, self.n_features, ids = _compile_features(examples, feature_cutoff)
         k = len(TAGS)
 
         by_length: dict[int, list[int]] = {}
@@ -187,7 +179,7 @@ class TrainingProblem:
             np.add.at(self._emp_t, (y[:, :-1].ravel(), y[:, 1:].ravel()), 1.0)
         # One row per token position, bucket by bucket: a stable sort of the
         # rows by their sentence's length. X is built from (data, indices,
-        # indptr) with each row's ids in template order: COO input would sort
+        # indptr) with each row's ids in window order: COO input would sort
         # the columns, and that changes the floating-point summation order of
         # the emissions.
         lengths = np.array([len(seq) for seq, _ in examples])
@@ -238,7 +230,6 @@ class TrainingProblem:
 
 def train(
     data: Sequence,
-    templates: Optional[Iterable[FeatureTemplate]] = None,
     l2_sigma: float = 1.0,
     max_iter: int = 300,
     tol: float = 1e-4,
@@ -253,9 +244,7 @@ def train(
     warning with scipy's reason. Pass a list as *history* to record the
     objective after every accepted step.
     """
-    problem = TrainingProblem(
-        data, templates=templates, l2_sigma=l2_sigma, feature_cutoff=feature_cutoff
-    )
+    problem = TrainingProblem(data, l2_sigma=l2_sigma, feature_cutoff=feature_cutoff)
     theta0 = np.zeros(problem.n_params)
 
     callback = None
@@ -291,7 +280,6 @@ def train(
         gram_ids=problem.gram_ids,
         weights=w.copy(),
         transitions=trans.copy(),
-        templates=tuple(problem.templates),
         l2_sigma=l2_sigma,
         relation=relation,
         final_objective=final_objective,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import codecs
+import math
 from pathlib import Path
 from typing import Iterator
 
@@ -14,9 +16,12 @@ class InputError(ValueError):
 
 
 def read_file(path, error: type[InputError] = InputError) -> str:
-    """The file's text; a missing file or an undecodable byte raises *error*."""
+    """The file's text; a missing file or an undecodable byte raises *error*.
+
+    A leading UTF-8 byte-order mark is no text: it is dropped.
+    """
     try:
-        data = Path(path).read_bytes()
+        data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     except FileNotFoundError:
         raise error(path, "not found") from None
     except OSError as exc:
@@ -51,3 +56,20 @@ def read_keyed(path, parse, bad: str) -> dict:
                 raise InputError(path, f"duplicate subject {subject!r}", lineno)
             records[subject] = value
     return records
+
+
+def finite_number(value, what: str) -> float:
+    """A JSON number that is not a bool and is finite, as a float.
+
+    ``json.loads`` reads the non-JSON literals ``NaN`` and ``Infinity`` as
+    floats, so those are refused here too.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number

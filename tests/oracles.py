@@ -87,10 +87,13 @@ def log_partition(emissions: np.ndarray, transitions: np.ndarray) -> float:
 
 
 def random_model(rng: np.random.Generator, vocab: list[str], scale: float = 1.0):
-    """A small CRF with one feature per symbol plus a bigram context feature."""
-    from countquant.crf import CrfModel, FeatureTemplate
+    """A small CRF with one feature per symbol plus a bigram context feature.
 
-    templates = (FeatureTemplate((0,)), FeatureTemplate((-1, 0)))
+    Only the ``U1`` and ``U2[-1]`` tables hold n-grams; the other 13 are empty.
+    """
+    from countquant.crf import CrfModel
+    from countquant.crf.features import WINDOWS
+
     unigrams: dict[str, int] = {}
     for w in vocab + ["BOS"]:
         unigrams[w] = len(unigrams)
@@ -101,10 +104,9 @@ def random_model(rng: np.random.Generator, vocab: list[str], scale: float = 1.0)
     weights = rng.normal(scale=scale, size=(len(unigrams) + len(bigrams), 3))
     transitions = rng.normal(scale=scale, size=(3, 3))
     return CrfModel(
-        gram_ids=(unigrams, bigrams),
+        gram_ids=(unigrams, bigrams) + ({},) * (len(WINDOWS) - 2),
         weights=weights,
         transitions=transitions,
-        templates=templates,
     )
 
 

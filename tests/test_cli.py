@@ -12,9 +12,10 @@ import pytest
 from click.testing import CliRunner
 
 from countquant import numlex
-from countquant.cli import main, parse_relation
+from countquant.cli import load_config, main, parse_relation
 from countquant.dsgen import load_corpus, write_conll
 from countquant.kbstore import Relation, load_triples
+from countquant.reader import InputError
 
 from oracles import training_set
 
@@ -63,22 +64,27 @@ def run_ok(runner, args):
 def write_config(root: Path, *lines: str) -> Path:
     """A config naming the fixture files and every command's output under ``root``.
 
-    Later ``lines`` override earlier keys.
+    Each ``key = value`` of ``lines`` replaces that key's default; a config
+    names a key once.
     """
+    entries = {
+        "kb": root / "kb.tsv",
+        "corpus": root / "corpus.jsonl",
+        "relation": "human:child",
+        "gold": root / "gold.tsv",
+        "training": root / "train.conll",
+        "model": root / "model.json",
+        "predictions": root / "pred.jsonl",
+        "metrics": root / "metrics.json",
+        "enrichment": root / "enrichment.json",
+        "popularity_report": root / "popularity.json",
+    }
+    for line in lines:
+        key, _, value = line.partition("=")
+        entries[key.strip()] = value.strip()
     config = root / "run.conf"
-    config.write_text("\n".join([
-        f"kb = {root / 'kb.tsv'}",
-        f"corpus = {root / 'corpus.jsonl'}",
-        "relation = human:child",
-        f"gold = {root / 'gold.tsv'}",
-        f"training = {root / 'train.conll'}",
-        f"model = {root / 'model.json'}",
-        f"predictions = {root / 'pred.jsonl'}",
-        f"metrics = {root / 'metrics.json'}",
-        f"enrichment = {root / 'enrichment.json'}",
-        f"popularity_report = {root / 'popularity.json'}",
-        *lines,
-    ]) + "\n", encoding="utf-8")
+    config.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()),
+                      encoding="utf-8")
     return config
 
 
@@ -529,6 +535,22 @@ class TestConfigFile:
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"Error: {config}:2: unknown key 'treshold'" in result.output
 
+    def test_duplicate_key_reported_with_line(self, runner, fixture_dir):
+        config = fixture_dir / "run.conf"
+        config.write_text("threshold = 0.1\n# a later value\nthreshold=0.9\n", encoding="utf-8")
+        result = runner.invoke(main, ["--config", str(config), "extract",
+                                      "--corpus", str(fixture_dir / "corpus.jsonl")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"Error: {config}:3: duplicate key 'threshold'" in result.output
+
+    def test_keys_spelled_with_dash_or_underscore_are_one_key(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("max_iter = 5\nmax-iter = 7\n", encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            load_config(str(config), {"max_iter"})
+        assert str(err.value) == f"{config}:2: duplicate key 'max_iter'"
+
 
 class TestOptionValues:
     """Flag and config values pass the same type and range checks."""
@@ -930,8 +952,11 @@ class TestMalformedInputs:
         (lambda m: m["features"].append("nocolon"), "feature 'nocolon' names no template"),
         (lambda m: m["features"].append("U1"), "feature 'U1' names no template"),
         (lambda m: m["features"].append(m["features"][0]), "repeated feature"),
+        (lambda m: m["templates"].pop(), "templates must list the 15 fixed windows"),
+        (lambda m: m["weights"][0].__setitem__(0, float("nan")), "weights must be finite"),
     ], ids=["tags-unknown", "tags-reordered", "feature-unknown-template",
-            "feature-without-colon", "feature-template-name-only", "feature-repeated"])
+            "feature-without-colon", "feature-template-name-only", "feature-repeated",
+            "templates-not-the-fixed-windows", "weights-nan"])
     def test_defective_model_file(self, runner, fixture_dir, edit, message):
         config = write_config(fixture_dir)
         run_ok(runner, ["--config", str(config), "build-training"])

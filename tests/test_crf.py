@@ -17,12 +17,10 @@ from countquant.crf import (
     EOS,
     CrfModel,
     DegenerateTrainingError,
-    FeatureTemplate,
     ModelFormatError,
     TAGS,
     TrainingProblem,
     decode,
-    default_templates,
     load_model,
     marginals,
     save_model,
@@ -30,7 +28,7 @@ from countquant.crf import (
     train,
     viterbi,
 )
-from countquant.crf.features import lookup_ids, window_layout
+from countquant.crf.features import PAD, WINDOW_NAMES, WINDOWS, lookup_ids
 from countquant.crf.model import forward_backward, log_backward, log_forward
 
 from oracles import (
@@ -57,101 +55,76 @@ TOY_DATA = [
 class TestExtractFeatures:
     def test_centered_pentagram(self):
         seq = ["trump", "have", "CARDINAL", "child", "from"]
-        tpl = FeatureTemplate((-2, -1, 0, 1, 2))
-        assert _reference_features(seq, 2, [tpl]) == ["U5:trump|have|CARDINAL|child|from"]
+        assert "U5:trump|have|CARDINAL|child|from" in _reference_features(seq, 2)
 
     def test_boundary_symbols(self):
-        tpl = FeatureTemplate((-1,))
-        assert _reference_features(["a", "b"], 0, [tpl]) == ["U1[-1]:BOS"]
-        assert _reference_features(["a", "b"], 1, [FeatureTemplate((1,))]) == ["U1[1]:EOS"]
+        first, last = _reference_features(["a", "b"], 0), _reference_features(["a", "b"], 1)
+        assert first[:2] == ["U1:a", "U2[-1]:BOS|a"]
+        assert first[WINDOW_NAMES.index("U5[-4]")] == "U5[-4]:BOS|BOS|BOS|BOS|a"
+        assert last[WINDOW_NAMES.index("U5[0]")] == "U5[0]:b|EOS|EOS|EOS|EOS"
 
     def test_deterministic(self):
         seq = ["a", "b", "c"]
-        templates = default_templates()
-        assert template_columns(seq, templates) == template_columns(seq, templates)
+        assert template_columns(seq) == template_columns(seq)
 
     def test_default_template_set(self):
-        templates = default_templates()
-        assert len(templates) == len(set(templates)) == 15
-        assert all(0 in t.offsets for t in templates)
-        assert all(-4 <= t.offsets[0] and t.offsets[-1] <= 4 for t in templates)
-
-    def test_invalid_length_rejected(self):
-        with pytest.raises(ValueError):
-            FeatureTemplate((0, 1, 2, 3, 4, 5))
-        with pytest.raises(ValueError):
-            FeatureTemplate(())
-
-    def test_non_contiguous_offsets_rejected(self):
-        with pytest.raises(ValueError):
-            FeatureTemplate((-1, 1))
+        """Every contiguous 1- to 5-gram that covers the position, each once, within the padding."""
+        assert len(WINDOWS) == len(set(WINDOWS)) == 1 + 2 + 3 + 4 + 5
+        assert {width for width, _ in WINDOWS} == {1, 2, 3, 4, 5}
+        assert all(start <= 0 < start + width for width, start in WINDOWS)
+        assert all(-PAD <= start and start + width - 1 <= PAD for width, start in WINDOWS)
 
     def test_default_template_names(self):
-        names = [t.name for t in default_templates()]
-        assert names == [
+        assert list(WINDOW_NAMES) == [
             "U1", "U2[-1]", "U2[0]", "U3[-2]", "U3", "U3[0]", "U4[-3]", "U4[-2]",
             "U4[-1]", "U4[0]", "U5[-4]", "U5[-3]", "U5", "U5[-1]", "U5[0]",
         ]
 
 
-def _reference_features(sequence, position, templates):
+def _reference_features(sequence, position):
     """Per-position feature strings, padding each offset on its own."""
     feats = []
-    for tpl in templates:
+    for name, (width, start) in zip(WINDOW_NAMES, WINDOWS):
         parts = []
-        for off in tpl.offsets:
+        for off in range(start, start + width):
             j = position + off
             parts.append(BOS if j < 0 else EOS if j >= len(sequence) else sequence[j])
-        feats.append(f"{tpl.name}:{'|'.join(parts)}")
+        feats.append(f"{name}:{'|'.join(parts)}")
     return feats
 
 
-_template_pool = default_templates() + [
-    FeatureTemplate(tuple(range(start, start + n)))
-    for n in (1, 2, 3, 5)
-    for start in (-7, -5, 1, 3, 6)
-]
-
-
 @settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.sampled_from(VOCAB + ["BOS", "a|b", "é"]), max_size=12),
-    st.lists(st.sampled_from(_template_pool), max_size=8),
-)
-def test_template_columns_equal_per_position_reference_property(sequence, templates):
-    names = [t.name for t in templates]
-    columns = template_columns(sequence, templates)
-    assert template_columns(sequence, templates, window_layout(templates)) == columns
-    rows = [[f"{name}:{col[pos]}" for name, col in zip(names, columns)]
+@given(st.lists(st.sampled_from(VOCAB + ["BOS", "a|b", "é"]), max_size=12))
+def test_template_columns_equal_per_position_reference_property(sequence):
+    columns = template_columns(sequence)
+    rows = [[f"{name}:{col[pos]}" for name, col in zip(WINDOW_NAMES, columns)]
             for pos in range(len(sequence))]
-    assert rows == [_reference_features(sequence, pos, templates) for pos in range(len(sequence))]
+    assert rows == [_reference_features(sequence, pos) for pos in range(len(sequence))]
 
 
 def test_template_columns_are_the_unprefixed_features():
-    templates = default_templates()
     seq = ["trump", "have", "CARDINAL", "child"]
-    columns = template_columns(seq, templates)
-    names = [t.name for t in templates]
-    assert len(columns) == len(names) and all(len(col) == len(seq) for col in columns)
-    assert [_reference_features(seq, pos, templates) for pos in range(len(seq))] == [
-        [f"{name}:{col[pos]}" for name, col in zip(names, columns)] for pos in range(len(seq))
+    columns = template_columns(seq)
+    assert len(columns) == len(WINDOWS) and all(len(col) == len(seq) for col in columns)
+    assert [_reference_features(seq, pos) for pos in range(len(seq))] == [
+        [f"{name}:{col[pos]}" for name, col in zip(WINDOW_NAMES, columns)]
+        for pos in range(len(seq))
     ]
-    assert template_columns(seq, []) == []
-    assert template_columns([], templates) == [[] for _ in names]
+    assert template_columns([]) == [[] for _ in WINDOWS]
 
 
-def _feature_strings(templates, gram_ids):
-    """Feature id of every ``"<template name>:<n-gram>"`` string of the tables."""
-    return {f"{tpl.name}:{gram}": fid
-            for tpl, table in zip(templates, gram_ids) for gram, fid in table.items()}
+def _feature_strings(gram_ids):
+    """Feature id of every ``"<window name>:<n-gram>"`` string of the tables."""
+    return {f"{name}:{gram}": fid
+            for name, table in zip(WINDOW_NAMES, gram_ids) for gram, fid in table.items()}
 
 
 def _reference_emissions(model, sequence):
     """Emissions summed position by position over the known feature strings."""
-    index = _feature_strings(model.templates, model.gram_ids)
+    index = _feature_strings(model.gram_ids)
     em = np.zeros((len(sequence), len(TAGS)))
     for pos in range(len(sequence)):
-        row = _reference_features(sequence, pos, model.templates)
+        row = _reference_features(sequence, pos)
         ids = np.asarray([index[f] for f in row if f in index], dtype=np.intp)
         if ids.size:
             em[pos] = model.weights[ids].sum(axis=0)
@@ -163,7 +136,6 @@ _symbols = st.sampled_from(VOCAB + ["a|b", "x:y", ":", "|", "BOS", "EOS", "é"])
 
 @settings(max_examples=200, deadline=None)
 @given(
-    templates=st.lists(st.sampled_from(_template_pool), max_size=8),
     training=st.lists(st.lists(_symbols, min_size=1, max_size=8), max_size=5),
     sequences=st.lists(
         st.lists(st.one_of(_symbols, st.sampled_from(["unseen", "y:z|w"])), max_size=12),
@@ -171,31 +143,30 @@ _symbols = st.sampled_from(VOCAB + ["a|b", "x:y", ":", "|", "BOS", "EOS", "é"])
     ),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_emissions_equal_per_position_reference_property(templates, training, sequences, seed):
+def test_emissions_equal_per_position_reference_property(training, sequences, seed):
     rng = np.random.default_rng(seed)
     seen = dict.fromkeys(
         f
         for seq in training
         for pos in range(len(seq))
-        for f in _reference_features(seq, pos, templates)
+        for f in _reference_features(seq, pos)
     )
     # a random subset of the seen features, numbered in random order
     kept = [f for f in seen if rng.random() < 0.7]
-    tables: dict[str, dict[str, int]] = {tpl.name: {} for tpl in templates}
+    tables: dict[str, dict[str, int]] = {name: {} for name in WINDOW_NAMES}
     for fid, feature in enumerate(rng.permutation(kept).tolist()):
         name, _, gram = feature.partition(":")
         tables[name][gram] = fid
     # mixed magnitudes make the sums sensitive to their order
     weights = rng.normal(size=(len(kept), 3)) * 10.0 ** rng.integers(-6, 7, size=(len(kept), 1))
     model = CrfModel(
-        gram_ids=tuple(tables[tpl.name] for tpl in templates),
+        gram_ids=tuple(tables.values()),
         weights=weights,
         transitions=rng.normal(size=(3, 3)),
-        templates=tuple(templates),
     )
     for seq in sequences + [[]]:
         ids = model.feature_ids(seq)
-        assert ids.shape == (len(seq), len(templates)) and ids.dtype == np.intp
+        assert ids.shape == (len(seq), len(WINDOWS)) and ids.dtype == np.intp
         em = model.emissions(seq)
         assert em.shape == (len(seq), 3) and em.dtype == np.float64
         assert np.array_equal(em, _reference_emissions(model, seq))
@@ -213,39 +184,34 @@ def test_feature_index_order_on_mini_fixture():
         Relation(subject_class="human", property="child"),
     )
     examples = [(list(ls.placeholder_sequence()), list(ls.tags)) for ls in labeled]
-    templates = default_templates()
     seen = [
         f
         for seq, _ in examples
         for pos in range(len(seq))
-        for f in _reference_features(seq, pos, templates)
+        for f in _reference_features(seq, pos)
     ]
     counts = Counter(seen)
     expected = list(dict.fromkeys(f for f in seen if counts[f] >= 2))
-    problem = TrainingProblem(examples, templates=templates, feature_cutoff=2)
+    problem = TrainingProblem(examples, feature_cutoff=2)
     assert problem.n_features == len(expected)
-    assert _feature_strings(problem.templates, problem.gram_ids) == {
+    assert _feature_strings(problem.gram_ids) == {
         f: i for i, f in enumerate(expected)
     }
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    templates=st.lists(st.sampled_from(_template_pool), max_size=6).map(
-        lambda tpls: tpls + tpls[:2]  # duplicate templates share one table
-    ),
     training=st.lists(st.lists(_symbols, min_size=1, max_size=8), min_size=1, max_size=6),
     cutoff=st.integers(1, 3),
 )
-def test_training_rows_equal_inference_ids_property(templates, training, cutoff):
+def test_training_rows_equal_inference_ids_property(training, cutoff):
     """Each sentence's row of X holds the ids model.feature_ids gives it, unseen ones dropped."""
     data = [(seq, ["COUNT"] + ["O"] * (len(seq) - 1)) for seq in training]
-    problem = TrainingProblem(data, templates=templates, feature_cutoff=cutoff)
+    problem = TrainingProblem(data, feature_cutoff=cutoff)
     model = CrfModel(
         gram_ids=problem.gram_ids,
         weights=np.zeros((problem.n_features, len(TAGS))),
         transitions=np.zeros((len(TAGS), len(TAGS))),
-        templates=tuple(templates),
     )
     X = problem.X
     for bucket in problem.buckets:
@@ -258,29 +224,27 @@ def test_training_rows_equal_inference_ids_property(templates, training, cutoff)
                 assert np.array_equal(got, row[row != problem.n_features])
 
 
-def _string_path_problem(examples, templates, cutoff):
+def _string_path_problem(examples, cutoff):
     """The string-keyed compile of the training problem: the reference for the integer pass.
 
-    ``template_columns`` -> one ``Counter`` per template name -> ids by
+    ``template_columns`` -> one ``Counter`` per window -> ids by
     ``lookup_ids`` and the ``argwhere`` misses, in first-occurrence order ->
     rows bucket by bucket -> CSR. Returns the tables, the feature count, X,
     the buckets' (length, y, rows) and the empirical counts.
     """
-    names = [tpl.name for tpl in templates]
-    counts = {name: Counter() for name in names}
-    columns = [template_columns(seq, templates) for seq, _ in examples]
+    counts = [Counter() for _ in WINDOWS]
+    columns = [template_columns(seq) for seq, _ in examples]
     for cols in columns:
-        for name, col in zip(names, cols):
-            counts[name].update(col)
-    by_name = {name: {} for name in names}
-    gram_ids = tuple(by_name[name] for name in names)
+        for counter, col in zip(counts, cols):
+            counter.update(col)
+    gram_ids = tuple({} for _ in WINDOWS)
     n_features = 0
     sentence_ids = []
     for (seq, _), cols in zip(examples, columns):
         ids = lookup_ids(gram_ids, cols, len(seq), -1)
         for p, j in np.argwhere(ids < 0).tolist():
             gram, table = cols[j][p], gram_ids[j]
-            if gram not in table and counts[names[j]][gram] >= cutoff:
+            if gram not in table and counts[j][gram] >= cutoff:
                 table[gram] = n_features
                 n_features += 1
             ids[p, j] = table.get(gram, -1)
@@ -304,14 +268,10 @@ def _string_path_problem(examples, templates, cutoff):
     return gram_ids, n_features, X, buckets, X.T @ np.eye(k)[all_tags], emp_t
 
 
-def _assert_problem_equals_string_path(examples, templates, cutoff):
-    problem = TrainingProblem(examples, templates=templates, feature_cutoff=cutoff)
-    gram_ids, n_features, X, buckets, emp_w, emp_t = _string_path_problem(
-        examples, templates, cutoff
-    )
+def _assert_problem_equals_string_path(examples, cutoff):
+    problem = TrainingProblem(examples, feature_cutoff=cutoff)
+    gram_ids, n_features, X, buckets, emp_w, emp_t = _string_path_problem(examples, cutoff)
     assert [list(t.items()) for t in problem.gram_ids] == [list(t.items()) for t in gram_ids]
-    assert all(problem.gram_ids[i] is problem.gram_ids[j]
-               for i, a in enumerate(templates) for j, b in enumerate(templates) if a == b)
     assert problem.n_features == n_features
     assert problem.X.shape == X.shape
     for got, want in ((problem.X.indices, X.indices), (problem.X.indptr, X.indptr),
@@ -342,36 +302,33 @@ def _join_sentences(with_bars):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    templates=st.lists(st.sampled_from(_template_pool), max_size=6).map(
-        lambda tpls: tpls + tpls[:2]  # duplicate templates share one table; [] stays []
-    ),
     training=st.booleans().flatmap(_join_sentences),
     cutoff=st.integers(0, 3),
     data=st.data(),
 )
-def test_training_problem_equals_string_path_property(templates, training, cutoff, data):
+def test_training_problem_equals_string_path_property(training, cutoff, data):
     """The integer-coded compile gives the string path's tables, X, buckets and counts."""
     examples = [
         (seq, data.draw(st.lists(st.sampled_from(TAGS), min_size=len(seq), max_size=len(seq))))
         for seq in training
     ]
     examples[0][1][0] = "COUNT"
-    _assert_problem_equals_string_path(examples, templates, cutoff)
+    _assert_problem_equals_string_path(examples, cutoff)
 
 
 def test_training_problem_merges_windows_that_join_alike(tmp_path):
     """A feature is its joined string: windows that join to one string are one feature."""
-    tpl = [FeatureTemplate((0, 1))]
+    u2 = WINDOW_NAMES.index("U2[0]")
     cases = [
-        ([(["a|b", "c"], ["COUNT", "O"]), (["a", "b|c"], ["O", "O"])], {"a|b|c": 0}),
-        ([(["", "|"], ["COUNT", "O"]), (["|", ""], ["O", "O"])], {"||": 0}),
+        ([(["a|b", "c"], ["COUNT", "O"]), (["a", "b|c"], ["O", "O"])], "a|b|c"),
+        ([(["", "|"], ["COUNT", "O"]), (["|", ""], ["O", "O"])], "||"),
     ]
-    for examples, expected in cases:
-        problem = _assert_problem_equals_string_path(examples, tpl, 2)
-        assert problem.gram_ids == (expected,)
-        model = train(examples, templates=tpl, feature_cutoff=2, max_iter=5)
+    for examples, gram in cases:
+        problem = _assert_problem_equals_string_path(examples, 2)
+        assert list(problem.gram_ids[u2]) == [gram]
+        model = train(examples, feature_cutoff=2, max_iter=5)
         save_model(model, tmp_path / "model.json")
-        assert load_model(tmp_path / "model.json").gram_ids == (expected,)
+        assert load_model(tmp_path / "model.json").gram_ids == problem.gram_ids
 
 
 class TestGradient:
@@ -411,7 +368,7 @@ def _scatter_value_and_grad(problem, examples, theta):
     """
     w, trans = problem.split(theta)
     k = len(TAGS)
-    index = _feature_strings(problem.templates, problem.gram_ids)
+    index = _feature_strings(problem.gram_ids)
     emp_w, exp_w = np.zeros_like(w), np.zeros_like(w)
     emp_t, exp_t = np.zeros_like(trans), np.zeros_like(trans)
     ll = 0.0
@@ -421,7 +378,7 @@ def _scatter_value_and_grad(problem, examples, theta):
         fids, sent, pos = [], [], []
         for b, (seq, _) in enumerate(members):
             for p in range(len(seq)):
-                for f in _reference_features(seq, p, problem.templates):
+                for f in _reference_features(seq, p):
                     if f in index:
                         fids.append(index[f])
                         sent.append(b)
@@ -537,7 +494,7 @@ class TestTrain:
 
     def test_feature_cutoff_drops_singletons(self):
         problem = TrainingProblem(TOY_DATA, feature_cutoff=2)
-        index = _feature_strings(problem.templates, problem.gram_ids)
+        index = _feature_strings(problem.gram_ids)
         # "U1:trump" appears once over the corpus and must be gone
         assert "U1:trump" not in index
         assert "U1:CARDINAL" in index  # appears three times
@@ -703,12 +660,10 @@ class TestMarginals:
         assert np.abs(stack_xi - expected).max() < 1e-8
 
     def test_uniform_model_gives_thirds(self):
-        templates = (FeatureTemplate((0,)),)
         model = CrfModel(
-            gram_ids=({"a": 0},),
+            gram_ids=({"a": 0},) + ({},) * (len(WINDOWS) - 1),
             weights=np.zeros((1, 3)),
             transitions=np.zeros((3, 3)),
-            templates=templates,
         )
         probs = marginals(model, ["a", "a", "a"])
         assert np.abs(probs - 1.0 / 3.0).max() < 1e-12
@@ -738,14 +693,10 @@ class TestModelFile:
         assert np.array_equal(model.weights, loaded.weights)
         assert np.array_equal(model.transitions, loaded.transitions)
 
-    @pytest.mark.parametrize("templates,cutoff", [
-        (None, 1),
-        ((FeatureTemplate((0,)), FeatureTemplate((-1, 0)), FeatureTemplate((0,))), 1),
-        (None, 10**6),
-    ], ids=["default-templates", "duplicate-templates", "no-features"])
-    def test_save_of_load_rewrites_the_file_exactly(self, tmp_path, templates, cutoff):
+    @pytest.mark.parametrize("cutoff", [1, 10**6], ids=["default-templates", "no-features"])
+    def test_save_of_load_rewrites_the_file_exactly(self, tmp_path, cutoff):
         data = TOY_DATA + [(["zoë", "have", "CARDINAL", "x:y"], ["O", "O", "COUNT", "O"])]
-        model = train(data, templates=templates, feature_cutoff=cutoff, max_iter=20,
+        model = train(data, feature_cutoff=cutoff, max_iter=20,
                       relation={"subject_class": "human", "property": "child"})
         path, again = tmp_path / "model.json", tmp_path / "again.json"
         save_model(model, path)
@@ -785,14 +736,86 @@ class TestModelFile:
             load_model(path)
         assert str(err.value).startswith(f"{path}: cannot load model: ")
 
-    def test_templates_restored_from_file(self, tmp_path):
-        templates = [FeatureTemplate((0,)), FeatureTemplate((-1, 0))]
-        model = train(TOY_DATA, templates=templates, feature_cutoff=1, max_iter=50)
+    def test_non_default_templates_rejected(self, tmp_path):
+        """The file lists the fixed windows' offsets; any other list is refused."""
         path = tmp_path / "model.json"
-        save_model(model, path)
-        assert json.loads(path.read_text(encoding="utf-8"))["templates"] == [[0], [-1, 0]]
-        loaded = load_model(path)
-        assert loaded.templates == tuple(templates)
+        save_model(train(TOY_DATA, feature_cutoff=1, max_iter=20), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["templates"] == [
+            [0], [-1, 0], [0, 1], [-2, -1, 0], [-1, 0, 1], [0, 1, 2], [-3, -2, -1, 0],
+            [-2, -1, 0, 1], [-1, 0, 1, 2], [0, 1, 2, 3], [-4, -3, -2, -1, 0],
+            [-3, -2, -1, 0, 1], [-2, -1, 0, 1, 2], [-1, 0, 1, 2, 3], [0, 1, 2, 3, 4],
+        ]
+        fixed = payload["templates"]
+        for templates in (fixed[:2], fixed[1:], fixed[::-1], fixed + [fixed[0]],
+                          [[float(o) for o in offsets] for offsets in fixed],
+                          [[0], [-1, 1]] + fixed[2:], []):
+            path.write_text(json.dumps({**payload, "templates": templates}), encoding="utf-8")
+            with pytest.raises(ModelFormatError) as err:
+                load_model(path)
+            assert str(err.value) == (f"{path}: cannot load model: corrupt model payload: "
+                                      "templates must list the 15 fixed windows, shortest first")
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["weights"][0].__setitem__(0, float("nan")),
+        lambda m: m["weights"][-1].__setitem__(2, float("-inf")),
+        lambda m: m["weights"][0].__setitem__(1, "1e999"),
+        lambda m: m["weights"][0].__setitem__(1, 10**400),
+        lambda m: m["weights"][0].__setitem__(0, "1.5"),
+        lambda m: m["weights"][0].__setitem__(0, True),
+        lambda m: m["weights"][0].__setitem__(0, None),
+        lambda m: m["weights"].__setitem__(0, 0.5),
+        lambda m: m["weights"][0].pop(),
+        lambda m: m["transitions"][1].__setitem__(1, float("nan")),
+        lambda m: m["transitions"][1].__setitem__(1, "0"),
+        lambda m: m.update(transitions=[[0.0] * 3] * 2),
+        lambda m: m.update(l2_sigma="nan"),
+        lambda m: m.update(l2_sigma=float("nan")),
+        lambda m: m.update(l2_sigma=True),
+        lambda m: m.update(final_objective=float("-inf")),
+        lambda m: m.update(final_objective=None),
+        lambda m: m.update(n_iterations=2.7),
+        lambda m: m.update(n_iterations=-1),
+        lambda m: m.update(n_iterations=False),
+        lambda m: m.update(n_iterations="3"),
+    ], ids=["weight-nan", "weight-minus-infinity", "weight-1e999", "weight-huge-int",
+            "weight-string", "weight-bool", "weight-null", "weight-row-number",
+            "weight-row-short", "transition-nan", "transition-string", "transitions-2x3",
+            "l2-sigma-string", "l2-sigma-nan", "l2-sigma-bool", "objective-minus-infinity",
+            "objective-null", "iterations-float", "iterations-negative", "iterations-bool",
+            "iterations-string"])
+    def test_non_finite_or_non_numeric_values_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_model(train(TOY_DATA, feature_cutoff=1, max_iter=20), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        # json.dumps writes nan and inf as NaN and Infinity, which json.loads
+        # reads back; 1e999 is written as JSON's own number literal.
+        path.write_text(json.dumps(payload).replace('"1e999"', "1e999"), encoding="utf-8")
+        with pytest.raises(ModelFormatError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: cannot load model: corrupt model payload: ")
+
+    def test_whole_and_missing_scalars_load(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(train(TOY_DATA, feature_cutoff=1, max_iter=20), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload.update(l2_sigma=2, final_objective=-3, n_iterations=0)
+        payload["weights"][0] = [1, 0, -1]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        model = load_model(path)
+        assert (model.l2_sigma, model.final_objective, model.n_iterations) == (2.0, -3.0, 0)
+        assert model.weights[0].tolist() == [1.0, 0.0, -1.0]
+        for key in ("l2_sigma", "final_objective", "n_iterations"):
+            del payload[key]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        model = load_model(path)
+        assert (model.l2_sigma, model.final_objective, model.n_iterations) == (1.0, 0.0, 0)
+
+    def test_model_needs_one_table_per_window(self):
+        for tables in ((), ({},) * (len(WINDOWS) - 1), ({},) * (len(WINDOWS) + 1)):
+            with pytest.raises(ValueError, match="a model has 15 n-gram tables"):
+                CrfModel(gram_ids=tables, weights=np.zeros((0, 3)), transitions=np.zeros((3, 3)))
 
     def test_version_1_file_rejected(self, tmp_path):
         """A version-1 file, whose templates are objects with a kind, is not read."""
@@ -822,10 +845,9 @@ class TestModelFile:
         model = train(TOY_DATA, feature_cutoff=1, max_iter=50)
         state = model.__getstate__()
         assert state["gram_ids"] is model.gram_ids
-        assert "padded_weights" not in state and "layout" not in state
+        assert "padded_weights" not in state
         back = pickle.loads(pickle.dumps(model))
         assert back.gram_ids == model.gram_ids
-        assert back.layout == model.layout == window_layout(model.templates)
         for m in (model, back):
             assert m.padded_weights.shape == (len(m.weights) + 1, len(TAGS))
             assert not m.padded_weights[-1].any()

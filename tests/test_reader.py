@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import json
 import logging
 import shutil
@@ -162,6 +163,55 @@ class TestCrlfInputs:
         for table in (tmp_path / "lexicon").glob("*.tsv"):
             crlf_copy(table, table)
         assert load_lexicon(tmp_path / "lexicon") == load_lexicon(_DATA_DIR)
+
+
+def bom_copy(path: Path, out: Path) -> Path:
+    out.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return out
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark before the first line is no text."""
+
+    def test_leading_mark_only_is_dropped(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"a\tb\n" + codecs.BOM_UTF8 + b"c\n")
+        assert list(read_lines(path)) == [(1, "a\tb"), (2, "\ufeffc")]
+        path.write_bytes(codecs.BOM_UTF8)
+        assert list(read_lines(path)) == []
+
+    @pytest.mark.parametrize("data,lineno", [(b"caf\xe9\n", 1), (b"a\ncaf\xe9\n", 2),
+                                             (b"\n\n\xe9", 3)])
+    def test_undecodable_byte_keeps_its_line(self, tmp_path, data, lineno):
+        path = tmp_path / "f.txt"
+        path.write_bytes(codecs.BOM_UTF8 + data)
+        with pytest.raises(InputError) as err:
+            list(read_lines(path))
+        assert str(err.value) == f"{path}:{lineno}: byte 0xe9 is not UTF-8"
+
+    def test_gold_counts(self, tmp_path):
+        gold = _load_gold_counts(str(bom_copy(MINI / "gold.tsv", tmp_path / "gold.tsv")))
+        assert gold == _load_gold_counts(str(MINI / "gold.tsv"))
+        assert not any(subject.startswith("\ufeff") for subject in gold)
+
+    def test_kb(self, tmp_path):
+        bom = bom_copy(MINI / "kb.tsv", tmp_path / "kb.tsv")
+        assert load_triples(bom) == load_triples(MINI / "kb.tsv")
+
+    def test_corpus(self, tmp_path):
+        bom = bom_copy(MINI / "corpus.jsonl", tmp_path / "corpus.jsonl")
+        assert load_corpus(bom) == load_corpus(MINI / "corpus.jsonl")
+
+    def test_config(self, tmp_path):
+        known = {"kb", "corpus", "relation", "threshold"}
+        bom = bom_copy(MINI / "run.conf", tmp_path / "run.conf")
+        assert load_config(str(bom), known) == load_config(str(MINI / "run.conf"), known)
+
+    def test_model(self, tmp_path):
+        path = tmp_path / "model.json"
+        crf.save_model(crf.train(TOY_DATA, feature_cutoff=1, max_iter=20), path)
+        loaded = crf.load_model(bom_copy(path, tmp_path / "bom.json"))
+        assert loaded.gram_ids == crf.load_model(path).gram_ids
 
 
 def test_kb_warning_names_the_path_as_given(tmp_path, caplog):
