@@ -12,6 +12,7 @@ defines is rejected with its ``file:line``.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -57,6 +58,16 @@ def load_config(path: str, known: set[str]) -> dict[str, str]:
             raise InputError(path, f"duplicate key '{key}'", lineno)
         config[key] = value.strip()
     return config
+
+
+class _FiniteFloatRange(click.FloatRange):
+    """A ``click.FloatRange`` that also rejects infinity and NaN (NaN passes every bound)."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return number
 
 
 class _Main(click.Group):
@@ -129,9 +140,9 @@ def _extract_task(model, lexicon, threshold, zero_mode, relation, task):
 @click.option("--relation", required=True)
 @click.option("--out", "training", default="training.conll")
 @click.option("--lexicon-dir")
-@click.option("--popularity-top", type=click.FloatRange(0, 1, min_open=True), default=1.0)
-@click.option("--upper-bound-q", type=click.FloatRange(0, 1), default=0.99)
-@click.option("--entropy-min", type=click.FloatRange(min=0), default=0.5)
+@click.option("--popularity-top", type=_FiniteFloatRange(0, 1, min_open=True), default=1.0)
+@click.option("--upper-bound-q", type=_FiniteFloatRange(0, 1), default=0.99)
+@click.option("--entropy-min", type=_FiniteFloatRange(min=0), default=0.5)
 @click.option("--workers", type=click.IntRange(min=1), default=1)
 def cmd_build_training(kb, corpus, relation, training, lexicon_dir,
                        popularity_top, upper_bound_q, entropy_min, workers):
@@ -164,7 +175,7 @@ def cmd_build_training(kb, corpus, relation, training, lexicon_dir,
 @click.option("--training", default="training.conll")
 @click.option("--model", default="model.json")
 @click.option("--relation")
-@click.option("--l2-sigma", type=click.FloatRange(0, min_open=True), default=1.0)
+@click.option("--l2-sigma", type=_FiniteFloatRange(0, min_open=True), default=1.0)
 @click.option("--max-iter", type=click.IntRange(min=1), default=300)
 @click.option("--feature-cutoff", type=click.IntRange(min=1), default=2)
 def cmd_train(training, model, relation, l2_sigma, max_iter, feature_cutoff):
@@ -196,7 +207,7 @@ def cmd_train(training, model, relation, l2_sigma, max_iter, feature_cutoff):
 @click.option("--relation")
 @click.option("--out", "predictions", default="predictions.jsonl")
 @click.option("--lexicon-dir")
-@click.option("--threshold", type=click.FloatRange(0, 1), default=0.1)
+@click.option("--threshold", type=_FiniteFloatRange(0, 1), default=0.1)
 @click.option("--zero-mode", is_flag=True)
 @click.option("--workers", type=click.IntRange(min=1), default=1)
 def cmd_extract(model, corpus, relation, predictions, lexicon_dir, threshold, zero_mode, workers):
@@ -351,8 +362,8 @@ def _load_end_to_end_score(path: str) -> ev.EndToEndScore:
 @click.option("--pred", "predictions", required=True)
 @click.option("--metrics", default="metrics.json")
 @click.option("--out", "enrichment", default="enrichment.json")
-@click.option("--min-precision", type=click.FloatRange(0, 1), default=0.5)
-@click.option("--min-coverage", type=click.FloatRange(0, 1), default=0.05)
+@click.option("--min-precision", type=_FiniteFloatRange(0, 1), default=0.5)
+@click.option("--min-coverage", type=_FiniteFloatRange(0, 1), default=0.05)
 def cmd_enrich(kb, relation, predictions, metrics, enrichment, min_precision, min_coverage):
     """KB-enrichment accounting, gated on held-out evaluation quality."""
     rel = parse_relation(relation)

@@ -102,24 +102,22 @@ def candidates(
     cardinal: the sum of the member values, with the highest member
     confidence, at the first member's position.
     """
+    tags, surfaces = labeled.tags, labeled.sentence.surfaces()
     run: list[CqCandidate] = []
-    linked = False
-    for tok, tag in zip(labeled.sentence, labeled.tags):
-        if tag == COMP:
-            linked = True
-        elif tag == COUNT and tok.mention is not None:
-            if run and not linked:
-                yield _merged(run)
-                run = []
-            run.append(CqCandidate(
-                kind=tok.mention.kind,
-                value=tok.mention.value,
-                confidence=float(confidences[tok.index]),
-                sentence_index=sentence_index,
-                token_index=tok.index,
-                surface=tok.surface,
-            ))
-            linked = False
+    for position, mention in labeled.sentence.mentions:
+        if tags[position] != COUNT:
+            continue
+        if run and COMP not in tags[run[-1].token_index + 1 : position]:
+            yield _merged(run)
+            run = []
+        run.append(CqCandidate(
+            kind=mention.kind,
+            value=mention.value,
+            confidence=float(confidences[position]),
+            sentence_index=sentence_index,
+            token_index=position,
+            surface=surfaces[position],
+        ))
     if run:
         yield _merged(run)
 

@@ -20,6 +20,7 @@ call gives its tag marginals, expected transition counts and log partitions.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -151,8 +152,8 @@ class TrainingProblem:
         l2_sigma: float = 1.0,
         feature_cutoff: int = 2,
     ) -> None:
-        if l2_sigma <= 0:
-            raise ValueError("l2_sigma must be positive")
+        if not (0 < l2_sigma < math.inf):  # NaN fails every comparison
+            raise ValueError(f"l2_sigma must be a positive finite number, got {l2_sigma}")
         examples = [_as_example(item) for item in data]
         examples = [(seq, tg) for seq, tg in examples if seq]
         if not examples:

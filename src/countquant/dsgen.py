@@ -44,7 +44,7 @@ from .numlex import (
     to_placeholder_sequence,
     tokenize,
 )
-from .numlex.types import MentionKind
+from .numlex.types import MentionAnnotation, MentionKind
 from .reader import InputError, read_keyed, read_lines
 
 # Compositional seed matching: at most this many mentions per run, at most
@@ -73,11 +73,13 @@ class LabeledSentence:
             raise ValueError("one tag per token required")
         if not self.strict:
             return
-        for tok, tag in zip(self.sentence, self.tags):
-            if tag == COUNT and tok.mention is None:
-                raise ValueError(f"COUNT on token {tok.surface!r} without a mention")
-            if tag == COMP and not is_comp_cue(tok):
-                raise ValueError(f"COMP on non-cue token {tok.surface!r}")
+        surfaces = self.sentence.surfaces()
+        marked = dict(self.sentence.mentions)
+        for i, tag in enumerate(self.tags):
+            if tag == COUNT and i not in marked:
+                raise ValueError(f"COUNT on token {surfaces[i]!r} without a mention")
+            if tag == COMP and not is_comp_cue(surfaces[i]):
+                raise ValueError(f"COMP on non-cue token {surfaces[i]!r}")
 
     def placeholder_sequence(self) -> list[str]:
         return to_placeholder_sequence(self.sentence)
@@ -115,27 +117,28 @@ _NEVER_SEEDS = (MentionKind.ARTICLE, MentionKind.ZERO)
 
 
 def _find_composition_run(
-    sentence: Sentence, candidates: list[int], kb_count: int
+    sentence: Sentence, candidates: list[tuple[int, MentionAnnotation]], kb_count: int
 ) -> tuple[list[int], list[int]]:
     """First run of mentions summing to kb_count with cues between them.
 
-    *candidates* holds token indices of seed-eligible mentions not equal to
-    kb_count on their own. Returns (mention token indices, cue token indices).
+    *candidates* holds the ``(position, mention)`` pairs of seed-eligible
+    mentions not equal to kb_count on their own. Returns (mention positions,
+    cue positions).
     """
-    tokens = sentence.tokens
+    surfaces = sentence.surfaces()
     for a in range(len(candidates)):
         for b in range(a + 1, min(a + MAX_RUN_MENTIONS, len(candidates))):
             run = candidates[a : b + 1]
             cue_positions: list[int] = []
-            for left, right in zip(run, run[1:]):
+            for (left, _), (right, _) in zip(run, run[1:]):
                 gap = range(left + 1, right)
-                cues = [g for g in gap if is_comp_cue(tokens[g])]
+                cues = [g for g in gap if is_comp_cue(surfaces[g])]
                 if not cues or len(gap) > MAX_RUN_GAP:
                     break
                 cue_positions.extend(cues)
             else:
-                if sum(tokens[i].mention.value for i in run) == kb_count:
-                    return run, cue_positions
+                if sum(mention.value for _, mention in run) == kb_count:
+                    return [position for position, _ in run], cue_positions
     return [], []
 
 
@@ -157,13 +160,13 @@ def label_sentence(
         raise ValueError("training subjects must have at least one object")
 
     mentions = sentence.mentions
-    if any(kb_count < t.mention.value <= upper_bound for t in mentions):
+    if any(kb_count < mention.value <= upper_bound for _, mention in mentions):
         return None
 
-    eligible = [t.index for t in mentions if t.mention.kind not in _NEVER_SEEDS]
-    exact = [i for i in eligible if sentence[i].mention.value == kb_count]
+    eligible = [(i, mention) for i, mention in mentions if mention.kind not in _NEVER_SEEDS]
+    exact = [i for i, mention in eligible if mention.value == kb_count]
     run, cues = _find_composition_run(
-        sentence, [i for i in eligible if i not in exact], kb_count
+        sentence, [(i, mention) for i, mention in eligible if mention.value != kb_count], kb_count
     )
     tags = [OTHER] * len(sentence)
     for i in exact + run:
@@ -187,10 +190,10 @@ def _uninformative_values(document: list[Sentence], threshold: float) -> set[int
         if not mentions:
             continue
         lemmas = ["<BOS>", "<BOS>", *sent.lemmas(), "<EOS>", "<EOS>"]
-        for tok in mentions:
-            i = tok.index + 2
+        for position, mention in mentions:
+            i = position + 2
             context = (lemmas[i - 2], lemmas[i - 1], lemmas[i + 1], lemmas[i + 2])
-            contexts.setdefault(tok.mention.value, Counter())[context] += 1
+            contexts.setdefault(mention.value, Counter())[context] += 1
     low = set()
     for value, counts in contexts.items():
         total = sum(counts.values())
@@ -235,7 +238,7 @@ def label_subject_document(
     for sent in document:
         if not sent.mentions:
             continue
-        if any(t.mention.value in low_entropy for t in sent.mentions):
+        if any(mention.value in low_entropy for _, mention in sent.mentions):
             stats.entropy_dropped += 1
             continue
         outcome = label_sentence(sent, kb_count, upper_bound, subject=subject, relation=relation)
@@ -287,8 +290,8 @@ def write_conll(labeled: list[LabeledSentence], path: Path | str) -> None:
     lines: list[str] = []
     for ls in labeled:
         symbols = ls.placeholder_sequence()
-        for tok, symbol, tag in zip(ls.sentence, symbols, ls.tags):
-            lines.append(f"{tok.surface}\t{symbol}\t{tag}")
+        for surface, symbol, tag in zip(ls.sentence.surfaces(), symbols, ls.tags):
+            lines.append(f"{surface}\t{symbol}\t{tag}")
         lines.append("")
     Path(path).write_text("\n".join(lines), encoding="utf-8")
 

@@ -8,23 +8,24 @@ truth for which terms are recognized; ``load_default_lexicon`` reads them,
 A :class:`NumLexicon` compiles its lookup tables once, when it is built:
 ``specials_by_first`` maps a special term's first token to the terms that
 start with it, longest first, ``affixed_words`` maps every prefix + suffix
-word to its value, ``readable_words`` holds every word a single-token check
-can read, and ``live_words`` adds to those the first words of the special
-terms. :meth:`NumLexicon.is_live` is the one rule for whether a token can
-start a mention or a special term: a live word, a hyphenated word, a leading
+word to its value, and ``live_words`` holds every word that can start a
+mention or a special term. :meth:`NumLexicon.is_live` is the one rule for
+whether a token can start either: a live word, a hyphenated word, a leading
 digit or an affixed lemma. Only in zero mode does a zero cue also count as
-live. Preprocessing returns a sentence with no live token as it is, and
-reads only live tokens further.
+live. ``readings`` records a surface's lowercase form and liveness on its
+first read, for a bounded number of distinct surfaces. Preprocessing returns a
+sentence with no live token as it is, and reads only live tokens further.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ..reader import InputError, read_lines
+from .tokenizer import lemmatize
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -35,6 +36,26 @@ _PLACEHOLDER_REPLACEMENT_RE = re.compile(r"^NUMTERM(?:-[a-z]+)?:(\d+)$")
 
 # The lowercased words that zero mode rewrites into zero mentions.
 ZERO_CUES = frozenset({"n't", "not", "any", "never", "without", "no", "0"})
+
+# Distinct surfaces whose readings a lexicon keeps; all are dropped when it is full.
+_READINGS_SIZE = 4096
+# Liveness of a surface: it starts nothing, it is a zero cue (live in zero mode
+# only), or it can start a mention or a special term (NumLexicon.is_live).
+DEAD, ZERO_CUE, LIVE = 0, 1, 2
+
+
+class _Readings(dict):
+    """``surface -> (lowercase form, liveness)``, worked out on a surface's first read."""
+
+    def __init__(self, reading: Callable[[str], tuple[str, int]]) -> None:
+        super().__init__()
+        self.reading = reading
+
+    def __missing__(self, surface: str) -> tuple[str, int]:
+        if len(self) >= _READINGS_SIZE:
+            self.clear()
+        self[surface] = reading = self.reading(surface)
+        return reading
 
 
 @dataclass(frozen=True)
@@ -64,12 +85,12 @@ class NumLexicon:
     # prefix + suffix word -> its prefix's value, split at its longest suffix;
     # the affix exceptions are left out
     affixed_words: dict[str, int] = field(init=False, repr=False, compare=False)
-    # every word a single-token check can read: "and", the cardinal, ordinal and
-    # affixed words and the articles (digits and hyphenated words aside)
-    readable_words: frozenset[str] = field(init=False, repr=False, compare=False)
-    # every word that can start a mention or a special term: the readable
-    # words and the special terms' first words
+    # every word that can start a mention or a special term: "and", the cardinal,
+    # ordinal and affixed words, the articles and the special terms' first words
+    # (digits and hyphenated words aside)
     live_words: frozenset[str] = field(init=False, repr=False, compare=False)
+    # surface -> (lowercase form, liveness), for at most _READINGS_SIZE surfaces
+    readings: _Readings = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for table in (self.cardinal_words, self.ordinal_words, self.latin_greek_prefixes):
@@ -90,11 +111,15 @@ class NumLexicon:
             self, "specials_by_first", {w: tuple(ts) for w, ts in by_first.items()}
         )
         object.__setattr__(self, "affixed_words", affixed)
-        readable = frozenset({"and"}).union(
-            self.cardinal_words, self.ordinal_words, affixed, self.articles
+        live = frozenset({"and"}).union(
+            self.cardinal_words, self.ordinal_words, affixed, self.articles, by_first
         )
-        object.__setattr__(self, "readable_words", readable)
-        object.__setattr__(self, "live_words", readable.union(by_first))
+        object.__setattr__(self, "live_words", live)
+        object.__setattr__(self, "readings", _Readings(self._reading))
+
+    def __reduce__(self):
+        # A copy compiles its own tables and starts with no readings.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     def is_live(self, word: str, lemma: str) -> bool:
         """Whether a token (lowercased surface *word*, lemma *lemma*) can start anything.
@@ -108,6 +133,14 @@ class NumLexicon:
             or "-" in word
             or word[:1].isdigit()
         )
+
+    def _reading(self, surface: str) -> tuple[str, int]:
+        # A token's lemma is lemmatize of its surface, so a surface has one liveness.
+        word = surface.lower()
+        word = surface if word == surface else word  # keep one string, not two
+        if self.is_live(word, lemmatize(surface)):
+            return word, LIVE
+        return word, ZERO_CUE if word in ZERO_CUES else DEAD
 
 
 class LexiconFormatError(InputError):

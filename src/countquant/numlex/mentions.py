@@ -1,20 +1,14 @@
 """Detection and normalization of numeric mentions in tokenized sentences.
 
-The preprocessing chain for a sentence is::
-
-    tokenize -> preprocess_sentence
-
-after which :func:`to_placeholder_sequence` produces the lemma/placeholder
-symbols consumed by the sequence labeler. ``preprocess_sentence`` is one
-left-to-right scan, after one linear pass of zero-cue rewrites in zero mode:
-special terms are matched first and rewritten where they stand, so a
-word-cardinal run never crosses the start of one. Only live tokens
-(:meth:`NumLexicon.is_live`, and the zero cues in zero mode) are read, so a
-sentence with none is returned at once. It returns its input sentence when
-nothing changes, else one new sentence. Annotated tokens are never touched
-again, so outside zero mode preprocessing twice gives the same sentence as
-long as no word of a special term's replacement text starts a special term
-itself.
+A sentence goes ``tokenize -> preprocess_sentence``, after which
+:func:`to_placeholder_sequence` gives the lemma/placeholder symbols the
+sequence labeler reads. Preprocessing reads a sentence's columns. Each
+surface's lowercase form and liveness come from the lexicon's per-surface
+readings (``NumLexicon.readings``), so a sentence with no live token is
+returned at once, and a changed sentence's columns are built once. Annotated
+tokens are never touched again, so outside zero mode preprocessing twice
+gives the same sentence as long as no word of a special term's replacement
+text starts a special term itself.
 
 ``mode="train"`` skips indefinite articles: they are far too frequent to act
 as training cues and are only annotated when applying a trained model
@@ -26,18 +20,20 @@ from __future__ import annotations
 
 import re
 from bisect import bisect
-from operator import is_
+from functools import lru_cache
+from operator import itemgetter
 from typing import Optional
 
-from .lexicon import ZERO_CUES, NumLexicon, SpecialTerm
+from .lexicon import DEAD, LIVE, ZERO_CUE, ZERO_CUES, NumLexicon, SpecialTerm
 from .tokenizer import lemmatize
-from .types import (
-    MentionAnnotation,
-    MentionKind,
-    Sentence,
-    Token,
-    make_sentence,
-)
+from .types import MentionAnnotation, MentionKind, Sentence
+
+# A sentence's columns while it is rewritten: surfaces, lemmas, and the
+# mentions by position, in position order.
+_Columns = tuple[list[str], list[str], dict[int, MentionAnnotation]]
+_LIVENESS = itemgetter(1)  # of a lexicon reading
+# A mention is a value, so each distinct one is built and checked once.
+_mention = lru_cache(maxsize=4096)(MentionAnnotation)
 
 TRAIN_MODE = "train"
 INFERENCE_MODE = "inference"
@@ -48,9 +44,9 @@ _DIGIT_ORDINAL_RE = re.compile(r"^(\d+)(st|nd|rd|th)$")
 _COMP_CUE_SURFACES = {",", "and"}
 
 
-def is_comp_cue(token: Token) -> bool:
-    """True for tokens that can join compositional count mentions."""
-    return token.surface.lower() in _COMP_CUE_SURFACES
+def is_comp_cue(surface: str) -> bool:
+    """True for a token surface that can join compositional count mentions."""
+    return surface.lower() in _COMP_CUE_SURFACES
 
 
 def _parse_cardinal_words(words: list[str], table: dict[str, int]) -> Optional[tuple[int, int]]:
@@ -132,8 +128,7 @@ def _parse_cardinal_words(words: list[str], table: dict[str, int]) -> Optional[t
     return best
 
 
-def _parse_ordinal(surface: str, lexicon: NumLexicon) -> Optional[int]:
-    w = surface.lower()
+def _parse_ordinal(w: str, lexicon: NumLexicon) -> Optional[int]:
     if w in lexicon.ordinal_words:
         return lexicon.ordinal_words[w]
     m = _DIGIT_ORDINAL_RE.match(w)
@@ -154,64 +149,45 @@ def _parse_ordinal(surface: str, lexicon: NumLexicon) -> Optional[int]:
     return None
 
 
-def _match_special(
-    tokens: tuple[Token, ...], i: int, lexicon: NumLexicon
-) -> Optional[SpecialTerm]:
-    """Longest special term starting at ``tokens[i]``, or None."""
-    for term in lexicon.specials_by_first.get(tokens[i].surface.lower(), ()):
-        span = tokens[i : i + len(term.term)]
-        if len(span) == len(term.term) and all(
-            t.surface.lower() == w for t, w in zip(span, term.term)
-        ):
+def _match_special(words: tuple[str, ...], i: int, lexicon: NumLexicon) -> Optional[SpecialTerm]:
+    """Longest special term starting at ``words[i]`` (lowercased surfaces), or None."""
+    for term in lexicon.specials_by_first.get(words[i], ()):
+        if words[i : i + len(term.term)] == term.term:
             return term
     return None
 
 
-def _merge_tokens(span: tuple[Token, ...], mention: MentionAnnotation) -> Token:
-    return Token(
-        surface=" ".join(t.surface for t in span),
-        lemma=" ".join(t.lemma for t in span),
-        index=span[0].index,
-        mention=mention,
-    )
-
-
 def _cardinal_run(
-    tokens: tuple[Token, ...],
-    i: int,
-    head: list[str],
-    specials: dict[int, SpecialTerm],
-    lexicon: NumLexicon,
+    words: tuple[str, ...], i: int, head: list[str], stops, lexicon: NumLexicon
 ) -> Optional[tuple[int, int]]:
-    """Longest cardinal that reads ``tokens[i]`` as the words *head*, then goes on.
+    """Longest cardinal that reads ``words[i]`` as the words *head*, then goes on.
 
-    The run continues through the unannotated number words and "and" after
-    ``tokens[i]``; it ends at an annotated token or where a special term
-    starts (a key of *specials*). Returns (value, tokens spanned), or None
-    unless every word of *head* is read.
+    The run continues through the number words and "and" after ``words[i]``;
+    it ends at a position in *stops* (an annotated token or the start of a
+    special term). Returns (value, tokens spanned), or None unless every word
+    of *head* is read.
     """
-    words = list(head)
-    for j in range(i + 1, len(tokens)):
-        word = tokens[j].surface.lower()
-        if j in specials or tokens[j].mention is not None or not (
-            word in lexicon.cardinal_words or word == "and"
-        ):
+    run = list(head)
+    for j in range(i + 1, len(words)):
+        word = words[j]
+        if j in stops or not (word in lexicon.cardinal_words or word == "and"):
             break
-        words.append(word)
-    parsed = _parse_cardinal_words(words, lexicon.cardinal_words)
+        run.append(word)
+    parsed = _parse_cardinal_words(run, lexicon.cardinal_words)
     if parsed is None or parsed[1] < len(head):
         return None
     return parsed[0], 1 + parsed[1] - len(head)
 
 
 def _recognise(
-    tokens: tuple[Token, ...],
+    words: tuple[str, ...],
+    lemmas: tuple[str, ...],
     i: int,
-    specials: dict[int, SpecialTerm],
+    stops,
     lexicon: NumLexicon,
     mode: str,
 ) -> tuple[Optional[MentionAnnotation], int]:
-    """Mention starting at the unannotated ``tokens[i]``, and how many tokens it spans.
+    """Mention starting at the live, unannotated ``words[i]``, and how many tokens it spans.
 
     Tries, in order: digit cardinal, word-cardinal run, ordinal, affixed
     number term, article. A run starts at a cardinal word, "and" or a
@@ -222,69 +198,88 @@ def _recognise(
     knows"), never a cardinal. Returns ``(None, 1)`` when the token is no
     mention.
     """
-    surface = tokens[i].surface.lower()
-    if not lexicon.is_live(surface, tokens[i].lemma):
-        return None, 1
-    if surface == "one" and i and tokens[i - 1].surface.lower() == "no":
+    surface = words[i]
+    if surface == "one" and i and words[i - 1] == "no":
         return None, 1
     if _DIGIT_CARDINAL_RE.match(surface):
-        return MentionAnnotation(MentionKind.CARDINAL, int(surface.replace(",", ""))), 1
+        return _mention(MentionKind.CARDINAL, int(surface.replace(",", ""))), 1
     table = lexicon.cardinal_words
     if surface in table or surface == "and" or (
         "-" in surface and all(word in table for word in surface.split("-"))
     ):
-        run = _cardinal_run(tokens, i, surface.split("-"), specials, lexicon)
+        run = _cardinal_run(words, i, surface.split("-"), stops, lexicon)
         if run is not None:
-            return MentionAnnotation(MentionKind.CARDINAL, run[0]), run[1]
+            return _mention(MentionKind.CARDINAL, run[0]), run[1]
     value = _parse_ordinal(surface, lexicon)
     if value is not None:
-        return MentionAnnotation(MentionKind.ORDINAL, value), 1
+        return _mention(MentionKind.ORDINAL, value), 1
     affixed = lexicon.affixed_words
-    value = affixed.get(surface, affixed.get(tokens[i].lemma))
+    value = affixed.get(surface, affixed.get(lemmas[i]))
     if value is not None:
-        return MentionAnnotation(MentionKind.NUMTERM, value), 1
+        return _mention(MentionKind.NUMTERM, value), 1
     if surface in lexicon.articles:
-        run = _cardinal_run(tokens, i, ["one"], specials, lexicon)
+        run = _cardinal_run(words, i, ["one"], stops, lexicon)
         if run is not None and run[1] > 1:
-            return MentionAnnotation(MentionKind.CARDINAL, run[0]), run[1]
+            return _mention(MentionKind.CARDINAL, run[0]), run[1]
         if mode == INFERENCE_MODE:
-            return MentionAnnotation(MentionKind.ARTICLE, 1), 1
+            return _mention(MentionKind.ARTICLE, 1), 1
     return None, 1
 
 
-def _rewrite(text: str, lexicon: NumLexicon, mode: str) -> list[Token]:
-    """Tokens of a special term's replacement text, each annotated on its own.
+def _rewrite(text: str, lexicon: NumLexicon, mode: str) -> _Columns:
+    """Columns of a special term's replacement text, each word annotated on its own.
 
-    A cardinal word gets its value; any other word gets the single-token
-    checks of :func:`_recognise`.
+    A cardinal word gets its value; any other live word gets the
+    single-token checks of :func:`_recognise`.
     """
-    out = []
-    for word in text.split():
-        tok = Token(surface=word, lemma=lemmatize(word), index=0)
-        value = lexicon.cardinal_words.get(word.lower())
+    surfaces = text.split()
+    lemmas = [lemmatize(surface) for surface in surfaces]
+    marks: dict[int, MentionAnnotation] = {}
+    for k, (surface, lemma) in enumerate(zip(surfaces, lemmas)):
+        word, liveness = lexicon.readings[surface]
+        value = lexicon.cardinal_words.get(word)
         if value is not None:
-            mention = MentionAnnotation(MentionKind.CARDINAL, value)
-        else:
-            mention = _recognise((tok,), 0, {}, lexicon, mode)[0]
-        out.append(tok if mention is None else tok.with_mention(mention))
-    return out
+            marks[k] = _mention(MentionKind.CARDINAL, value)
+        elif liveness == LIVE:
+            mention = _recognise((word,), (lemma,), 0, (), lexicon, mode)[0]
+            if mention is not None:
+                marks[k] = mention
+    return surfaces, lemmas, marks
+
+
+def _merged(columns: _Columns, start: int, length: int, mention: MentionAnnotation) -> _Columns:
+    """The *length* tokens from *start* as one token carrying *mention*."""
+    surfaces, lemmas, _ = columns
+    stop = start + length
+    return [" ".join(surfaces[start:stop])], [" ".join(lemmas[start:stop])], {0: mention}
+
+
+def _append(out: _Columns, columns: _Columns, start: int, stop: int) -> None:
+    """Append positions *start* to *stop* - 1 of *columns* to *out*, with their mentions."""
+    surfaces, lemmas, marks = columns
+    shift = len(out[0]) - start
+    for position, mention in marks.items():
+        if start <= position < stop:
+            out[2][position + shift] = mention
+    out[0].extend(surfaces[start:stop])
+    out[1].extend(lemmas[start:stop])
 
 
 _NEGATIONS = frozenset({"n't", "not"})
 _AUXILIARIES = frozenset({"do", "does", "did"})
-_ZERO = MentionAnnotation(MentionKind.ZERO, 0)
-_NO = Token("no", "no", 0, _ZERO)  # surface, lemma, index, mention
+_ZERO = _mention(MentionKind.ZERO, 0)
 
 
-def _zero_cue_rewrites(tokens: tuple[Token, ...]) -> tuple[Token, ...]:
-    """*tokens* with the zero cues rewritten as :func:`preprocess_sentence` describes.
+def _zero_cue_rewrites(columns: _Columns, words: tuple[str, ...]) -> Optional[_Columns]:
+    """*columns* with the zero cues rewritten as :func:`preprocess_sentence` describes.
 
+    *words* are the lowercased surfaces. Returns None when nothing changes.
     Negations meet auxiliaries on a stack of the kept positions, so dropping
     a pair lets the auxiliary before it meet the negation after it.
     """
-    words = [tok.surface.lower() for tok in tokens]
     if ZERO_CUES.isdisjoint(words):
-        return tokens
+        return None
+    surfaces, lemmas, marks = columns
     anys = [k for k, word in enumerate(words) if word == "any"]
     claimed: set[int] = set()
     kept: list[int] = []
@@ -298,41 +293,54 @@ def _zero_cue_rewrites(tokens: tuple[Token, ...]) -> tuple[Token, ...]:
                 kept.pop()
                 continue
         kept.append(i)
-    out: list[Token] = []
+    out_surfaces: list[str] = []
+    out_lemmas: list[str] = []
+    out_marks: list[Optional[MentionAnnotation]] = []
     for i in kept:
-        if words[i] == "without":
-            out += (Token("with", "with", 0), _NO)
+        word = words[i]
+        if word == "without":
+            out_surfaces += ("with", "no")
+            out_lemmas += ("with", "no")
+            out_marks += (None, _ZERO)
         elif i in claimed:
-            out.append(_NO)
-        elif words[i] in ("no", "0") and tokens[i].mention is None:
-            out.append(tokens[i].with_mention(_ZERO))
-        elif words[i] != "never":
-            out.append(tokens[i])
-    if "never" in words:
-        tail = len(out) - bool(out and out[-1].surface in (".", "!", "?"))
-        out[tail:tail] = (Token("0", "0", 0, _ZERO), Token("times", "time", 0))
-    return tuple(out)
+            out_surfaces.append("no")
+            out_lemmas.append("no")
+            out_marks.append(_ZERO)
+        elif word != "never":
+            out_surfaces.append(surfaces[i])
+            out_lemmas.append(lemmas[i])
+            out_marks.append(marks.get(i, _ZERO if word in ("no", "0") else None))
+    if "never" in words:  # "0 times" goes before a final terminal
+        tail = len(out_surfaces) - bool(out_surfaces and out_surfaces[-1] in (".", "!", "?"))
+        out_surfaces[tail:tail] = ("0", "times")
+        out_lemmas[tail:tail] = ("0", "time")
+        out_marks[tail:tail] = (_ZERO, None)
+    out = out_surfaces, out_lemmas, {p: m for p, m in enumerate(out_marks) if m is not None}
+    return None if out == (list(surfaces), list(lemmas), marks) else out
 
 
-def _live_positions(
-    tokens: tuple[Token, ...], lexicon: NumLexicon, zero_mode: bool
-) -> list[int]:
-    """Positions of the unannotated tokens that can start anything, in order.
+def _read(columns: _Columns, lexicon: NumLexicon, zero_mode: bool) -> tuple[tuple, tuple, list]:
+    """The lowercased surfaces, their liveness, and the live positions not yet annotated.
 
-    A zero cue can start a rewrite, so in zero mode it is live too.
+    A zero cue can start a rewrite, so in zero mode it is live too. When no
+    token is live, only the liveness is read.
     """
-    return [
-        i
-        for i, tok in enumerate(tokens)
-        if tok.mention is None
-        and (lexicon.is_live(word := tok.surface.lower(), tok.lemma)
-             or zero_mode and word in ZERO_CUES)
-    ]
+    surfaces, _, marks = columns
+    floor = ZERO_CUE if zero_mode else LIVE
+    read = lexicon.readings.__getitem__
+    if max(map(_LIVENESS, map(read, surfaces)), default=DEAD) < floor:
+        return (), (), []
+    words, liveness = zip(*map(read, surfaces))
+    live = [i for i, level in enumerate(liveness) if level >= floor and i not in marks]
+    return words, liveness, live
 
 
 def to_placeholder_sequence(sentence: Sentence) -> list[str]:
     """Lemma sequence with mentions replaced by their placeholder symbols."""
-    return [tok.lemma if tok.mention is None else tok.mention.placeholder for tok in sentence]
+    symbols = list(sentence.lemmas())
+    for position, mention in sentence.mentions:
+        symbols[position] = mention.placeholder
+    return symbols
 
 
 def preprocess_sentence(
@@ -362,38 +370,43 @@ def preprocess_sentence(
     one token), ordinal, Latin/Greek-affixed number term or, in inference
     mode, an indefinite article. Already-annotated tokens are left untouched.
     Returns *sentence* itself when nothing changed, and at once when no
-    unannotated token is live.
+    unannotated token is live. Liveness is read per surface, so a lemma is
+    taken to be ``lemmatize`` of its surface, as :func:`tokenize` builds it.
     """
-    tokens = sentence.tokens
-    live = _live_positions(tokens, lexicon, zero_mode)
+    columns: _Columns = (sentence.surfaces(), sentence.lemmas(), dict(sentence.mentions))
+    words, liveness, live = _read(columns, lexicon, zero_mode)
     if not live:
         return sentence
-    if zero_mode:
-        tokens = _zero_cue_rewrites(tokens)
-        if tokens is not sentence.tokens:
-            live = _live_positions(tokens, lexicon, zero_mode)
-    specials = {i: term for i in live if (term := _match_special(tokens, i, lexicon))}
-    out: list[Token] = []
-    i = 0  # tokens[:i] are read; only a live token can start anything
+    if zero_mode and (rewritten := _zero_cue_rewrites(columns, words)):
+        columns = rewritten
+        words, liveness, live = _read(columns, lexicon, zero_mode)
+    surfaces, lemmas, marks = columns
+    specials = {j: term for j in live if (term := _match_special(words, j, lexicon))}
+    stops = specials.keys() | marks.keys()  # a cardinal run ends at these
+    out: _Columns = ([], [], {})
+    i = 0  # columns[:i] are read; only a live token can start anything
     for j in live:
         if j < i:
             continue  # inside a mention or special term read already
-        out.extend(tokens[i:j])
         special = specials.get(j)
-        if special is None:
-            mention, length = _recognise(tokens, j, specials, lexicon, mode)
-            out.append(
-                tokens[j] if mention is None else _merge_tokens(tokens[j : j + length], mention)
-            )
-        else:
+        if special is not None:
             length = len(special.term)
             if special.replacement_text is None:
-                mention = MentionAnnotation(MentionKind.NUMTERM, special.value)
-                out.append(_merge_tokens(tokens[j : j + length], mention))
+                mention = _mention(MentionKind.NUMTERM, special.value)
+                replacement = _merged(columns, j, length, mention)
             else:
-                out.extend(_rewrite(special.replacement_text, lexicon, mode))
+                replacement = _rewrite(special.replacement_text, lexicon, mode)
+        elif liveness[j] == LIVE:
+            mention, length = _recognise(words, lemmas, j, stops, lexicon, mode)
+            if mention is None:
+                continue
+            replacement = _merged(columns, j, length, mention)
+        else:
+            continue  # a zero cue left as it is
+        _append(out, columns, i, j)
+        _append(out, replacement, 0, len(replacement[0]))
         i = j + length
-    out.extend(tokens[i:])
-    if len(out) == len(sentence.tokens) and all(map(is_, out, sentence.tokens)):
+    if i == 0 and surfaces is sentence.surfaces():
         return sentence  # nothing rewritten or annotated
-    return make_sentence(out)
+    _append(out, columns, i, len(surfaces))
+    return Sentence(out[0], out[1], out[2].items())

@@ -7,7 +7,14 @@ rules plus an exceptions table for irregular forms.
 Text repeats a small vocabulary, so the contraction split and the lemma are
 worked out once per distinct raw token: :func:`_pieces` is a bounded
 ``functools.lru_cache`` (at most ``_PIECES_CACHE_SIZE`` raw tokens, however
-large the corpus), and the tokenize loop only builds the tokens.
+large the corpus), and the tokenize loop only extends a sentence's surface
+and lemma columns.
+
+Contractions are split after the token regex, not inside it. A clitic
+alternative in ``_TOKEN_RE`` would buy no speed, since the split is cached
+per distinct raw token, and it would change tokens: "23rd's" would give
+"23rd" "'s" (today "23rd" "'" "s"), and "ISN'T" would keep the clitic "N'T"
+(today "n't", lemma "not").
 """
 
 from __future__ import annotations
@@ -15,20 +22,22 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .types import Sentence, Token
+from .types import Sentence
 
-# Ordered alternatives: digit ordinals, decimal numbers, comma-grouped
-# integers, words (internal apostrophes/hyphens/digits stay inside the
-# token), anything else as a single punctuation character. A comma joins
-# digits only after a leading group of one to three digits and before a
-# group of exactly three ("1,200"); otherwise it is punctuation ("1999,2001",
-# "1999,200" and "1,2" are two numbers).
+# Alternatives: words (internal apostrophes/hyphens/digits stay inside the
+# token); at a digit only, in order, digit ordinals, decimal numbers and
+# comma-grouped integers; anything else as a single punctuation character.
+# A comma joins digits only after a leading group of one to three digits and
+# before a group of exactly three ("1,200"); otherwise it is punctuation
+# ("1999,2001", "1999,200" and "1,2" are two numbers).
 _TOKEN_RE = re.compile(
     r"""
-    \d+(?:st|nd|rd|th)\b                 # digit ordinal, "23rd"
-  | (?:\d{1,3}(?:,\d{3})+|\d+)\.\d+      # decimal number, keeps "3.5" in one token
-  | \d{1,3}(?:,\d{3}(?!\d))+ | \d+      # integer, possibly comma-grouped ("1,200")
-  | [A-Za-z][A-Za-z0-9]*(?:['’-][A-Za-z0-9]+)*
+    [A-Za-z][A-Za-z0-9]*(?:['’-][A-Za-z0-9]+)*
+  | (?=\d)(?:
+        \d+(?:st|nd|rd|th)\b             # digit ordinal, "23rd"
+      | (?:\d{1,3}(?:,\d{3})+|\d+)\.\d+  # decimal number, keeps "3.5" in one token
+      | \d{1,3}(?:,\d{3}(?!\d))+ | \d+  # integer, possibly comma-grouped ("1,200")
+    )
   | \S                                   # any other visible character
     """,
     re.VERBOSE,
@@ -107,13 +116,15 @@ def tokenize(text: str) -> list[Sentence]:
     number tokens do not split. Empty text yields an empty list.
     """
     sentences: list[Sentence] = []
-    current: list[Token] = []
+    surfaces: list[str] = []
+    lemmas: list[str] = []
     for raw in _TOKEN_RE.findall(text):
         for surface, lemma in _pieces(raw):
-            current.append(Token(surface, lemma, len(current)))
-            if surface in _TERMINALS:
-                sentences.append(Sentence(tuple(current)))
-                current = []
-    if current:
-        sentences.append(Sentence(tuple(current)))
+            surfaces.append(surface)
+            lemmas.append(lemma)
+        if raw in _TERMINALS:  # a terminal is a raw token of its own
+            sentences.append(Sentence(surfaces, lemmas))
+            surfaces, lemmas = [], []
+    if surfaces:
+        sentences.append(Sentence(surfaces, lemmas))
     return sentences

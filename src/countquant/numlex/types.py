@@ -1,18 +1,19 @@
-"""Core token/sentence types shared by the whole pipeline.
+"""Core sentence types shared by the whole pipeline.
 
-Sentences are immutable: a preprocessing step that changes one returns a new
-``Sentence`` with token indices re-assigned, so they can be passed freely
-between workers. A ``Token`` is a ``typing.NamedTuple``: a tuple, so building
-one per token costs about half what a frozen dataclass does, and it pickles
-by value.
+A :class:`Sentence` is its columns: a tuple of surfaces, a tuple of lemmas,
+and its mentions as ``(position, MentionAnnotation)`` pairs in increasing
+position order. Sentences are immutable: a preprocessing step that changes
+one builds the new columns once. A sentence pickles as its columns, so it can
+be passed freely between workers. A :class:`Token` is a view of one
+position, built only when a sentence is iterated, and the input of
+:func:`make_sentence`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
 class MentionKind(enum.Enum):
@@ -64,58 +65,61 @@ class MentionAnnotation:
 
 
 class Token(NamedTuple):
-    """A single token: surface form, lowercased lemma, sentence position."""
+    """A view of one sentence position: surface form, lemma, position, mention."""
 
     surface: str
     lemma: str
     index: int
     mention: Optional[MentionAnnotation] = None
 
-    def with_mention(self, mention: MentionAnnotation) -> "Token":
-        return self._replace(mention=mention)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Sentence:
-    """An immutable tokenized sentence."""
+    """An immutable tokenized sentence, held as columns.
 
-    tokens: tuple[Token, ...]
+    ``surfaces()`` and ``lemmas()`` return the two tuples; ``mentions`` holds
+    the ``(position, MentionAnnotation)`` pairs, positions strictly increasing.
+    """
 
-    def __post_init__(self) -> None:
-        for i, tok in enumerate(self.tokens):
-            if tok.index != i:
-                raise ValueError(
-                    f"token index {tok.index} at position {i}: indices must be 0..n-1"
-                )
+    _surfaces: tuple[str, ...]
+    _lemmas: tuple[str, ...]
+    mentions: tuple[tuple[int, MentionAnnotation], ...]
+
+    def __init__(self, surfaces: Iterable[str], lemmas: Iterable[str],
+                 mentions: Iterable[tuple[int, MentionAnnotation]] = ()) -> None:
+        surfaces, lemmas, mentions = tuple(surfaces), tuple(lemmas), tuple(mentions)
+        if len(surfaces) != len(lemmas):
+            raise ValueError(f"{len(surfaces)} surfaces but {len(lemmas)} lemmas")
+        previous = -1
+        for position, _ in mentions:
+            if not previous < position < len(surfaces):
+                raise ValueError(f"mention position {position} after {previous} in "
+                                 f"{len(surfaces)} tokens: positions must increase in 0..n-1")
+            previous = position
+        object.__setattr__(self, "_surfaces", surfaces)
+        object.__setattr__(self, "_lemmas", lemmas)
+        object.__setattr__(self, "mentions", mentions)
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self._surfaces)
 
-    def __iter__(self):
-        return iter(self.tokens)
+    def __iter__(self) -> Iterator[Token]:
+        marks = dict(self.mentions)
+        for i, (surface, lemma) in enumerate(zip(self._surfaces, self._lemmas)):
+            yield Token(surface, lemma, i, marks.get(i))
 
-    def __getitem__(self, i: int) -> Token:
-        return self.tokens[i]
+    def surfaces(self) -> tuple[str, ...]:
+        return self._surfaces
 
-    @cached_property
-    def mentions(self) -> tuple[Token, ...]:
-        """Tokens carrying a mention annotation, in sentence order (computed once)."""
-        return tuple(t for t in self.tokens if t.mention is not None)
-
-    def __getstate__(self) -> dict:
-        # The cached mentions are derived, so a sentence pickles as its tokens.
-        return {"tokens": self.tokens}
-
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
-    def lemmas(self) -> list[str]:
-        return [t.lemma for t in self.tokens]
+    def lemmas(self) -> tuple[str, ...]:
+        return self._lemmas
 
 
 def make_sentence(tokens: Iterable[Token]) -> Sentence:
-    """Build a sentence, re-assigning indices to 0..n-1 (tokens already in place are kept)."""
-    fixed = tuple(
-        tok if tok.index == i else tok._replace(index=i) for i, tok in enumerate(tokens)
+    """The sentence of *tokens* in order; their indices are ignored, positions run 0..n-1."""
+    tokens = tuple(tokens)
+    return Sentence(
+        (t.surface for t in tokens),
+        (t.lemma for t in tokens),
+        ((i, t.mention) for i, t in enumerate(tokens) if t.mention is not None),
     )
-    return Sentence(tokens=fixed)

@@ -257,7 +257,7 @@ def test_criterion_6_labeling_outcome_table():
             v: _prep(f"He has {w} children .") for v, w in _WORDS.items()
         }
         mention_index = {
-            v: sentences[v].mentions[0].index for v in sentences
+            v: sentences[v].mentions[0][0] for v in sentences
         }
         rng = random.Random(606)
         violations = 0

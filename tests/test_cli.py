@@ -580,6 +580,28 @@ class TestOptionValues:
         assert result.exit_code == 2, result.output
         assert f"Invalid value for '{flag}'" in result.output
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command,key", [
+        ("train", "l2_sigma"),
+        ("extract", "threshold"),
+        ("build-training", "upper_bound_q"),
+        ("build-training", "popularity_top"),
+        ("build-training", "entropy_min"),
+        ("enrich", "min_precision"),
+        ("enrich", "min_coverage"),
+    ])
+    def test_non_finite_value_exits_2(self, runner, fixture_dir, command, key, value, via):
+        """NaN passes every range comparison, and infinity an open upper end."""
+        flag = "--" + key.replace("_", "-")
+        if via == "flag":
+            args = ["--config", str(write_config(fixture_dir)), command, flag, value]
+        else:
+            args = ["--config", str(write_config(fixture_dir, f"{key} = {value}")), command]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{flag}'" in result.output
+
     def test_lowest_values_in_range_are_accepted(self, runner, fixture_dir):
         config = str(write_config(fixture_dir))
         run_ok(runner, ["--config", config, "build-training", "--entropy-min", "0",

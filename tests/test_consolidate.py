@@ -321,7 +321,7 @@ class TestConsolidate:
         labeled, confs = labeled_with(
             "He has never been married", {4: (COUNT, 0.9)}
         )
-        zero_tok = labeled.sentence[4]
+        zero_tok = list(labeled.sentence)[4]
         assert zero_tok.surface == "0" and zero_tok.mention.value == 0
         cq = consolidate("he", None, [labeled], [confs], threshold=0.1)
         assert cq.count == 0

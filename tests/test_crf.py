@@ -492,6 +492,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], feature_cutoff=1)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_l2_sigma_refused(self, sigma):
+        with pytest.raises(ValueError, match="l2_sigma must be a positive finite number"):
+            TrainingProblem(TOY_DATA, l2_sigma=sigma, feature_cutoff=1)
+
     def test_feature_cutoff_drops_singletons(self):
         problem = TrainingProblem(TOY_DATA, feature_cutoff=2)
         index = _feature_strings(problem.gram_ids)

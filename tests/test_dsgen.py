@@ -76,7 +76,7 @@ class TestLabelSentence:
     def test_exact_match_positive(self, prep):
         s = prep("He has three children .")
         out = label_sentence(s, 3, 7)
-        assert out.tags[s.mentions[0].index] == COUNT
+        assert out.tags[s.mentions[0][0]] == COUNT
 
     def test_below_count_negative(self, prep):
         s = prep("He has two children .")
@@ -137,7 +137,7 @@ def _single_mention_sentence(value: int):
 def test_four_way_outcome_table(kb_count, upper_bound, value):
     sentence = _single_mention_sentence(value)
     outcome = label_sentence(sentence, kb_count, upper_bound)
-    mention_index = sentence.mentions[0].index
+    mention_index = sentence.mentions[0][0]
     if kb_count < value <= upper_bound:
         assert outcome is None
     elif value == kb_count:
@@ -217,10 +217,10 @@ def _reference_context_signature(sentence, position):
 
 def _reference_number_entropy(document, value):
     signatures = Counter(
-        _reference_context_signature(sent, tok.index)
+        _reference_context_signature(sent, position)
         for sent in document
-        for tok in sent.mentions
-        if tok.mention.value == value
+        for position, mention in sent.mentions
+        if mention.value == value
     )
     total = sum(signatures.values())
     if total == 0:
@@ -231,7 +231,7 @@ def _reference_number_entropy(document, value):
 
 
 def _reference_low_entropy_values(document, threshold):
-    occurrences = Counter(tok.mention.value for sent in document for tok in sent.mentions)
+    occurrences = Counter(mention.value for sent in document for _, mention in sent.mentions)
     return {
         value
         for value, n in occurrences.items()
@@ -293,13 +293,13 @@ class _Excluded:
 def _reference_label_sentence(sentence, kb_count, upper_bound):
     if kb_count < 1:
         raise ValueError("training subjects must have at least one object")
-    mentions = sentence.mentions
-    if any(kb_count < t.mention.value <= upper_bound for t in mentions):
+    mentions = dict(sentence.mentions)
+    if any(kb_count < mention.value <= upper_bound for mention in mentions.values()):
         return _Excluded(sentence=sentence)
-    eligible = [t.index for t in mentions if t.mention.kind not in _NEVER_SEEDS]
-    exact = [i for i in eligible if sentence[i].mention.value == kb_count]
+    eligible = [i for i, mention in mentions.items() if mention.kind not in _NEVER_SEEDS]
+    exact = [i for i in eligible if mentions[i].value == kb_count]
     run, cues = _find_composition_run(
-        sentence, [i for i in eligible if i not in exact], kb_count
+        sentence, [(i, mentions[i]) for i in eligible if i not in exact], kb_count
     )
     tags = [OTHER] * len(sentence)
     for i in exact + run:
@@ -316,10 +316,10 @@ def _reference_contexts_by_value(document):
         if not mentions:
             continue
         lemmas = ["<BOS>", "<BOS>", *sent.lemmas(), "<EOS>", "<EOS>"]
-        for tok in mentions:
-            i = tok.index + 2
+        for position, mention in mentions:
+            i = position + 2
             context = (lemmas[i - 2], lemmas[i - 1], lemmas[i + 1], lemmas[i + 2])
-            contexts.setdefault(tok.mention.value, Counter())[context] += 1
+            contexts.setdefault(mention.value, Counter())[context] += 1
     return contexts
 
 
@@ -344,7 +344,7 @@ def _reference_label_subject_document(text, kb_count, upper_bound, policy, subje
     for sent in document:
         if not sent.mentions:
             continue
-        if any(t.mention.value in low_entropy for t in sent.mentions):
+        if any(mention.value in low_entropy for _, mention in sent.mentions):
             stats.entropy_dropped += 1
             continue
         outcome = _reference_label_sentence(sent, kb_count, upper_bound)
@@ -511,8 +511,8 @@ class TestGenerateTrainingSet:
             }, REL, policy)
         assert stats2.excluded == 1
         for ls in labeled2:
-            for tok in ls.sentence.mentions:
-                assert not (5 < tok.mention.value <= 9)
+            for _, mention in ls.sentence.mentions:
+                assert not (5 < mention.value <= 9)
 
 
 class TestStatsAndIo:

@@ -92,7 +92,7 @@ class TestScoreRecognition:
                      prep("She has no sons .", zero_mode=True)]
         gold = [LabeledSentence(s, tuple(COUNT if t.mention else "O" for t in s))
                 for s in sentences]
-        kinds = [tok.mention.kind.value for ls in gold for tok in ls.sentence.mentions]
+        kinds = [mention.kind.value for ls in gold for _, mention in ls.sentence.mentions]
         assert kinds == ["article", "zero"]
         predicted = [["O"] * len(ls.tags) for ls in gold]
         predicted[1] = list(gold[1].tags)

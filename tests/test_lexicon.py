@@ -92,10 +92,10 @@ class TestLexiconFiles:
             assert specials[term].replacement_text is None
             assert specials[term].value == value
             sentence = preprocess_sentence(tokenize(f"They are a {term} .")[0], lx)
-            [tok] = sentence.mentions
-            assert (tok.surface, tok.mention.kind, tok.mention.value) == (
+            [(position, mention)] = sentence.mentions
+            assert (sentence.surfaces()[position], mention.kind, mention.value) == (
                 term, MentionKind.NUMTERM, value)
-            assert tok.mention.placeholder == "NUMTERM"
+            assert mention.placeholder == "NUMTERM"
 
     def test_suffixed_numterm_row_reads_as_bare_numterm(self, tmp_path):
         lexicons = []
@@ -132,8 +132,13 @@ class TestAnnotationInvariants:
         assert zero.placeholder == "CARDINAL"
 
     def test_sentence_index_invariant(self):
-        bad = [Token(surface="a", lemma="a", index=1)]
+        one = MentionAnnotation(kind=MentionKind.CARDINAL, value=1)
+        for mentions in ([(1, one)], [(-1, one)], [(0, one), (0, one)]):
+            with pytest.raises(ValueError):
+                Sentence(("one",), ("one",), tuple(mentions))
         with pytest.raises(ValueError):
-            Sentence(tokens=tuple(bad))
-        fixed = make_sentence(bad)
-        assert fixed[0].index == 0
+            Sentence(("a", "b"), ("a",))
+        # make_sentence reads positions from the order of its tokens, not their indices
+        fixed = make_sentence([Token(surface="one", lemma="one", index=3, mention=one)])
+        assert fixed.mentions == ((0, one),)
+        assert [tok.index for tok in fixed] == [0]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import itertools
 import pickle
 import re
@@ -26,27 +27,30 @@ from countquant.numlex import (
     tokenize,
 )
 from countquant.numlex import mentions
+from countquant.numlex.lexicon import _READINGS_SIZE, DEAD, LIVE, ZERO_CUE
 from countquant.numlex.mentions import (
     _DIGIT_CARDINAL_RE,
-    _cardinal_run,
     _match_special,
-    _merge_tokens,
     _parse_cardinal_words,
     _parse_ordinal,
-    _zero_cue_rewrites,
 )
-from countquant.numlex.tokenizer import _TOKEN_RE, lemmatize
+from countquant.numlex.tokenizer import lemmatize
 
 from oracles import detokenize
 
 LEXICON = load_default_lexicon()
 
 
+def _mention_tokens(sentence):
+    """The token views of *sentence* that carry a mention, in order."""
+    return [tok for tok in sentence if tok.mention is not None]
+
+
 class TestTokenize:
     def test_whitespace_and_punctuation_split(self):
         sentences = tokenize("Trump has three children.")
         assert len(sentences) == 1
-        assert sentences[0].surfaces() == ["Trump", "has", "three", "children", "."]
+        assert sentences[0].surfaces() == ("Trump", "has", "three", "children", ".")
 
     def test_empty_input(self):
         assert tokenize("") == []
@@ -62,24 +66,34 @@ class TestTokenize:
 
     def test_comma_groups_only_before_three_digits(self):
         (s,) = tokenize("children in 1999,2001,2004")
-        assert s.surfaces() == ["children", "in", "1999", ",", "2001", ",", "2004"]
+        assert s.surfaces() == ("children", "in", "1999", ",", "2001", ",", "2004")
         (s,) = tokenize("He has 1,2 sons")
-        assert s.surfaces() == ["He", "has", "1", ",", "2", "sons"]
+        assert s.surfaces() == ("He", "has", "1", ",", "2", "sons")
         (s,) = tokenize("It sold 1,200 or 1,234.5 or 12,3456 units")
-        assert s.surfaces() == [
+        assert s.surfaces() == (
             "It", "sold", "1,200", "or", "1,234.5", "or", "12", ",", "3456", "units",
-        ]
+        )
 
     def test_comma_groups_only_after_one_to_three_digits(self):
         (s,) = tokenize("children in 1999,200 people or 1999,200.5 or 12,345,678 or 12345")
-        assert s.surfaces() == [
+        assert s.surfaces() == (
             "children", "in", "1999", ",", "200", "people", "or", "1999", ",", "200.5",
             "or", "12,345,678", "or", "12345",
-        ]
+        )
 
     def test_contraction_split(self):
         (s,) = tokenize("They didn't stay")
-        assert s.surfaces() == ["They", "did", "n't", "stay"]
+        assert s.surfaces() == ("They", "did", "n't", "stay")
+
+    @pytest.mark.parametrize("text,surfaces,lemmas", [
+        ("the 23rd's finale", ("the", "23rd", "'", "s", "finale"),
+         ("the", "23rd", "'", "s", "finale")),
+        ("It ISN'T so", ("It", "IS", "n't", "so"), ("it", "be", "not", "so")),
+    ], ids=["ordinal-then-clitic", "upper-case-clitic"])
+    def test_contractions_split_after_the_token_regex(self, text, surfaces, lemmas):
+        """The clitic split keeps "23rd" "'" "s" and lowercases "N'T" to "n't"."""
+        (s,) = tokenize(text)
+        assert (s.surfaces(), s.lemmas()) == (surfaces, lemmas)
 
     def test_indices_contiguous(self):
         (s,) = tokenize("a b c d")
@@ -98,18 +112,21 @@ class TestSentence:
     def test_mentions_computed_once(self, prep):
         s = prep("She has twenty one children and a dozen cats")
         assert s.mentions is s.mentions
-        rebuilt = Sentence(tokens=s.tokens)
+        rebuilt = Sentence(s.surfaces(), s.lemmas(), s.mentions)
         assert rebuilt == s and hash(rebuilt) == hash(s)
-        assert rebuilt.mentions == s.mentions
-        assert [t.surface for t in s.mentions] == ["twenty one", "twelve"]
+        assert [(s.surfaces()[p], m.value) for p, m in s.mentions] == [
+            ("twenty one", 21), ("twelve", 12)]
 
     def test_pickles_as_its_tokens(self, prep):
-        s = prep("She has twenty one children")
-        fresh = Sentence(tokens=s.tokens)
-        assert s.mentions
-        assert pickle.dumps(s) == pickle.dumps(fresh)
-        back = pickle.loads(pickle.dumps(s))
-        assert back == s and back.mentions == s.mentions
+        """A preprocessed sentence is its token views, and pickles as its columns."""
+        for mode, zero_mode in itertools.product((TRAIN_MODE, INFERENCE_MODE), (False, True)):
+            s = prep("She never had a dozen kids , not twenty one", mode=mode, zero_mode=zero_mode)
+            assert s.mentions
+            assert make_sentence(list(s)) == s
+            fresh = Sentence(s.surfaces(), s.lemmas(), s.mentions)
+            assert pickle.dumps(s) == pickle.dumps(fresh)
+            back = pickle.loads(pickle.dumps(s))
+            assert back == s and back.mentions == s.mentions
 
     @pytest.mark.parametrize("zero_mode", [False, True])
     def test_preprocess_returns_input_when_nothing_changes(self, prep, zero_mode):
@@ -125,14 +142,14 @@ class TestAnnotateMentions:
     def test_twins_is_suffixed_numterm(self, prep):
         """The "-plets" of "twins" leaves no trace: its placeholder is the bare NUMTERM."""
         s = prep("her twins")
-        (tok,) = s.mentions
+        (tok,) = _mention_tokens(s)
         assert tok.surface == "twins"
         assert tok.mention == MentionAnnotation(MentionKind.NUMTERM, 2)
         assert tok.mention.placeholder == "NUMTERM"
 
     def test_article_only_at_inference(self, prep):
         s = prep("a son", mode=INFERENCE_MODE)
-        tok = s[0]
+        tok = list(s)[0]
         assert tok.mention is not None
         assert tok.mention.kind is MentionKind.ARTICLE
         assert tok.mention.value == 1
@@ -140,26 +157,26 @@ class TestAnnotateMentions:
 
     def test_pentalogy(self, prep):
         s = prep("pentalogy")
-        (tok,) = s.mentions
+        (tok,) = _mention_tokens(s)
         assert tok.mention == MentionAnnotation(MentionKind.NUMTERM, 5)
         assert tok.mention.placeholder == "NUMTERM"
 
     def test_digit_and_comma_cardinals(self, prep):
         s = prep("He won 1,200 games in 58 counties")
-        assert [t.mention.value for t in s.mentions] == [1200, 58]
+        assert [t.mention.value for t in _mention_tokens(s)] == [1200, 58]
 
     def test_comma_separated_years_are_separate_cardinals(self, prep):
         s = prep("children in 1999,2001,2004", mode=INFERENCE_MODE)
-        assert [t.mention.value for t in s.mentions] == [1999, 2001, 2004]
-        assert [t.mention.kind for t in s.mentions] == [MentionKind.CARDINAL] * 3
+        assert [t.mention.value for t in _mention_tokens(s)] == [1999, 2001, 2004]
+        assert [t.mention.kind for t in _mention_tokens(s)] == [MentionKind.CARDINAL] * 3
 
     def test_comma_after_long_group_is_not_a_separator(self, prep):
         s = prep("children in 1999,200 people", mode=INFERENCE_MODE)
-        assert [t.mention.value for t in s.mentions] == [1999, 200]
+        assert [t.mention.value for t in _mention_tokens(s)] == [1999, 200]
 
     def test_comma_before_short_group_is_not_a_separator(self, prep):
         s = prep("He has 1,2 sons", mode=INFERENCE_MODE)
-        assert [t.mention.value for t in s.mentions] == [1, 2]
+        assert [t.mention.value for t in _mention_tokens(s)] == [1, 2]
 
     @pytest.mark.parametrize("surface", ["1,2", "1999,2001", "1,2345", "1,", "1999,200"])
     def test_digit_cardinal_needs_three_digit_groups(self, surface):
@@ -171,14 +188,14 @@ class TestAnnotateMentions:
 
     def test_multiword_cardinal_merges(self, prep):
         s = prep("one hundred and five children")
-        (tok,) = s.mentions
+        (tok,) = _mention_tokens(s)
         assert tok.mention.value == 105
         assert tok.surface == "one hundred and five"
         assert len(s) == 2
 
     def test_and_does_not_glue_plain_numbers(self, prep):
         s = prep("three biological and three adopted")
-        assert [t.mention.value for t in s.mentions] == [3, 3]
+        assert [t.mention.value for t in _mention_tokens(s)] == [3, 3]
 
     @pytest.mark.parametrize("text,value", [
         ("ten thousand and five fans", 10_005),
@@ -187,7 +204,7 @@ class TestAnnotateMentions:
         ("five thousand and three hundred fans", 5300),
     ])
     def test_and_absorbed_after_thousand(self, prep, text, value):
-        (tok,) = prep(text).mentions
+        (tok,) = _mention_tokens(prep(text))
         assert tok.mention.value == value
         assert tok.surface == " ".join(text.split()[:-1])
 
@@ -197,7 +214,7 @@ class TestAnnotateMentions:
         ("twenty hundred children", 2000),
     ])
     def test_hundred_after_tens(self, prep, text, value):
-        (tok,) = prep(text).mentions
+        (tok,) = _mention_tokens(prep(text))
         assert tok.mention.value == value
         assert tok.surface == " ".join(text.split()[:-1])
 
@@ -207,23 +224,23 @@ class TestAnnotateMentions:
     ])
     def test_hundred_thousand_stays_under_cap(self, prep, text, value):
         s = prep(text)
-        assert [(t.surface, t.mention.value) for t in s.mentions] == [
+        assert [(t.surface, t.mention.value) for t in _mention_tokens(s)] == [
             (" ".join(text.split()[:-2]), value)
         ]
 
     def test_word_grammar_reaches_cap(self, prep):
         s = prep("nine hundred ninety nine thousand nine hundred ninety nine fans")
-        (tok,) = s.mentions
+        (tok,) = _mention_tokens(s)
         assert tok.mention.value == 999_999
 
     def test_zero_word_is_cardinal_zero(self, prep):
         s = prep("zero complaints")
-        (tok,) = s.mentions
+        (tok,) = _mention_tokens(s)
         assert (tok.mention.kind, tok.mention.value) == (MentionKind.CARDINAL, 0)
 
     def test_hyphenated_cardinal_and_ordinal(self, prep):
         s = prep("twenty-one books on his twenty-first birthday")
-        values = [(t.mention.kind, t.mention.value) for t in s.mentions]
+        values = [(t.mention.kind, t.mention.value) for t in _mention_tokens(s)]
         assert values == [(MentionKind.CARDINAL, 21), (MentionKind.ORDINAL, 21)]
 
     @pytest.mark.parametrize("mode", [TRAIN_MODE, INFERENCE_MODE])
@@ -235,13 +252,13 @@ class TestAnnotateMentions:
     ])
     def test_article_before_scale_word_reads_one(self, prep, mode, text, surface, value):
         s = prep(text, mode=mode)
-        assert [(t.surface, t.mention.kind, t.mention.value) for t in s.mentions] == [
+        assert [(t.surface, t.mention.kind, t.mention.value) for t in _mention_tokens(s)] == [
             (surface, MentionKind.CARDINAL, value)
         ]
 
     def test_article_before_other_word_is_unchanged(self, prep):
         s = prep("a twenty dollar bill and a son", mode=INFERENCE_MODE)
-        assert [(t.surface, t.mention.kind, t.mention.value) for t in s.mentions] == [
+        assert [(t.surface, t.mention.kind, t.mention.value) for t in _mention_tokens(s)] == [
             ("a", MentionKind.ARTICLE, 1),
             ("twenty", MentionKind.CARDINAL, 20),
             ("a", MentionKind.ARTICLE, 1),
@@ -254,8 +271,8 @@ class TestAnnotateMentions:
         ("one-hundred and five fans", 105),
     ])
     def test_hyphenated_cardinal_takes_scale_word(self, prep, mode, text, value):
-        hyphenated = prep(text, mode=mode).mentions
-        spaced = prep(text.replace("-", " "), mode=mode).mentions
+        hyphenated = _mention_tokens(prep(text, mode=mode))
+        spaced = _mention_tokens(prep(text.replace("-", " "), mode=mode))
         assert [(t.surface, t.mention.value) for t in hyphenated] == [
             (" ".join(text.split()[:-1]), value)
         ]
@@ -268,22 +285,22 @@ class TestAnnotateMentions:
     ])
     def test_one_after_no_is_not_a_cardinal(self, prep, mode, zero_mode, expected):
         s = prep("No one knows .", mode=mode, zero_mode=zero_mode)
-        assert [(t.surface, t.mention.kind, t.mention.value) for t in s.mentions] == expected
+        assert [(t.surface, t.mention.kind, t.mention.value) for t in _mention_tokens(s)] == expected
 
     @pytest.mark.parametrize("zero_mode", [False, True])
     def test_no_and_one_apart_are_unchanged(self, prep, zero_mode):
         no = prep("He has no children", zero_mode=zero_mode)
-        assert [(t.surface, t.mention.kind) for t in no.mentions] == (
+        assert [(t.surface, t.mention.kind) for t in _mention_tokens(no)] == (
             [("no", MentionKind.ZERO)] if zero_mode else []
         )
         one = prep("one child and no , one son", zero_mode=zero_mode)
-        assert [(t.surface, t.mention.value) for t in one.mentions] == (
+        assert [(t.surface, t.mention.value) for t in _mention_tokens(one)] == (
             [("one", 1), ("no", 0), ("one", 1)] if zero_mode else [("one", 1), ("one", 1)]
         )
 
     def test_digit_ordinal(self, prep):
         s = prep("the 23rd season")
-        (tok,) = s.mentions
+        (tok,) = _mention_tokens(s)
         assert tok.mention.kind is MentionKind.ORDINAL
         assert tok.mention.value == 23
 
@@ -300,20 +317,20 @@ class TestNormalizeSpecialTerms:
     def test_thrice_becomes_three_times(self, lexicon):
         (s,) = tokenize("thrice")
         out = preprocess_sentence(s, lexicon)
-        assert out.surfaces() == ["three", "times"]
-        assert out[0].mention.value == 3
+        assert out.surfaces() == ("three", "times")
+        assert list(out)[0].mention.value == 3
 
     def test_a_dozen_becomes_twelve(self, lexicon):
         (s,) = tokenize("She bought a dozen eggs")
         out = preprocess_sentence(s, lexicon)
-        assert out.surfaces() == ["She", "bought", "twelve", "eggs"]
-        assert out[2].mention.value == 12
+        assert out.surfaces() == ("She", "bought", "twelve", "eggs")
+        assert list(out)[2].mention.value == 12
 
     def test_twins_kept_as_placeholder_token(self, lexicon):
         (s,) = tokenize("her twins arrived")
         out = preprocess_sentence(s, lexicon)
-        assert out.surfaces() == ["her", "twins", "arrived"]
-        assert out[1].mention.placeholder == "NUMTERM"
+        assert out.surfaces() == ("her", "twins", "arrived")
+        assert list(out)[1].mention.placeholder == "NUMTERM"
 
     def test_reindexes(self, lexicon):
         (s,) = tokenize("thrice happy")
@@ -346,18 +363,18 @@ class TestRewriteZeroCues:
     def test_plain_no_annotated(self):
         (s,) = tokenize("They have no children")
         out = preprocess_sentence(s, LEXICON, zero_mode=True)
-        assert out[2].mention is not None and out[2].mention.value == 0
+        assert dict(out.mentions)[2].value == 0
 
     def test_terminal_punctuation_kept_last(self):
         (s,) = tokenize("He has never been married.")
         out = preprocess_sentence(s, LEXICON, zero_mode=True)
-        assert out.surfaces()[-3:] == ["0", "times", "."]
+        assert out.surfaces()[-3:] == ("0", "times", ".")
 
     def test_repeated_never_counts_zero_once(self):
         (s,) = tokenize("She never sang and never acted.")
         out = preprocess_sentence(s, LEXICON, zero_mode=True)
         assert detokenize(out) == "She sang and acted 0 times."
-        assert [t.surface for t in out.mentions] == ["0"]
+        assert [t.surface for t in _mention_tokens(out)] == ["0"]
 
     def test_handled_patterns_removed(self):
         texts = [
@@ -385,8 +402,8 @@ class TestRewriteZeroCues:
     def test_edge_cases(self, before, surfaces):
         (s,) = tokenize(before)
         out = preprocess_sentence(s, LEXICON, zero_mode=True)
-        assert out.surfaces() == surfaces
-        assert [(t.surface, t.mention.kind) for t in out.mentions] == [
+        assert list(out.surfaces()) == surfaces
+        assert [(t.surface, t.mention.kind) for t in _mention_tokens(out)] == [
             (w, MentionKind.ZERO) for w in surfaces if w.lower() in ("no", "0")
         ]
         assert out == _reference_preprocess(s, LEXICON, TRAIN_MODE, zero_mode=True)
@@ -416,7 +433,7 @@ class TestPlaceholderSequence:
         (s,) = tokenize("her twins")
         out = preprocess_sentence(s, load_lexicon(tmp_path / "lexicon"))
         assert to_placeholder_sequence(out) == ["her", "NUMTERM"]
-        assert out[1].mention.value == 2
+        assert dict(out.mentions)[1].value == 2
 
     def test_length_matches_tokens(self, prep):
         s = prep("she raised twenty one children and two dogs .")
@@ -518,6 +535,10 @@ def _as_tokens(words):
     return tuple(Token(surface=w, lemma=w.lower(), index=j) for j, w in enumerate(words))
 
 
+def _lowered(tokens):
+    return tuple(t.surface.lower() for t in tokens)
+
+
 _special_words = sorted({w for t in LEXICON.special_terms for w in t.term})
 _prefixes = sorted(LEXICON.latin_greek_prefixes)
 _suffixes = sorted(LEXICON.num_term_suffixes)
@@ -540,7 +561,8 @@ _special_token = st.one_of(
 def test_match_special_equals_naive_scan_property(words):
     tokens = _as_tokens(words)
     for i in range(len(tokens)):
-        assert _match_special(tokens, i, LEXICON) == _naive_match_special(tokens, i, LEXICON)
+        assert _match_special(_lowered(tokens), i, LEXICON) == _naive_match_special(
+            tokens, i, LEXICON)
 
 
 @settings(max_examples=300, deadline=None)
@@ -575,14 +597,103 @@ def test_compiled_tables_on_overlapping_lexicon(tmp_path):
         assert lexicon.affixed_words.get(word) == _naive_affix_value(word, lexicon), word
 
     # equal lengths keep table order: the first "a dozen" row wins
-    assert _match_special(_as_tokens(["A", "dozen"]), 0, lexicon).replacement_text == "twelve"
+    assert _match_special(("a", "dozen"), 0, lexicon).replacement_text == "twelve"
     vocab = ["a", "A", "dozen", "pair", "of", "half", "twins", "x"]
     for words in itertools.product(vocab, repeat=3):
         tokens = _as_tokens(words)
         for i in range(3):
-            assert _match_special(tokens, i, lexicon) == _naive_match_special(
+            assert _match_special(_lowered(tokens), i, lexicon) == _naive_match_special(
                 tokens, i, lexicon
             ), (words, i)
+
+
+def test_readings_stay_bounded():
+    """A lexicon reads a surface's lowercase form and liveness once, for a bounded set."""
+    lexicon = load_default_lexicon()
+    for k in range(_READINGS_SIZE + 100):
+        assert lexicon.readings[f"Word{k}"] == (f"word{k}", DEAD)
+        assert len(lexicon.readings) <= _READINGS_SIZE
+    assert [lexicon.readings[w] for w in ("Twenty-One", "Trilogies", "No", "cats")] == [
+        ("twenty-one", LIVE), ("trilogies", LIVE), ("no", ZERO_CUE), ("cats", DEAD)]
+
+
+# -- token-object copies shared by the references below --------------------
+#
+# numlex as it was when a sentence was a tuple of Token objects: the
+# special-term match, the merge of a span into one token, the cardinal run and
+# the zero-cue pass, each reading and building Token objects.
+
+
+def _object_match_special(tokens, i, lexicon):
+    """Longest special term starting at ``tokens[i]``, or None."""
+    for term in lexicon.specials_by_first.get(tokens[i].surface.lower(), ()):
+        span = tokens[i : i + len(term.term)]
+        if len(span) == len(term.term) and all(
+            t.surface.lower() == w for t, w in zip(span, term.term)
+        ):
+            return term
+    return None
+
+
+def _object_merge_tokens(span, mention):
+    return Token(
+        surface=" ".join(t.surface for t in span),
+        lemma=" ".join(t.lemma for t in span),
+        index=span[0].index,
+        mention=mention,
+    )
+
+
+def _object_cardinal_run(tokens, i, head, specials, lexicon):
+    words = list(head)
+    for j in range(i + 1, len(tokens)):
+        word = tokens[j].surface.lower()
+        if j in specials or tokens[j].mention is not None or not (
+            word in lexicon.cardinal_words or word == "and"
+        ):
+            break
+        words.append(word)
+    parsed = _parse_cardinal_words(words, lexicon.cardinal_words)
+    if parsed is None or parsed[1] < len(head):
+        return None
+    return parsed[0], 1 + parsed[1] - len(head)
+
+
+_OBJECT_ZERO = MentionAnnotation(MentionKind.ZERO, 0)
+_OBJECT_NO = Token("no", "no", 0, _OBJECT_ZERO)
+
+
+def _object_zero_cue_rewrites(tokens):
+    words = [tok.surface.lower() for tok in tokens]
+    if {"n't", "not", "any", "never", "without", "no", "0"}.isdisjoint(words):
+        return tokens
+    anys = [k for k, word in enumerate(words) if word == "any"]
+    claimed = set()
+    kept = []
+    n = 0
+    for i, word in enumerate(words):
+        if word in ("n't", "not") and kept and words[kept[-1]] in ("do", "does", "did"):
+            n = bisect.bisect(anys, i, n)
+            if n < len(anys):
+                claimed.add(anys[n])
+                n += 1
+                kept.pop()
+                continue
+        kept.append(i)
+    out = []
+    for i in kept:
+        if words[i] == "without":
+            out += (Token("with", "with", 0), _OBJECT_NO)
+        elif i in claimed:
+            out.append(_OBJECT_NO)
+        elif words[i] in ("no", "0") and tokens[i].mention is None:
+            out.append(tokens[i]._replace(mention=_OBJECT_ZERO))
+        elif words[i] != "never":
+            out.append(tokens[i])
+    if "never" in words:
+        tail = len(out) - bool(out and out[-1].surface in (".", "!", "?"))
+        out[tail:tail] = (Token("0", "0", 0, _OBJECT_ZERO), Token("times", "time", 0))
+    return tuple(out)
 
 
 # -- the one-scan annotation against the two-pass reference -------------------
@@ -605,12 +716,12 @@ def _reference_special_value(term, lexicon):
 
 
 def _reference_normalize_special_terms(sentence, lexicon):
-    tokens = sentence.tokens
+    tokens = tuple(sentence)
     out = []
     i = 0
     while i < len(tokens):
         tok = tokens[i]
-        special = _match_special(tokens, i, lexicon)
+        special = _object_match_special(tokens, i, lexicon)
         if special is None or (tok.mention is not None and special.replacement_text is None):
             out.append(tok)
             i += 1
@@ -620,7 +731,7 @@ def _reference_normalize_special_terms(sentence, lexicon):
             mention = MentionAnnotation(
                 kind=MentionKind.NUMTERM, value=_reference_special_value(special, lexicon)
             )
-            out.append(_merge_tokens(span, mention))
+            out.append(_object_merge_tokens(span, mention))
         else:
             for word in special.replacement_text.split():
                 mention = None
@@ -650,7 +761,7 @@ def _reference_cardinal_run(tokens, i, head, lexicon):
 
 
 def _reference_annotate_mentions(sentence, lexicon, mode):
-    tokens = sentence.tokens
+    tokens = tuple(sentence)
     out = []
     i = 0
     while i < len(tokens):
@@ -660,13 +771,13 @@ def _reference_annotate_mentions(sentence, lexicon, mode):
             i += 1
             continue
 
-        special = _match_special(tokens, i, lexicon)
+        special = _object_match_special(tokens, i, lexicon)
         if special is not None and all(
             t.mention is None for t in tokens[i : i + len(special.term)]
         ):
             value = _reference_special_value(special, lexicon)
             mention = MentionAnnotation(kind=MentionKind.NUMTERM, value=value)
-            out.append(_merge_tokens(tokens[i : i + len(special.term)], mention))
+            out.append(_object_merge_tokens(tokens[i : i + len(special.term)], mention))
             i += len(special.term)
             continue
 
@@ -675,7 +786,7 @@ def _reference_annotate_mentions(sentence, lexicon, mode):
         if _DIGIT_CARDINAL_RE.match(surface):
             value = int(surface.replace(",", ""))
             kind = MentionKind.CARDINAL
-            out.append(tok.with_mention(MentionAnnotation(kind=kind, value=value)))
+            out.append(tok._replace(mention=MentionAnnotation(kind=kind, value=value)))
             i += 1
             continue
 
@@ -688,15 +799,15 @@ def _reference_annotate_mentions(sentence, lexicon, mode):
             if run is not None:
                 value, length = run
                 mention = MentionAnnotation(kind=MentionKind.CARDINAL, value=value)
-                out.append(_merge_tokens(tokens[i : i + length], mention))
+                out.append(_object_merge_tokens(tokens[i : i + length], mention))
                 i += length
                 continue
 
         ordinal_value = _parse_ordinal(tok.surface, lexicon)
         if ordinal_value is not None:
             out.append(
-                tok.with_mention(
-                    MentionAnnotation(kind=MentionKind.ORDINAL, value=ordinal_value)
+                tok._replace(
+                    mention=MentionAnnotation(kind=MentionKind.ORDINAL, value=ordinal_value)
                 )
             )
             i += 1
@@ -707,7 +818,7 @@ def _reference_annotate_mentions(sentence, lexicon, mode):
             value = _naive_affix_value(tok.lemma, lexicon)
         if value is not None:
             out.append(
-                tok.with_mention(MentionAnnotation(kind=MentionKind.NUMTERM, value=value))
+                tok._replace(mention=MentionAnnotation(kind=MentionKind.NUMTERM, value=value))
             )
             i += 1
             continue
@@ -716,13 +827,13 @@ def _reference_annotate_mentions(sentence, lexicon, mode):
             run = _reference_cardinal_run(tokens, i, ["one"], lexicon)
             if run is not None and run[1] > 1:
                 mention = MentionAnnotation(kind=MentionKind.CARDINAL, value=run[0])
-                out.append(_merge_tokens(tokens[i : i + run[1]], mention))
+                out.append(_object_merge_tokens(tokens[i : i + run[1]], mention))
                 i += run[1]
                 continue
 
         if mode == INFERENCE_MODE and surface in lexicon.articles:
             out.append(
-                tok.with_mention(MentionAnnotation(kind=MentionKind.ARTICLE, value=1))
+                tok._replace(mention=MentionAnnotation(kind=MentionKind.ARTICLE, value=1))
             )
             i += 1
             continue
@@ -740,7 +851,7 @@ def _reference_rewrite_zero_cues(sentence: Sentence) -> Sentence:
     once; "without" becomes "with no". All remaining "no"/"0" tokens are then
     annotated as zero-count cardinal mentions.
     """
-    tokens = list(sentence.tokens)
+    tokens = list(sentence)
 
     changed = True
     while changed:  # n't-any: apply until no pattern is left
@@ -781,7 +892,7 @@ def _reference_rewrite_zero_cues(sentence: Sentence) -> Sentence:
             out.append(tok)
 
     annotated = [
-        tok.with_mention(MentionAnnotation(kind=MentionKind.ZERO, value=0))
+        tok._replace(mention=MentionAnnotation(kind=MentionKind.ZERO, value=0))
         if tok.mention is None and tok.surface.lower() in ("no", "0")
         else tok
         for tok in out
@@ -867,15 +978,27 @@ def test_preprocess_equals_two_pass_reference_property(
         ) == _reference_preprocess(sentence, lexicon, mode, zero_mode)
 
 
-# -- the per-word path against the per-token object path ----------------------
+# -- the columns against the per-token object path ---------------------------
 #
 # A copy of tokenize, _split_contractions, make_sentence and the
 # preprocess_sentence scan as they were before tokens came from cached
-# per-raw-token pieces and a sentence with no live token was returned at
-# once: one contraction match, one lemmatize, one special-term match and one
-# _recognise call per token, and a re-index pass per sentence. It shares the
-# module's regexes, parsers and zero-cue pass, which did not change.
+# per-raw-token pieces, a sentence with no live token was returned at once,
+# and a sentence became its columns: the token regex with numbers tried
+# first, one contraction match, one lemmatize, one Token object, one
+# special-term match and one _recognise call per token, and a re-index pass
+# per sentence. A sentence is a tuple of Token objects there. It shares the
+# module's parsers, which did not change.
 
+_OBJECT_TOKEN_RE = re.compile(
+    r"""
+    \d+(?:st|nd|rd|th)\b
+  | (?:\d{1,3}(?:,\d{3})+|\d+)\.\d+
+  | \d{1,3}(?:,\d{3}(?!\d))+ | \d+
+  | [A-Za-z][A-Za-z0-9]*(?:['’-][A-Za-z0-9]+)*
+  | \S
+    """,
+    re.VERBOSE,
+)
 _OBJECT_CONTRACTION_RE = re.compile(r"^([A-Za-z]+)(n['’]t|['’]s)$", re.IGNORECASE)
 
 
@@ -891,13 +1014,11 @@ def _object_split_contractions(raw):
 
 
 def _object_make_sentence(tokens):
-    return Sentence(
-        tokens=tuple(tok if tok.index == i else tok._replace(index=i) for i, tok in enumerate(tokens))
-    )
+    return tuple(tok if tok.index == i else tok._replace(index=i) for i, tok in enumerate(tokens))
 
 
 def _object_tokenize(text):
-    raw = _object_split_contractions(_TOKEN_RE.findall(text))
+    raw = _object_split_contractions(_OBJECT_TOKEN_RE.findall(text))
     sentences = []
     current = []
     for surface in raw:
@@ -912,7 +1033,10 @@ def _object_tokenize(text):
 
 def _object_recognise(tokens, i, specials, lexicon, mode):
     surface = tokens[i].surface.lower()
-    if surface not in lexicon.readable_words and not (
+    readable = frozenset({"and"}).union(
+        lexicon.cardinal_words, lexicon.ordinal_words, lexicon.affixed_words, lexicon.articles
+    )
+    if surface not in readable and not (
         "-" in surface
         or surface[:1].isdigit()
         or tokens[i].lemma in lexicon.affixed_words
@@ -926,7 +1050,7 @@ def _object_recognise(tokens, i, specials, lexicon, mode):
     if surface in table or surface == "and" or (
         "-" in surface and all(word in table for word in surface.split("-"))
     ):
-        run = _cardinal_run(tokens, i, surface.split("-"), specials, lexicon)
+        run = _object_cardinal_run(tokens, i, surface.split("-"), specials, lexicon)
         if run is not None:
             return MentionAnnotation(MentionKind.CARDINAL, run[0]), run[1]
     value = _parse_ordinal(surface, lexicon)
@@ -937,7 +1061,7 @@ def _object_recognise(tokens, i, specials, lexicon, mode):
     if value is not None:
         return MentionAnnotation(MentionKind.NUMTERM, value), 1
     if surface in lexicon.articles:
-        run = _cardinal_run(tokens, i, ["one"], specials, lexicon)
+        run = _object_cardinal_run(tokens, i, ["one"], specials, lexicon)
         if run is not None and run[1] > 1:
             return MentionAnnotation(MentionKind.CARDINAL, run[0]), run[1]
         if mode == INFERENCE_MODE:
@@ -954,16 +1078,16 @@ def _object_rewrite(text, lexicon, mode):
             mention = MentionAnnotation(MentionKind.CARDINAL, value)
         else:
             mention = _object_recognise((tok,), 0, {}, lexicon, mode)[0]
-        out.append(tok if mention is None else tok.with_mention(mention))
+        out.append(tok if mention is None else tok._replace(mention=mention))
     return out
 
 
 def _object_preprocess(sentence, lexicon, mode, zero_mode):
-    tokens = _zero_cue_rewrites(sentence.tokens) if zero_mode else sentence.tokens
+    tokens = _object_zero_cue_rewrites(sentence) if zero_mode else sentence
     specials = {
         i: term
         for i, tok in enumerate(tokens)
-        if tok.mention is None and (term := _match_special(tokens, i, lexicon))
+        if tok.mention is None and (term := _object_match_special(tokens, i, lexicon))
     }
     out = []
     i = 0
@@ -975,22 +1099,40 @@ def _object_preprocess(sentence, lexicon, mode, zero_mode):
             i += 1
         elif special is None:
             mention, length = _object_recognise(tokens, i, specials, lexicon, mode)
-            out.append(tok if mention is None else _merge_tokens(tokens[i : i + length], mention))
+            out.append(tok if mention is None else _object_merge_tokens(tokens[i : i + length], mention))
             i += length
         else:
             if special.replacement_text is None:
                 mention = MentionAnnotation(MentionKind.NUMTERM, special.value)
-                out.append(_merge_tokens(tokens[i : i + len(special.term)], mention))
+                out.append(_object_merge_tokens(tokens[i : i + len(special.term)], mention))
             else:
                 out.extend(_object_rewrite(special.replacement_text, lexicon, mode))
             i += len(special.term)
-    if len(out) == len(sentence.tokens) and all(map(is_, out, sentence.tokens)):
+    if len(out) == len(sentence) and all(map(is_, out, sentence)):
         return sentence
     return _object_make_sentence(out)
 
 
 def _columns(sentences):
-    return [[(t.surface, t.lemma, t.index, t.mention) for t in s] for s in sentences]
+    """Surfaces, lemmas, mention pairs and placeholder sequence of each sentence."""
+    return [
+        (s.surfaces(), s.lemmas(), s.mentions, tuple(to_placeholder_sequence(s)))
+        for s in sentences
+    ]
+
+
+def _object_columns(sentences):
+    """:func:`_columns` of token-tuple sentences, read from their Token objects."""
+    out = []
+    for tokens in sentences:
+        assert [t.index for t in tokens] == list(range(len(tokens)))
+        out.append((
+            tuple(t.surface for t in tokens),
+            tuple(t.lemma for t in tokens),
+            tuple((t.index, t.mention) for t in tokens if t.mention is not None),
+            tuple(t.lemma if t.mention is None else t.mention.placeholder for t in tokens),
+        ))
+    return out
 
 
 # Words of every lexicon table, as they are and title-cased, plurals that only
@@ -1028,16 +1170,20 @@ _per_word_chunk = st.one_of(
 # Sentences whose only live words are zero cues, drawn only by chance otherwise.
 @example(parts=[("He did n't have any children .", "")])
 @example(parts=[("She never married .", "")])
+# Merged cardinal runs, special-term rewrites and zero cues in one sentence, so
+# that mentions move to new positions.
+@example(parts=[("Twenty one hundred and five fans , thrice a dozen twins , no cats "
+                 "without any hats , never two score gross .", "")])
 def test_per_word_path_equals_object_path_property(reference_lexicons, lexicon_name, parts):
     lexicon = reference_lexicons[lexicon_name]
     text = "".join(chunk + sep for chunk, sep in parts)
     sentences = tokenize(text)
     reference = _object_tokenize(text)
-    assert _columns(sentences) == _columns(reference)
+    assert _columns(sentences) == _object_columns(reference)
     for mode in (TRAIN_MODE, INFERENCE_MODE):
         for zero_mode in (False, True):
             assert _columns(
                 preprocess_sentence(s, lexicon, mode=mode, zero_mode=zero_mode) for s in sentences
-            ) == _columns(
+            ) == _object_columns(
                 _object_preprocess(s, lexicon, mode, zero_mode) for s in reference
             )
