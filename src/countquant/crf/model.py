@@ -1,16 +1,25 @@
 """Linear-chain CRF over the fixed COUNT/COMP/O tag scheme.
 
-:func:`forward_backward` is the one forward-backward kernel: inference runs
-it on one sentence (n, k), :mod:`.train` on equal-length stacks (B, n, k). It
-works in probability space, rescaling each step (Rabiner scaling); a call
-whose scale factors under- or overflow is redone in log space by
-:func:`log_forward` and :func:`log_backward`. A trained model is immutable
-(write-protected weights), so decoding and marginals are thread-safe. Its
-features are its n-gram tables: one n-gram -> feature id table per window of
-:data:`.features.WINDOWS`, the tables training builds, read through
-:func:`.features.lookup_ids`. Feature strings ``"<window name>:<n-gram>"``
-exist only in the model file, built by :func:`save_model` and parsed by
-:func:`load_model`, which refuses anything but finite numbers as weights.
+:func:`forward_backward_stacks` is the one forward-backward kernel, in
+probability space with one scale factor per step (Rabiner scaling).
+:mod:`.train` runs it once over all its sentences; inference runs it through
+:func:`forward_backward` on one sentence (n, k), one 1-D row per step.
+Expected transition counts, log partitions and the scale check stay per
+equal-length stack, on the stack's own rows, and a stack whose scale factors
+under- or overflow is redone in log space, alone, by :func:`log_forward` and
+:func:`log_backward`. The backward step multiplies by a C-contiguous copy of
+``e.T``, never by the view: with OpenBLAS, a one-row product through the view
+rounds unlike the same row of a many-row product, while with the copy a row
+does not depend on the rows beside it (on kernels such as Haswell, any
+one-row product still does).
+
+A trained model is immutable (write-protected weights), so decoding and
+marginals are thread-safe. Its features are its n-gram tables: one n-gram ->
+feature id table per window of :data:`.features.WINDOWS`, the tables training
+builds, read through :func:`.features.lookup_ids`. Feature strings
+``"<window name>:<n-gram>"`` exist only in the model file, built by
+:func:`save_model` and parsed by :func:`load_model`, which refuses anything
+but finite numbers as weights.
 """
 
 from __future__ import annotations
@@ -113,29 +122,74 @@ def forward_backward(emissions: np.ndarray, transitions: np.ndarray) -> tuple[np
     Emissions are (..., n >= 1, k), leading axes sentences. ``mu`` has their
     shape, ``xi`` (k, k) sums over positions and sentences, ``log_z`` is per sentence.
     """
-    k = emissions.shape[-1]
-    em = np.ascontiguousarray(np.moveaxis(emissions, -2, 0))  # time-major copy
-    row_max, t_max = em.max(axis=-1, keepdims=True), transitions.max()
+    *lead, n, k = emissions.shape
+    stack = emissions.reshape(-1, n, k) if lead else emissions
+    em = np.ascontiguousarray(stack.swapaxes(0, -2))  # time-major copy
+    mu, ((xi, log_z),) = forward_backward_stacks(
+        em, transitions, range(n), range(-1, n - 1), [(stack, None)])
+    return mu.swapaxes(0, -2).reshape(emissions.shape), xi, log_z.reshape(lead)
+
+
+def _at(a, rows, times=slice(None)):
+    """A stack's rows of time-major ``a`` at steps ``times``; rows None: ``a`` is the stack."""
+    return a[times] if rows is None else a.take(rows[times], axis=0)
+
+
+def forward_backward_stacks(em, transitions, steps, carried, stacks):
+    """One scaled recursion over equal-length stacks, and each stack's ``xi`` and ``log_z``.
+
+    ``em`` holds every stack's emissions time-major: step t's rows are
+    ``em[steps[t]]``, and ``carried[t]`` (t >= 1) are the rows of step t - 1
+    whose sentences go on to step t, in step t's order. With sentences
+    ordered longest first, step t's rows are the sentences longer than t,
+    a prefix of step t - 1's. ``stacks`` lists each stack's emissions
+    (..., n, k) with its (n, B) time-major rows of ``em``, or None when
+    ``em`` is that one stack. Returns the tag marginals, shaped as ``em``,
+    and per stack ``(xi, log_z)``, computed on the stack's own rows; a stack
+    whose scale factors under- or overflow is redone in log space.
+    """
+    k = em.shape[-1]
+    row_max = em[..., 0]  # column by column: em.max(axis=-1) is slower on many rows
+    for j in range(1, k):
+        row_max = np.maximum(row_max, em[..., j])
+    row_max = row_max[..., None]
+    t_max = transitions.max()
+    stats, fallback = [], []
     with np.errstate(all="ignore"):
         p, e = np.exp(em - row_max), np.exp(transitions - t_max)
+        e_t = np.ascontiguousarray(e.T)  # never the view e.T: see the module docstring
         alpha, beta, c = np.empty_like(p), np.ones_like(p), np.empty_like(row_max)
-        for t in range(len(p)):
-            a = (alpha[t - 1] @ e) * p[t] if t else p[0]
-            c[t] = a.sum(axis=-1, keepdims=True)
-            alpha[t] = a / c[t]
-        q = p / c
-        for t in range(len(p) - 1, 0, -1):
-            beta[t - 1] = (q[t] * beta[t]) @ e.T
-        log_z = (np.log(c).sum(axis=0) + row_max.sum(axis=0))[..., 0] + (len(p) - 1) * t_max
-    if not (np.isfinite(log_z).all() and np.isfinite(beta).all()):  # a scale under/overflowed
+        for t in range(len(steps)):
+            now = steps[t]
+            a = (alpha[carried[t]] @ e) * p[now] if t else p[now]
+            c[now] = a.sum(axis=-1, keepdims=True)
+            alpha[now] = a / c[now]
+        q = np.divide(p, c, out=p)  # p is spent
+        for t in range(len(steps) - 1, 0, -1):
+            now = steps[t]
+            beta[carried[t]] = (q[now] * beta[now]) @ e_t
+        q_beta = np.multiply(q, beta, out=q)
+        log_c, finite = np.log(c), np.isfinite(beta).all()
+        for i, (emissions, rows) in enumerate(stacks):
+            n = emissions.shape[-2]
+            log_z = (_at(log_c, rows).sum(axis=0) + _at(row_max, rows).sum(axis=0))[..., 0]
+            log_z = log_z + (n - 1) * t_max
+            if not (np.isfinite(log_z).all() and (finite or np.isfinite(_at(beta, rows)).all())):
+                fallback.append(i)
+            xi = e * (_at(alpha, rows, slice(-1)).reshape(-1, k).T
+                      @ _at(q_beta, rows, slice(1, None)).reshape(-1, k))
+            stats.append((xi, log_z))
+        mu = np.multiply(alpha, beta, out=beta)
+    for i in fallback:  # a scale under/overflowed
+        emissions, rows = stacks[i]
         alpha, beta = log_forward(emissions, transitions), log_backward(emissions, transitions)
         log_z = np.logaddexp.reduce(alpha[..., -1, :], axis=-1)
         xi = np.exp(alpha[..., :-1, :, None] + transitions
                     + (emissions + beta)[..., 1:, None, :] - log_z[..., None, None, None])
-        mu = np.exp(alpha + beta - log_z[..., None, None])
-        return mu, xi.reshape(-1, k, k).sum(axis=0), log_z
-    xi = e * (alpha[:-1].reshape(-1, k).T @ (q[1:] * beta[1:]).reshape(-1, k))
-    return np.moveaxis(alpha * beta, 0, -2), xi, log_z
+        mu[slice(None) if rows is None else rows] = np.exp(
+            alpha + beta - log_z[..., None, None]).swapaxes(0, -2)
+        stats[i] = xi.reshape(-1, k, k).sum(axis=0), log_z
+    return mu, stats
 
 
 def viterbi(emissions: np.ndarray, transitions: np.ndarray) -> list[int]:

@@ -13,8 +13,11 @@ become ints, n-gram windows become dense per-width codes, and a bincount
 keeps the frequent ones; it builds the per-window n-gram tables that
 inference reads through :func:`.features.lookup_ids`, with the same ids.
 Rows run length bucket by length bucket, so each bucket reshapes to a
-(batch, length, tags) stack, and one scaled :func:`.model.forward_backward`
-call gives its tag marginals, expected transition counts and log partitions.
+(batch, length, tags) stack. An evaluation runs one
+:func:`.model.forward_backward_stacks` recursion over all buckets, on the
+emissions gathered time-major and longest sentence first by indices computed
+once per problem; each bucket's transition counts and log partitions are
+summed on its own rows, in increasing length, as one call per bucket would.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from scipy.optimize import minimize
 from scipy.sparse import csr_matrix
 
 from .features import BOS, EOS, PAD, WINDOWS
-from .model import COUNT, TAGS, CrfModel, forward_backward
+from .model import COUNT, TAGS, CrfModel, forward_backward_stacks
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +48,8 @@ class _Bucket:
     length: int
     y: np.ndarray        # (B, n) tag ids
     rows: slice          # the bucket's B * n rows of the feature matrix
+    time_rows: np.ndarray  # (n, B) its rows of the time-major recursion
+    pairs: np.ndarray      # (B, n - 1) its gold tag pairs' indices into the raveled transitions
 
 
 def _as_example(item) -> tuple[list[str], list[str]]:
@@ -170,20 +175,35 @@ class TrainingProblem:
         by_length: dict[int, list[int]] = {}
         for i, (seq, _) in enumerate(examples):
             by_length.setdefault(len(seq), []).append(i)
+        # The recursion runs time-major over all sentences, longest first:
+        # step t's rows are the live[t] sentences longer than t, a prefix of
+        # step t - 1's, and offset[t] is the first of them.
+        lengths = np.array([len(seq) for seq, _ in examples])
+        shorter = np.cumsum(np.bincount(lengths))  # shorter[n]: sentences of length <= n
+        live = (len(lengths) - shorter[:-1]).tolist()
+        offset = np.cumsum([0] + live[:-1])
+        self._steps = [slice(a, a + m) for a, m in zip(offset.tolist(), live)]
+        self._carried = [None] + [slice(a, a + m) for a, m in zip(offset.tolist(), live[1:])]
         self.buckets: list[_Bucket] = []
         self._emp_t = np.zeros((k, k))
         for length in sorted(by_length):
             y = np.array([[TAGS.index(t) for t in examples[i][1]] for i in by_length[length]],
                          dtype=np.intp)
             start = self.buckets[-1].rows.stop if self.buckets else 0
-            self.buckets.append(_Bucket(length, y, slice(start, start + y.size)))
+            first = len(lengths) - shorter[length]  # sentences in longer buckets
+            self.buckets.append(_Bucket(length, y, slice(start, start + y.size),
+                                        offset[:length, None] + first + np.arange(len(y)),
+                                        y[:, :-1] * k + y[:, 1:]))
             np.add.at(self._emp_t, (y[:, :-1].ravel(), y[:, 1:].ravel()), 1.0)
+        # Each feature-matrix row's time-major row, and back.
+        self._time_row = np.concatenate([bucket.time_rows.T.ravel() for bucket in self.buckets])
+        self._x_row = np.empty_like(self._time_row)
+        self._x_row[self._time_row] = np.arange(len(self._time_row))
         # One row per token position, bucket by bucket: a stable sort of the
         # rows by their sentence's length. X is built from (data, indices,
         # indptr) with each row's ids in window order: COO input would sort
         # the columns, and that changes the floating-point summation order of
         # the emissions.
-        lengths = np.array([len(seq) for seq, _ in examples])
         ids = ids[np.argsort(np.repeat(lengths, lengths), kind="stable")]
         kept = ids >= 0
         indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=1))])
@@ -193,6 +213,7 @@ class TrainingProblem:
 
         all_tags = np.concatenate([bucket.y.ravel() for bucket in self.buckets])
         self._emp_w = self.X.T @ np.eye(k)[all_tags]
+        self._gold = np.arange(len(all_tags)) * k + all_tags  # into the raveled emissions
 
     @property
     def n_params(self) -> int:
@@ -208,20 +229,19 @@ class TrainingProblem:
         w, trans = self.split(theta)
         k = len(TAGS)
         em_all = self.X @ w
-        mu_all = np.empty_like(em_all)
+        stacks = [(em_all[bucket.rows].reshape(bucket.y.shape + (k,)), bucket.time_rows)
+                  for bucket in self.buckets]
+        mu, stats = forward_backward_stacks(
+            em_all.take(self._x_row, axis=0), trans, self._steps, self._carried, stacks)
+        gold = em_all.ravel().take(self._gold)
         exp_t = np.zeros_like(trans)
         ll = 0.0
-        for bucket in self.buckets:
-            y = bucket.y
-            batch, n = y.shape
-            em = em_all[bucket.rows].reshape(batch, n, k)
-            mu, xi, log_z = forward_backward(em, trans)
-            score = em[np.arange(batch)[:, None], np.arange(n)[None, :], y].sum(axis=1)
-            score = score + trans[y[:, :-1], y[:, 1:]].sum(axis=1)
+        for bucket, (xi, log_z) in zip(self.buckets, stats):
+            score = gold[bucket.rows].reshape(bucket.y.shape).sum(axis=1)
+            score = score + trans.ravel().take(bucket.pairs).sum(axis=1)
             ll += float((score - log_z).sum())
-            mu_all[bucket.rows] = mu.reshape(batch * n, k)
             exp_t += xi
-        exp_w = self.X.T @ mu_all
+        exp_w = self.X.T @ mu.take(self._time_row, axis=0)
         # Not theta @ theta: a BLAS dot that long wakes OpenBLAS's threads,
         # which then compete with this one unless BLAS is pinned to one thread.
         value = -(ll - 0.5 * self.l2_sigma * float(np.square(theta).sum()))

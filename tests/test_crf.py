@@ -456,6 +456,73 @@ class TestSummationOrder:
         assert decode(loaded, seq) == decode(model, seq)
 
 
+@st.composite
+def _bucketed_data(draw):
+    """Tagged sentences in length buckets of many sizes, in shuffled input order.
+
+    A length-1 bucket and a one-sentence bucket longer than 8 tokens are each
+    drawn half the time; the first sentence holds a COUNT tag.
+    """
+    lengths = draw(st.lists(st.integers(1, 14), min_size=1, max_size=6, unique=True))
+    buckets = [(n, draw(st.integers(1, 5))) for n in lengths]
+    if draw(st.booleans()):
+        buckets.append((1, draw(st.integers(1, 5))))
+    if draw(st.booleans()):
+        buckets.append((draw(st.integers(9, 16)), 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    words = VOCAB + ["trump", "she", "he", "wrote", "book", "from"]
+    data = []
+    for n, size in buckets:
+        for _ in range(size):
+            tags = [TAGS[j] for j in rng.integers(1, 3, size=n)]
+            if rng.random() < 0.5:
+                tags[int(rng.integers(0, n))] = "COUNT"
+            data.append(([words[j] for j in rng.integers(0, len(words), size=n)], tags))
+    data = [data[i] for i in rng.permutation(len(data))]
+    data[0][1][0] = "COUNT"
+    return data
+
+
+class TestMergedRecursion:
+    """One recursion over every length agrees with one kernel call per length bucket."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=_bucketed_data(),
+           scale=st.sampled_from([0.0, 1.0, 100.0, 150.0, 200.0, 300.0, 3000.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_merged_equals_per_bucket_calls_property(self, data, scale, seed):
+        problem = TrainingProblem(data, l2_sigma=0.5, feature_cutoff=1)
+        theta = np.random.default_rng(seed).normal(scale=scale, size=problem.n_params)
+        value, grad = problem.value_and_grad(theta)
+        ref_value, ref_grad = _scatter_value_and_grad(problem, data, theta)
+        if all(len(bucket.y) > 1 for bucket in problem.buckets):
+            # No bucket and no step holds a single sentence, so no product is one row.
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)
+        else:
+            # A one-row product may round unlike the same row of a many-row one.
+            assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+            assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+    def test_log_space_once_per_falling_back_bucket(self, monkeypatch):
+        data = _varied_lengths_data()
+        problem = TrainingProblem(data, l2_sigma=0.5, feature_cutoff=1)
+        theta = np.random.default_rng(2).normal(scale=200.0, size=problem.n_params)
+        calls = []
+
+        def counting_forward(emissions, transitions):
+            calls.append(emissions.shape)
+            return log_forward(emissions, transitions)
+
+        monkeypatch.setattr("countquant.crf.model.log_forward", counting_forward)
+        value, grad = problem.value_and_grad(theta)
+        merged, calls[:] = list(calls), []
+        ref_value, ref_grad = _scatter_value_and_grad(problem, data, theta)
+        assert 0 < len(merged) < len(problem.buckets)
+        assert merged == calls  # the same buckets, in increasing length
+        assert value == ref_value and np.array_equal(grad, ref_grad)
+
+
 class TestTrain:
     def test_history_costs_no_extra_evaluation(self, monkeypatch):
         calls = []

@@ -198,115 +198,10 @@ class TestNumberEntropy:
         assert _uninformative_values(doc, 1e-12) == {4}
 
 
-# -- the one-pass entropy filter against the per-value rescans it replaced -----
+# -- the one-pass entropy filter against a reference that states it ------------
 #
-# The reference rescans the document once per value and rebuilds a
-# sentence's lemmas once per mention.
-
-
-def _reference_context_signature(sentence, position):
-    lemmas = sentence.lemmas()
-    def at(j):
-        if j < 0:
-            return "<BOS>"
-        if j >= len(lemmas):
-            return "<EOS>"
-        return lemmas[j]
-    return (at(position - 2), at(position - 1), at(position + 1), at(position + 2))
-
-
-def _reference_number_entropy(document, value):
-    signatures = Counter(
-        _reference_context_signature(sent, position)
-        for sent in document
-        for position, mention in sent.mentions
-        if mention.value == value
-    )
-    total = sum(signatures.values())
-    if total == 0:
-        return 0.0
-    return -sum(
-        (c / total) * math.log2(c / total) for c in signatures.values()
-    ) or 0.0
-
-
-def _reference_low_entropy_values(document, threshold):
-    occurrences = Counter(mention.value for sent in document for _, mention in sent.mentions)
-    return {
-        value
-        for value, n in occurrences.items()
-        if n > 1 and _reference_number_entropy(document, value) < threshold
-    }
-
-
-# A token is (lemma, mention value or None); two lemmas make contexts repeat.
-_entropy_sentence = st.lists(
-    st.tuples(st.sampled_from(["has", "son"]), st.none() | st.integers(0, 3)),
-    min_size=1, max_size=3,
-)
-
-
-def _entropy_document(drawn):
-    return [
-        make_sentence(
-            Token(surface=lemma, lemma=lemma, index=i,
-                  mention=None if value is None
-                  else MentionAnnotation(MentionKind.CARDINAL, value))
-            for i, (lemma, value) in enumerate(sentence)
-        )
-        for sentence in drawn
-    ]
-
-
-@settings(max_examples=400, deadline=None)
-@given(drawn=st.lists(_entropy_sentence, min_size=1, max_size=8))
-def test_one_pass_entropy_equals_per_value_rescans(drawn):
-    document = _entropy_document(drawn)
-    repeated = _reference_low_entropy_values(document, math.inf)
-    for value in range(5):
-        # the filter's entropy equals the rescan's to the last bit: a threshold
-        # at it keeps the value, the next float up drops a repeated one
-        bits = _reference_number_entropy(document, value)
-        assert value not in _uninformative_values(document, bits)
-        dropped = _uninformative_values(document, math.nextafter(bits, math.inf))
-        assert (value in dropped) == (value in repeated)
-    for threshold in (0.0, 0.5, 1.0):
-        assert _uninformative_values(document, threshold) == _reference_low_entropy_values(
-            document, threshold
-        )
-
-
-# -- the one labeling pass against the two-step labeling it replaced -----------
-#
-# A copy of label_sentence as it was when it returned an Excluded marker and
-# built its LabeledSentence without subject and relation, of the replace step
-# that then added them, and of the entropy functions the filter used. It
-# shares the composition-run search, which did not change.
-
-
-@dataclass(frozen=True)
-class _Excluded:
-    sentence: Sentence
-    reason: str = "mention above KB count within relation bound"
-
-
-def _reference_label_sentence(sentence, kb_count, upper_bound):
-    if kb_count < 1:
-        raise ValueError("training subjects must have at least one object")
-    mentions = dict(sentence.mentions)
-    if any(kb_count < mention.value <= upper_bound for mention in mentions.values()):
-        return _Excluded(sentence=sentence)
-    eligible = [i for i, mention in mentions.items() if mention.kind not in _NEVER_SEEDS]
-    exact = [i for i in eligible if mentions[i].value == kb_count]
-    run, cues = _find_composition_run(
-        sentence, [(i, mentions[i]) for i in eligible if i not in exact], kb_count
-    )
-    tags = [OTHER] * len(sentence)
-    for i in exact + run:
-        tags[i] = COUNT
-    for i in cues:
-        tags[i] = COMP
-    return LabeledSentence(sentence=sentence, tags=tuple(tags))
+# The reference counts each value's contexts, then takes each count's
+# entropy on its own; the labeling reference below uses it too.
 
 
 def _reference_contexts_by_value(document):
@@ -334,6 +229,77 @@ def _reference_uninformative_values(document, threshold):
         for value, contexts in _reference_contexts_by_value(document).items()
         if sum(contexts.values()) > 1 and _reference_entropy_bits(contexts) < threshold
     }
+
+
+# A token is (lemma, mention value or None); two lemmas make contexts repeat.
+_entropy_sentence = st.lists(
+    st.tuples(st.sampled_from(["has", "son"]), st.none() | st.integers(0, 3)),
+    min_size=1, max_size=3,
+)
+
+
+def _entropy_document(drawn):
+    return [
+        make_sentence(
+            Token(surface=lemma, lemma=lemma, index=i,
+                  mention=None if value is None
+                  else MentionAnnotation(MentionKind.CARDINAL, value))
+            for i, (lemma, value) in enumerate(sentence)
+        )
+        for sentence in drawn
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=st.lists(_entropy_sentence, min_size=1, max_size=8))
+def test_one_pass_entropy_equals_per_value_rescans(drawn):
+    document = _entropy_document(drawn)
+    repeated = _reference_uninformative_values(document, math.inf)
+    contexts = _reference_contexts_by_value(document)
+    for value in range(5):
+        # the filter's entropy equals the reference's to the last bit: a
+        # threshold at it keeps the value, the next float up drops a repeated one
+        bits = _reference_entropy_bits(contexts.get(value, Counter()))
+        assert value not in _uninformative_values(document, bits)
+        dropped = _uninformative_values(document, math.nextafter(bits, math.inf))
+        assert (value in dropped) == (value in repeated)
+    for threshold in (0.0, 0.5, 1.0):
+        assert _uninformative_values(document, threshold) == _reference_uninformative_values(
+            document, threshold
+        )
+
+
+# -- the one labeling pass against the two-step labeling it replaced -----------
+#
+# A copy of label_sentence as it was when it returned an Excluded marker and
+# built its LabeledSentence without subject and relation, and of the replace
+# step that then added them. It shares the entropy reference above and the
+# composition-run search, which did not change.
+
+
+@dataclass(frozen=True)
+class _Excluded:
+    sentence: Sentence
+    reason: str = "mention above KB count within relation bound"
+
+
+def _reference_label_sentence(sentence, kb_count, upper_bound):
+    if kb_count < 1:
+        raise ValueError("training subjects must have at least one object")
+    mentions = dict(sentence.mentions)
+    if any(kb_count < mention.value <= upper_bound for mention in mentions.values()):
+        return _Excluded(sentence=sentence)
+    eligible = [i for i, mention in mentions.items() if mention.kind not in _NEVER_SEEDS]
+    exact = [i for i in eligible if mentions[i].value == kb_count]
+    run, cues = _find_composition_run(
+        sentence, [(i, mentions[i]) for i in eligible if i not in exact], kb_count
+    )
+    tags = [OTHER] * len(sentence)
+    for i in exact + run:
+        tags[i] = COUNT
+    for i in cues:
+        tags[i] = COMP
+    return LabeledSentence(sentence=sentence, tags=tuple(tags))
 
 
 def _reference_label_subject_document(text, kb_count, upper_bound, policy, subject, relation):
