@@ -83,10 +83,10 @@ def _parse_cardinal_words(words: list[str], table: dict[str, int]) -> Optional[t
                 best = (0, 1)
             break
         if v == 100:
-            # a tens group takes "hundred" only before any scale word:
+            # a teen or tens group takes "hundred" only before any scale word:
             # "twenty one hundred" is 2100
             if not hundred_used and (
-                state in ("unit", "teen") or (state in ("tens", "tens_unit") and total == 0)
+                state == "unit" or (state in ("teen", "tens", "tens_unit") and total == 0)
             ):
                 group *= 100
                 hundred_used = True

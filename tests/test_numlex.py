@@ -218,15 +218,17 @@ class TestAnnotateMentions:
         assert tok.mention.value == value
         assert tok.surface == " ".join(text.split()[:-1])
 
-    @pytest.mark.parametrize("text,value", [
-        ("twenty one hundred thousand fans", 2100),
-        ("nineteen hundred thousand fans", 1900),
+    @pytest.mark.parametrize("text,expected", [
+        ("twenty one hundred thousand fans", [("twenty one hundred", 2100)]),
+        ("nineteen hundred thousand fans", [("nineteen hundred", 1900)]),
+        # after "thousand" only a unit multiplies "hundred"
+        ("nine hundred ninety nine thousand nineteen hundred ninety nine fans",
+         [("nine hundred ninety nine thousand nineteen", 999_019), ("ninety nine", 99)]),
+        ("two thousand eleven hundred pages", [("two thousand eleven", 2011)]),
     ])
-    def test_hundred_thousand_stays_under_cap(self, prep, text, value):
+    def test_hundred_thousand_stays_under_cap(self, prep, text, expected):
         s = prep(text)
-        assert [(t.surface, t.mention.value) for t in _mention_tokens(s)] == [
-            (" ".join(text.split()[:-2]), value)
-        ]
+        assert [(t.surface, t.mention.value) for t in _mention_tokens(s)] == expected
 
     def test_word_grammar_reaches_cap(self, prep):
         s = prep("nine hundred ninety nine thousand nine hundred ninety nine fans")
