@@ -9,12 +9,13 @@ A :class:`NumLexicon` compiles its lookup tables once, when it is built:
 ``specials_by_first`` maps a special term's first token to the terms that
 start with it, longest first, ``affixed_words`` maps every prefix + suffix
 word to its value, and ``live_words`` holds every word that can start a
-mention or a special term. :meth:`NumLexicon.is_live` is the one rule for
-whether a token can start either: a live word, a hyphenated word, a leading
-digit or an affixed lemma. Only in zero mode does a zero cue also count as
-live. ``readings`` records a surface's lowercase form and liveness on its
-first read, for a bounded number of distinct surfaces. Preprocessing returns a
-sentence with no live token as it is, and reads only live tokens further.
+mention or a special term ("and" only joins number words, so it is none).
+:meth:`NumLexicon.is_live` is the one rule for whether a token can start
+either: a live word, a hyphenated word, a leading digit or an affixed lemma.
+Only in zero mode does a zero cue also count as live. ``readings`` records a
+surface's lowercase form and liveness on its first read, for a bounded
+number of distinct surfaces. Preprocessing returns a sentence with no live
+token as it is, and reads only live tokens further.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ class NumLexicon:
     # prefix + suffix word -> its prefix's value, split at its longest suffix;
     # the affix exceptions are left out
     affixed_words: dict[str, int] = field(init=False, repr=False, compare=False)
-    # every word that can start a mention or a special term: "and", the cardinal,
-    # ordinal and affixed words, the articles and the special terms' first words
-    # (digits and hyphenated words aside)
+    # every word that can start a mention or a special term: the cardinal, ordinal
+    # and affixed words, the articles and the special terms' first words (digits
+    # and hyphenated words aside)
     live_words: frozenset[str] = field(init=False, repr=False, compare=False)
     # surface -> (lowercase form, liveness), for at most _READINGS_SIZE surfaces
     readings: _Readings = field(init=False, repr=False, compare=False)
@@ -111,7 +112,7 @@ class NumLexicon:
             self, "specials_by_first", {w: tuple(ts) for w, ts in by_first.items()}
         )
         object.__setattr__(self, "affixed_words", affixed)
-        live = frozenset({"and"}).union(
+        live = frozenset().union(
             self.cardinal_words, self.ordinal_words, affixed, self.articles, by_first
         )
         object.__setattr__(self, "live_words", live)
@@ -135,7 +136,6 @@ class NumLexicon:
         )
 
     def _reading(self, surface: str) -> tuple[str, int]:
-        # A token's lemma is lemmatize of its surface, so a surface has one liveness.
         word = surface.lower()
         word = surface if word == surface else word  # keep one string, not two
         if self.is_live(word, lemmatize(surface)):
@@ -206,8 +206,13 @@ def _read_special_terms(path: Path) -> tuple[SpecialTerm, ...]:
 def load_lexicon(directory: Path | str) -> NumLexicon:
     """Load a lexicon from the five TSV tables of *directory*; a number term counts >= 1."""
     d = Path(directory)
+    cardinals = _read_value_table(d / "cardinals.tsv")
+    if "and" in cardinals:  # the number-word grammar reads it as a joiner only
+        raise LexiconFormatError(
+            d / "cardinals.tsv", "'and' joins number words, it is no cardinal"
+        )
     return NumLexicon(
-        cardinal_words=_read_value_table(d / "cardinals.tsv"),
+        cardinal_words=cardinals,
         ordinal_words=_read_value_table(d / "ordinals.tsv"),
         latin_greek_prefixes=_read_value_table(d / "prefixes.tsv", positive=True),
         num_term_suffixes=_read_word_set(d / "suffixes.tsv"),

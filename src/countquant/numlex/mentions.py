@@ -10,6 +10,12 @@ tokens are never touched again, so outside zero mode preprocessing twice
 gives the same sentence as long as no word of a special term's replacement
 text starts a special term itself.
 
+Number words follow one grammar, stated at :func:`_parse_cardinal_words`:
+numbers below 100 make groups around "hundred", and one or two groups around
+"thousand" make a number of at most 999,999. "and" is read only after a scale
+word and before a number below 100, so it never starts a mention and is not
+a live word.
+
 ``mode="train"`` skips indefinite articles: they are far too frequent to act
 as training cues and are only annotated when applying a trained model
 (``mode="inference"``). An article before a scale word is a number word in
@@ -50,82 +56,50 @@ def is_comp_cue(surface: str) -> bool:
 
 
 def _parse_cardinal_words(words: list[str], table: dict[str, int]) -> Optional[tuple[int, int]]:
-    """Longest cardinal number starting at ``words[0]``.
+    """Longest cardinal number starting at ``words[0]``: (value, words consumed), or None.
 
-    Returns (value, words consumed) or None. Supports unit/tens/scale
-    composition up to 999,999, including "hundred" after a tens group
-    ("twenty one hundred" is 2100); "and" is absorbed only straight after a
-    scale word ("one hundred and five", "ten thousand and five"), never
-    between two plain numbers, so compositional phrases like "three and
-    three" stay separate mentions.
+    The number words form a two-level grammar:
+
+    - *small*: a unit (1-9), a teen (10-19), or a tens word (20-99) with an
+      optional unit;
+    - *group*: a small number, then optionally "hundred" and a small number;
+    - *number*: a word of value 0 alone ("zero"), or a group, then optionally
+      "thousand" and a second group.
+
+    "and" is read only after "hundred" or "thousand" and before a small
+    number ("one hundred and five"), so "three and three" stays two numbers.
+    The group before "thousand" takes "hundred" after any small number
+    ("twenty one hundred" is 2100) and "thousand" only when it is at most
+    999; in the group after it only a unit multiplies "hundred". So no value
+    exceeds 999,999. A word valued none of 0-99, 100 and 1000 is a number on
+    its own.
     """
-    total = 0
-    group = 0
-    hundred_used = False
-    state = "start"
-    best: Optional[tuple[int, int]] = None
-    i = 0
-    while i < len(words):
-        w = words[i]
-        if w == "and":
-            nxt = table.get(words[i + 1]) if i + 1 < len(words) else None
-            if state in ("hundred", "thousand") and nxt is not None and 1 <= nxt <= 99:
+    n = len(words)
+    total = i = 0  # words[:i] are read
+    while True:  # the group before "thousand", then the group after it
+        group = 0
+        for after_hundred in (False, True):  # a group's two small numbers
+            # every small number but the first follows a scale word, so may follow "and"
+            j = i + 1 if i and i < n and words[i] == "and" else i
+            small = table.get(words[j]) if j < n else None
+            if small is None or not 0 < small < 100:
+                break
+            i = j + 1
+            if small >= 20 and i < n and 0 < (unit := table.get(words[i], 0)) < 10:
+                small += unit
                 i += 1
-                if state == "hundred":
-                    state = "post_and"
-                continue
-            break
-        v = table.get(w)
-        if v is None:
-            break
-        if v == 0:
-            if state == "start":
-                best = (0, 1)
-            break
-        if v == 100:
-            # a teen or tens group takes "hundred" only before any scale word:
-            # "twenty one hundred" is 2100
-            if not hundred_used and (
-                state == "unit" or (state in ("teen", "tens", "tens_unit") and total == 0)
-            ):
-                group *= 100
-                hundred_used = True
-                state = "hundred"
-            else:
+            group += small
+            # "hundred" once per group, and after "thousand" only after a unit
+            if after_hundred or i == n or table.get(words[i]) != 100 or (total and small > 9):
                 break
-        elif v == 1000:
-            # group <= 999 keeps "nineteen hundred thousand" under the cap
-            if total == 0 and 1 <= group <= 999 and state != "start":
-                total = group * 1000
-                group = 0
-                hundred_used = False
-                state = "thousand"
-            else:
-                break
-        elif 1 <= v <= 9:
-            if state in ("start", "thousand"):
-                group, state = v, "unit"
-            elif state == "tens":
-                group, state = group + v, "tens_unit"
-            elif state in ("hundred", "post_and"):
-                group, state = group + v, "post_hundred"
-            else:
-                break
-        elif 10 <= v <= 19:
-            if state in ("start", "thousand"):
-                group, state = v, "teen"
-            elif state in ("hundred", "post_and"):
-                group, state = group + v, "post_hundred"
-            else:
-                break
-        else:  # 20..90
-            if state in ("start", "thousand", "hundred", "post_and"):
-                group, state = group + v if state in ("hundred", "post_and") else v, "tens"
-            else:
-                break
+            group *= 100
+            i += 1
+        if not i:  # zero, a scale word or a value outside the grammar comes first
+            return None if small in (None, 100, 1000) else (small, 1)
+        if i == n or total or group > 999 or table.get(words[i]) != 1000:
+            return total + group, i
+        total = group * 1000
         i += 1
-        best = (total + group, i)
-    return best
 
 
 def _parse_ordinal(w: str, lexicon: NumLexicon) -> Optional[int]:
@@ -180,23 +154,19 @@ def _cardinal_run(
 
 
 def _recognise(
-    words: tuple[str, ...],
-    lemmas: tuple[str, ...],
-    i: int,
-    stops,
-    lexicon: NumLexicon,
-    mode: str,
+    words: tuple[str, ...], i: int, stops, lexicon: NumLexicon, mode: str
 ) -> tuple[Optional[MentionAnnotation], int]:
     """Mention starting at the live, unannotated ``words[i]``, and how many tokens it spans.
 
     Tries, in order: digit cardinal, word-cardinal run, ordinal, affixed
-    number term, article. A run starts at a cardinal word, "and" or a
-    hyphenated cardinal, which reads as its parts ("twenty-one hundred" is
-    2100), and an article before a scale word starts one as "one" ("a
-    hundred" is 100, in both modes). Any other article is a mention in
-    inference mode only. "one" straight after "no" is a pronoun ("no one
-    knows"), never a cardinal. Returns ``(None, 1)`` when the token is no
-    mention.
+    number term, article. A run starts at a cardinal word or a hyphenated
+    cardinal, which reads as its parts ("twenty-one hundred" is 2100), and
+    an article before a scale word starts one as "one" ("a hundred" is 100,
+    in both modes). Any other article is a mention in inference mode only.
+    A number term is read from the surface or, as liveness is, from
+    ``lemmatize`` of it ("trilogies"). "one" straight after "no" is a pronoun
+    ("no one knows"), never a cardinal. Returns ``(None, 1)`` when the token
+    is no mention.
     """
     surface = words[i]
     if surface == "one" and i and words[i - 1] == "no":
@@ -204,7 +174,7 @@ def _recognise(
     if _DIGIT_CARDINAL_RE.match(surface):
         return _mention(MentionKind.CARDINAL, int(surface.replace(",", ""))), 1
     table = lexicon.cardinal_words
-    if surface in table or surface == "and" or (
+    if surface in table or (
         "-" in surface and all(word in table for word in surface.split("-"))
     ):
         run = _cardinal_run(words, i, surface.split("-"), stops, lexicon)
@@ -214,7 +184,9 @@ def _recognise(
     if value is not None:
         return _mention(MentionKind.ORDINAL, value), 1
     affixed = lexicon.affixed_words
-    value = affixed.get(surface, affixed.get(lemmas[i]))
+    value = affixed.get(surface)
+    if value is None:  # the lemma that made the surface live
+        value = affixed.get(lemmatize(surface))
     if value is not None:
         return _mention(MentionKind.NUMTERM, value), 1
     if surface in lexicon.articles:
@@ -235,13 +207,13 @@ def _rewrite(text: str, lexicon: NumLexicon, mode: str) -> _Columns:
     surfaces = text.split()
     lemmas = [lemmatize(surface) for surface in surfaces]
     marks: dict[int, MentionAnnotation] = {}
-    for k, (surface, lemma) in enumerate(zip(surfaces, lemmas)):
+    for k, surface in enumerate(surfaces):
         word, liveness = lexicon.readings[surface]
         value = lexicon.cardinal_words.get(word)
         if value is not None:
             marks[k] = _mention(MentionKind.CARDINAL, value)
         elif liveness == LIVE:
-            mention = _recognise((word,), (lemma,), 0, (), lexicon, mode)[0]
+            mention = _recognise((word,), 0, (), lexicon, mode)[0]
             if mention is not None:
                 marks[k] = mention
     return surfaces, lemmas, marks
@@ -370,8 +342,8 @@ def preprocess_sentence(
     one token), ordinal, Latin/Greek-affixed number term or, in inference
     mode, an indefinite article. Already-annotated tokens are left untouched.
     Returns *sentence* itself when nothing changed, and at once when no
-    unannotated token is live. Liveness is read per surface, so a lemma is
-    taken to be ``lemmatize`` of its surface, as :func:`tokenize` builds it.
+    unannotated token is live. Only the surfaces are read; the lemma column
+    is carried along.
     """
     columns: _Columns = (sentence.surfaces(), sentence.lemmas(), dict(sentence.mentions))
     words, liveness, live = _read(columns, lexicon, zero_mode)
@@ -397,7 +369,7 @@ def preprocess_sentence(
             else:
                 replacement = _rewrite(special.replacement_text, lexicon, mode)
         elif liveness[j] == LIVE:
-            mention, length = _recognise(words, lemmas, j, stops, lexicon, mode)
+            mention, length = _recognise(words, j, stops, lexicon, mode)
             if mention is None:
                 continue
             replacement = _merged(columns, j, length, mention)

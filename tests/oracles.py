@@ -4,7 +4,9 @@ The references enumerate all tag paths explicitly; they must stay free of the
 dynamic-programming code they are used to check. The helpers after them
 (``log_partition``, ``random_model``, ``training_set``) call the library:
 they are what the tests check, or build their inputs. ``detokenize`` renders
-a sentence as text for the bit-exact rewrite checks.
+a sentence as text for the bit-exact rewrite checks. ``cardinal_renderings``
+spells a number in English words by the schoolbook rules, for the number-word
+grammar checks.
 """
 
 from __future__ import annotations
@@ -147,3 +149,55 @@ def detokenize(sentence) -> str:
             parts.append(" ")
         parts.append(tok.surface)
     return "".join(parts)
+
+
+_UNITS = ("", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten",
+          "eleven", "twelve", "thirteen", "fourteen", "fifteen", "sixteen", "seventeen",
+          "eighteen", "nineteen")
+_TENS = ("", "", "twenty", "thirty", "forty", "fifty", "sixty", "seventy", "eighty", "ninety")
+
+
+def _below_hundred(n: int) -> list[str]:
+    """Words of 1 <= n <= 99: "seven", "fourteen", "forty", "forty two"."""
+    if n < 20:
+        return [_UNITS[n]]
+    tens, unit = divmod(n, 10)
+    return [_TENS[tens]] + ([_UNITS[unit]] if unit else [])
+
+
+def _hundreds(head: int, rest: int) -> list[list[str]]:
+    """``head`` hundred and ``rest`` (0-99), with and without "and" before *rest*."""
+    words = _below_hundred(head) + ["hundred"]
+    if not rest:
+        return [words]
+    return [words + _below_hundred(rest), words + ["and"] + _below_hundred(rest)]
+
+
+def _below_thousand(n: int) -> list[list[str]]:
+    """Each spelling of 1 <= n <= 999."""
+    head, rest = divmod(n, 100)
+    return _hundreds(head, rest) if head else [_below_hundred(n)]
+
+
+def cardinal_renderings(n: int) -> list[list[str]]:
+    """Each canonical English spelling of 1 <= n <= 999,999, as a word list.
+
+    Every optional "and" (after "hundred", and after "thousand") is taken
+    and left out; 1,100-9,999 are also spelled in hundreds ("eleven hundred
+    and five", "ninety nine hundred").
+    """
+    thousands, rest = divmod(n, 1000)
+    if not thousands:
+        spellings = _below_thousand(n)
+    else:
+        spellings = []
+        for head in _below_thousand(thousands):
+            head = head + ["thousand"]
+            if not rest:
+                spellings.append(head)
+                continue
+            for tail in _below_thousand(rest):
+                spellings += [head + tail, head + ["and"] + tail]
+    if 1100 <= n <= 9999:
+        spellings += _hundreds(*divmod(n, 100))
+    return spellings

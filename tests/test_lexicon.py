@@ -107,6 +107,27 @@ class TestLexiconFiles:
         assert lexicons[0] == lexicons[1]
         assert lexicons[0].special_terms[0].value == 2
 
+    def test_and_is_no_cardinal(self, tmp_path):
+        """The number-word grammar reads "and" only as a joiner, so a value for it cannot load."""
+        shutil.copytree(_DATA_DIR, tmp_path / "lexicon")
+        with open(tmp_path / "lexicon" / "cardinals.tsv", "a", encoding="utf-8") as table:
+            table.write("\nAnd\t5\n")
+        with pytest.raises(LexiconFormatError) as info:
+            load_lexicon(tmp_path / "lexicon")
+        assert str(info.value).endswith(
+            "cannot load lexicon: cardinals.tsv: 'and' joins number words, it is no cardinal")
+
+    def test_cardinal_outside_the_word_grammar_is_a_number_on_its_own(self, tmp_path):
+        """A cardinal word valued other than 0-99, 100 or 1000 neither takes nor continues one."""
+        shutil.copytree(_DATA_DIR, tmp_path / "lexicon")
+        with open(tmp_path / "lexicon" / "cardinals.tsv", "a", encoding="utf-8") as table:
+            table.write("\ngross\t144\n")
+        lx = load_lexicon(tmp_path / "lexicon")
+        (sentence,) = tokenize("They sold one gross one hundred pens and a gross .")
+        sentence = preprocess_sentence(sentence, lx)
+        assert [(sentence.surfaces()[p], m.value) for p, m in sentence.mentions] == [
+            ("one", 1), ("gross", 144), ("one hundred", 100), ("gross", 144)]
+
 
 class TestAnnotationInvariants:
     def test_article_value_fixed(self):

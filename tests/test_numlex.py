@@ -36,7 +36,7 @@ from countquant.numlex.mentions import (
 )
 from countquant.numlex.tokenizer import lemmatize
 
-from oracles import detokenize
+from oracles import cardinal_renderings, detokenize
 
 LEXICON = load_default_lexicon()
 
@@ -309,6 +309,13 @@ class TestAnnotateMentions:
     def test_affix_exceptions_not_decoded(self, prep):
         assert prep("a strict diet").mentions == ()
 
+    def test_number_term_read_from_the_surface(self):
+        """A number term is read from its surface, as liveness is, not from the lemma."""
+        plural = preprocess_sentence(Sentence(("her", "trilogies"), ("her", "x")), LEXICON)
+        assert plural.mentions == ((1, MentionAnnotation(MentionKind.NUMTERM, 3)),)
+        saga = make_sentence([Token("her", "her", 0), Token("Saga", "trilogy", 1)])
+        assert preprocess_sentence(saga, LEXICON).mentions == ()
+
     def test_idempotent(self, prep):
         s = prep("She has twenty one children and a dozen cats, honestly.")
         again = preprocess_sentence(s, LEXICON)
@@ -507,6 +514,15 @@ def test_word_grammar_never_exceeds_cap_property(words):
     assert parsed is None or parsed[0] <= 999_999
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 999_999).flatmap(
+    lambda n: st.tuples(st.just(n), st.sampled_from(cardinal_renderings(n)))))
+def test_word_grammar_reads_every_spelling_property(spelling):
+    """Each spelling of n, with every optional "and" and in hundreds, reads whole as n."""
+    n, words = spelling
+    assert _parse_cardinal_words(words + ["x"], LEXICON.cardinal_words) == (n, len(words))
+
+
 # -- the compiled lexicon tables against naive scans --------------------------
 
 
@@ -615,8 +631,9 @@ def test_readings_stay_bounded():
     for k in range(_READINGS_SIZE + 100):
         assert lexicon.readings[f"Word{k}"] == (f"word{k}", DEAD)
         assert len(lexicon.readings) <= _READINGS_SIZE
-    assert [lexicon.readings[w] for w in ("Twenty-One", "Trilogies", "No", "cats")] == [
-        ("twenty-one", LIVE), ("trilogies", LIVE), ("no", ZERO_CUE), ("cats", DEAD)]
+    assert [lexicon.readings[w] for w in ("Twenty-One", "Trilogies", "No", "cats", "and")] == [
+        ("twenty-one", LIVE), ("trilogies", LIVE), ("no", ZERO_CUE), ("cats", DEAD),
+        ("and", DEAD)]
 
 
 # -- token-object copies shared by the references below --------------------
