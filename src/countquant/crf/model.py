@@ -1,17 +1,19 @@
 """Linear-chain CRF over the fixed COUNT/COMP/O tag scheme.
 
 :func:`forward_backward_stacks` is the one forward-backward kernel, in
-probability space with one scale factor per step (Rabiner scaling).
-:mod:`.train` runs it once over all its sentences; inference runs it through
-:func:`forward_backward` on one sentence (n, k), one 1-D row per step.
-Expected transition counts, log partitions and the scale check stay per
-equal-length stack, on the stack's own rows, and a stack whose scale factors
-under- or overflow is redone in log space, alone, by :func:`log_forward` and
-:func:`log_backward`. The backward step multiplies by a C-contiguous copy of
-``e.T``, never by the view: with OpenBLAS, a one-row product through the view
-rounds unlike the same row of a many-row product, while with the copy a row
-does not depend on the rows beside it (on kernels such as Haswell, any
-one-row product still does).
+probability space with one scale factor per step (Rabiner scaling). It runs
+once per objective evaluation over all training sentences (:mod:`.train`),
+and once per document over its candidate sentences (:func:`marginals`), on
+the layout :func:`time_major_layout` gives both: time-major, longest sentence
+first, sentences of one length stacked in input order. Expected transition
+counts, log partitions and the scale check stay per equal-length stack, on
+the stack's own rows, and a stack whose scale factors under- or overflow is
+redone in log space, alone, by :func:`log_forward` and :func:`log_backward`.
+The backward step multiplies by a C-contiguous copy of ``e.T``, never by the
+view: with OpenBLAS, a one-row product through the view rounds unlike the
+same row of a many-row product, while with the copy a row does not depend on
+the rows beside it (on kernels such as Haswell, any one-row product still
+does). :func:`viterbi` runs on Python floats, one token at a time.
 
 A trained model is immutable (write-protected weights), so decoding and
 marginals are thread-safe. Its features are its n-gram tables: one n-gram ->
@@ -116,23 +118,28 @@ def log_backward(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
     return beta.swapaxes(0, -2)
 
 
-def forward_backward(emissions: np.ndarray, transitions: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Tag marginals ``mu``, expected transition counts ``xi`` and ``log_z``.
+def time_major_layout(lengths) -> tuple[list, list, list]:
+    """Where :func:`forward_backward_stacks` keeps sentences of these lengths (each >= 1).
 
-    Emissions are (..., n >= 1, k), leading axes sentences. ``mu`` has their
-    shape, ``xi`` (k, k) sums over positions and sentences, ``log_z`` is per sentence.
+    Rows run time-major, longest sentence first: step t's rows are the
+    sentences longer than t, a prefix of step t - 1's. Returns ``steps`` and
+    ``carried`` for the kernel and, per distinct length in increasing order,
+    ``(length, members, time_rows)``: the indices of that length's sentences,
+    in input order, and their (length, B) rows.
     """
-    *lead, n, k = emissions.shape
-    stack = emissions.reshape(-1, n, k) if lead else emissions
-    em = np.ascontiguousarray(stack.swapaxes(0, -2))  # time-major copy
-    mu, ((xi, log_z),) = forward_backward_stacks(
-        em, transitions, range(n), range(-1, n - 1), [(stack, None)])
-    return mu.swapaxes(0, -2).reshape(emissions.shape), xi, log_z.reshape(lead)
-
-
-def _at(a, rows, times=slice(None)):
-    """A stack's rows of time-major ``a`` at steps ``times``; rows None: ``a`` is the stack."""
-    return a[times] if rows is None else a.take(rows[times], axis=0)
+    lengths = np.asarray(lengths)
+    per_length = np.bincount(lengths)
+    shorter = np.cumsum(per_length)  # shorter[n]: sentences of length <= n
+    live = (len(lengths) - shorter[:-1]).tolist()
+    offset = np.cumsum([0] + live[:-1])
+    steps = [slice(a, a + m) for a, m in zip(offset.tolist(), live)]
+    carried = [None] + [slice(a, a + m) for a, m in zip(offset.tolist(), live[1:])]
+    stacks = []
+    for n in np.flatnonzero(per_length).tolist():
+        members = np.flatnonzero(lengths == n)
+        first = len(lengths) - shorter[n]  # sentences in longer stacks
+        stacks.append((n, members, offset[:n, None] + first + np.arange(len(members))))
+    return steps, carried, stacks
 
 
 def forward_backward_stacks(em, transitions, steps, carried, stacks):
@@ -142,11 +149,11 @@ def forward_backward_stacks(em, transitions, steps, carried, stacks):
     ``em[steps[t]]``, and ``carried[t]`` (t >= 1) are the rows of step t - 1
     whose sentences go on to step t, in step t's order. With sentences
     ordered longest first, step t's rows are the sentences longer than t,
-    a prefix of step t - 1's. ``stacks`` lists each stack's emissions
-    (..., n, k) with its (n, B) time-major rows of ``em``, or None when
-    ``em`` is that one stack. Returns the tag marginals, shaped as ``em``,
-    and per stack ``(xi, log_z)``, computed on the stack's own rows; a stack
-    whose scale factors under- or overflow is redone in log space.
+    a prefix of step t - 1's (:func:`time_major_layout`). ``stacks`` lists
+    each stack's emissions (B, n, k) with its (n, B) rows of ``em``, or one
+    sentence's (n, k) with its (n,) rows. Returns the tag marginals, shaped
+    as ``em``, and per stack ``(xi, log_z)``, computed on the stack's own
+    rows; a stack whose scale factors under- or overflow is redone in log space.
     """
     k = em.shape[-1]
     row_max = em[..., 0]  # column by column: em.max(axis=-1) is slower on many rows
@@ -172,12 +179,14 @@ def forward_backward_stacks(em, transitions, steps, carried, stacks):
         log_c, finite = np.log(c), np.isfinite(beta).all()
         for i, (emissions, rows) in enumerate(stacks):
             n = emissions.shape[-2]
-            log_z = (_at(log_c, rows).sum(axis=0) + _at(row_max, rows).sum(axis=0))[..., 0]
+            log_z = (log_c.take(rows, axis=0).sum(axis=0)
+                     + row_max.take(rows, axis=0).sum(axis=0))[..., 0]
             log_z = log_z + (n - 1) * t_max
-            if not (np.isfinite(log_z).all() and (finite or np.isfinite(_at(beta, rows)).all())):
+            if not (np.isfinite(log_z).all()
+                    and (finite or np.isfinite(beta.take(rows, axis=0)).all())):
                 fallback.append(i)
-            xi = e * (_at(alpha, rows, slice(-1)).reshape(-1, k).T
-                      @ _at(q_beta, rows, slice(1, None)).reshape(-1, k))
+            xi = e * (alpha.take(rows[:-1], axis=0).reshape(-1, k).T
+                      @ q_beta.take(rows[1:], axis=0).reshape(-1, k))
             stats.append((xi, log_z))
         mu = np.multiply(alpha, beta, out=beta)
     for i in fallback:  # a scale under/overflowed
@@ -186,26 +195,36 @@ def forward_backward_stacks(em, transitions, steps, carried, stacks):
         log_z = np.logaddexp.reduce(alpha[..., -1, :], axis=-1)
         xi = np.exp(alpha[..., :-1, :, None] + transitions
                     + (emissions + beta)[..., 1:, None, :] - log_z[..., None, None, None])
-        mu[slice(None) if rows is None else rows] = np.exp(
-            alpha + beta - log_z[..., None, None]).swapaxes(0, -2)
+        mu[rows] = np.exp(alpha + beta - log_z[..., None, None]).swapaxes(0, -2)
         stats[i] = xi.reshape(-1, k, k).sum(axis=0), log_z
     return mu, stats
 
 
 def viterbi(emissions: np.ndarray, transitions: np.ndarray) -> list[int]:
-    """Argmax tag-id path; ties break toward the lower tag id."""
-    n, k = emissions.shape
-    if n == 0:
+    """Argmax tag-id path, on Python floats; ties break toward the lower tag id.
+
+    Each step keeps, per tag, the first best predecessor; the path ends at the first best tag.
+    """
+    rows = emissions.tolist()
+    if not rows:
         return []
-    delta = emissions[0].copy()
-    back = np.zeros((n, k), dtype=np.intp)
-    for t in range(1, n):
-        scores = delta[:, None] + transitions
-        back[t] = scores.argmax(axis=0)
-        delta = emissions[t] + scores.max(axis=0)
-    path = [int(delta.argmax())]
-    for t in range(n - 1, 0, -1):
-        path.append(int(back[t][path[-1]]))
+    columns = transitions.T.tolist()
+    k, delta, back = len(columns), rows[0], []
+    for row in rows[1:]:
+        pointers, scores = [], []
+        for e, column in zip(row, columns):
+            best, arg = delta[0] + column[0], 0
+            for i in range(1, k):
+                score = delta[i] + column[i]
+                if score > best:
+                    best, arg = score, i
+            pointers.append(arg)
+            scores.append(e + best)
+        delta = scores
+        back.append(pointers)
+    path = [delta.index(max(delta))]
+    for pointers in reversed(back):
+        path.append(pointers[path[-1]])
     path.reverse()
     return path
 
@@ -216,15 +235,31 @@ def decode(model: CrfModel, sequence: list[str]) -> list[str]:
     return [TAGS[i] for i in path]
 
 
-def marginals(model: CrfModel, sequence: list[str]) -> np.ndarray:
-    """Forward-backward per-position tag probabilities, shape (n, len(TAGS)).
+def marginals(model: CrfModel, sequences: list[list[str]]) -> list[np.ndarray]:
+    """Forward-backward tag probabilities of each sequence, shape (n, len(TAGS)).
 
     Each row sums to 1; entry [t, k] is the probability that position t
-    carries tag k, used downstream as the mention confidence score.
+    carries tag k, used downstream as the mention confidence score. The
+    sequences, a document's candidate sentences, run through one recursion,
+    stacked by length; results come back in input order.
     """
-    if not sequence:
-        return np.zeros((0, len(TAGS)))
-    return forward_backward(model.emissions(sequence), model.transitions)[0]
+    k = len(TAGS)
+    probs = [np.zeros((0, k)) for _ in sequences]
+    live = [i for i, sequence in enumerate(sequences) if sequence]
+    if not live:
+        return probs
+    emissions = [model.emissions(sequences[i]) for i in live]
+    steps, carried, layout = time_major_layout([len(em) for em in emissions])
+    em, stacks = np.empty((steps[-1].stop, k)), []
+    for _, members, rows in layout:
+        stack = np.stack([emissions[j] for j in members.tolist()])
+        em[rows] = stack.swapaxes(0, 1)
+        stacks.append((stack, rows))
+    mu = forward_backward_stacks(em, model.transitions, steps, carried, stacks)[0]
+    for _, members, rows in layout:
+        for j, time_rows in zip(members.tolist(), rows.T):
+            probs[live[j]] = mu[time_rows]
+    return probs
 
 
 def save_model(model: CrfModel, path: Path | str) -> None:

@@ -16,7 +16,8 @@ Rows run length bucket by length bucket, so each bucket reshapes to a
 (batch, length, tags) stack. An evaluation runs one
 :func:`.model.forward_backward_stacks` recursion over all buckets, on the
 emissions gathered time-major and longest sentence first by indices computed
-once per problem; each bucket's transition counts and log partitions are
+once per problem (:func:`.model.time_major_layout`, the layout inference
+uses too); each bucket's transition counts and log partitions are
 summed on its own rows, in increasing length, as one call per bucket would.
 """
 
@@ -32,7 +33,7 @@ from scipy.optimize import minimize
 from scipy.sparse import csr_matrix
 
 from .features import BOS, EOS, PAD, WINDOWS
-from .model import COUNT, TAGS, CrfModel, forward_backward_stacks
+from .model import COUNT, TAGS, CrfModel, forward_backward_stacks, time_major_layout
 
 logger = logging.getLogger(__name__)
 
@@ -172,27 +173,15 @@ class TrainingProblem:
         self.gram_ids, self.n_features, ids = _compile_features(examples, feature_cutoff)
         k = len(TAGS)
 
-        by_length: dict[int, list[int]] = {}
-        for i, (seq, _) in enumerate(examples):
-            by_length.setdefault(len(seq), []).append(i)
-        # The recursion runs time-major over all sentences, longest first:
-        # step t's rows are the live[t] sentences longer than t, a prefix of
-        # step t - 1's, and offset[t] is the first of them.
         lengths = np.array([len(seq) for seq, _ in examples])
-        shorter = np.cumsum(np.bincount(lengths))  # shorter[n]: sentences of length <= n
-        live = (len(lengths) - shorter[:-1]).tolist()
-        offset = np.cumsum([0] + live[:-1])
-        self._steps = [slice(a, a + m) for a, m in zip(offset.tolist(), live)]
-        self._carried = [None] + [slice(a, a + m) for a, m in zip(offset.tolist(), live[1:])]
+        self._steps, self._carried, layout = time_major_layout(lengths)
         self.buckets: list[_Bucket] = []
         self._emp_t = np.zeros((k, k))
-        for length in sorted(by_length):
-            y = np.array([[TAGS.index(t) for t in examples[i][1]] for i in by_length[length]],
+        for length, members, time_rows in layout:
+            y = np.array([[TAGS.index(t) for t in examples[i][1]] for i in members.tolist()],
                          dtype=np.intp)
             start = self.buckets[-1].rows.stop if self.buckets else 0
-            first = len(lengths) - shorter[length]  # sentences in longer buckets
-            self.buckets.append(_Bucket(length, y, slice(start, start + y.size),
-                                        offset[:length, None] + first + np.arange(len(y)),
+            self.buckets.append(_Bucket(length, y, slice(start, start + y.size), time_rows,
                                         y[:, :-1] * k + y[:, 1:]))
             np.add.at(self._emp_t, (y[:, :-1].ravel(), y[:, 1:].ravel()), 1.0)
         # Each feature-matrix row's time-major row, and back.

@@ -1,8 +1,10 @@
 """Glue for applying a trained model to documents.
 
-One call per subject document: preprocess in inference mode (articles, and
-optionally zero cues, become candidate mentions), decode each sentence with
-the CRF, read COUNT marginals as confidences, and consolidate.
+One call per subject document: preprocess it in inference mode (articles,
+and optionally zero cues, become candidate mentions) and keep the sentences
+that have mentions; compute their tag marginals in one forward-backward
+recursion for the whole document, reading COUNT marginals as confidences;
+Viterbi-decode each sentence; consolidate.
 """
 
 from __future__ import annotations
@@ -36,24 +38,22 @@ def decode_document(
     zero_mode: bool = False,
 ) -> list[DecodedSentence]:
     """Preprocess and tag every candidate-bearing sentence of a document."""
+    sentences = [
+        sentence for sentence in (
+            preprocess_sentence(raw, lexicon, mode=INFERENCE_MODE, zero_mode=zero_mode)
+            for raw in tokenize(text)
+        ) if sentence.mentions
+    ]
+    sequences = [to_placeholder_sequence(sentence) for sentence in sentences]
     count_id = TAGS.index(COUNT)
-    decoded: list[DecodedSentence] = []
-    for raw in tokenize(text):
-        sentence = preprocess_sentence(
-            raw, lexicon, mode=INFERENCE_MODE, zero_mode=zero_mode
+    return [
+        DecodedSentence(
+            labeled=LabeledSentence(sentence=sentence, tags=tuple(decode(model, sequence)),
+                                    strict=False),
+            count_confidences=probs[:, count_id].tolist(),
         )
-        if not sentence.mentions:
-            continue
-        sequence = to_placeholder_sequence(sentence)
-        tags = decode(model, sequence)
-        probs = marginals(model, sequence)
-        decoded.append(
-            DecodedSentence(
-                labeled=LabeledSentence(sentence=sentence, tags=tuple(tags), strict=False),
-                count_confidences=[float(p) for p in probs[:, count_id]],
-            )
-        )
-    return decoded
+        for sentence, sequence, probs in zip(sentences, sequences, marginals(model, sequences))
+    ]
 
 
 def extract_document(

@@ -1,8 +1,10 @@
 """Independent brute-force references for CRF inference, and test-side helpers.
 
 The references enumerate all tag paths explicitly; they must stay free of the
-dynamic-programming code they are used to check. The helpers after them
-(``log_partition``, ``random_model``, ``training_set``) call the library:
+dynamic-programming code they are used to check. ``reference_viterbi`` is the
+numpy Viterbi that states the tie rule, which the library's float Viterbi
+must match path for path. The helpers after it (``forward_backward``,
+``log_partition``, ``random_model``, ``training_set``) call the library:
 they are what the tests check, or build their inputs. ``detokenize`` renders
 a sentence as text for the bit-exact rewrite checks. ``cardinal_renderings``
 spells a number in English words by the schoolbook rules, for the number-word
@@ -75,14 +77,52 @@ def brute_force_marginals(emissions: np.ndarray, transitions: np.ndarray) -> np.
     return out
 
 
+def reference_viterbi(emissions: np.ndarray, transitions: np.ndarray) -> list[int]:
+    """Argmax tag-id path by numpy rows, the statement of the tie rule.
+
+    ``argmax`` takes the first maximum, so ties break toward the lower tag
+    id, both among predecessors and at the last position.
+    """
+    n, k = emissions.shape
+    if n == 0:
+        return []
+    delta = emissions[0].copy()
+    back = np.zeros((n, k), dtype=np.intp)
+    for t in range(1, n):
+        scores = delta[:, None] + transitions
+        back[t] = scores.argmax(axis=0)
+        delta = emissions[t] + scores.max(axis=0)
+    path = [int(delta.argmax())]
+    for t in range(n - 1, 0, -1):
+        path.append(int(back[t][path[-1]]))
+    path.reverse()
+    return path
+
+
+def forward_backward(emissions: np.ndarray, transitions: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Tag marginals ``mu``, expected transition counts ``xi`` and ``log_z``.
+
+    One equal-length stack through the library's kernel. Emissions are
+    (..., n >= 1, k), leading axes sentences. ``mu`` has their shape, ``xi``
+    (k, k) sums over positions and sentences, ``log_z`` is per sentence.
+    """
+    from countquant.crf.model import forward_backward_stacks, time_major_layout
+
+    *lead, n, k = emissions.shape
+    stack = emissions.reshape(-1, n, k) if lead else emissions
+    steps, carried, ((_, _, rows),) = time_major_layout([n] * (stack.size // (n * k)))
+    rows = rows if lead else rows[:, 0]  # one sentence keeps its (n, k) shape
+    mu, ((xi, log_z),) = forward_backward_stacks(
+        stack.swapaxes(0, -2).reshape(-1, k), transitions, steps, carried, [(stack, rows)])
+    return mu[rows].swapaxes(0, -2).reshape(emissions.shape), xi, log_z.reshape(lead)
+
+
 def log_partition(emissions: np.ndarray, transitions: np.ndarray) -> float:
     """One sentence's log partition through the library's forward-backward kernel.
 
     This is the code under test, not an oracle: the brute-force reference is
     :func:`brute_force_log_partition`.
     """
-    from countquant.crf.model import forward_backward
-
     if emissions.shape[0] == 0:
         return 0.0
     return float(forward_backward(emissions, transitions)[2])

@@ -233,7 +233,7 @@ def test_criterion_5c_marginals_exhaustive():
             for length in range(1, 7):
                 seq = random_sequence(rng, VOCAB, length)
                 em = model.emissions(seq)
-                got = marginals(model, seq)
+                got = marginals(model, [seq])[0]
                 expected = brute_force_marginals(em, model.transitions)
                 assert np.abs(got - expected).max() < 1e-8
                 assert np.abs(got.sum(axis=1) - 1.0).max() < 1e-9

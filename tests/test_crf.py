@@ -29,17 +29,19 @@ from countquant.crf import (
     viterbi,
 )
 from countquant.crf.features import PAD, WINDOW_NAMES, WINDOWS, lookup_ids
-from countquant.crf.model import forward_backward, log_backward, log_forward
+from countquant.crf.model import log_backward, log_forward
 
 from oracles import (
     assert_viterbi_optimal,
     brute_force_log_partition,
     brute_force_marginals,
+    forward_backward,
     log_partition,
     path_score,
     path_scores,
     random_model,
     random_sequence,
+    reference_viterbi,
     training_set,
 )
 
@@ -627,6 +629,24 @@ class TestDecode:
             other = list(rng.integers(0, 3, size=len(seq)))
             assert best_score >= path_score(em, model.transitions, other) - 1e-12
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 12), integral=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_float_viterbi_equals_reference_property(self, n, integral, seed):
+        rng = np.random.default_rng(seed)
+        if integral:  # small integers: exact ties among predecessors and at the end
+            em = rng.integers(-2, 3, size=(n, 3)).astype(float)
+            trans = rng.integers(-2, 3, size=(3, 3)).astype(float)
+        else:
+            em, trans = rng.normal(scale=3.0, size=(n, 3)), rng.normal(scale=3.0, size=(3, 3))
+        assert viterbi(em, trans) == reference_viterbi(em, trans)
+
+
+@st.composite
+def _documents(draw):
+    """Sentence lengths of a document: 0 to 8 sentences, lengths 0 to 20, often repeated."""
+    pool = draw(st.lists(st.integers(0, 20), min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), max_size=8))
+
 
 class TestMarginals:
     def test_rows_sum_to_one(self):
@@ -634,7 +654,7 @@ class TestMarginals:
         model = random_model(rng, VOCAB, scale=2.0)
         for length in (1, 3, 6, 10):
             seq = random_sequence(rng, VOCAB, length)
-            probs = marginals(model, seq)
+            probs = marginals(model, [seq])[0]
             assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_matches_exhaustive_path_sums(self):
@@ -645,7 +665,7 @@ class TestMarginals:
                 seq = random_sequence(rng, VOCAB, length)
                 em = model.emissions(seq)
                 expected = brute_force_marginals(em, model.transitions)
-                got = marginals(model, seq)
+                got = marginals(model, [seq])[0]
                 assert np.abs(got - expected).max() < 1e-8
 
     @pytest.mark.parametrize("length", [1, 2, 4, 6])
@@ -731,13 +751,57 @@ class TestMarginals:
         expected = sum(self._brute_force_transition_counts(one, trans) for one in stack)
         assert np.abs(stack_xi - expected).max() < 1e-8
 
+    @settings(max_examples=100, deadline=None)
+    @given(lengths=_documents(), scale=st.sampled_from([0.5, 1.0, 3.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_document_equals_one_sentence_calls_property(self, lengths, scale, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, VOCAB, scale=scale)
+        sequences = [random_sequence(rng, VOCAB, n) for n in lengths]
+        probs = marginals(model, sequences)
+        assert [p.shape for p in probs] == [(n, len(TAGS)) for n in lengths]
+        for seq, got in zip(sequences, probs):
+            if seq:
+                # A stack's matmuls need not round as one sentence's do.
+                one = forward_backward(model.emissions(seq), model.transitions)[0]
+                assert np.abs(got - one).max() <= 1e-12
+
+    def test_document_stack_falls_back_to_log_space(self, monkeypatch):
+        # "a b c" is the extreme sentence of the test above: the length-3
+        # stack it shares with "d d d" is redone in log space, alone.
+        em = np.array([[700.0, -700.0, -700.0], [-700.0, 700.0, 0.0], [0.0, -700.0, 700.0]])
+        trans = np.array([[-700.0, -700.0, -700.0], [700.0, 0.0, -700.0], [0.0, 700.0, -700.0]])
+        model = CrfModel(
+            gram_ids=({"a": 0, "b": 1, "c": 2, "d": 3},) + ({},) * (len(WINDOWS) - 1),
+            weights=np.concatenate([em, np.zeros((1, 3))]),
+            transitions=trans,
+        )
+        calls = []
+
+        def counting_forward(emissions, transitions):
+            calls.append(emissions.shape)
+            return log_forward(emissions, transitions)
+
+        monkeypatch.setattr("countquant.crf.model.log_forward", counting_forward)
+        sequences = [["d", "d"], ["a", "b", "c"], [], ["d", "d", "d"], ["d"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = marginals(model, sequences)
+        assert calls == [(2, 3, 3)]
+        assert probs[2].shape == (0, 3)
+        for seq, got in zip(sequences, probs):
+            if seq:
+                one = model.emissions(seq)
+                assert np.abs(got - brute_force_marginals(one, trans)).max() < 1e-8
+                assert np.abs(got - forward_backward(one, trans)[0]).max() <= 1e-12
+
     def test_uniform_model_gives_thirds(self):
         model = CrfModel(
             gram_ids=({"a": 0},) + ({},) * (len(WINDOWS) - 1),
             weights=np.zeros((1, 3)),
             transitions=np.zeros((3, 3)),
         )
-        probs = marginals(model, ["a", "a", "a"])
+        probs = marginals(model, [["a", "a", "a"]])[0]
         assert np.abs(probs - 1.0 / 3.0).max() < 1e-12
 
     def test_log_partition_matches_brute_force(self):
@@ -750,6 +814,40 @@ class TestMarginals:
                 log_partition(em, model.transitions)
                 - brute_force_log_partition(em, model.transitions)
             ) < 1e-8
+
+
+def test_decode_document_equals_per_sentence_calls_on_mini_fixture(lexicon):
+    """One recursion per document tags and scores as one decode and marginals per sentence."""
+    from countquant.dsgen import COUNT, load_corpus
+    from countquant.kbstore import Relation, load_triples
+    from countquant.numlex import (
+        INFERENCE_MODE, preprocess_sentence, to_placeholder_sequence, tokenize,
+    )
+    from countquant.pipeline import decode_document
+
+    mini = Path(__file__).parent / "data" / "mini"
+    corpus = load_corpus(mini / "corpus.jsonl")
+    labeled, _ = training_set(load_triples(mini / "kb.tsv"), corpus,
+                              Relation(subject_class="human", property="child"))
+    model = train(labeled, max_iter=50)
+    decoded = 0
+    for zero_mode in (False, True):
+        for text in corpus.values():
+            expected = []
+            for raw in tokenize(text):
+                sentence = preprocess_sentence(raw, lexicon, mode=INFERENCE_MODE,
+                                               zero_mode=zero_mode)
+                if sentence.mentions:
+                    seq = to_placeholder_sequence(sentence)
+                    probs = marginals(model, [seq])[0][:, TAGS.index(COUNT)]
+                    expected.append((sentence, tuple(decode(model, seq)), probs))
+            got = decode_document(model, lexicon, text, zero_mode=zero_mode)
+            assert [(d.labeled.sentence, d.labeled.tags) for d in got] == \
+                [(sentence, tags) for sentence, tags, _ in expected]
+            for d, (_, _, probs) in zip(got, expected):
+                assert np.abs(np.array(d.count_confidences) - probs).max() <= 1e-12
+            decoded += len(got)
+    assert decoded > len(corpus)
 
 
 class TestModelFile:

@@ -811,9 +811,7 @@ def _reference_annotate_mentions(sentence, lexicon, mode):
 
         head = surface.split("-")
         no_one = surface == "one" and i > 0 and tokens[i - 1].surface.lower() == "no"
-        if not no_one and (
-            surface == "and" or all(word in lexicon.cardinal_words for word in head)
-        ):
+        if not no_one and all(word in lexicon.cardinal_words for word in head):
             run = _reference_cardinal_run(tokens, i, head, lexicon)
             if run is not None:
                 value, length = run
@@ -1052,7 +1050,7 @@ def _object_tokenize(text):
 
 def _object_recognise(tokens, i, specials, lexicon, mode):
     surface = tokens[i].surface.lower()
-    readable = frozenset({"and"}).union(
+    readable = frozenset().union(
         lexicon.cardinal_words, lexicon.ordinal_words, lexicon.affixed_words, lexicon.articles
     )
     if surface not in readable and not (
@@ -1066,7 +1064,7 @@ def _object_recognise(tokens, i, specials, lexicon, mode):
     if _DIGIT_CARDINAL_RE.match(surface):
         return MentionAnnotation(MentionKind.CARDINAL, int(surface.replace(",", ""))), 1
     table = lexicon.cardinal_words
-    if surface in table or surface == "and" or (
+    if surface in table or (
         "-" in surface and all(word in table for word in surface.split("-"))
     ):
         run = _object_cardinal_run(tokens, i, surface.split("-"), specials, lexicon)
