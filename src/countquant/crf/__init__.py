@@ -1,6 +1,6 @@
 """Linear-chain CRF: features, training, Viterbi decoding, marginals."""
 
-from .features import BOS, EOS, template_columns
+from .features import BOS, EOS
 from .model import (
     TAGS,
     CrfModel,
@@ -16,7 +16,6 @@ from .train import DegenerateTrainingError, TrainingProblem, train
 __all__ = [
     "BOS",
     "EOS",
-    "template_columns",
     "TAGS",
     "CrfModel",
     "ModelFormatError",

@@ -5,20 +5,19 @@ current position: every contiguous 1- to 5-gram that covers it, 15 windows
 in all (:data:`WINDOWS`). ``BOS``/``EOS`` stand in for positions outside the
 sequence. The 3x3 tag-transition weights are part of every model, not a window.
 
-:func:`template_columns` builds the n-grams of a whole sequence at once: it
-pads the sequence with ``PAD`` ``BOS``/``EOS`` symbols a single time and
-builds each width's n-grams once, by extending the next narrower ones. A
-model's features are one n-gram -> feature id table per window. Inference
-maps a sentence's columns to ids through those tables with
-:func:`lookup_ids`; training builds the tables in one integer-coded pass over
-all its sentences (:mod:`.train`), on the same padding, and joins only the
-n-grams it keeps. Only the model file names a feature as a string,
-``"<window name>:<n-gram>"``.
+A model's features are one n-gram -> feature id table per window, keyed by
+the ``"|"``-joined n-gram. Training builds the tables in one integer-coded
+pass over all its sentences (:mod:`.train`) and joins only the n-grams it
+keeps. Inference reads them through :class:`WidthIndex`, which merges the
+tables of each width into one: a sentence's n-grams of width w are built
+once, by extending those one symbol narrower, and each is looked up once,
+however many of the w windows of that width hold it. Only the model file
+names a feature as a string, ``"<window name>:<n-gram>"``.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -34,31 +33,67 @@ WINDOW_NAMES = tuple(f"U{width}" if width % 2 and start == -(width // 2) else f"
 # BOS symbols before a sequence and EOS symbols after it: the widest window
 # reaches 4 positions to either side.
 PAD = 4
+WIDEST = WINDOWS[-1][0]
+
+# The n-grams of width w that touch an n-symbol sequence are the n + w - 1
+# that start at most w - 1 symbols before it. Window (w, start) at position
+# i reads the (i + start + w - 1)-th of them, and the (start + w - 1)-th id
+# of that n-gram's block (its column). A sequence's n-grams are looked up
+# width by width, so those of width w follow the (w - 1) n + (w - 1)(w - 2) / 2
+# narrower ones.
+_COLUMN = np.array([start + width - 1 for width, start in WINDOWS], dtype=np.intp)
+_NARROWER_PER_TOKEN = np.array([width - 1 for width, _ in WINDOWS], dtype=np.intp)
+_FIRST = _COLUMN + [(width - 1) * (width - 2) // 2 for width, _ in WINDOWS]
+# The n-gram before a sequence's first touching one of each width w >= 2:
+# w - 1 BOS symbols.
+_BOS_RUNS = tuple("|".join([BOS] * (width - 1)) for width in range(2, WIDEST + 1))
 
 
-def template_columns(sequence: Sequence[str]) -> list[list[str]]:
-    """The ``"|"``-joined n-gram of every position, one column per window, in order.
+class WidthIndex:
+    """Per-window n-gram tables as one table per width, for inference.
 
-    The sequence is padded with ``BOS``/``EOS`` once, and each width's
-    n-grams are built once, by extending those one symbol narrower.
+    ``pointers[w - 1]`` maps each n-gram of width w that any window of that
+    width holds to where its block of w ids starts in ``ids``; entry
+    ``pointer + start + w - 1`` is its feature id in window (w, start), or
+    *unseen* where it is not a feature of that window. Pointer 0 is a block
+    of unseen ids, which every missing n-gram shares.
     """
-    n = len(sequence)
-    padded = [BOS] * PAD + list(sequence) + [EOS] * PAD
-    by_width = [padded]  # by_width[w - 1][j] joins padded[j : j + w]
-    for w in range(2, WINDOWS[-1][0] + 1):
-        by_width.append(list(map("|".join, zip(by_width[-1], padded[w - 1 :]))))
-    return [by_width[width - 1][PAD + start : PAD + start + n] for width, start in WINDOWS]
 
+    def __init__(self, tables: Sequence[dict[str, int]], unseen: int) -> None:
+        blocks = [np.full(WIDEST, unseen, dtype=np.intp)]
+        end = WIDEST
+        pointers = []
+        for width in range(1, WIDEST + 1):
+            windows = [t for t, (w, _) in enumerate(WINDOWS) if w == width]
+            grams = dict.fromkeys(chain.from_iterable(tables[t] for t in windows))
+            index = dict(zip(grams, range(end, end + width * len(grams), width)))
+            block = np.full(width * len(grams), unseen, dtype=np.intp)
+            for t in windows:
+                table = tables[t]
+                at = np.fromiter(map(index.__getitem__, table), np.intp, len(table))
+                block[at - end + _COLUMN[t]] = np.fromiter(table.values(), np.intp, len(table))
+            pointers.append(index)
+            blocks.append(block)
+            end += block.size
+        self.pointers = tuple(pointers)
+        self.ids = np.concatenate(blocks)
+        self.ids.flags.writeable = False
 
-def lookup_ids(
-    tables: Sequence[dict[str, int]], columns: Sequence[Sequence[str]], n: int, unseen: int
-) -> np.ndarray:
-    """Feature ids of *n* positions, shape (n, len(tables)), in window order.
+    def lookup(self, sequence: Sequence[str]) -> np.ndarray:
+        """Feature ids of the sequence, shape (len(sequence), len(WINDOWS)), in window order.
 
-    ``tables[j]`` maps the n-grams of ``columns[j]`` to feature ids; an n-gram
-    missing from its table gets the id *unseen*.
-    """
-    ids: list[int] = []
-    for table, column in zip(tables, columns):
-        ids += map(table.get, column, repeat(unseen))
-    return np.array(ids, dtype=np.intp).reshape(len(tables), n).T
+        The keys are built on the padding ``BOS``/``EOS`` as the windows see
+        it, so a symbol that is itself ``"BOS"``, holds ``"|"`` or is empty
+        reads the n-gram its window joins to.
+        """
+        n = len(sequence)
+        grams = list(sequence)
+        tail = grams + [EOS] * PAD
+        at = list(map(self.pointers[0].get, grams, repeat(0)))
+        for table, before in zip(self.pointers[1:], _BOS_RUNS):
+            # Each n-gram one symbol wider: the narrower one starting at the
+            # same place, extended by the symbol after it.
+            grams = list(map("|".join, zip(chain((before,), grams), tail)))
+            at += map(table.get, grams, repeat(0))
+        rows = np.arange(n)[:, None] + (n * _NARROWER_PER_TOKEN + _FIRST)
+        return self.ids[np.array(at, dtype=np.intp)[rows] + _COLUMN]

@@ -5,10 +5,11 @@ probability space with one scale factor per step (Rabiner scaling). It runs
 once per objective evaluation over all training sentences (:mod:`.train`),
 and once per document over its candidate sentences (:func:`marginals`), on
 the layout :func:`time_major_layout` gives both: time-major, longest sentence
-first, sentences of one length stacked in input order. Expected transition
-counts, log partitions and the scale check stay per equal-length stack, on
-the stack's own rows, and a stack whose scale factors under- or overflow is
-redone in log space, alone, by :func:`log_forward` and :func:`log_backward`.
+first, sentences of one length stacked in input order. The scale check, and
+for training the expected transition counts and log partitions, stay per
+equal-length stack, on the stack's own rows; inference computes no transition
+counts. A stack whose scale factors under- or overflow is redone in log
+space, alone, by :func:`log_forward` and :func:`log_backward`.
 The backward step multiplies by a C-contiguous copy of ``e.T``, never by the
 view: with OpenBLAS, a one-row product through the view rounds unlike the
 same row of a many-row product, while with the copy a row does not depend on
@@ -18,7 +19,9 @@ does). :func:`viterbi` runs on Python floats, one token at a time.
 A trained model is immutable (write-protected weights), so decoding and
 marginals are thread-safe. Its features are its n-gram tables: one n-gram ->
 feature id table per window of :data:`.features.WINDOWS`, the tables training
-builds, read through :func:`.features.lookup_ids`. Feature strings
+builds, which must number the features 0 to n_features - 1, each once.
+Inference reads them through a :class:`.features.WidthIndex` derived from
+them, one lookup per n-gram of each width. Feature strings
 ``"<window name>:<n-gram>"`` exist only in the model file, built by
 :func:`save_model` and parsed by :func:`load_model`, which refuses anything
 but finite numbers as weights.
@@ -34,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from ..reader import InputError, finite_number, read_file
-from .features import WINDOW_NAMES, WINDOWS, lookup_ids, template_columns
+from .features import WINDOW_NAMES, WINDOWS, WidthIndex
 
 
 # The tag scheme of every model; a tag's id is its position.
@@ -66,17 +69,28 @@ class CrfModel:
     final_objective: float = 0.0
     n_iterations: int = 0
     # The weights plus one zero row, which the id of an unseen feature
-    # (n_features) selects; never pickled.
+    # (n_features) selects, and the tables merged per width; never pickled.
     padded_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    width_index: WidthIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.gram_ids) != len(WINDOWS):
             raise ValueError(f"a model has {len(WINDOWS)} n-gram tables, got {len(self.gram_ids)}")
+        # Each id once: an id of n_features would read as unseen, and n-grams
+        # that share an id would not survive save_model and load_model.
+        n = len(self.weights)
+        ids = np.array([fid for table in self.gram_ids for fid in table.values()])
+        if not (len(ids) == n and (n == 0 or (ids.dtype.kind == "i" and ids.min() >= 0
+                                              and ids.max() < n
+                                              and np.bincount(ids).max() == 1))):
+            raise ValueError(f"the n-gram tables must number the model's {n} features "
+                             "from 0, each once")
         self.weights.flags.writeable = False
         self.transitions.flags.writeable = False
         padded = np.concatenate([self.weights, np.zeros((1, self.weights.shape[1]))])
         padded.flags.writeable = False
         object.__setattr__(self, "padded_weights", padded)
+        object.__setattr__(self, "width_index", WidthIndex(self.gram_ids, n))
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
@@ -90,10 +104,10 @@ class CrfModel:
         """Feature ids, shape (len(sequence), len(WINDOWS)), in window order.
 
         An unseen feature gets the id n_features, the zero row of
-        ``padded_weights``.
+        ``padded_weights``. Each n-gram is looked up once, in its width's
+        table of :attr:`width_index`.
         """
-        columns = template_columns(sequence)
-        return lookup_ids(self.gram_ids, columns, len(sequence), len(self.weights))
+        return self.width_index.lookup(sequence)
 
     def emissions(self, sequence: list[str]) -> np.ndarray:
         """Per-position observation scores, shape (len(sequence), len(TAGS))."""
@@ -142,7 +156,7 @@ def time_major_layout(lengths) -> tuple[list, list, list]:
     return steps, carried, stacks
 
 
-def forward_backward_stacks(em, transitions, steps, carried, stacks):
+def forward_backward_stacks(em, transitions, steps, carried, stacks, *, statistics=True):
     """One scaled recursion over equal-length stacks, and each stack's ``xi`` and ``log_z``.
 
     ``em`` holds every stack's emissions time-major: step t's rows are
@@ -154,6 +168,8 @@ def forward_backward_stacks(em, transitions, steps, carried, stacks):
     sentence's (n, k) with its (n,) rows. Returns the tag marginals, shaped
     as ``em``, and per stack ``(xi, log_z)``, computed on the stack's own
     rows; a stack whose scale factors under- or overflow is redone in log space.
+    Inference passes ``statistics=False``: the same stacks are redone in log
+    space, but no ``xi`` is computed and the list of statistics is empty.
     """
     k = em.shape[-1]
     row_max = em[..., 0]  # column by column: em.max(axis=-1) is slower on many rows
@@ -185,18 +201,20 @@ def forward_backward_stacks(em, transitions, steps, carried, stacks):
             if not (np.isfinite(log_z).all()
                     and (finite or np.isfinite(beta.take(rows, axis=0)).all())):
                 fallback.append(i)
-            xi = e * (alpha.take(rows[:-1], axis=0).reshape(-1, k).T
-                      @ q_beta.take(rows[1:], axis=0).reshape(-1, k))
-            stats.append((xi, log_z))
+            if statistics:
+                xi = e * (alpha.take(rows[:-1], axis=0).reshape(-1, k).T
+                          @ q_beta.take(rows[1:], axis=0).reshape(-1, k))
+                stats.append((xi, log_z))
         mu = np.multiply(alpha, beta, out=beta)
     for i in fallback:  # a scale under/overflowed
         emissions, rows = stacks[i]
         alpha, beta = log_forward(emissions, transitions), log_backward(emissions, transitions)
         log_z = np.logaddexp.reduce(alpha[..., -1, :], axis=-1)
-        xi = np.exp(alpha[..., :-1, :, None] + transitions
-                    + (emissions + beta)[..., 1:, None, :] - log_z[..., None, None, None])
         mu[rows] = np.exp(alpha + beta - log_z[..., None, None]).swapaxes(0, -2)
-        stats[i] = xi.reshape(-1, k, k).sum(axis=0), log_z
+        if statistics:
+            xi = np.exp(alpha[..., :-1, :, None] + transitions
+                        + (emissions + beta)[..., 1:, None, :] - log_z[..., None, None, None])
+            stats[i] = xi.reshape(-1, k, k).sum(axis=0), log_z
     return mu, stats
 
 
@@ -252,13 +270,14 @@ def marginals(model: CrfModel, sequences: list[list[str]]) -> list[np.ndarray]:
     steps, carried, layout = time_major_layout([len(em) for em in emissions])
     em, stacks = np.empty((steps[-1].stop, k)), []
     for _, members, rows in layout:
-        stack = np.stack([emissions[j] for j in members.tolist()])
+        stack = np.array([emissions[j] for j in members.tolist()])  # np.stack is slower
         em[rows] = stack.swapaxes(0, 1)
         stacks.append((stack, rows))
-    mu = forward_backward_stacks(em, model.transitions, steps, carried, stacks)[0]
+    mu = forward_backward_stacks(em, model.transitions, steps, carried, stacks,
+                                 statistics=False)[0]
     for _, members, rows in layout:
-        for j, time_rows in zip(members.tolist(), rows.T):
-            probs[live[j]] = mu[time_rows]
+        for j, sentence_probs in zip(members.tolist(), mu[rows.T]):
+            probs[live[j]] = sentence_probs
     return probs
 
 

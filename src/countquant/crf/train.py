@@ -11,7 +11,8 @@ and expected feature counts ``Xᵀ @ μ``. Its column ids come from one
 integer-coded pass over all sentences (:func:`_compile_features`): symbols
 become ints, n-gram windows become dense per-width codes, and a bincount
 keeps the frequent ones; it builds the per-window n-gram tables that
-inference reads through :func:`.features.lookup_ids`, with the same ids.
+inference reads, merged per width (:class:`.features.WidthIndex`), with the
+same ids.
 Rows run length bucket by length bucket, so each bucket reshapes to a
 (batch, length, tags) stack. An evaluation runs one
 :func:`.model.forward_backward_stacks` recursion over all buckets, on the
@@ -79,7 +80,7 @@ def _compile_features(
     for seq, _ in examples:
         flat += [BOS] * PAD + seq + [EOS] * PAD
     # BOS/EOS are interned like any symbol, so a literal "BOS" token is the
-    # padding symbol, as in template_columns.
+    # padding symbol, as in the n-grams inference joins.
     symbols = list(dict.fromkeys(flat))
     code = {symbol: i for i, symbol in enumerate(symbols)}
     codes = np.fromiter(map(code.__getitem__, flat), dtype=np.int64, count=len(flat))

@@ -3,7 +3,10 @@
 The references enumerate all tag paths explicitly; they must stay free of the
 dynamic-programming code they are used to check. ``reference_viterbi`` is the
 numpy Viterbi that states the tie rule, which the library's float Viterbi
-must match path for path. The helpers after it (``forward_backward``,
+must match path for path. ``template_columns`` and ``lookup_ids`` are the
+per-window string reference for the model's per-width feature lookup: every
+window's n-grams, each looked up in its own window's table. The helpers
+after them (``forward_backward``,
 ``log_partition``, ``random_model``, ``training_set``) call the library:
 they are what the tests check, or build their inputs. ``detokenize`` renders
 a sentence as text for the bit-exact rewrite checks. ``cardinal_renderings``
@@ -97,6 +100,34 @@ def reference_viterbi(emissions: np.ndarray, transitions: np.ndarray) -> list[in
         path.append(int(back[t][path[-1]]))
     path.reverse()
     return path
+
+
+def template_columns(sequence) -> list[list[str]]:
+    """The ``"|"``-joined n-gram of every position, one column per window, in order.
+
+    The sequence is padded with ``BOS``/``EOS`` once, and each width's
+    n-grams are built once, by extending those one symbol narrower.
+    """
+    from countquant.crf.features import BOS, EOS, PAD, WINDOWS
+
+    n = len(sequence)
+    padded = [BOS] * PAD + list(sequence) + [EOS] * PAD
+    by_width = [padded]  # by_width[w - 1][j] joins padded[j : j + w]
+    for w in range(2, WINDOWS[-1][0] + 1):
+        by_width.append(list(map("|".join, zip(by_width[-1], padded[w - 1 :]))))
+    return [by_width[width - 1][PAD + start : PAD + start + n] for width, start in WINDOWS]
+
+
+def lookup_ids(tables, columns, n: int, unseen: int) -> np.ndarray:
+    """Feature ids of *n* positions, shape (n, len(tables)), in window order.
+
+    ``tables[j]`` maps the n-grams of ``columns[j]`` to feature ids; an n-gram
+    missing from its table gets the id *unseen*.
+    """
+    ids: list[int] = []
+    for table, column in zip(tables, columns):
+        ids += [table.get(gram, unseen) for gram in column]
+    return np.array(ids, dtype=np.intp).reshape(len(tables), n).T
 
 
 def forward_backward(emissions: np.ndarray, transitions: np.ndarray) -> tuple[np.ndarray, ...]:

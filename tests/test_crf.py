@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import pickle
+import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -24,11 +25,10 @@ from countquant.crf import (
     load_model,
     marginals,
     save_model,
-    template_columns,
     train,
     viterbi,
 )
-from countquant.crf.features import PAD, WINDOW_NAMES, WINDOWS, lookup_ids
+from countquant.crf.features import PAD, WINDOW_NAMES, WINDOWS
 from countquant.crf.model import log_backward, log_forward
 
 from oracles import (
@@ -37,11 +37,13 @@ from oracles import (
     brute_force_marginals,
     forward_backward,
     log_partition,
+    lookup_ids,
     path_score,
     path_scores,
     random_model,
     random_sequence,
     reference_viterbi,
+    template_columns,
     training_set,
 )
 
@@ -172,6 +174,61 @@ def test_emissions_equal_per_position_reference_property(training, sequences, se
         em = model.emissions(seq)
         assert em.shape == (len(seq), 3) and em.dtype == np.float64
         assert np.array_equal(em, _reference_emissions(model, seq))
+
+
+# Symbols that join ambiguously ("|", "a|b", ""), that are the padding
+# symbols themselves, or that no table holds.
+_LOOKUP_POOL = ["|", "a|b", "", "BOS", "EOS", "a", "b", "b|", "unseen", "BOS|a"]
+
+
+def _random_tables(rng, training):
+    """Window tables over a random subset of the training n-grams, ids in random order.
+
+    An n-gram that several windows of its width see is kept in some of them only.
+    """
+    seen = dict.fromkeys((t, gram) for seq in training
+                         for t, column in enumerate(template_columns(seq)) for gram in column)
+    kept = [key for key in seen if rng.random() < 0.6]
+    tables = tuple({} for _ in WINDOWS)
+    for fid, i in enumerate(rng.permutation(len(kept)).tolist()):
+        t, gram = kept[i]
+        tables[t][gram] = fid
+    return tables, len(kept)
+
+
+def _assert_lookup_equals_reference(tables, n_features, sequences):
+    """feature_ids equals the per-window lookup, as built, unpickled and reloaded."""
+    model = CrfModel(gram_ids=tables, weights=np.zeros((n_features, 3)),
+                     transitions=np.zeros((3, 3)))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(model, Path(tmp) / "model.json")
+        loaded = load_model(Path(tmp) / "model.json")
+    for m in (model, pickle.loads(pickle.dumps(model)), loaded):
+        for seq in sequences:
+            expected = lookup_ids(tables, template_columns(seq), len(seq), n_features)
+            got = m.feature_ids(seq)
+            assert got.dtype == np.intp and got.shape == (len(seq), len(WINDOWS))
+            assert np.array_equal(got, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    training=st.lists(st.lists(st.sampled_from(_LOOKUP_POOL[:-2]), min_size=1, max_size=10),
+                      max_size=6),
+    sequences=st.lists(st.lists(st.sampled_from(_LOOKUP_POOL), max_size=40), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_width_lookup_equals_per_window_reference_property(training, sequences, seed):
+    tables, n_features = _random_tables(np.random.default_rng(seed), training)
+    _assert_lookup_equals_reference(tables, n_features, sequences + [[]] + training[:2])
+
+
+def test_per_width_lookup_of_a_long_sentence():
+    rng = np.random.default_rng(3)
+    words = [_LOOKUP_POOL[i] for i in rng.integers(0, len(_LOOKUP_POOL) - 2, size=300)]
+    tables, n_features = _random_tables(rng, [words])
+    sequence = [_LOOKUP_POOL[i] for i in rng.integers(0, len(_LOOKUP_POOL), size=2000)]
+    _assert_lookup_equals_reference(tables, n_features, [sequence])
 
 
 def test_feature_index_order_on_mini_fixture():
@@ -795,6 +852,65 @@ class TestMarginals:
                 assert np.abs(got - brute_force_marginals(one, trans)).max() < 1e-8
                 assert np.abs(got - forward_backward(one, trans)[0]).max() <= 1e-12
 
+    @staticmethod
+    def _inference_and_statistics_runs(model, sequences):
+        """The kernel call of ``marginals``, as it runs and again computing the statistics.
+
+        Returns, inference first, each run's marginals, statistics and the
+        emissions shape of each ``log_forward`` call (no runs for a document
+        without words), and the number of stacks.
+        """
+        import countquant.crf.model as crf_model
+
+        kernel, calls, runs = crf_model.forward_backward_stacks, [], []
+
+        def counting_forward(emissions, transitions):
+            calls.append(emissions.shape)
+            return log_forward(emissions, transitions)
+
+        def both_runs(*args, **kwargs):
+            assert kwargs == {"statistics": False}
+            for statistics in (False, True):
+                calls.clear()
+                mu, stats = kernel(*args, statistics=statistics)
+                runs.append((mu, stats, list(calls)))
+            return runs[0][:2]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(crf_model, "log_forward", counting_forward)
+            patch.setattr(crf_model, "forward_backward_stacks", both_runs)
+            marginals(model, sequences)
+        return runs, len({len(seq) for seq in sequences if seq})
+
+    @settings(max_examples=80, deadline=None)
+    @given(lengths=_documents(), scale=st.sampled_from([0.5, 3.0, 200.0, 300.0, 1000.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_inference_skips_only_the_statistics_property(self, lengths, scale, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, VOCAB, scale=scale)
+        sequences = [random_sequence(rng, VOCAB, n) for n in lengths]
+        runs, stacks = self._inference_and_statistics_runs(model, sequences)
+        if not stacks:
+            assert runs == []
+            return
+        (mu, stats, calls), (full_mu, full_stats, full_calls) = runs
+        assert np.array_equal(mu, full_mu)
+        assert stats == [] and len(full_stats) == stacks
+        assert calls == full_calls  # the same stacks redone, in the same order
+
+    def test_inference_falls_back_on_the_same_stacks(self):
+        """Where some length stacks of a document fall back to log space but not all."""
+        data = _varied_lengths_data()
+        problem = TrainingProblem(data, l2_sigma=0.5, feature_cutoff=1)
+        w, trans = problem.split(np.random.default_rng(2).normal(scale=200.0,
+                                                                 size=problem.n_params))
+        model = CrfModel(gram_ids=problem.gram_ids, weights=w.copy(), transitions=trans.copy())
+        runs, stacks = self._inference_and_statistics_runs(model, [seq for seq, _ in data])
+        (mu, stats, calls), (full_mu, _, full_calls) = runs
+        assert 0 < len(calls) < stacks
+        assert calls == full_calls and stats == []
+        assert np.array_equal(mu, full_mu)
+
     def test_uniform_model_gives_thirds(self):
         model = CrfModel(
             gram_ids=({"a": 0},) + ({},) * (len(WINDOWS) - 1),
@@ -986,6 +1102,34 @@ class TestModelFile:
         for tables in ((), ({},) * (len(WINDOWS) - 1), ({},) * (len(WINDOWS) + 1)):
             with pytest.raises(ValueError, match="a model has 15 n-gram tables"):
                 CrfModel(gram_ids=tables, weights=np.zeros((0, 3)), transitions=np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("tables, n_features", [
+        ({"a": 1}, 1),                    # the unseen id, n_features
+        ({"a": 0, "b": 5}, 2),            # past the weights
+        ({"a": -1}, 1),
+        ({"a": 0, "b": 0}, 2),            # one id twice, one never
+        ({"a": 0, "b": 0}, 1),            # more n-grams than features
+        ({"a": 0}, 2),                    # a feature no n-gram names
+        ({"a": 0.0}, 1),
+        ({"a": True}, 1),
+    ])
+    def test_malformed_feature_ids_rejected(self, tables, n_features):
+        with pytest.raises(ValueError, match="must number the"):
+            CrfModel(gram_ids=(tables,) + ({},) * (len(WINDOWS) - 1),
+                     weights=np.zeros((n_features, 3)), transitions=np.zeros((3, 3)))
+
+    def test_one_id_in_two_windows_rejected(self, tmp_path):
+        """Two windows' n-grams sharing an id would not survive save_model and load_model."""
+        tables = ({"a": 0}, {"a|b": 0}) + ({},) * (len(WINDOWS) - 2)
+        with pytest.raises(ValueError, match="must number the model's 1 features from 0, each once"):
+            CrfModel(gram_ids=tables, weights=np.zeros((1, 3)), transitions=np.zeros((3, 3)))
+        # Every id once, in any order and spread over windows, is a model.
+        tables = ({"a": 2}, {"a|b": 0}, {"a|b": 1}) + ({},) * (len(WINDOWS) - 3)
+        model = CrfModel(gram_ids=tables, weights=np.arange(9.0).reshape(3, 3),
+                         transitions=np.zeros((3, 3)))
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        assert loaded.gram_ids == tables and np.array_equal(loaded.weights, model.weights)
 
     def test_version_1_file_rejected(self, tmp_path):
         """A version-1 file, whose templates are objects with a kind, is not read."""
