@@ -25,7 +25,7 @@ from .dsgen import SeedPolicy, load_corpus
 from .kbstore import Relation
 from .numlex import load_default_lexicon, load_lexicon
 from .pipeline import extract_document
-from .reader import InputError, finite_number, read_file, read_keyed, read_lines
+from .reader import InputError, finite_number, json_fields, read_file, read_keyed, read_lines
 
 
 def parse_relation(spec: str) -> Relation:
@@ -235,8 +235,7 @@ def _count(field) -> int:
 def _load_predictions(path: str) -> dict[str, int]:
     """``{subject: count}`` of a predictions file written by ``extract``."""
     def record(line: str) -> tuple[str, int]:
-        fields = json.loads(line)
-        subject, count, confidence = fields["subject"], fields["count"], fields["confidence"]
+        subject, count, confidence = json_fields(line, "subject", "count", "confidence")
         if not isinstance(subject, str):
             raise ValueError(f"subject must be a string, got {subject!r}")
         if not subject.strip():

@@ -1,9 +1,11 @@
 """Maximum-likelihood CRF training.
 
 The penalized conditional log-likelihood and its analytic gradient
-(empirical minus expected feature counts) are computed here; scipy's
-L-BFGS-B takes the quasi-Newton steps. Training is deterministic: weights
-start at zero and sentences are processed in input order.
+(empirical minus expected feature counts) are computed here, and so are the
+quasi-Newton steps (:func:`lbfgs`, limited-memory BFGS in numpy). Training is
+deterministic: weights start at zero, sentences are processed in input order,
+and no sum depends on the BLAS thread count, so a fit writes the same bits
+with any number of threads. scipy is used for its sparse matrix alone.
 
 The training data are compiled once into a sparse 0/1 matrix ``X``, one row
 per token position and one column per feature, so emissions are ``X @ W``
@@ -27,10 +29,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.sparse import csr_matrix
 
 from .features import BOS, EOS, PAD, WINDOWS
@@ -239,6 +240,128 @@ class TrainingProblem:
         return value, grad + self.l2_sigma * theta
 
 
+# L-BFGS's number of curvature pairs, and its relative-decrease stopping threshold.
+MEMORY = 10
+FTOL = 1e-12
+
+
+@dataclass
+class LbfgsResult:
+    """What :func:`lbfgs` stopped at, and why."""
+
+    x: np.ndarray
+    value: float
+    n_iterations: int
+    n_evaluations: int
+    max_abs_grad: float
+    status: str
+
+    @property
+    def converged(self) -> bool:
+        return self.status.startswith("CONVERGENCE")
+
+
+def lbfgs(
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    tol: float,
+    max_iter: int,
+    callback: Optional[Callable[[float], None]] = None,
+) -> LbfgsResult:
+    """Minimize ``fun(x) -> (value, gradient)`` by limited-memory BFGS.
+
+    The direction is the two-loop recursion over the last ``MEMORY``
+    curvature pairs (s, y), scaled by γ = sᵀy / yᵀy of the newest (Nocedal &
+    Wright, *Numerical Optimization*, Alg. 7.4); a pair with sᵀy <= 0 is
+    skipped. The first trial step is 1 along it, or 1/‖g‖ along -g while no
+    pair is kept. A backtracking line search halves the step until it lowers
+    the value by at least 1e-4 · step · gᵀd (Armijo; N&W Alg. 3.1).
+    *callback* gets the value after each accepted step.
+
+    The stopping rules are those of scipy's L-BFGS-B without bounds (its
+    ``gtol``, ``ftol``, ``maxiter``, ``maxfun`` and ``maxls``). After each
+    accepted step, in this order: ``max|g| <= tol`` (also checked at *x0*);
+    the value fell by at most ``FTOL * max(|f_old|, |f|, 1)``; *max_iter*
+    steps are done. Within a line search: the next evaluation would exceed
+    ``10 * max_iter``, or 20 trial steps gave no sufficient decrease. The
+    result is always the last accepted point.
+
+    Every inner product is a numpy pairwise sum (``np.add.reduce``), never a
+    BLAS dot, whose rounding depends on the BLAS thread count; the result is
+    the same bits with any number of threads. *fun* may not keep its argument,
+    whose buffer is reused.
+    """
+    n = x0.size
+    x, x_new = np.array(x0, dtype=float), np.empty(n)
+    d, scratch = np.empty(n), np.empty(n)
+    # Curvature pairs live in MEMORY + 1 rows, so a new pair is computed in a
+    # free row before the oldest is dropped; `pairs` lists the rows in use, oldest first.
+    s_rows, y_rows = np.empty((MEMORY + 1, n)), np.empty((MEMORY + 1, n))
+    rho = np.empty(MEMORY + 1)
+    pairs: list[int] = []
+    gamma = 1.0
+
+    def dot(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.add.reduce(np.multiply(a, b, out=scratch)))
+
+    def axpy(a: float, v: np.ndarray, out: np.ndarray) -> None:
+        """out += a * v"""
+        np.add(out, np.multiply(v, a, out=scratch), out=out)
+
+    max_evals = 10 * max_iter
+    f, g = fun(x)
+    evals, iterations = 1, 0
+    g_max = float(np.abs(g).max())
+    status = "CONVERGENCE: NORM OF GRADIENT <= TOL" if g_max <= tol else ""
+    while not status:
+        # d = -H g, by the two-loop recursion.
+        np.copyto(d, g)
+        alphas = []
+        for row in reversed(pairs):
+            alphas.append(rho[row] * dot(s_rows[row], d))
+            axpy(-alphas[-1], y_rows[row], d)
+        d *= gamma
+        for row, alpha in zip(pairs, reversed(alphas)):
+            axpy(alpha - rho[row] * dot(y_rows[row], d), s_rows[row], d)
+        np.negative(d, out=d)
+        slope = dot(g, d)
+        step = 1.0 if pairs else 1.0 / math.sqrt(dot(g, g))
+        for _ in range(20):
+            if evals >= max_evals:
+                status = "STOP: TOTAL NO. OF EVALUATIONS REACHED LIMIT"
+                break
+            np.add(x, np.multiply(d, step, out=x_new), out=x_new)
+            f_new, g_new = fun(x_new)
+            evals += 1
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            status = "ABNORMAL: LINE SEARCH FAILED"
+        if status:
+            break
+
+        iterations += 1
+        row = next(r for r in range(MEMORY + 1) if r not in pairs)
+        s, y = np.subtract(x_new, x, out=s_rows[row]), np.subtract(g_new, g, out=y_rows[row])
+        sy = dot(s, y)
+        if sy > 0:
+            rho[row], gamma = 1.0 / sy, sy / dot(y, y)
+            pairs = (pairs + [row])[-MEMORY:]
+        x, x_new = x_new, x
+        f_old, f, g = f, f_new, g_new
+        g_max = float(np.abs(g, out=scratch).max())
+        if callback is not None:
+            callback(f)
+        if g_max <= tol:
+            status = "CONVERGENCE: NORM OF GRADIENT <= TOL"
+        elif f_old - f <= FTOL * max(abs(f_old), abs(f), 1.0):
+            status = "CONVERGENCE: RELATIVE REDUCTION OF F <= FTOL"
+        elif iterations >= max_iter:
+            status = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+    return LbfgsResult(x, float(f), iterations, evals, g_max, status)
+
+
 def train(
     data: Sequence,
     l2_sigma: float = 1.0,
@@ -250,42 +373,32 @@ def train(
 ) -> CrfModel:
     """Fit a CRF on labeled sentences (or raw (sequence, tags) pairs).
 
-    Stops when the gradient norm drops below *tol* or after *max_iter*
-    quasi-Newton iterations; a fit that stops without converging logs a
-    warning with scipy's reason. Pass a list as *history* to record the
-    objective after every accepted step.
+    Stops when the largest gradient component drops below *tol* or after
+    *max_iter* quasi-Newton iterations (:func:`lbfgs`); a fit that stops
+    without converging logs a warning with the optimizer's reason. Pass a
+    list as *history* to record the objective after every accepted step.
     """
     problem = TrainingProblem(data, l2_sigma=l2_sigma, feature_cutoff=feature_cutoff)
-    theta0 = np.zeros(problem.n_params)
-
-    callback = None
-    if history is not None:
-        # L-BFGS-B passes the accepted step with its value, so recording the
-        # history costs no extra evaluation.
-        def callback(intermediate_result):
-            history.append(-float(intermediate_result.fun))
-
-    result = minimize(
+    result = lbfgs(
         problem.value_and_grad,
-        theta0,
-        jac=True,
-        method="L-BFGS-B",
-        callback=callback,
-        options={"maxiter": max_iter, "gtol": tol, "ftol": 1e-12, "maxfun": 10 * max_iter},
+        np.zeros(problem.n_params),
+        tol=tol,
+        max_iter=max_iter,
+        callback=None if history is None else (lambda value: history.append(-value)),
     )
-    if not result.success:
+    if not result.converged:
         logger.warning(
             "L-BFGS stopped without converging after %d iterations: %s",
-            result.nit,
-            result.message,
+            result.n_iterations,
+            result.status,
         )
     w, trans = problem.split(result.x)
-    final_objective = -float(result.fun)
+    final_objective = -result.value
     logger.info(
         "trained CRF: %d features, objective %.6f after %d iterations",
         problem.n_features,
         final_objective,
-        result.nit,
+        result.n_iterations,
     )
     return CrfModel(
         gram_ids=problem.gram_ids,
@@ -294,5 +407,5 @@ def train(
         l2_sigma=l2_sigma,
         relation=relation,
         final_objective=final_objective,
-        n_iterations=int(result.nit),
+        n_iterations=result.n_iterations,
     )

@@ -26,7 +26,6 @@ uninformative.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -45,7 +44,7 @@ from .numlex import (
     tokenize,
 )
 from .numlex.types import MentionAnnotation, MentionKind
-from .reader import InputError, read_keyed, read_lines
+from .reader import InputError, json_fields, read_keyed, read_lines
 
 # Compositional seed matching: at most this many mentions per run, at most
 # this many tokens between adjacent mentions (at least one being a cue).
@@ -207,8 +206,7 @@ def _uninformative_values(document: list[Sentence], threshold: float) -> set[int
 def load_corpus(path: Path | str) -> dict[str, str]:
     """``{subject: text}`` of a JSON-lines corpus: one pre-linked document per subject."""
     def record(line: str) -> tuple[str, str]:
-        doc = json.loads(line)
-        subject, text = doc["subject"], doc["text"]
+        subject, text = json_fields(line, "subject", "text")
         if not (isinstance(subject, str) and isinstance(text, str)):
             raise ValueError("subject and text must be strings")
         if not subject.strip():

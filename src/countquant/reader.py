@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import codecs
+import json
 import math
 from pathlib import Path
 from typing import Iterator
@@ -56,6 +57,21 @@ def read_keyed(path, parse, bad: str) -> dict:
                 raise InputError(path, f"duplicate subject {subject!r}", lineno)
             records[subject] = value
     return records
+
+
+def json_fields(line: str, *keys: str) -> tuple:
+    """The values of *keys* in the JSON object on *line*.
+
+    A line that is not JSON, not an object, or lacks a key raises a
+    ``ValueError`` that says so.
+    """
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+    for key in keys:
+        if key not in record:
+            raise ValueError(f"missing key {key!r}")
+    return tuple(record[key] for key in keys)
 
 
 def finite_number(value, what: str) -> float:

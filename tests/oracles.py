@@ -6,10 +6,11 @@ numpy Viterbi that states the tie rule, which the library's float Viterbi
 must match path for path. ``template_columns`` and ``lookup_ids`` are the
 per-window string reference for the model's per-width feature lookup: every
 window's n-grams, each looked up in its own window's table. The helpers
-after them (``forward_backward``,
-``log_partition``, ``random_model``, ``training_set``) call the library:
-they are what the tests check, or build their inputs. ``detokenize`` renders
-a sentence as text for the bit-exact rewrite checks. ``cardinal_renderings``
+after them (``forward_backward``, ``log_partition``, ``random_model``,
+``training_set``) call the library: they are what the tests check, or build
+their inputs. ``reference_fit`` is scipy's L-BFGS-B on a training problem,
+the fit the library's own L-BFGS must reach. ``detokenize`` renders a
+sentence as text for the bit-exact rewrite checks. ``cardinal_renderings``
 spells a number in English words by the schoolbook rules, for the number-word
 grammar checks.
 """
@@ -205,6 +206,23 @@ def training_set(store, documents, rel, policy=None, lexicon=None):
         )
         for subject, text, kb_count in selection
     )
+
+
+def reference_fit(problem, max_iter: int = 300, tol: float = 1e-4) -> float:
+    """The objective (log-likelihood) scipy's L-BFGS-B reaches on a ``TrainingProblem``.
+
+    Its stopping rules are the ones :func:`countquant.crf.train.lbfgs` states.
+    """
+    from scipy.optimize import minimize
+
+    result = minimize(
+        problem.value_and_grad,
+        np.zeros(problem.n_params),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": max_iter, "gtol": tol, "ftol": 1e-12, "maxfun": 10 * max_iter},
+    )
+    return -float(result.fun)
 
 
 # Punctuation that attaches to the preceding token when rendering text.

@@ -1001,3 +1001,15 @@ class TestMalformedInputs:
         result = runner.invoke(main, ["--config", str(write_config(fixture_dir)), "extract"])
         self.assert_reported(result, model)
         assert "cannot load model: corrupt model payload" in result.output
+
+
+def test_cli_import_leaves_scipy_optimize_and_linalg_out():
+    """scipy is used for its sparse matrix alone: its optimizer, which imports its
+    dense linear algebra, added about 250 modules and 27 MB to every process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, countquant.cli; "
+            "print(*[m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == ""

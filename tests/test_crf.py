@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import os
 import pickle
+import subprocess
+import sys
 import tempfile
 import warnings
 from collections import Counter
@@ -10,9 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 
+from countquant.cli import main as cli_main
 from countquant.crf import (
     BOS,
     EOS,
@@ -30,6 +36,7 @@ from countquant.crf import (
 )
 from countquant.crf.features import PAD, WINDOW_NAMES, WINDOWS
 from countquant.crf.model import log_backward, log_forward
+from countquant.crf.train import lbfgs
 
 from oracles import (
     assert_viterbi_optimal,
@@ -42,10 +49,12 @@ from oracles import (
     path_scores,
     random_model,
     random_sequence,
+    reference_fit,
     reference_viterbi,
     template_columns,
     training_set,
 )
+from test_digests import perfbench_worlds
 
 VOCAB = ["CARDINAL", "child", "have", "x", "y"]
 
@@ -231,8 +240,8 @@ def test_per_width_lookup_of_a_long_sentence():
     _assert_lookup_equals_reference(tables, n_features, [sequence])
 
 
-def test_feature_index_order_on_mini_fixture():
-    """TrainingProblem numbers features in first-seen order among those above the cutoff."""
+def _mini_labeled():
+    """The labeled sentences ``build-training`` makes of the mini fixture."""
     from countquant.dsgen import load_corpus
     from countquant.kbstore import Relation, load_triples
 
@@ -242,7 +251,12 @@ def test_feature_index_order_on_mini_fixture():
         load_corpus(mini / "corpus.jsonl"),
         Relation(subject_class="human", property="child"),
     )
-    examples = [(list(ls.placeholder_sequence()), list(ls.tags)) for ls in labeled]
+    return labeled
+
+
+def test_feature_index_order_on_mini_fixture():
+    """TrainingProblem numbers features in first-seen order among those above the cutoff."""
+    examples = [(list(ls.placeholder_sequence()), list(ls.tags)) for ls in _mini_labeled()]
     seen = [
         f
         for seq, _ in examples
@@ -656,6 +670,87 @@ class TestTrain:
         model = train(TOY_DATA, feature_cutoff=1, max_iter=200)
         assert decode(model, ["she", "have", "CARDINAL", "child"]) == ["O", "O", "COUNT", "O"]
         assert decode(model, ["he", "wrote", "CARDINAL", "book"]) == ["O", "O", "O", "O"]
+
+
+class TestLbfgs:
+    @pytest.mark.parametrize("name", ["toy", "mini"])
+    def test_reaches_the_reference_objective(self, name):
+        data, cutoff = (TOY_DATA, 1) if name == "toy" else (_mini_labeled(), 2)
+        reference = reference_fit(TrainingProblem(data, feature_cutoff=cutoff))
+        model = train(data, feature_cutoff=cutoff)
+        assert model.final_objective >= reference - 1e-6 * abs(reference)
+
+    @pytest.mark.parametrize("tol,status", [
+        (1e-4, "CONVERGENCE: NORM OF GRADIENT <= TOL"),
+        # Near the minimum 0 the value stops falling by 1e-12 before |g| gets this small.
+        (1e-8, "CONVERGENCE: RELATIVE REDUCTION OF F <= FTOL"),
+    ])
+    def test_minimizes_a_quadratic(self, tol, status):
+        scale = np.arange(1.0, 21.0)
+        target = np.linspace(-3.0, 3.0, 20)
+
+        def fun(x):
+            r = x - target
+            return 0.5 * float(np.add.reduce(scale * r * r)), scale * r
+
+        result = lbfgs(fun, np.zeros(20), tol=tol, max_iter=100)
+        assert result.status == status
+        assert np.allclose(result.x, target, atol=1e-4)
+        assert result.max_abs_grad == np.abs(fun(result.x)[1]).max()
+        assert (result.max_abs_grad <= tol) == status.startswith("CONVERGENCE: NORM")
+
+    def test_skips_a_pair_of_negative_curvature(self):
+        # The first step of f = x⁴/4 - x² from 0.1 crosses the concave middle,
+        # so sᵀy < 0; a pair kept anyway would point the next step uphill.
+        result = lbfgs(lambda x: (float(x[0] ** 4 / 4 - x[0] ** 2), x ** 3 - 2 * x),
+                       np.array([0.1]), tol=1e-8, max_iter=100)
+        assert result.converged
+        assert result.x[0] == pytest.approx(math.sqrt(2))
+
+    def test_failed_line_search_keeps_the_start(self):
+        # The gradient's sign is wrong, so no step along -g decreases the value.
+        x0 = np.ones(3)
+        result = lbfgs(lambda x: (float(np.add.reduce(x * x)), -2 * x), x0, tol=1e-5, max_iter=10)
+        assert result.status == "ABNORMAL: LINE SEARCH FAILED"
+        assert (result.n_iterations, result.n_evaluations) == (0, 21)
+        assert np.array_equal(result.x, x0)
+        assert result.value == 3.0
+
+    def test_evaluation_limit_is_ten_per_iteration(self):
+        result = lbfgs(lambda x: (float(np.add.reduce(x * x)), -2 * x), np.ones(3), tol=1e-5,
+                       max_iter=1)
+        assert result.status == "STOP: TOTAL NO. OF EVALUATIONS REACHED LIMIT"
+        assert result.n_evaluations == 10
+
+    def test_model_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """The benchmark's seed-1 long world at full scale, fitted under 1 and 2 BLAS threads.
+
+        A BLAS dot product rounds differently with the thread count on vectors
+        this long (17,898 parameters); smaller fits can agree by chance.
+        """
+        worlds = perfbench_worlds()
+        paths = worlds.write_world(worlds.generate_world("long", 150 + 150, 1), tmp_path,
+                                   train_split=150)
+        training = tmp_path / "train.conll"
+        result = CliRunner().invoke(cli_main, [
+            "build-training", "--kb", str(paths["kb"]), "--corpus", str(paths["train_corpus"]),
+            "--relation", "human:child", "--out", str(training)], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        fits = [
+            subprocess.Popen(
+                [sys.executable, "-m", "countquant.cli", "train", "--training", str(training),
+                 "--model", str(tmp_path / f"model-{threads}.json"), "--relation", "human:child"],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": path},
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            )
+            for threads in (1, 2)
+        ]
+        for fit in fits:
+            output = fit.communicate()[0]
+            assert fit.returncode == 0, output
+        assert (tmp_path / "model-1.json").read_bytes() == (tmp_path / "model-2.json").read_bytes()
 
 
 class TestDecode:

@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PINS = Path(__file__).parent / "data" / "digests.json"
 
 
-def _perfbench_worlds():
+def perfbench_worlds():
     """``perfbench/worlds.py``, imported from its file under a name of its own."""
     name = "perfbench_worlds"
     if name not in sys.modules:
@@ -45,7 +45,7 @@ def _criterion_9_world(root: Path) -> tuple[dict[str, Path], list[str]]:
 
 
 def _long_zero_mode_world(root: Path) -> tuple[dict[str, Path], list[str]]:
-    worlds = _perfbench_worlds()
+    worlds = perfbench_worlds()
     subjects = worlds.generate_world("long", n_subjects=36, seed=7)
     return worlds.write_world(subjects, root, train_split=24), ["--zero-mode"]
 

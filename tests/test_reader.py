@@ -88,6 +88,40 @@ class TestReadKeyed:
         assert str(err.value).startswith(f"{path}:2: bad pair: ")
 
 
+class TestJsonLinesRecords:
+    """A valid JSON line that is not an object, or lacks a key, is named as such."""
+
+    CORPUS = [
+        ('["q01", "Hi ."]', "expected a JSON object, got list"),
+        ("null", "expected a JSON object, got NoneType"),
+        ('"Hi ."', "expected a JSON object, got str"),
+        ('{"subject": "q01"}', "missing key 'text'"),
+        ('{"text": "Hi ."}', "missing key 'subject'"),
+    ]
+    PREDICTIONS = [
+        ('["a", 1, 0.5]', "expected a JSON object, got list"),
+        ("7", "expected a JSON object, got int"),
+        ('{"subject": "a", "count": 1}', "missing key 'confidence'"),
+        ('{"count": 1, "confidence": 0.5}', "missing key 'subject'"),
+    ]
+
+    @pytest.mark.parametrize("line,reason", CORPUS)
+    def test_corpus(self, tmp_path, line, reason):
+        path = tmp_path / "c.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            load_corpus(path)
+        assert str(err.value) == f"{path}:1: bad corpus record: {reason}"
+
+    @pytest.mark.parametrize("line,reason", PREDICTIONS)
+    def test_predictions(self, tmp_path, line, reason):
+        path = tmp_path / "p.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            _load_predictions(str(path))
+        assert str(err.value) == f"{path}:1: bad prediction record: {reason}"
+
+
 class TestLineSeparatorsInText:
     def test_corpus_keeps_u2028_in_subject_and_text(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
