@@ -269,6 +269,13 @@ def _load_gold_counts(path: str) -> dict[str, int]:
 @click.option("--table", is_flag=True)
 def cmd_evaluate(predictions, gold, gold_conll, pred_conll, metrics, table):
     """Score predictions: end-to-end against gold counts, or tag-level."""
+    for names, values in (
+        (("--pred", "--gold"), (predictions, gold)),
+        (("--gold-conll", "--pred-conll"), (gold_conll, pred_conll)),
+    ):
+        if any(values) and not all(values):
+            given, missing = names if values[0] else names[::-1]
+            raise click.UsageError(f"{given} needs {missing}")
     scores: dict = {}
     if predictions and gold:
         predicted = _load_predictions(predictions)
@@ -285,6 +292,8 @@ def cmd_evaluate(predictions, gold, gold_conll, pred_conll, metrics, table):
             ))
     if gold_conll and pred_conll:
         gold_seqs = list(dsgen.read_conll(gold_conll))
+        if not gold_seqs:
+            raise InputError(gold_conll, "no sentences")
         pred_seqs = list(dsgen.read_conll(pred_conll))
         try:
             recognition = ev.score_tags(

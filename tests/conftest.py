@@ -1,8 +1,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from countquant.numlex import load_default_lexicon, preprocess_sentence, tokenize
+
+# Every property runs under this one profile, loaded before the test modules
+# build their @settings: no per-example deadline, since a property's examples
+# take as long as the host makes them, and a failure prints the blob that
+# replays it (@reproduce_failure).
+settings.register_profile("countquant", deadline=None, print_blob=True)
+settings.load_profile("countquant")
 
 
 @pytest.fixture(scope="session")

@@ -1,25 +1,76 @@
-"""Independent brute-force references for CRF inference, and test-side helpers.
+"""One reference per behaviour that the tests check against a second statement of it.
 
-The references enumerate all tag paths explicitly; they must stay free of the
-dynamic-programming code they are used to check. ``reference_viterbi`` is the
-numpy Viterbi that states the tie rule, which the library's float Viterbi
-must match path for path. ``template_columns`` and ``lookup_ids`` are the
-per-window string reference for the model's per-width feature lookup: every
-window's n-grams, each looked up in its own window's table. The helpers
-after them (``forward_backward``, ``log_partition``, ``random_model``,
-``training_set``) call the library: they are what the tests check, or build
-their inputs. ``reference_fit`` is scipy's L-BFGS-B on a training problem,
-the fit the library's own L-BFGS must reach. ``detokenize`` renders a
-sentence as text for the bit-exact rewrite checks. ``cardinal_renderings``
-spells a number in English words by the schoolbook rules, for the number-word
-grammar checks.
+Each reference is the shortest code that states its behaviour, and each
+property points at it; a change of meaning (a new number rule, Unicode
+words) is made in the reference and nowhere else in ``tests/``.
+
+behaviour                         its one reference
+    the tests that use it
+--------------------------------  ------------------------------------------------
+Viterbi path is optimal           assert_viterbi_optimal
+    test_crf.TestDecode, criterion 5(b)
+Viterbi tie rule                  reference_viterbi
+    test_float_viterbi_equals_reference_property
+marginals, log partition          brute_force_marginals, brute_force_log_partition
+    test_crf.TestMarginals, criterion 5(c)
+gradient of the objective         central differences, in the tests
+    test_crf.TestGradient, criterion 5(a)
+summation order of the objective  test_crf._scatter_value_and_grad
+    TestSummationOrder, test_merged_equals_per_bucket_calls_property
+L-BFGS fit                        reference_fit
+    test_reaches_the_reference_objective
+CRF window features               reference_features
+    test_emissions_equal_per_position_reference_property,
+    test_per_width_lookup_equals_per_window_reference_property,
+    test_training_problem_equals_string_path_property,
+    test_feature_index_order_on_mini_fixture
+tokenize                          reference_tokenize
+    test_preprocess_equals_two_pass_reference_property,
+    test_per_word_path_equals_object_path_property
+preprocess_sentence               reference_preprocess
+    test_preprocess_equals_two_pass_reference_property,
+    test_per_word_path_equals_object_path_property,
+    TestRewriteZeroCues.test_edge_cases
+special-term match                reference_match_special
+    test_match_special_equals_naive_scan_property,
+    test_compiled_tables_on_overlapping_lexicon
+affixed number terms              reference_affix_value
+    test_affixed_words_equal_naive_scan_property,
+    test_compiled_tables_on_overlapping_lexicon
+number-word grammar               cardinal_renderings
+    test_word_grammar_reads_every_spelling_property
+context-entropy filter            reference_uninformative_values
+    test_one_pass_entropy_equals_per_value_rescans
+KB store indexes                  test_kbstore._RefStore
+    test_indexes_agree_with_reference_store
+consolidation                     test_consolidate._reference_consolidate
+    test_consolidate_equals_reference_property
+
+The references for Viterbi and the marginals enumerate all tag paths; they
+must stay free of the dynamic-programming code they are used to check. ``reference_fit`` is
+scipy's L-BFGS-B on a training problem. The numlex references share the
+library's number parsers (``_parse_cardinal_words``, ``_parse_ordinal``, the
+digit-cardinal pattern) and ``lemmatize``, whose own tests state them.
+
+The helpers after the references call the library: ``forward_backward`` and
+``log_partition`` are what the tests check, and ``random_model``,
+``random_sequence`` and ``training_set`` build their inputs. ``detokenize``
+renders a sentence as text for the bit-exact rewrite checks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import re
+from collections import Counter
 
 import numpy as np
+
+from countquant.crf.features import BOS, EOS, WINDOW_NAMES, WINDOWS
+from countquant.numlex import INFERENCE_MODE, MentionAnnotation, MentionKind, Token, make_sentence
+from countquant.numlex.mentions import _DIGIT_CARDINAL_RE, _parse_cardinal_words, _parse_ordinal
+from countquant.numlex.tokenizer import lemmatize
 
 
 def all_paths(n: int, k: int) -> np.ndarray:
@@ -103,32 +154,303 @@ def reference_viterbi(emissions: np.ndarray, transitions: np.ndarray) -> list[in
     return path
 
 
-def template_columns(sequence) -> list[list[str]]:
-    """The ``"|"``-joined n-gram of every position, one column per window, in order.
+# -- CRF window features -------------------------------------------------------
 
-    The sequence is padded with ``BOS``/``EOS`` once, and each width's
-    n-grams are built once, by extending those one symbol narrower.
+
+def reference_features(sequence, position) -> list[str]:
+    """``"<window name>:<n-gram>"`` of each window at *position*, in window order.
+
+    Each offset is padded on its own: ``BOS`` before the sequence, ``EOS``
+    after it.
     """
-    from countquant.crf.features import BOS, EOS, PAD, WINDOWS
+    feats = []
+    for name, (width, start) in zip(WINDOW_NAMES, WINDOWS):
+        parts = []
+        for off in range(start, start + width):
+            j = position + off
+            parts.append(BOS if j < 0 else EOS if j >= len(sequence) else sequence[j])
+        feats.append(f"{name}:{'|'.join(parts)}")
+    return feats
 
-    n = len(sequence)
-    padded = [BOS] * PAD + list(sequence) + [EOS] * PAD
-    by_width = [padded]  # by_width[w - 1][j] joins padded[j : j + w]
-    for w in range(2, WINDOWS[-1][0] + 1):
-        by_width.append(list(map("|".join, zip(by_width[-1], padded[w - 1 :]))))
-    return [by_width[width - 1][PAD + start : PAD + start + n] for width, start in WINDOWS]
+
+# -- numlex: tokenize ----------------------------------------------------------
+#
+# The token regex tries the digit forms first, then words, then any other
+# visible character; a contraction ("didn't", "Maria’s") splits after it.
+
+_TOKEN_RE = re.compile(
+    r"""
+    \d+(?:st|nd|rd|th)\b
+  | (?:\d{1,3}(?:,\d{3})+|\d+)\.\d+
+  | \d{1,3}(?:,\d{3}(?!\d))+ | \d+
+  | [A-Za-z][A-Za-z0-9]*(?:['’-][A-Za-z0-9]+)*
+  | \S
+    """,
+    re.VERBOSE,
+)
+_CONTRACTION_RE = re.compile(r"^([A-Za-z]+)(n['’]t|['’]s)$", re.IGNORECASE)
 
 
-def lookup_ids(tables, columns, n: int, unseen: int) -> np.ndarray:
-    """Feature ids of *n* positions, shape (n, len(tables)), in window order.
+def reference_tokenize(text):
+    """The sentences of *text*, each ending after a ".", "!" or "?" token."""
+    surfaces = []
+    for raw in _TOKEN_RE.findall(text):
+        m = _CONTRACTION_RE.match(raw)
+        surfaces += [m.group(1), m.group(2).replace("’", "'").lower()] if m else [raw]
+    sentences, current = [], []
+    for surface in surfaces:
+        current.append(Token(surface, lemmatize(surface), 0))
+        if surface in (".", "!", "?"):
+            sentences.append(make_sentence(current))
+            current = []
+    if current:
+        sentences.append(make_sentence(current))
+    return sentences
 
-    ``tables[j]`` maps the n-grams of ``columns[j]`` to feature ids; an n-gram
-    missing from its table gets the id *unseen*.
+
+# -- numlex: preprocess_sentence -----------------------------------------------
+#
+# Three passes: in zero mode one that rewrites zero cues (restarting its
+# "n't ... any" search after each match), then one that rewrites special
+# terms, then an annotation pass that matches special terms again.
+
+
+def reference_match_special(words, i, lexicon):
+    """Longest special term at ``words[i]`` (lowercased surfaces), the first in table order."""
+    matches = [t for t in lexicon.special_terms if tuple(words[i : i + len(t.term)]) == t.term]
+    return max(matches, key=lambda t: len(t.term), default=None)
+
+
+def reference_affix_value(word, lexicon):
+    """Prefix value of *word*, split at its longest number-term suffix, or None."""
+    if word in lexicon.affix_exceptions:
+        return None
+    for suffix in sorted(lexicon.num_term_suffixes, key=len, reverse=True):
+        if word.endswith(suffix) and len(word) > len(suffix):
+            value = lexicon.latin_greek_prefixes.get(word[: -len(suffix)])
+            if value is not None:
+                return value
+    return None
+
+
+def _merge(span, mention):
+    return Token(" ".join(t.surface for t in span), " ".join(t.lemma for t in span), 0, mention)
+
+
+def _special_value(term, lexicon):
+    if term.value is not None:
+        return term.value
+    parsed = _parse_cardinal_words(term.replacement_text.lower().split(), lexicon.cardinal_words)
+    if parsed is None:
+        raise ValueError(f"special term {' '.join(term.term)!r}: replacement carries no number")
+    return parsed[0]
+
+
+def _rewrite_zero_cues(tokens):
+    """The zero-cue rewrites, each schema applied to the whole sentence in turn.
+
+    "did n't ... any" drops the auxiliary and the negation and turns "any"
+    into "no"; every "never" goes and "0 times" comes once; "without" becomes
+    "with no"; then every "no" and "0" not yet annotated is a ZERO mention.
     """
-    ids: list[int] = []
-    for table, column in zip(tables, columns):
-        ids += [table.get(gram, unseen) for gram in column]
-    return np.array(ids, dtype=np.intp).reshape(len(tables), n).T
+    tokens = list(tokens)
+    changed = True
+    while changed:  # n't-any: apply until no pattern is left
+        changed = False
+        for j in range(1, len(tokens)):
+            if tokens[j].surface.lower() not in ("n't", "not"):
+                continue
+            if tokens[j - 1].surface.lower() not in ("do", "does", "did"):
+                continue
+            k = next(
+                (m for m in range(j + 1, len(tokens)) if tokens[m].surface.lower() == "any"),
+                None,
+            )
+            if k is None:
+                continue
+            tokens[k] = Token("no", "no", 0)
+            del tokens[j - 1 : j + 1]
+            changed = True
+            break
+
+    kept = [tok for tok in tokens if tok.surface.lower() != "never"]
+    if len(kept) < len(tokens):
+        tokens = kept
+        tail = len(tokens)
+        if tail and tokens[-1].surface in (".", "!", "?"):
+            tail -= 1
+        tokens[tail:tail] = [Token("0", "0", 0), Token("times", "time", 0)]
+
+    out = []
+    for tok in tokens:
+        if tok.surface.lower() == "without":
+            out += [Token("with", "with", 0), Token("no", "no", 0)]
+        else:
+            out.append(tok)
+    return [
+        tok._replace(mention=MentionAnnotation(MentionKind.ZERO, 0))
+        if tok.mention is None and tok.surface.lower() in ("no", "0")
+        else tok
+        for tok in out
+    ]
+
+
+def _normalize_special_terms(tokens, lexicon):
+    words = [t.surface.lower() for t in tokens]
+    out = []
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        special = reference_match_special(words, i, lexicon)
+        if special is None or (tok.mention is not None and special.replacement_text is None):
+            out.append(tok)
+            i += 1
+            continue
+        if special.replacement_text is None:
+            mention = MentionAnnotation(MentionKind.NUMTERM, _special_value(special, lexicon))
+            out.append(_merge(tokens[i : i + len(special.term)], mention))
+        else:
+            for word in special.replacement_text.split():
+                mention = None
+                if word.lower() in lexicon.cardinal_words:
+                    mention = MentionAnnotation(
+                        MentionKind.CARDINAL, lexicon.cardinal_words[word.lower()]
+                    )
+                out.append(Token(word, lemmatize(word), 0, mention))
+        i += len(special.term)
+    return out
+
+
+def _cardinal_run(tokens, i, head, lexicon):
+    """(value, tokens spanned) of a run reading ``tokens[i]`` as *head*, if it reads all of it."""
+    run_words = list(head)
+    j = i + 1
+    while j < len(tokens) and tokens[j].mention is None and (
+        tokens[j].surface.lower() in lexicon.cardinal_words
+        or tokens[j].surface.lower() == "and"
+    ):
+        run_words.append(tokens[j].surface.lower())
+        j += 1
+    parsed = _parse_cardinal_words(run_words, lexicon.cardinal_words)
+    if parsed is None or parsed[1] < len(head):
+        return None
+    return parsed[0], 1 + parsed[1] - len(head)
+
+
+def _annotate_mentions(tokens, lexicon, mode):
+    words = [t.surface.lower() for t in tokens]
+    out = []
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        if tok.mention is not None:
+            out.append(tok)
+            i += 1
+            continue
+
+        special = reference_match_special(words, i, lexicon)
+        if special is not None and all(
+            t.mention is None for t in tokens[i : i + len(special.term)]
+        ):
+            mention = MentionAnnotation(MentionKind.NUMTERM, _special_value(special, lexicon))
+            out.append(_merge(tokens[i : i + len(special.term)], mention))
+            i += len(special.term)
+            continue
+
+        surface = words[i]
+
+        if _DIGIT_CARDINAL_RE.match(surface):
+            mention = MentionAnnotation(MentionKind.CARDINAL, int(surface.replace(",", "")))
+            out.append(tok._replace(mention=mention))
+            i += 1
+            continue
+
+        head = surface.split("-")
+        no_one = surface == "one" and i > 0 and words[i - 1] == "no"
+        if not no_one and all(word in lexicon.cardinal_words for word in head):
+            run = _cardinal_run(tokens, i, head, lexicon)
+            if run is not None:
+                value, length = run
+                mention = MentionAnnotation(MentionKind.CARDINAL, value)
+                out.append(_merge(tokens[i : i + length], mention))
+                i += length
+                continue
+
+        ordinal_value = _parse_ordinal(surface, lexicon)
+        if ordinal_value is not None:
+            out.append(tok._replace(mention=MentionAnnotation(MentionKind.ORDINAL, ordinal_value)))
+            i += 1
+            continue
+
+        value = reference_affix_value(surface, lexicon)
+        if value is None:
+            value = reference_affix_value(tok.lemma, lexicon)
+        if value is not None:
+            out.append(tok._replace(mention=MentionAnnotation(MentionKind.NUMTERM, value)))
+            i += 1
+            continue
+
+        if surface in lexicon.articles:
+            run = _cardinal_run(tokens, i, ["one"], lexicon)
+            if run is not None and run[1] > 1:
+                mention = MentionAnnotation(MentionKind.CARDINAL, run[0])
+                out.append(_merge(tokens[i : i + run[1]], mention))
+                i += run[1]
+                continue
+
+        if mode == INFERENCE_MODE and surface in lexicon.articles:
+            out.append(tok._replace(mention=MentionAnnotation(MentionKind.ARTICLE, 1)))
+            i += 1
+            continue
+
+        out.append(tok)
+        i += 1
+    return out
+
+
+def reference_preprocess(sentence, lexicon, mode, zero_mode):
+    """``preprocess_sentence``: zero cues (in zero mode), then special terms, then mentions."""
+    tokens = list(sentence)
+    if zero_mode:
+        tokens = _rewrite_zero_cues(tokens)
+    tokens = _normalize_special_terms(tokens, lexicon)
+    return make_sentence(_annotate_mentions(tokens, lexicon, mode))
+
+
+# -- dsgen: the context-entropy filter ------------------------------------------
+#
+# A value's contexts are the two lemmas before and after each of its mentions,
+# padded with "<BOS>" and "<EOS>"; the entropy of a value is that of its
+# context counts.
+
+
+def reference_contexts_by_value(document):
+    """``value -> Counter`` of the contexts of its mentions in *document*."""
+    contexts = {}
+    for sent in document:
+        lemmas = ["<BOS>", "<BOS>", *sent.lemmas(), "<EOS>", "<EOS>"]
+        for position, mention in sent.mentions:
+            i = position + 2
+            context = (lemmas[i - 2], lemmas[i - 1], lemmas[i + 1], lemmas[i + 2])
+            contexts.setdefault(mention.value, Counter())[context] += 1
+    return contexts
+
+
+def reference_entropy_bits(contexts):
+    total = sum(contexts.values())
+    return -sum((c / total) * math.log2(c / total) for c in contexts.values()) or 0.0
+
+
+def reference_uninformative_values(document, threshold):
+    """Values mentioned more than once whose context entropy is below *threshold* bits."""
+    return {
+        value
+        for value, contexts in reference_contexts_by_value(document).items()
+        if sum(contexts.values()) > 1 and reference_entropy_bits(contexts) < threshold
+    }
+
+
+# -- helpers that call the library -----------------------------------------------
 
 
 def forward_backward(emissions: np.ndarray, transitions: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -602,6 +602,30 @@ class TestOptionValues:
         assert result.exit_code == 2, result.output
         assert f"Invalid value for '{flag}'" in result.output
 
+    @pytest.mark.parametrize("with_other_pair", [False, True], ids=["alone", "beside-other-pair"])
+    @pytest.mark.parametrize("given,missing", [
+        ("--pred", "--gold"), ("--gold", "--pred"),
+        ("--gold-conll", "--pred-conll"), ("--pred-conll", "--gold-conll"),
+    ])
+    def test_evaluate_option_without_its_partner_exits_2(
+        self, runner, tmp_path, given, missing, with_other_pair
+    ):
+        """Half of an input pair is a usage error, even beside the other, whole pair."""
+        tags, pred, gold = tmp_path / "tags.conll", tmp_path / "pred.jsonl", tmp_path / "gold.tsv"
+        tags.write_text("three\tCARDINAL\tCOUNT\n", encoding="utf-8")
+        pred.write_text(json.dumps({"subject": "p00", "count": 1, "confidence": 0.9}) + "\n",
+                        encoding="utf-8")
+        gold.write_text("p00\t1\n", encoding="utf-8")
+        files = {"--pred": pred, "--gold": gold, "--gold-conll": tags, "--pred-conll": tags}
+        pairs = [("--pred", "--gold"), ("--gold-conll", "--pred-conll")]
+        other_pair = next(pair for pair in pairs if given not in pair)
+        options = [given, *other_pair] if with_other_pair else [given]
+        args = [arg for o in options for arg in (o, str(files[o]))]
+        result = runner.invoke(main, ["evaluate", *args, "--out", str(tmp_path / "m.json")])
+        assert result.exit_code == 2, result.output
+        assert f"{given} needs {missing}" in result.output
+        assert not (tmp_path / "m.json").exists()
+
     def test_lowest_values_in_range_are_accepted(self, runner, fixture_dir):
         config = str(write_config(fixture_dir))
         run_ok(runner, ["--config", config, "build-training", "--entropy-min", "0",
@@ -824,6 +848,18 @@ class TestMalformedInputs:
                                       "--out", str(tmp_path / "m.json")])
         self.assert_reported(result, f"{pred} does not match {gold}")
         assert "sentence 2, token 1: gold placeholder 'she' but predicted 'he'" in result.output
+        assert not (tmp_path / "m.json").exists()
+
+    def test_empty_gold_conll(self, runner, tmp_path):
+        """No gold sentence is no recognition score, as no gold count is no end-to-end one."""
+        gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
+        gold.write_text("", encoding="utf-8")
+        pred.write_text("", encoding="utf-8")
+        result = runner.invoke(main, ["evaluate", "--gold-conll", str(gold),
+                                      "--pred-conll", str(pred),
+                                      "--out", str(tmp_path / "m.json")])
+        self.assert_reported(result, gold)
+        assert f"Error: {gold}: no sentences" in result.output
         assert not (tmp_path / "m.json").exists()
 
     def test_negative_gold_count(self, runner, tmp_path):

@@ -376,7 +376,7 @@ def _mentions(draw):
     return out
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_mentions(), st.floats(min_value=0.0, max_value=0.99, allow_nan=False))
 def test_cardinal_priority_property(items, threshold):
     cq = document(sentence(*items), threshold=threshold)
@@ -389,7 +389,7 @@ def test_cardinal_priority_property(items, threshold):
         assert cq.count in {value for value, conf in surviving_cardinals if conf == best}
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_mentions(), st.floats(min_value=0.0, max_value=0.5), st.floats(min_value=0.0, max_value=0.5))
 def test_threshold_monotonicity_property(items, t_low, extra):
     """Raising the threshold never swaps one cardinal for another."""
@@ -400,7 +400,7 @@ def test_threshold_monotonicity_property(items, t_low, extra):
         assert low[MentionKind.CARDINAL] == high[MentionKind.CARDINAL]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=4))
 def test_composed_confidence_is_max_property(confs):
     words = ["one"] * len(confs)
@@ -439,7 +439,7 @@ def _token(draw):
     return m(kind, value, conf, tag)
 
 
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=1000)
 @given(
     st.lists(st.lists(_token(), max_size=8), max_size=4),
     st.sampled_from([0.0, 1.0, 0.5]) | st.floats(min_value=0.0, max_value=1.0),

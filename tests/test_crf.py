@@ -20,8 +20,6 @@ from scipy.sparse import csr_matrix
 
 from countquant.cli import main as cli_main
 from countquant.crf import (
-    BOS,
-    EOS,
     CrfModel,
     DegenerateTrainingError,
     ModelFormatError,
@@ -44,14 +42,13 @@ from oracles import (
     brute_force_marginals,
     forward_backward,
     log_partition,
-    lookup_ids,
     path_score,
     path_scores,
     random_model,
     random_sequence,
+    reference_features,
     reference_fit,
     reference_viterbi,
-    template_columns,
     training_set,
 )
 from test_digests import perfbench_worlds
@@ -68,17 +65,19 @@ TOY_DATA = [
 class TestExtractFeatures:
     def test_centered_pentagram(self):
         seq = ["trump", "have", "CARDINAL", "child", "from"]
-        assert "U5:trump|have|CARDINAL|child|from" in _reference_features(seq, 2)
+        assert "U5:trump|have|CARDINAL|child|from" in reference_features(seq, 2)
 
     def test_boundary_symbols(self):
-        first, last = _reference_features(["a", "b"], 0), _reference_features(["a", "b"], 1)
+        first, last = reference_features(["a", "b"], 0), reference_features(["a", "b"], 1)
         assert first[:2] == ["U1:a", "U2[-1]:BOS|a"]
         assert first[WINDOW_NAMES.index("U5[-4]")] == "U5[-4]:BOS|BOS|BOS|BOS|a"
         assert last[WINDOW_NAMES.index("U5[0]")] == "U5[0]:b|EOS|EOS|EOS|EOS"
 
     def test_deterministic(self):
-        seq = ["a", "b", "c"]
-        assert template_columns(seq) == template_columns(seq)
+        data = [(["a", "b", "c"], ["O", "COUNT", "O"]), (["c", "b", "a"], ["O", "O", "O"])]
+        first, second = (TrainingProblem(data, feature_cutoff=1) for _ in range(2))
+        assert [list(t.items()) for t in first.gram_ids] == [
+            list(t.items()) for t in second.gram_ids]
 
     def test_default_template_set(self):
         """Every contiguous 1- to 5-gram that covers the position, each once, within the padding."""
@@ -94,38 +93,6 @@ class TestExtractFeatures:
         ]
 
 
-def _reference_features(sequence, position):
-    """Per-position feature strings, padding each offset on its own."""
-    feats = []
-    for name, (width, start) in zip(WINDOW_NAMES, WINDOWS):
-        parts = []
-        for off in range(start, start + width):
-            j = position + off
-            parts.append(BOS if j < 0 else EOS if j >= len(sequence) else sequence[j])
-        feats.append(f"{name}:{'|'.join(parts)}")
-    return feats
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from(VOCAB + ["BOS", "a|b", "é"]), max_size=12))
-def test_template_columns_equal_per_position_reference_property(sequence):
-    columns = template_columns(sequence)
-    rows = [[f"{name}:{col[pos]}" for name, col in zip(WINDOW_NAMES, columns)]
-            for pos in range(len(sequence))]
-    assert rows == [_reference_features(sequence, pos) for pos in range(len(sequence))]
-
-
-def test_template_columns_are_the_unprefixed_features():
-    seq = ["trump", "have", "CARDINAL", "child"]
-    columns = template_columns(seq)
-    assert len(columns) == len(WINDOWS) and all(len(col) == len(seq) for col in columns)
-    assert [_reference_features(seq, pos) for pos in range(len(seq))] == [
-        [f"{name}:{col[pos]}" for name, col in zip(WINDOW_NAMES, columns)]
-        for pos in range(len(seq))
-    ]
-    assert template_columns([]) == [[] for _ in WINDOWS]
-
-
 def _feature_strings(gram_ids):
     """Feature id of every ``"<window name>:<n-gram>"`` string of the tables."""
     return {f"{name}:{gram}": fid
@@ -137,7 +104,7 @@ def _reference_emissions(model, sequence):
     index = _feature_strings(model.gram_ids)
     em = np.zeros((len(sequence), len(TAGS)))
     for pos in range(len(sequence)):
-        row = _reference_features(sequence, pos)
+        row = reference_features(sequence, pos)
         ids = np.asarray([index[f] for f in row if f in index], dtype=np.intp)
         if ids.size:
             em[pos] = model.weights[ids].sum(axis=0)
@@ -147,7 +114,7 @@ def _reference_emissions(model, sequence):
 _symbols = st.sampled_from(VOCAB + ["a|b", "x:y", ":", "|", "BOS", "EOS", "é"])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     training=st.lists(st.lists(_symbols, min_size=1, max_size=8), max_size=5),
     sequences=st.lists(
@@ -162,7 +129,7 @@ def test_emissions_equal_per_position_reference_property(training, sequences, se
         f
         for seq in training
         for pos in range(len(seq))
-        for f in _reference_features(seq, pos)
+        for f in reference_features(seq, pos)
     )
     # a random subset of the seen features, numbered in random order
     kept = [f for f in seen if rng.random() < 0.7]
@@ -195,8 +162,12 @@ def _random_tables(rng, training):
 
     An n-gram that several windows of its width see is kept in some of them only.
     """
-    seen = dict.fromkeys((t, gram) for seq in training
-                         for t, column in enumerate(template_columns(seq)) for gram in column)
+    seen = dict.fromkeys(
+        (t, feature.partition(":")[2])
+        for seq in training
+        for pos in range(len(seq))
+        for t, feature in enumerate(reference_features(seq, pos))
+    )
     kept = [key for key in seen if rng.random() < 0.6]
     tables = tuple({} for _ in WINDOWS)
     for fid, i in enumerate(rng.permutation(len(kept)).tolist()):
@@ -214,13 +185,15 @@ def _assert_lookup_equals_reference(tables, n_features, sequences):
         loaded = load_model(Path(tmp) / "model.json")
     for m in (model, pickle.loads(pickle.dumps(model)), loaded):
         for seq in sequences:
-            expected = lookup_ids(tables, template_columns(seq), len(seq), n_features)
+            expected = [[table.get(feature.partition(":")[2], n_features)
+                         for table, feature in zip(tables, reference_features(seq, pos))]
+                        for pos in range(len(seq))]
             got = m.feature_ids(seq)
             assert got.dtype == np.intp and got.shape == (len(seq), len(WINDOWS))
-            assert np.array_equal(got, expected)
+            assert got.tolist() == expected
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     training=st.lists(st.lists(st.sampled_from(_LOOKUP_POOL[:-2]), min_size=1, max_size=10),
                       max_size=6),
@@ -257,22 +230,10 @@ def _mini_labeled():
 def test_feature_index_order_on_mini_fixture():
     """TrainingProblem numbers features in first-seen order among those above the cutoff."""
     examples = [(list(ls.placeholder_sequence()), list(ls.tags)) for ls in _mini_labeled()]
-    seen = [
-        f
-        for seq, _ in examples
-        for pos in range(len(seq))
-        for f in _reference_features(seq, pos)
-    ]
-    counts = Counter(seen)
-    expected = list(dict.fromkeys(f for f in seen if counts[f] >= 2))
-    problem = TrainingProblem(examples, feature_cutoff=2)
-    assert problem.n_features == len(expected)
-    assert _feature_strings(problem.gram_ids) == {
-        f: i for i, f in enumerate(expected)
-    }
+    _assert_problem_equals_string_path(examples, 2)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     training=st.lists(st.lists(_symbols, min_size=1, max_size=8), min_size=1, max_size=6),
     cutoff=st.integers(1, 3),
@@ -298,34 +259,26 @@ def test_training_rows_equal_inference_ids_property(training, cutoff):
 
 
 def _string_path_problem(examples, cutoff):
-    """The string-keyed compile of the training problem: the reference for the integer pass.
+    """The training problem compiled from the feature strings: the reference for its compile.
 
-    ``template_columns`` -> one ``Counter`` per window -> ids by
-    ``lookup_ids`` and the ``argwhere`` misses, in first-occurrence order ->
-    rows bucket by bucket -> CSR. Returns the tables, the feature count, X,
-    the buckets' (length, y, rows) and the empirical counts.
+    A feature is a ``reference_features`` string seen at least *cutoff*
+    times, numbered in first-seen order; each row of X holds a position's
+    features in window order, rows bucket by bucket. Returns the tables, the
+    feature count, X, the buckets' (length, y, rows) and the empirical counts.
     """
-    counts = [Counter() for _ in WINDOWS]
-    columns = [template_columns(seq) for seq, _ in examples]
-    for cols in columns:
-        for counter, col in zip(counts, cols):
-            counter.update(col)
+    rows = [[reference_features(seq, p) for p in range(len(seq))] for seq, _ in examples]
+    seen = [f for sentence in rows for row in sentence for f in row]
+    counts = Counter(seen)
+    index = {f: i for i, f in enumerate(dict.fromkeys(f for f in seen if counts[f] >= cutoff))}
     gram_ids = tuple({} for _ in WINDOWS)
-    n_features = 0
-    sentence_ids = []
-    for (seq, _), cols in zip(examples, columns):
-        ids = lookup_ids(gram_ids, cols, len(seq), -1)
-        for p, j in np.argwhere(ids < 0).tolist():
-            gram, table = cols[j][p], gram_ids[j]
-            if gram not in table and counts[j][gram] >= cutoff:
-                table[gram] = n_features
-                n_features += 1
-            ids[p, j] = table.get(gram, -1)
-        sentence_ids.append(ids)
+    for feature, fid in index.items():
+        name, _, gram = feature.partition(":")
+        gram_ids[WINDOW_NAMES.index(name)][gram] = fid
     k = len(TAGS)
     by_length = {}
     for i, (seq, _) in enumerate(examples):
         by_length.setdefault(len(seq), []).append(i)
+    order = [i for n in sorted(by_length) for i in by_length[n]]
     buckets, emp_t, start = [], np.zeros((k, k)), 0
     for length in sorted(by_length):
         y = np.array([[TAGS.index(t) for t in examples[i][1]] for i in by_length[length]],
@@ -333,12 +286,12 @@ def _string_path_problem(examples, cutoff):
         buckets.append((length, y, slice(start, start + y.size)))
         start += y.size
         np.add.at(emp_t, (y[:, :-1].ravel(), y[:, 1:].ravel()), 1.0)
-    ids = np.concatenate([sentence_ids[i] for n in sorted(by_length) for i in by_length[n]])
-    kept = ids >= 0
-    indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=1))])
-    X = csr_matrix((np.ones(indptr[-1]), ids[kept], indptr), shape=(len(ids), n_features))
+    row_ids = [[index[f] for f in row if f in index] for i in order for row in rows[i]]
+    indptr = np.cumsum([0] + [len(ids) for ids in row_ids])
+    indices = np.array([fid for ids in row_ids for fid in ids], dtype=np.intp)
+    X = csr_matrix((np.ones(indptr[-1]), indices, indptr), shape=(len(row_ids), len(index)))
     all_tags = np.concatenate([y.ravel() for _, y, _ in buckets])
-    return gram_ids, n_features, X, buckets, X.T @ np.eye(k)[all_tags], emp_t
+    return gram_ids, len(index), X, buckets, X.T @ np.eye(k)[all_tags], emp_t
 
 
 def _assert_problem_equals_string_path(examples, cutoff):
@@ -373,7 +326,7 @@ def _join_sentences(with_bars):
     return st.tuples(sentences, pairs).map(lambda drawn: drawn[0] + drawn[1])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     training=st.booleans().flatmap(_join_sentences),
     cutoff=st.integers(0, 3),
@@ -451,7 +404,7 @@ def _scatter_value_and_grad(problem, examples, theta):
         fids, sent, pos = [], [], []
         for b, (seq, _) in enumerate(members):
             for p in range(len(seq)):
-                for f in _reference_features(seq, p):
+                for f in reference_features(seq, p):
                     if f in index:
                         fids.append(index[f])
                         sent.append(b)
@@ -559,7 +512,7 @@ def _bucketed_data(draw):
 class TestMergedRecursion:
     """One recursion over every length agrees with one kernel call per length bucket."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(data=_bucketed_data(),
            scale=st.sampled_from([0.0, 1.0, 100.0, 150.0, 200.0, 300.0, 3000.0]),
            seed=st.integers(0, 2**32 - 1))
@@ -781,7 +734,7 @@ class TestDecode:
             other = list(rng.integers(0, 3, size=len(seq)))
             assert best_score >= path_score(em, model.transitions, other) - 1e-12
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(n=st.integers(0, 12), integral=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_float_viterbi_equals_reference_property(self, n, integral, seed):
         rng = np.random.default_rng(seed)
@@ -903,7 +856,7 @@ class TestMarginals:
         expected = sum(self._brute_force_transition_counts(one, trans) for one in stack)
         assert np.abs(stack_xi - expected).max() < 1e-8
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(lengths=_documents(), scale=st.sampled_from([0.5, 1.0, 3.0]),
            seed=st.integers(0, 2**32 - 1))
     def test_document_equals_one_sentence_calls_property(self, lengths, scale, seed):
@@ -977,7 +930,7 @@ class TestMarginals:
             marginals(model, sequences)
         return runs, len({len(seq) for seq in sequences if seq})
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(lengths=_documents(), scale=st.sampled_from([0.5, 3.0, 200.0, 300.0, 1000.0]),
            seed=st.integers(0, 2**32 - 1))
     def test_inference_skips_only_the_statistics_property(self, lengths, scale, seed):

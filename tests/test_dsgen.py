@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +14,8 @@ from countquant.dsgen import (
     LabeledSentence,
     OTHER,
     SeedPolicy,
-    _NEVER_SEEDS,
-    _find_composition_run,
     _uninformative_values,
     label_sentence,
-    label_subject_document,
     load_corpus,
     read_conll,
     select_subjects,
@@ -27,10 +23,8 @@ from countquant.dsgen import (
 )
 from countquant.kbstore import Relation, load_triples
 from countquant.numlex import (
-    TRAIN_MODE,
     MentionAnnotation,
     MentionKind,
-    Sentence,
     Token,
     load_default_lexicon,
     make_sentence,
@@ -38,7 +32,12 @@ from countquant.numlex import (
     tokenize,
 )
 
-from oracles import training_set
+from oracles import (
+    reference_contexts_by_value,
+    reference_entropy_bits,
+    reference_uninformative_values,
+    training_set,
+)
 
 LEXICON = load_default_lexicon()
 REL = Relation(subject_class="human", property="child")
@@ -128,7 +127,7 @@ def _single_mention_sentence(value: int):
     return preprocess_sentence(s, LEXICON)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     kb_count=st.integers(min_value=1, max_value=12),
     upper_bound=st.integers(min_value=1, max_value=12),
@@ -146,7 +145,7 @@ def test_four_way_outcome_table(kb_count, upper_bound, value):
         assert outcome.tags[mention_index] == OTHER
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     kb_count=st.integers(min_value=1, max_value=12),
     upper_bound=st.integers(min_value=1, max_value=12),
@@ -198,38 +197,7 @@ class TestNumberEntropy:
         assert _uninformative_values(doc, 1e-12) == {4}
 
 
-# -- the one-pass entropy filter against a reference that states it ------------
-#
-# The reference counts each value's contexts, then takes each count's
-# entropy on its own; the labeling reference below uses it too.
-
-
-def _reference_contexts_by_value(document):
-    contexts = {}
-    for sent in document:
-        mentions = sent.mentions
-        if not mentions:
-            continue
-        lemmas = ["<BOS>", "<BOS>", *sent.lemmas(), "<EOS>", "<EOS>"]
-        for position, mention in mentions:
-            i = position + 2
-            context = (lemmas[i - 2], lemmas[i - 1], lemmas[i + 1], lemmas[i + 2])
-            contexts.setdefault(mention.value, Counter())[context] += 1
-    return contexts
-
-
-def _reference_entropy_bits(contexts):
-    total = sum(contexts.values())
-    return -sum((c / total) * math.log2(c / total) for c in contexts.values()) or 0.0
-
-
-def _reference_uninformative_values(document, threshold):
-    return {
-        value
-        for value, contexts in _reference_contexts_by_value(document).items()
-        if sum(contexts.values()) > 1 and _reference_entropy_bits(contexts) < threshold
-    }
-
+# -- the one-pass entropy filter against its reference in oracles -------------
 
 # A token is (lemma, mention value or None); two lemmas make contexts repeat.
 _entropy_sentence = st.lists(
@@ -250,121 +218,23 @@ def _entropy_document(drawn):
     ]
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(drawn=st.lists(_entropy_sentence, min_size=1, max_size=8))
 def test_one_pass_entropy_equals_per_value_rescans(drawn):
     document = _entropy_document(drawn)
-    repeated = _reference_uninformative_values(document, math.inf)
-    contexts = _reference_contexts_by_value(document)
+    repeated = reference_uninformative_values(document, math.inf)
+    contexts = reference_contexts_by_value(document)
     for value in range(5):
         # the filter's entropy equals the reference's to the last bit: a
         # threshold at it keeps the value, the next float up drops a repeated one
-        bits = _reference_entropy_bits(contexts.get(value, Counter()))
+        bits = reference_entropy_bits(contexts.get(value, Counter()))
         assert value not in _uninformative_values(document, bits)
         dropped = _uninformative_values(document, math.nextafter(bits, math.inf))
         assert (value in dropped) == (value in repeated)
     for threshold in (0.0, 0.5, 1.0):
-        assert _uninformative_values(document, threshold) == _reference_uninformative_values(
+        assert _uninformative_values(document, threshold) == reference_uninformative_values(
             document, threshold
         )
-
-
-# -- the one labeling pass against the two-step labeling it replaced -----------
-#
-# A copy of label_sentence as it was when it returned an Excluded marker and
-# built its LabeledSentence without subject and relation, and of the replace
-# step that then added them. It shares the entropy reference above and the
-# composition-run search, which did not change.
-
-
-@dataclass(frozen=True)
-class _Excluded:
-    sentence: Sentence
-    reason: str = "mention above KB count within relation bound"
-
-
-def _reference_label_sentence(sentence, kb_count, upper_bound):
-    if kb_count < 1:
-        raise ValueError("training subjects must have at least one object")
-    mentions = dict(sentence.mentions)
-    if any(kb_count < mention.value <= upper_bound for mention in mentions.values()):
-        return _Excluded(sentence=sentence)
-    eligible = [i for i, mention in mentions.items() if mention.kind not in _NEVER_SEEDS]
-    exact = [i for i in eligible if mentions[i].value == kb_count]
-    run, cues = _find_composition_run(
-        sentence, [(i, mentions[i]) for i in eligible if i not in exact], kb_count
-    )
-    tags = [OTHER] * len(sentence)
-    for i in exact + run:
-        tags[i] = COUNT
-    for i in cues:
-        tags[i] = COMP
-    return LabeledSentence(sentence=sentence, tags=tuple(tags))
-
-
-def _reference_label_subject_document(text, kb_count, upper_bound, policy, subject, relation):
-    stats = GenerationStats(subjects=1)
-    document = [preprocess_sentence(s, LEXICON, mode=TRAIN_MODE) for s in tokenize(text)]
-    low_entropy = _reference_uninformative_values(document, policy.entropy_threshold)
-    labeled = []
-    for sent in document:
-        if not sent.mentions:
-            continue
-        if any(mention.value in low_entropy for _, mention in sent.mentions):
-            stats.entropy_dropped += 1
-            continue
-        outcome = _reference_label_sentence(sent, kb_count, upper_bound)
-        if isinstance(outcome, _Excluded):
-            stats.excluded += 1
-            continue
-        outcome = replace(outcome, subject=subject, relation=relation)
-        if COUNT in outcome.tags:
-            stats.positives += 1
-        else:
-            stats.negatives += 1
-        labeled.append(outcome)
-    return labeled, stats
-
-
-# Sentences over number words, digits, "and" and commas with few other words,
-# so that values repeat in equal contexts and runs meet their cues; a drawn
-# document also repeats some of its sentences word for word.
-_labeling_sentence = st.lists(
-    st.sampled_from(
-        [*_WORDS.values(), "3", "7", "12", "and", "and", ",", ",", "has", "children",
-         "sons", "twins", "third", "a"]
-    ),
-    min_size=1, max_size=8,
-).map(lambda words: " ".join(words) + " .")
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    sentences=st.lists(_labeling_sentence, min_size=1, max_size=6),
-    repeats=st.lists(st.integers(min_value=0, max_value=5), max_size=4),
-    kb_count=st.integers(min_value=1, max_value=12),
-    upper_bound=st.integers(min_value=0, max_value=14),
-    threshold=st.floats(min_value=0.0, max_value=3.0),
-    subject=st.sampled_from(["trump", "Zoë Müller", "q42"]),
-    relation=st.sampled_from([REL, Relation("human", "spouse", "wed")]),
-)
-def test_one_labeling_pass_equals_two_step_reference(
-    sentences, repeats, kb_count, upper_bound, threshold, subject, relation
-):
-    text = " ".join(sentences + [sentences[i % len(sentences)] for i in repeats])
-    for entropy_threshold in (0.0, 0.5, 1.0, threshold):
-        policy = SeedPolicy(entropy_threshold=entropy_threshold)
-        got, stats = label_subject_document(
-            text, kb_count, upper_bound, LEXICON, policy, subject=subject, relation=relation
-        )
-        want, want_stats = _reference_label_subject_document(
-            text, kb_count, upper_bound, policy, subject, relation
-        )
-        assert [(ls.sentence, ls.tags, ls.subject, ls.relation) for ls in got] == [
-            (ls.sentence, ls.tags, ls.subject, ls.relation) for ls in want
-        ]
-        counters = ("positives", "negatives", "excluded", "entropy_dropped")
-        assert [getattr(stats, c) for c in counters] == [getattr(want_stats, c) for c in counters]
 
 
 def _fixture_kb(tmp_path, *extra):
@@ -400,6 +270,12 @@ class TestGenerateTrainingSet:
         ]
         assert tagged == [("three", COUNT), ("and", COMP), ("two", COUNT)]
         assert stats.positives >= 1
+        # each labeled sentence carries the subject whose document it is from,
+        # and the relation it was labeled for
+        assert {ls.subject for ls in labeled} == set(corpus)
+        for ls in labeled:
+            assert " ".join(ls.sentence.surfaces()) in corpus[ls.subject]
+            assert ls.relation == REL
 
     def test_zero_count_subject_skipped(self, tmp_path):
         store = _fixture_kb(tmp_path)

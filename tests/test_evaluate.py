@@ -244,7 +244,7 @@ class TestEnrichment:
         assert round(100 * report.kb_increase, 1) == 160.4
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     gold=st.dictionaries(
         st.sampled_from([f"s{i}" for i in range(8)]),

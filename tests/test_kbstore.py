@@ -145,7 +145,7 @@ class TestCountPercentile:
         with pytest.raises(ValueError):
             count_percentile(store, REL, 0.99)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         counts=st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=12),
         q1=st.floats(min_value=0.0, max_value=1.0),
@@ -334,7 +334,7 @@ def triple_files(draw):
     return "\n".join(draw(st.permutations(rows + filler + malformed))) + "\n"
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(text=triple_files())
 def test_indexes_agree_with_reference_store(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("kb") / "kb.tsv"
