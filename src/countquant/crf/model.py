@@ -8,8 +8,8 @@ the layout :func:`time_major_layout` gives both: time-major, longest sentence
 first, sentences of one length stacked in input order. The scale check, and
 for training the expected transition counts and log partitions, stay per
 equal-length stack, on the stack's own rows; inference computes no transition
-counts. A stack whose scale factors under- or overflow is redone in log
-space, alone, by :func:`log_forward` and :func:`log_backward`.
+counts. A stack whose scale factors under- or overflow is redone in log space,
+alone, on those rows of the emissions, by :func:`log_forward` and :func:`log_backward`.
 The backward step multiplies by a C-contiguous copy of ``e.T``, never by the
 view: with OpenBLAS, a one-row product through the view rounds unlike the
 same row of a many-row product, while with the copy a row does not depend on
@@ -23,8 +23,8 @@ builds, which must number the features 0 to n_features - 1, each once.
 Inference reads them through a :class:`.features.WidthIndex` derived from
 them, one lookup per n-gram of each width. Feature strings
 ``"<window name>:<n-gram>"`` exist only in the model file, built by
-:func:`save_model` and parsed by :func:`load_model`, which refuses anything
-but finite numbers as weights.
+:func:`save_model` and parsed by :func:`load_model`, which refuses weights
+but finite numbers, and metadata that :func:`.train.train` never writes.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..kbstore import Relation
 from ..reader import InputError, finite_number, read_file
 from .features import WINDOW_NAMES, WINDOWS, WidthIndex
 
@@ -138,8 +139,8 @@ def time_major_layout(lengths) -> tuple[list, list, list]:
     Rows run time-major, longest sentence first: step t's rows are the
     sentences longer than t, a prefix of step t - 1's. Returns ``steps`` and
     ``carried`` for the kernel and, per distinct length in increasing order,
-    ``(length, members, time_rows)``: the indices of that length's sentences,
-    in input order, and their (length, B) rows.
+    ``(length, members, rows)``: the indices of that length's sentences, in
+    input order, and their (length, B) rows.
     """
     lengths = np.asarray(lengths)
     per_length = np.bincount(lengths)
@@ -156,21 +157,20 @@ def time_major_layout(lengths) -> tuple[list, list, list]:
     return steps, carried, stacks
 
 
-def forward_backward_stacks(em, transitions, steps, carried, stacks, *, statistics=True):
+def forward_backward_stacks(em, transitions, layout, *, statistics=True):
     """One scaled recursion over equal-length stacks, and each stack's ``xi`` and ``log_z``.
 
-    ``em`` holds every stack's emissions time-major: step t's rows are
+    ``layout`` is :func:`time_major_layout` of the sentences' lengths, and
+    ``em`` holds their emissions at its rows: step t's rows are
     ``em[steps[t]]``, and ``carried[t]`` (t >= 1) are the rows of step t - 1
-    whose sentences go on to step t, in step t's order. With sentences
-    ordered longest first, step t's rows are the sentences longer than t,
-    a prefix of step t - 1's (:func:`time_major_layout`). ``stacks`` lists
-    each stack's emissions (B, n, k) with its (n, B) rows of ``em``, or one
-    sentence's (n, k) with its (n,) rows. Returns the tag marginals, shaped
-    as ``em``, and per stack ``(xi, log_z)``, computed on the stack's own
-    rows; a stack whose scale factors under- or overflow is redone in log space.
-    Inference passes ``statistics=False``: the same stacks are redone in log
-    space, but no ``xi`` is computed and the list of statistics is empty.
+    whose sentences go on to step t. Returns the tag marginals, shaped as
+    ``em``, and per stack ``(xi, log_z)``, computed on the stack's own rows; a
+    stack whose scale factors under- or overflow is redone in log space, on
+    its emissions ``em[rows]``. Inference passes ``statistics=False``: the
+    same stacks are redone in log space, but no ``xi`` is computed and the
+    list of statistics is empty.
     """
+    steps, carried, stacks = layout
     k = em.shape[-1]
     row_max = em[..., 0]  # column by column: em.max(axis=-1) is slower on many rows
     for j in range(1, k):
@@ -193,24 +193,23 @@ def forward_backward_stacks(em, transitions, steps, carried, stacks, *, statisti
             beta[carried[t]] = (q[now] * beta[now]) @ e_t
         q_beta = np.multiply(q, beta, out=q)
         log_c, finite = np.log(c), np.isfinite(beta).all()
-        for i, (emissions, rows) in enumerate(stacks):
-            n = emissions.shape[-2]
+        for i, (n, _, rows) in enumerate(stacks):
             log_z = (log_c.take(rows, axis=0).sum(axis=0)
                      + row_max.take(rows, axis=0).sum(axis=0))[..., 0]
             log_z = log_z + (n - 1) * t_max
             if not (np.isfinite(log_z).all()
                     and (finite or np.isfinite(beta.take(rows, axis=0)).all())):
-                fallback.append(i)
+                fallback.append((i, rows))
             if statistics:
                 xi = e * (alpha.take(rows[:-1], axis=0).reshape(-1, k).T
                           @ q_beta.take(rows[1:], axis=0).reshape(-1, k))
                 stats.append((xi, log_z))
         mu = np.multiply(alpha, beta, out=beta)
-    for i in fallback:  # a scale under/overflowed
-        emissions, rows = stacks[i]
+    for i, rows in fallback:  # a scale under/overflowed
+        emissions = em[rows].swapaxes(0, 1)  # (B, n, k)
         alpha, beta = log_forward(emissions, transitions), log_backward(emissions, transitions)
         log_z = np.logaddexp.reduce(alpha[..., -1, :], axis=-1)
-        mu[rows] = np.exp(alpha + beta - log_z[..., None, None]).swapaxes(0, -2)
+        mu[rows] = np.exp(alpha + beta - log_z[..., None, None]).swapaxes(0, 1)
         if statistics:
             xi = np.exp(alpha[..., :-1, :, None] + transitions
                         + (emissions + beta)[..., 1:, None, :] - log_z[..., None, None, None])
@@ -267,15 +266,13 @@ def marginals(model: CrfModel, sequences: list[list[str]]) -> list[np.ndarray]:
     if not live:
         return probs
     emissions = [model.emissions(sequences[i]) for i in live]
-    steps, carried, layout = time_major_layout([len(em) for em in emissions])
-    em, stacks = np.empty((steps[-1].stop, k)), []
-    for _, members, rows in layout:
+    layout = time_major_layout([len(em) for em in emissions])
+    em = np.empty((sum(map(len, emissions)), k))
+    for _, members, rows in layout[2]:
         stack = np.array([emissions[j] for j in members.tolist()])  # np.stack is slower
         em[rows] = stack.swapaxes(0, 1)
-        stacks.append((stack, rows))
-    mu = forward_backward_stacks(em, model.transitions, steps, carried, stacks,
-                                 statistics=False)[0]
-    for _, members, rows in layout:
+    mu = forward_backward_stacks(em, model.transitions, layout, statistics=False)[0]
+    for _, members, rows in layout[2]:
         for j, sentence_probs in zip(members.tolist(), mu[rows.T]):
             probs[live[j]] = sentence_probs
     return probs
@@ -352,12 +349,20 @@ def load_model(path: Path | str) -> CrfModel:
         n_iterations = payload.get("n_iterations", 0)
         if type(n_iterations) is not int or n_iterations < 0:
             raise ValueError(f"n_iterations must be a non-negative integer, got {n_iterations!r}")
+        relation = payload.get("relation")  # as train writes it: null, or Relation's strings
+        if relation is not None and not (
+                isinstance(relation, dict) and relation.keys() <= {f.name for f in fields(Relation)}
+                and all(isinstance(value, str) for value in relation.values())):
+            raise ValueError(f"relation must be null or an object of strings, got {relation!r}")
+        l2_sigma = finite_number(payload.get("l2_sigma", 1.0), "l2_sigma")
+        if l2_sigma <= 0:
+            raise ValueError(f"l2_sigma must be positive, got {l2_sigma!r}")
         return CrfModel(
             gram_ids=tuple(tables.values()),
             weights=weights,
             transitions=transitions,
-            l2_sigma=finite_number(payload.get("l2_sigma", 1.0), "l2_sigma"),
-            relation=payload.get("relation"),
+            l2_sigma=l2_sigma,
+            relation=relation,
             final_objective=finite_number(payload.get("final_objective", 0.0), "final_objective"),
             n_iterations=n_iterations,
         )

@@ -2,7 +2,8 @@
 
 The penalized conditional log-likelihood and its analytic gradient
 (empirical minus expected feature counts) are computed here, and so are the
-quasi-Newton steps (:func:`lbfgs`, limited-memory BFGS in numpy). Training is
+quasi-Newton steps (:func:`lbfgs`, limited-memory BFGS in numpy, which
+keeps its last curvature pairs and makes every step's arrays anew). Training is
 deterministic: weights start at zero, sentences are processed in input order,
 and no sum depends on the BLAS thread count, so a fit writes the same bits
 with any number of threads. scipy is used for its sparse matrix alone.
@@ -15,19 +16,19 @@ become ints, n-gram windows become dense per-width codes, and a bincount
 keeps the frequent ones; it builds the per-window n-gram tables that
 inference reads, merged per width (:class:`.features.WidthIndex`), with the
 same ids.
-Rows run length bucket by length bucket, so each bucket reshapes to a
-(batch, length, tags) stack. An evaluation runs one
-:func:`.model.forward_backward_stacks` recursion over all buckets, on the
-emissions gathered time-major and longest sentence first by indices computed
-once per problem (:func:`.model.time_major_layout`, the layout inference
-uses too); each bucket's transition counts and log partitions are
-summed on its own rows, in increasing length, as one call per bucket would.
+Rows run length bucket by length bucket, in increasing length. An evaluation
+runs one :func:`.model.forward_backward_stacks` recursion over all buckets,
+on the emissions gathered into the time-major layout computed once per
+problem (:func:`.model.time_major_layout`, which inference uses too); each
+bucket's transition counts and log partitions are summed on its own rows, in
+increasing length, as one call per bucket would.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -51,8 +52,7 @@ class _Bucket:
     length: int
     y: np.ndarray        # (B, n) tag ids
     rows: slice          # the bucket's B * n rows of the feature matrix
-    time_rows: np.ndarray  # (n, B) its rows of the time-major recursion
-    pairs: np.ndarray      # (B, n - 1) its gold tag pairs' indices into the raveled transitions
+    pairs: np.ndarray    # (B, n - 1) its gold tag pairs' indices into the raveled transitions
 
 
 def _as_example(item) -> tuple[list[str], list[str]]:
@@ -176,20 +176,19 @@ class TrainingProblem:
         k = len(TAGS)
 
         lengths = np.array([len(seq) for seq, _ in examples])
-        self._steps, self._carried, layout = time_major_layout(lengths)
+        self._layout = time_major_layout(lengths)
         self.buckets: list[_Bucket] = []
         self._emp_t = np.zeros((k, k))
-        for length, members, time_rows in layout:
+        for length, members, _ in self._layout[2]:
             y = np.array([[TAGS.index(t) for t in examples[i][1]] for i in members.tolist()],
                          dtype=np.intp)
             start = self.buckets[-1].rows.stop if self.buckets else 0
-            self.buckets.append(_Bucket(length, y, slice(start, start + y.size), time_rows,
+            self.buckets.append(_Bucket(length, y, slice(start, start + y.size),
                                         y[:, :-1] * k + y[:, 1:]))
             np.add.at(self._emp_t, (y[:, :-1].ravel(), y[:, 1:].ravel()), 1.0)
         # Each feature-matrix row's time-major row, and back.
-        self._time_row = np.concatenate([bucket.time_rows.T.ravel() for bucket in self.buckets])
-        self._x_row = np.empty_like(self._time_row)
-        self._x_row[self._time_row] = np.arange(len(self._time_row))
+        self._time_row = np.concatenate([rows.T.ravel() for _, _, rows in self._layout[2]])
+        self._x_row = np.argsort(self._time_row)
         # One row per token position, bucket by bucket: a stable sort of the
         # rows by their sentence's length. X is built from (data, indices,
         # indptr) with each row's ids in window order: COO input would sort
@@ -218,12 +217,8 @@ class TrainingProblem:
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Negative penalized log-likelihood and its gradient."""
         w, trans = self.split(theta)
-        k = len(TAGS)
         em_all = self.X @ w
-        stacks = [(em_all[bucket.rows].reshape(bucket.y.shape + (k,)), bucket.time_rows)
-                  for bucket in self.buckets]
-        mu, stats = forward_backward_stacks(
-            em_all.take(self._x_row, axis=0), trans, self._steps, self._carried, stacks)
+        mu, stats = forward_backward_stacks(em_all.take(self._x_row, axis=0), trans, self._layout)
         gold = em_all.ravel().take(self._gold)
         exp_t = np.zeros_like(trans)
         ll = 0.0
@@ -288,49 +283,36 @@ def lbfgs(
 
     Every inner product is a numpy pairwise sum (``np.add.reduce``), never a
     BLAS dot, whose rounding depends on the BLAS thread count; the result is
-    the same bits with any number of threads. *fun* may not keep its argument,
-    whose buffer is reused.
+    the same bits with any number of threads.
     """
-    n = x0.size
-    x, x_new = np.array(x0, dtype=float), np.empty(n)
-    d, scratch = np.empty(n), np.empty(n)
-    # Curvature pairs live in MEMORY + 1 rows, so a new pair is computed in a
-    # free row before the oldest is dropped; `pairs` lists the rows in use, oldest first.
-    s_rows, y_rows = np.empty((MEMORY + 1, n)), np.empty((MEMORY + 1, n))
-    rho = np.empty(MEMORY + 1)
-    pairs: list[int] = []
+    x = np.array(x0, dtype=float)
+    pairs: deque = deque(maxlen=MEMORY)  # (s, y, 1/sᵀy), oldest first
     gamma = 1.0
 
     def dot(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.add.reduce(np.multiply(a, b, out=scratch)))
+        return float(np.add.reduce(a * b))
 
-    def axpy(a: float, v: np.ndarray, out: np.ndarray) -> None:
-        """out += a * v"""
-        np.add(out, np.multiply(v, a, out=scratch), out=out)
-
-    max_evals = 10 * max_iter
     f, g = fun(x)
     evals, iterations = 1, 0
     g_max = float(np.abs(g).max())
     status = "CONVERGENCE: NORM OF GRADIENT <= TOL" if g_max <= tol else ""
     while not status:
         # d = -H g, by the two-loop recursion.
-        np.copyto(d, g)
-        alphas = []
-        for row in reversed(pairs):
-            alphas.append(rho[row] * dot(s_rows[row], d))
-            axpy(-alphas[-1], y_rows[row], d)
-        d *= gamma
-        for row, alpha in zip(pairs, reversed(alphas)):
-            axpy(alpha - rho[row] * dot(y_rows[row], d), s_rows[row], d)
-        np.negative(d, out=d)
+        d, alphas = g, []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * dot(s, d))
+            d = d + y * -alphas[-1]
+        d = d * gamma
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d = d + s * (alpha - rho * dot(y, d))
+        d = -d
         slope = dot(g, d)
         step = 1.0 if pairs else 1.0 / math.sqrt(dot(g, g))
         for _ in range(20):
-            if evals >= max_evals:
+            if evals >= 10 * max_iter:
                 status = "STOP: TOTAL NO. OF EVALUATIONS REACHED LIMIT"
                 break
-            np.add(x, np.multiply(d, step, out=x_new), out=x_new)
+            x_new = x + d * step
             f_new, g_new = fun(x_new)
             evals += 1
             if f_new <= f + 1e-4 * step * slope:
@@ -342,15 +324,13 @@ def lbfgs(
             break
 
         iterations += 1
-        row = next(r for r in range(MEMORY + 1) if r not in pairs)
-        s, y = np.subtract(x_new, x, out=s_rows[row]), np.subtract(g_new, g, out=y_rows[row])
+        s, y = x_new - x, g_new - g
         sy = dot(s, y)
         if sy > 0:
-            rho[row], gamma = 1.0 / sy, sy / dot(y, y)
-            pairs = (pairs + [row])[-MEMORY:]
-        x, x_new = x_new, x
-        f_old, f, g = f, f_new, g_new
-        g_max = float(np.abs(g, out=scratch).max())
+            pairs.append((s, y, 1.0 / sy))
+            gamma = sy / dot(y, y)
+        x, f_old, f, g = x_new, f, f_new, g_new
+        g_max = float(np.abs(g).max())
         if callback is not None:
             callback(f)
         if g_max <= tol:

@@ -14,7 +14,8 @@ Number words follow one grammar, stated at :func:`_parse_cardinal_words`:
 numbers below 100 make groups around "hundred", and one or two groups around
 "thousand" make a number of at most 999,999. "and" is read only after a scale
 word and before a number below 100, so it never starts a mention and is not
-a live word.
+a live word. Digit cardinals and ordinals obey the same cap: a digit number
+above 999,999 is no mention (:func:`_digit_value`).
 
 ``mode="train"`` skips indefinite articles: they are far too frequent to act
 as training cues and are only annotated when applying a trained model
@@ -102,12 +103,22 @@ def _parse_cardinal_words(words: list[str], table: dict[str, int]) -> Optional[t
         i += 1
 
 
+def _digit_value(digits: str) -> Optional[int]:
+    """The value of a digit number, commas allowed, or None above 999,999.
+
+    Only the last six digits go through ``int``, which refuses a string of
+    more than 4,300 digits; any digit before them must be a zero.
+    """
+    digits = digits.replace(",", "")
+    return None if any(map(int, digits[:-6])) else int(digits[-6:])
+
+
 def _parse_ordinal(w: str, lexicon: NumLexicon) -> Optional[int]:
     if w in lexicon.ordinal_words:
         return lexicon.ordinal_words[w]
     m = _DIGIT_ORDINAL_RE.match(w)
     if m:
-        return int(m.group(1))
+        return _digit_value(m.group(1))
     if "-" in w:  # "twenty-first"
         head, _, tail = w.rpartition("-")
         tail_value = lexicon.ordinal_words.get(tail)
@@ -172,7 +183,8 @@ def _recognise(
     if surface == "one" and i and words[i - 1] == "no":
         return None, 1
     if _DIGIT_CARDINAL_RE.match(surface):
-        return _mention(MentionKind.CARDINAL, int(surface.replace(",", ""))), 1
+        value = _digit_value(surface)
+        return (None if value is None else _mention(MentionKind.CARDINAL, value)), 1
     table = lexicon.cardinal_words
     if surface in table or (
         "-" in surface and all(word in table for word in surface.split("-"))

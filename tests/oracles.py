@@ -49,8 +49,8 @@ consolidation                     test_consolidate._reference_consolidate
 The references for Viterbi and the marginals enumerate all tag paths; they
 must stay free of the dynamic-programming code they are used to check. ``reference_fit`` is
 scipy's L-BFGS-B on a training problem. The numlex references share the
-library's number parsers (``_parse_cardinal_words``, ``_parse_ordinal``, the
-digit-cardinal pattern) and ``lemmatize``, whose own tests state them.
+library's number parsers (``_parse_cardinal_words``, and ``_parse_ordinal``
+for word ordinals) and ``lemmatize``, whose own tests state them.
 
 The helpers after the references call the library: ``forward_backward`` and
 ``log_partition`` are what the tests check, and ``random_model``,
@@ -64,12 +64,13 @@ import itertools
 import math
 import re
 from collections import Counter
+from decimal import Decimal
 
 import numpy as np
 
 from countquant.crf.features import BOS, EOS, WINDOW_NAMES, WINDOWS
 from countquant.numlex import INFERENCE_MODE, MentionAnnotation, MentionKind, Token, make_sentence
-from countquant.numlex.mentions import _DIGIT_CARDINAL_RE, _parse_cardinal_words, _parse_ordinal
+from countquant.numlex.mentions import _parse_cardinal_words, _parse_ordinal
 from countquant.numlex.tokenizer import lemmatize
 
 
@@ -337,6 +338,11 @@ def _cardinal_run(tokens, i, head, lexicon):
     return parsed[0], 1 + parsed[1] - len(head)
 
 
+# A digit cardinal ("1,200") or digit ordinal ("23rd"). Digit numbers obey the
+# cap of the number-word grammar: one above 999,999 is no mention.
+_DIGIT_NUMBER_RE = re.compile(r"(\d{1,3}(?:,\d{3})+|\d+)|(\d+)(?:st|nd|rd|th)")
+
+
 def _annotate_mentions(tokens, lexicon, mode):
     words = [t.surface.lower() for t in tokens]
     out = []
@@ -359,9 +365,14 @@ def _annotate_mentions(tokens, lexicon, mode):
 
         surface = words[i]
 
-        if _DIGIT_CARDINAL_RE.match(surface):
-            mention = MentionAnnotation(MentionKind.CARDINAL, int(surface.replace(",", "")))
-            out.append(tok._replace(mention=mention))
+        digit = _DIGIT_NUMBER_RE.fullmatch(surface)
+        if digit:
+            cardinal, ordinal = digit.groups()
+            value = Decimal((cardinal or ordinal).replace(",", ""))
+            if value <= 999_999:
+                kind = MentionKind.CARDINAL if cardinal else MentionKind.ORDINAL
+                tok = tok._replace(mention=MentionAnnotation(kind, int(value)))
+            out.append(tok)
             i += 1
             continue
 
@@ -463,12 +474,12 @@ def forward_backward(emissions: np.ndarray, transitions: np.ndarray) -> tuple[np
     from countquant.crf.model import forward_backward_stacks, time_major_layout
 
     *lead, n, k = emissions.shape
-    stack = emissions.reshape(-1, n, k) if lead else emissions
-    steps, carried, ((_, _, rows),) = time_major_layout([n] * (stack.size // (n * k)))
-    rows = rows if lead else rows[:, 0]  # one sentence keeps its (n, k) shape
+    stack = emissions.reshape(-1, n, k)
+    layout = time_major_layout([n] * len(stack))
+    rows = layout[2][0][2]
     mu, ((xi, log_z),) = forward_backward_stacks(
-        stack.swapaxes(0, -2).reshape(-1, k), transitions, steps, carried, [(stack, rows)])
-    return mu[rows].swapaxes(0, -2).reshape(emissions.shape), xi, log_z.reshape(lead)
+        stack.swapaxes(0, 1).reshape(-1, k), transitions, layout)
+    return mu[rows].swapaxes(0, 1).reshape(emissions.shape), xi, log_z.reshape(lead)
 
 
 def log_partition(emissions: np.ndarray, transitions: np.ndarray) -> float:

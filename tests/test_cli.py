@@ -230,6 +230,16 @@ class TestFullPipeline:
         ])
         return train, model, pred, metrics
 
+    def test_number_longer_than_int_converts(self, runner, fixture_dir):
+        """A 5,000-digit number is above the 999,999 cap, so it is no mention."""
+        corpus = fixture_dir / "corpus.jsonl"
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        first["text"] += f" {first['subject'].title()} has {'9' * 5000} fans ."
+        corpus.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n", encoding="utf-8")
+        pred = self._pipeline(runner, fixture_dir)[2]
+        assert pred.read_text(encoding="utf-8").count("\n") == 10
+
     def test_end_to_end_and_determinism(self, runner, fixture_dir):
         train1, model1, pred1, metrics1 = self._pipeline(runner, fixture_dir, 1, "1")
         train2, model2, pred2, metrics2 = self._pipeline(runner, fixture_dir, 2, "2")
@@ -1012,9 +1022,17 @@ class TestMalformedInputs:
         (lambda m: m["features"].append(m["features"][0]), "repeated feature"),
         (lambda m: m["templates"].pop(), "templates must list the 15 fixed windows"),
         (lambda m: m["weights"][0].__setitem__(0, float("nan")), "weights must be finite"),
+        (lambda m: m.update(relation=5), "relation must be null or an object of strings"),
+        (lambda m: m.update(relation=["x"]), "relation must be null or an object of strings"),
+        (lambda m: m["relation"].update(property=7), "relation must be null"),
+        (lambda m: m["relation"].update(extra="x"), "relation must be null"),
+        (lambda m: m.update(l2_sigma=-3.0), "l2_sigma must be positive"),
+        (lambda m: m.update(l2_sigma=0), "l2_sigma must be positive"),
     ], ids=["tags-unknown", "tags-reordered", "feature-unknown-template",
             "feature-without-colon", "feature-template-name-only", "feature-repeated",
-            "templates-not-the-fixed-windows", "weights-nan"])
+            "templates-not-the-fixed-windows", "weights-nan", "relation-number",
+            "relation-list", "relation-number-field", "relation-unknown-field",
+            "l2-sigma-negative", "l2-sigma-zero"])
     def test_defective_model_file(self, runner, fixture_dir, edit, message):
         config = write_config(fixture_dir)
         run_ok(runner, ["--config", str(config), "build-training"])

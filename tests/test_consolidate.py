@@ -431,11 +431,10 @@ def _token(draw):
     kind = draw(st.none() | _kinds)
     if kind is None:
         return w(draw(st.sampled_from(["and", "sons", ","])), tag, conf)
-    value = {
-        MentionKind.ARTICLE: 1,
-        MentionKind.ZERO: 0,
-        MentionKind.NUMTERM: draw(st.integers(min_value=1, max_value=4)),
-    }.get(kind, draw(st.integers(min_value=0, max_value=4)))
+    # A value is drawn only for the kinds that have no fixed one.
+    value = {MentionKind.ARTICLE: 1, MentionKind.ZERO: 0}.get(kind)
+    if value is None:
+        value = draw(st.integers(min_value=1 if kind is MentionKind.NUMTERM else 0, max_value=4))
     return m(kind, value, conf, tag)
 
 

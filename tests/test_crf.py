@@ -675,6 +675,19 @@ class TestLbfgs:
         assert result.status == "STOP: TOTAL NO. OF EVALUATIONS REACHED LIMIT"
         assert result.n_evaluations == 10
 
+    def test_leaves_the_points_it_evaluated_untouched(self):
+        scale = np.arange(1.0, 6.0)
+        seen = []
+
+        def fun(x):
+            seen.append((x, x.copy()))
+            return 0.5 * float(np.add.reduce(scale * x * x)), scale * x
+
+        result = lbfgs(fun, np.ones(5), tol=1e-8, max_iter=50)
+        assert result.converged and len(seen) == result.n_evaluations > 2
+        for kept, copy in seen:
+            assert np.array_equal(kept, copy)
+
     def test_model_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         """The benchmark's seed-1 long world at full scale, fitted under 1 and 2 BLAS threads.
 
@@ -845,7 +858,7 @@ class TestMarginals:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             results = [forward_backward(em, trans), forward_backward(stack, trans)]
-        assert calls == [em.shape, stack.shape]
+        assert calls == [(1,) + em.shape, stack.shape]
         (mu, xi, log_z), (stack_mu, stack_xi, stack_log_z) = results
         assert abs(log_z - brute_force_log_partition(em, trans)) < 1e-8
         assert np.abs(mu - brute_force_marginals(em, trans)).max() < 1e-8

@@ -182,6 +182,19 @@ class TestAnnotateMentions:
         s = make_sentence([Token(surface=surface, lemma=surface, index=0)])
         assert preprocess_sentence(s, LEXICON).mentions == ()
 
+    @pytest.mark.parametrize("text,mentions", [
+        ("999,999 fans", [(MentionKind.CARDINAL, 999_999)]),
+        ("the 999999th fan", [(MentionKind.ORDINAL, 999_999)]),
+        ("0000005 fans", [(MentionKind.CARDINAL, 5)]),
+        ("1,000,000 fans", []),
+        ("1000000 fans", []),
+        ("the 1000000th fan", []),
+        # more digits than int() converts
+        pytest.param(f"{'9' * 5000} fans and the {'1' * 5000}th", [], id="5000-digits"),
+    ])
+    def test_digit_numbers_share_the_word_grammar_cap(self, prep, text, mentions):
+        assert [(t.mention.kind, t.mention.value) for t in _mention_tokens(prep(text))] == mentions
+
     def test_decimals_are_not_mentions(self, prep):
         assert prep("He ran 3.5 miles").mentions == ()
 
