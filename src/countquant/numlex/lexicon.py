@@ -31,9 +31,9 @@ from .tokenizer import lemmatize
 _DATA_DIR = Path(__file__).parent / "data"
 
 # Replacement syntax for special terms that stay in place as one number-term
-# token with a value, e.g. "NUMTERM:2". Lexicons written in the older form
-# "NUMTERM-plets:2" still load: the suffix is read and ignored.
-_PLACEHOLDER_REPLACEMENT_RE = re.compile(r"^NUMTERM(?:-[a-z]+)?:(\d+)$")
+# token with a value, e.g. "NUMTERM:2"; what follows the colon must be a value.
+# The older form "NUMTERM-plets:2" still loads: the suffix is read and ignored.
+_PLACEHOLDER_REPLACEMENT_RE = re.compile(r"^NUMTERM(?:-[a-z]+)?:(.*)$")
 
 # The lowercased words that zero mode rewrites into zero mentions.
 ZERO_CUES = frozenset({"n't", "not", "any", "never", "without", "no", "0"})
@@ -166,22 +166,30 @@ def _read_rows(path: Path, columns: int) -> Iterator[tuple[int, list[str]]]:
         yield lineno, parts
 
 
+def _read_value(path: Path, lineno: int, digits: str, least: int, rule: str, shown: str) -> int:
+    """*digits*, ASCII only, as a value from *least* to 999,999, the most a mention reads.
+
+    Anything else is refused at ``table:line``: *rule* says what the value must
+    be, and the field it came from, *shown*, is cut to 20 characters.
+    """
+    ascii_digits = digits.isascii() and digits.isdigit()
+    above_cap = ascii_digits and len(digits.lstrip("0")) > 6
+    if ascii_digits and not above_cap and int(digits) >= least:
+        return int(digits)
+    shown = shown if len(shown) <= 20 else shown[:20] + "..."
+    rule += " and at most 999,999" if above_cap else ""
+    raise LexiconFormatError(path, f"{rule}, got {shown!r}", lineno)
+
+
 def _read_value_table(path: Path, positive: bool = False) -> dict[str, int]:
+    sign = "positive" if positive else "non-negative"
     table: dict[str, int] = {}
     for lineno, (term, value) in _read_rows(path, 2):
         key = term.lower()
         if key in table:
             raise LexiconFormatError(path, f"duplicate key {key!r}", lineno)
-        try:
-            number = int(value)
-        except ValueError:
-            number = -1
-        if number < (1 if positive else 0):
-            sign = "positive" if positive else "non-negative"
-            raise LexiconFormatError(
-                path, f"value of {key!r} must be a {sign} integer, got {value!r}", lineno
-            )
-        table[key] = number
+        table[key] = _read_value(path, lineno, value, int(positive),
+                                 f"value of {key!r} must be a {sign} integer", value)
     return table
 
 
@@ -190,17 +198,16 @@ def _read_word_set(path: Path) -> frozenset[str]:
 
 
 def _read_special_terms(path: Path) -> tuple[SpecialTerm, ...]:
-    specials = []
+    specials: dict[tuple[str, ...], SpecialTerm] = {}
     for lineno, (term, replacement) in _read_rows(path, 2):
+        key = tuple(term.lower().split())
+        if key in specials:
+            raise LexiconFormatError(path, f"duplicate key {' '.join(key)!r}", lineno)
         m = _PLACEHOLDER_REPLACEMENT_RE.match(replacement)
-        value = int(m.group(1)) if m else None
-        if value == 0:
-            raise LexiconFormatError(
-                path, f"number term {term!r} must count at least 1, got {replacement!r}", lineno
-            )
-        text = None if m else replacement
-        specials.append(SpecialTerm(tuple(term.lower().split()), text, value))
-    return tuple(specials)
+        value = m and _read_value(path, lineno, m.group(1), 1,
+                                  f"number term {term!r} must count at least 1", replacement)
+        specials[key] = SpecialTerm(key, None if m else replacement, value)
+    return tuple(specials.values())
 
 
 def load_lexicon(directory: Path | str) -> NumLexicon:

@@ -2,13 +2,13 @@
 
 A sentence goes ``tokenize -> preprocess_sentence``, after which
 :func:`to_placeholder_sequence` gives the lemma/placeholder symbols the
-sequence labeler reads. Preprocessing reads a sentence's columns. Each
-surface's lowercase form and liveness come from the lexicon's per-surface
-readings (``NumLexicon.readings``), so a sentence with no live token is
-returned at once, and a changed sentence's columns are built once. Annotated
-tokens are never touched again, so outside zero mode preprocessing twice
-gives the same sentence as long as no word of a special term's replacement
-text starts a special term itself.
+sequence labeler reads. Each surface's lowercase form and liveness come from
+the lexicon's per-surface readings (``NumLexicon.readings``), so a sentence
+with no live token is returned at once. Otherwise one scan collects the edits,
+each a span and the columns that replace it, and they are applied once, last
+first. Annotated tokens are never touched again, so outside zero mode
+preprocessing twice gives the same sentence as long as no word of a special
+term's replacement text starts a special term itself.
 
 Number words follow one grammar, stated at :func:`_parse_cardinal_words`:
 numbers below 100 make groups around "hundred", and one or two groups around
@@ -35,9 +35,8 @@ from .lexicon import DEAD, LIVE, ZERO_CUE, ZERO_CUES, NumLexicon, SpecialTerm
 from .tokenizer import lemmatize
 from .types import MentionAnnotation, MentionKind, Sentence
 
-# A sentence's columns while it is rewritten: surfaces, lemmas, and the
-# mentions by position, in position order.
-_Columns = tuple[list[str], list[str], dict[int, MentionAnnotation]]
+# A sentence's columns while it is rewritten: surfaces, lemmas, a mention or None per position.
+_Columns = tuple[list[str], list[str], list[Optional[MentionAnnotation]]]
 _LIVENESS = itemgetter(1)  # of a lexicon reading
 # A mention is a value, so each distinct one is built and checked once.
 _mention = lru_cache(maxsize=4096)(MentionAnnotation)
@@ -217,36 +216,15 @@ def _rewrite(text: str, lexicon: NumLexicon, mode: str) -> _Columns:
     single-token checks of :func:`_recognise`.
     """
     surfaces = text.split()
-    lemmas = [lemmatize(surface) for surface in surfaces]
-    marks: dict[int, MentionAnnotation] = {}
-    for k, surface in enumerate(surfaces):
+    marks = []
+    for surface in surfaces:
         word, liveness = lexicon.readings[surface]
         value = lexicon.cardinal_words.get(word)
         if value is not None:
-            marks[k] = _mention(MentionKind.CARDINAL, value)
-        elif liveness == LIVE:
-            mention = _recognise((word,), 0, (), lexicon, mode)[0]
-            if mention is not None:
-                marks[k] = mention
-    return surfaces, lemmas, marks
-
-
-def _merged(columns: _Columns, start: int, length: int, mention: MentionAnnotation) -> _Columns:
-    """The *length* tokens from *start* as one token carrying *mention*."""
-    surfaces, lemmas, _ = columns
-    stop = start + length
-    return [" ".join(surfaces[start:stop])], [" ".join(lemmas[start:stop])], {0: mention}
-
-
-def _append(out: _Columns, columns: _Columns, start: int, stop: int) -> None:
-    """Append positions *start* to *stop* - 1 of *columns* to *out*, with their mentions."""
-    surfaces, lemmas, marks = columns
-    shift = len(out[0]) - start
-    for position, mention in marks.items():
-        if start <= position < stop:
-            out[2][position + shift] = mention
-    out[0].extend(surfaces[start:stop])
-    out[1].extend(lemmas[start:stop])
+            marks.append(_mention(MentionKind.CARDINAL, value))
+        else:
+            marks.append(_recognise((word,), 0, (), lexicon, mode)[0] if liveness == LIVE else None)
+    return surfaces, [lemmatize(surface) for surface in surfaces], marks
 
 
 _NEGATIONS = frozenset({"n't", "not"})
@@ -277,9 +255,8 @@ def _zero_cue_rewrites(columns: _Columns, words: tuple[str, ...]) -> Optional[_C
                 kept.pop()
                 continue
         kept.append(i)
-    out_surfaces: list[str] = []
-    out_lemmas: list[str] = []
-    out_marks: list[Optional[MentionAnnotation]] = []
+    out: _Columns = ([], [], [])
+    out_surfaces, out_lemmas, out_marks = out
     for i in kept:
         word = words[i]
         if word == "without":
@@ -293,29 +270,27 @@ def _zero_cue_rewrites(columns: _Columns, words: tuple[str, ...]) -> Optional[_C
         elif word != "never":
             out_surfaces.append(surfaces[i])
             out_lemmas.append(lemmas[i])
-            out_marks.append(marks.get(i, _ZERO if word in ("no", "0") else None))
+            out_marks.append(marks[i] or (_ZERO if word in ("no", "0") else None))
     if "never" in words:  # "0 times" goes before a final terminal
         tail = len(out_surfaces) - bool(out_surfaces and out_surfaces[-1] in (".", "!", "?"))
         out_surfaces[tail:tail] = ("0", "times")
         out_lemmas[tail:tail] = ("0", "time")
         out_marks[tail:tail] = (_ZERO, None)
-    out = out_surfaces, out_lemmas, {p: m for p, m in enumerate(out_marks) if m is not None}
     return None if out == (list(surfaces), list(lemmas), marks) else out
 
 
-def _read(columns: _Columns, lexicon: NumLexicon, zero_mode: bool) -> tuple[tuple, tuple, list]:
-    """The lowercased surfaces, their liveness, and the live positions not yet annotated.
+def _read(surfaces, annotated, lexicon: NumLexicon, zero_mode: bool) -> tuple[tuple, tuple, list]:
+    """The lowercased surfaces, their liveness, and the live positions not in *annotated*.
 
     A zero cue can start a rewrite, so in zero mode it is live too. When no
     token is live, only the liveness is read.
     """
-    surfaces, _, marks = columns
     floor = ZERO_CUE if zero_mode else LIVE
     read = lexicon.readings.__getitem__
     if max(map(_LIVENESS, map(read, surfaces)), default=DEAD) < floor:
         return (), (), []
     words, liveness = zip(*map(read, surfaces))
-    live = [i for i, level in enumerate(liveness) if level >= floor and i not in marks]
+    live = [i for i, level in enumerate(liveness) if level >= floor and i not in annotated]
     return words, liveness, live
 
 
@@ -357,40 +332,45 @@ def preprocess_sentence(
     unannotated token is live. Only the surfaces are read; the lemma column
     is carried along.
     """
-    columns: _Columns = (sentence.surfaces(), sentence.lemmas(), dict(sentence.mentions))
-    words, liveness, live = _read(columns, lexicon, zero_mode)
+    surfaces, lemmas = sentence.surfaces(), sentence.lemmas()
+    annotated = {position for position, _ in sentence.mentions}
+    words, liveness, live = _read(surfaces, annotated, lexicon, zero_mode)
     if not live:
         return sentence
-    if zero_mode and (rewritten := _zero_cue_rewrites(columns, words)):
-        columns = rewritten
-        words, liveness, live = _read(columns, lexicon, zero_mode)
-    surfaces, lemmas, marks = columns
+    marks: list[Optional[MentionAnnotation]] = [None] * len(surfaces)
+    for position, mention in sentence.mentions:
+        marks[position] = mention
+    if zero_mode and (rewritten := _zero_cue_rewrites((surfaces, lemmas, marks), words)):
+        surfaces, lemmas, marks = rewritten
+        annotated = {position for position, mention in enumerate(marks) if mention is not None}
+        words, liveness, live = _read(surfaces, annotated, lexicon, zero_mode)
     specials = {j: term for j in live if (term := _match_special(words, j, lexicon))}
-    stops = specials.keys() | marks.keys()  # a cardinal run ends at these
-    out: _Columns = ([], [], {})
-    i = 0  # columns[:i] are read; only a live token can start anything
+    stops = specials.keys() | annotated  # a cardinal run ends at these
+    edits: list[tuple[int, int, _Columns]] = []  # (start, stop, replacement columns)
     for j in live:
-        if j < i:
+        if edits and j < edits[-1][1]:
             continue  # inside a mention or special term read already
         special = specials.get(j)
         if special is not None:
-            length = len(special.term)
-            if special.replacement_text is None:
-                mention = _mention(MentionKind.NUMTERM, special.value)
-                replacement = _merged(columns, j, length, mention)
-            else:
-                replacement = _rewrite(special.replacement_text, lexicon, mode)
+            stop = j + len(special.term)
+            if special.replacement_text is not None:
+                edits.append((j, stop, _rewrite(special.replacement_text, lexicon, mode)))
+                continue
+            mention = _mention(MentionKind.NUMTERM, special.value)
         elif liveness[j] == LIVE:
             mention, length = _recognise(words, j, stops, lexicon, mode)
             if mention is None:
                 continue
-            replacement = _merged(columns, j, length, mention)
+            stop = j + length
         else:
             continue  # a zero cue left as it is
-        _append(out, columns, i, j)
-        _append(out, replacement, 0, len(replacement[0]))
-        i = j + length
-    if i == 0 and surfaces is sentence.surfaces():
+        merged = [" ".join(surfaces[j:stop])], [" ".join(lemmas[j:stop])], [mention]
+        edits.append((j, stop, merged))
+    if not edits and surfaces is sentence.surfaces():
         return sentence  # nothing rewritten or annotated
-    _append(out, columns, i, len(surfaces))
-    return Sentence(out[0], out[1], out[2].items())
+    surfaces, lemmas = list(surfaces), list(lemmas)
+    for start, stop, (new_surfaces, new_lemmas, new_marks) in reversed(edits):
+        surfaces[start:stop] = new_surfaces
+        lemmas[start:stop] = new_lemmas
+        marks[start:stop] = new_marks
+    return Sentence(surfaces, lemmas, [(p, m) for p, m in enumerate(marks) if m is not None])

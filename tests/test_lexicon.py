@@ -66,6 +66,63 @@ class TestLexiconFiles:
             load_lexicon(tmp_path / "lexicon")
         assert str(info.value).endswith(f"cannot load lexicon: {where}")
 
+    @pytest.mark.parametrize("table,row,where", [
+        ("cardinals", "million\t1000000",
+         "cardinals.tsv:2: value of 'million' must be a non-negative integer "
+         "and at most 999,999, got '1000000'"),
+        ("special_terms", "megaplets\tNUMTERM:5000000",
+         "special_terms.tsv:2: number term 'megaplets' must count at least 1 "
+         "and at most 999,999, got 'NUMTERM:5000000'"),
+        ("cardinals", "zillion\t" + "9" * 5000,
+         "cardinals.tsv:2: value of 'zillion' must be a non-negative integer "
+         "and at most 999,999, got '99999999999999999999...'"),
+        ("special_terms", "zillion\tNUMTERM:" + "9" * 5000,
+         "special_terms.tsv:2: number term 'zillion' must count at least 1 "
+         "and at most 999,999, got 'NUMTERM:999999999999...'"),
+        ("cardinals", "thousand\t1_000",
+         "cardinals.tsv:2: value of 'thousand' must be a non-negative integer, got '1_000'"),
+        ("ordinals", "fifth\t 5",
+         "ordinals.tsv:2: value of 'fifth' must be a non-negative integer, got ' 5'"),
+        ("prefixes", "penta\t٥",
+         "prefixes.tsv:2: value of 'penta' must be a positive integer, got '٥'"),
+        ("special_terms", "twins\tNUMTERM:٢",
+         "special_terms.tsv:2: number term 'twins' must count at least 1, got 'NUMTERM:٢'"),
+    ], ids=["cardinal-above-cap", "numterm-above-cap", "cardinal-5000-digits",
+            "numterm-5000-digits", "underscore", "space", "arabic-indic-digit",
+            "numterm-arabic-indic-digit"])
+    def test_value_outside_the_number_rule_rejected(self, tmp_path, table, row, where):
+        """A value is ASCII digits up to 999,999, the most a mention reads; the message cuts it."""
+        shutil.copytree(_DATA_DIR, tmp_path / "lexicon")
+        (tmp_path / "lexicon" / f"{table}.tsv").write_text(f"# one row\n{row}\n", encoding="utf-8")
+        with pytest.raises(LexiconFormatError) as info:
+            load_lexicon(tmp_path / "lexicon")
+        assert str(info.value).endswith(f"cannot load lexicon: {where}")
+
+    def test_values_up_to_the_cap_load(self, tmp_path):
+        shutil.copytree(_DATA_DIR, tmp_path / "lexicon")
+        (tmp_path / "lexicon" / "cardinals.tsv").write_text("lakh\t100000\nnil\t000\n",
+                                                           encoding="utf-8")
+        (tmp_path / "lexicon" / "special_terms.tsv").write_text("gazillion\tNUMTERM:999999\n",
+                                                               encoding="utf-8")
+        lx = load_lexicon(tmp_path / "lexicon")
+        assert lx.cardinal_words == {"lakh": 100000, "nil": 0}
+        assert lx.special_terms[0].value == 999999
+
+    @pytest.mark.parametrize("row,key", [
+        ("twins\tNUMTERM:3", "twins"),
+        ("Half  a DOZEN\tfive", "half a dozen"),
+    ], ids=["same", "case-and-spacing"])
+    def test_repeated_special_term_rejected(self, tmp_path, row, key):
+        """A second row for a term would be ignored, so it cannot load, as in every keyed table."""
+        shutil.copytree(_DATA_DIR, tmp_path / "lexicon")
+        table = tmp_path / "lexicon" / "special_terms.tsv"
+        lines = table.read_text(encoding="utf-8").splitlines()
+        table.write_text("\n".join(lines + [row]) + "\n", encoding="utf-8")
+        with pytest.raises(LexiconFormatError) as info:
+            load_lexicon(tmp_path / "lexicon")
+        assert str(info.value).endswith(
+            f"cannot load lexicon: special_terms.tsv:{len(lines) + 1}: duplicate key {key!r}")
+
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         for name, content in {
             "cardinals": "# heading\n\none\t1\n",
